@@ -42,6 +42,7 @@ from .rates import (
     REGIME_TUNNELING,
 )
 from .selftest import run_checks
+from .specfun import BesselRangeError, SeriesConvergenceError
 from .spectra import dwdo_circular, dwdo_general, dwdo_linear, dwdo_nonrel
 
 __all__ = ["main", "RunConfig", "ConfigError", "run_spectrum", "run_rate", "run_sweep"]
@@ -68,7 +69,7 @@ class RunConfig:
     mode: str = "on"
     output_path: str = "ati_out"
     formula: str = "relativistic"
-    workers: int = 1
+    workers: int = 1  # accepted for older configs; has no effect
     channel_cap: int = 200_000
 
     _ALLOWED = (
@@ -421,7 +422,7 @@ def _add_common(p):
     p.add_argument("--phi-points", type=int)
     p.add_argument("--mode", choices=["on", "off"])
     p.add_argument("--formula", choices=["relativistic", "nonrelativistic", "both"])
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="accepted for older configs; has no effect")
 
 
 def _overrides(args) -> dict:
@@ -475,7 +476,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ChannelExplosionError as exc:
+    except (ChannelExplosionError, BesselRangeError, SeriesConvergenceError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
 

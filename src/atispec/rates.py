@@ -16,11 +16,9 @@ map is scheduled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import GAMMA_TWO_THIRDS
 from .kinematics import (
@@ -33,7 +31,7 @@ from .kinematics import (
     threshold_n,
 )
 from .specfun import airy_ai
-from .spectra import circular_channel_dwdo, dwdo_linear
+from .spectra import circular_channel_dwdo, linear_channel_dwdo
 
 __all__ = [
     "DegenerateSaddleError",
@@ -100,8 +98,8 @@ class GridSpec:
     phi_points    uniform azimuth panels (linear polarization only)
     n_cut         channel cutoff; None means n_m + 6 delta_n
     channel_cap   hard cap on the number of summed channels
-    workers       worker threads for the channel map (any value gives
-                  bit-identical results)
+    workers       accepted for compatibility with older configs; has no
+                  effect (channels are evaluated in order on one thread)
     """
 
     theta_points: int = 200
@@ -138,6 +136,77 @@ def _ridge_theta(field, atom, n):
     return math.acos(min(ck.pi_abs / ck.pi0, 1.0))
 
 
+def _minimize_bounded(func, lo: float, hi: float, xatol: float, maxfun: int = 500) -> float:
+    """Minimizer of a scalar function on [lo, hi] by Brent's bounded method.
+
+    Golden-section steps, with parabolic steps where the fit is acceptable;
+    stops when the bracket is within xatol (plus a relative sqrt(eps) term)
+    of the best point, or after maxfun evaluations.  The same steps and
+    stopping rule as scipy.optimize.minimize_scalar(method="bounded"), so
+    the minimizer is bit-identical, without importing scipy.optimize.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through (xf, fx), (nfc, fnfc), (fulc, ffulc)
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
+
+
 def saddle_point(
     field: LaserField,
     atom: Atom,
@@ -166,9 +235,7 @@ def saddle_point(
         return airy_argument(field, atom, n, _ridge_theta(field, atom, n))
 
     lo = max(float(n0), 0.5 * n_seed)
-    res = minimize_scalar(ridge_y, bounds=(lo, 1.5 * n_seed), method="bounded",
-                          options={"xatol": 1e-10 * n_seed})
-    n_m = float(res.x)
+    n_m = float(_minimize_bounded(ridge_y, lo, 1.5 * n_seed, xatol=1e-10 * n_seed))
     theta_m = _ridge_theta(field, atom, n_m)
     n_m_flat = field.xi**2 / field.omega
     y_m = 2.0 ** (1.0 / 3.0) * atom.e_b / (n_m_flat ** (1.0 / 3.0) * field.omega)
@@ -210,7 +277,7 @@ def _try_saddle(field, atom):
         return None
 
 
-def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering, workers):
+def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering):
     mu, w_mu = np.polynomial.legendre.leggauss(theta_points)
     channels = list(range(n0, n_cut + 1))
     if field.zeta != 0.0:
@@ -221,21 +288,15 @@ def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering,
     else:
         phis = 2.0 * math.pi * np.arange(phi_points) / phi_points
         w_phi = 2.0 * math.pi / phi_points
+        thetas, phis = np.meshgrid(np.arccos(mu), phis, indexing="ij")
 
         def one(n):
-            acc = np.zeros(theta_points)
-            for k, m in enumerate(mu):
-                th = math.acos(m)
-                acc[k] = math.fsum(
-                    dwdo_linear(field, atom, n, th, p, rescattering).dwdo for p in phis
-                ) * w_phi
+            # the whole (theta, phi) grid of the channel in one call
+            vals = linear_channel_dwdo(field, atom, n, thetas, phis, rescattering)[0]
+            acc = np.array([math.fsum(row) for row in vals.tolist()]) * w_phi
             return float(np.dot(w_mu, acc))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_channel = np.fromiter(pool.map(one, channels), dtype=float, count=len(channels))
-    else:
-        per_channel = np.fromiter(map(one, channels), dtype=float, count=len(channels))
+    per_channel = np.fromiter(map(one, channels), dtype=float, count=len(channels))
     return float(np.sum(per_channel)), per_channel
 
 
@@ -260,9 +321,9 @@ def rate_direct(
     saddle = _try_saddle(field, atom)
     n0, n_cut = _channel_range(field, atom, saddle, grid.n_cut, grid.channel_cap)
     coarse, _ = _direct_once(field, atom, n0, n_cut, grid.theta_points,
-                             grid.phi_points, rescattering, grid.workers)
+                             grid.phi_points, rescattering)
     fine, per_channel = _direct_once(field, atom, n0, n_cut, 2 * grid.theta_points,
-                                     grid.phi_points, rescattering, grid.workers)
+                                     grid.phi_points, rescattering)
     estimate = abs(fine - coarse)
     tail = float(np.sum(per_channel[-2:])) if per_channel.size >= 2 else 0.0
     warnings = ()

@@ -174,11 +174,80 @@ def _series_k_start(v: float) -> int:
     return int(math.ceil(av + 10.0 * av ** (1.0 / 3.0) + 10.0))
 
 
+class _Ladder:
+    """J_m(u) at consecutive integer orders m for every entry of a 1-D u.
+
+    `values[p, m - lo]` holds J_m(u[p]) for lo <= m <= hi.  `cover` widens
+    the order range on demand with one broadcast `_jn` call, so several
+    series in the same arguments u share one ladder.
+    """
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+        self.lo, self.hi = 0, -1
+        self.values = np.empty((u.size, 0))
+
+    def cover(self, lo: int, hi: int) -> None:
+        if lo < -2 * MAX_ORDER or hi > 2 * MAX_ORDER:
+            raise BesselRangeError("series requires ordinary-Bessel orders beyond the supported box")
+        if self.lo <= lo and hi <= self.hi:
+            return
+        if self.hi >= self.lo:
+            lo, hi = min(lo, self.lo), max(hi, self.hi)
+        self.lo, self.hi = lo, hi
+        self.values = _jn(np.arange(lo, hi + 1)[None, :], self.u[:, None])
+
+
+def _series_rows(
+    ladder: _Ladder,
+    n_lo: int,
+    n_hi: int,
+    v: np.ndarray,
+    delta: float,
+    ctl: SeriesControl,
+) -> np.ndarray:
+    """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for every
+    n in [n_lo, n_hi] and every row of (ladder.u, v); shape (rows, orders).
+
+    One truncation K serves all rows: it starts at the largest per-row
+    start and grows until every row meets its own tail bound.  The result
+    is real when delta is 0, +-pi, and complex otherwise.
+    """
+    k_cap = max((ctl.max_terms - 1) // 2, 1)
+    K = min(_series_k_start(float(np.max(np.abs(v)))), k_cap)
+    width = n_hi - n_lo + 1
+    while True:
+        ks = np.arange(-K, K + 3)
+        jk = _jn(ks[None, :], v[:, None])  # the last two columns are the tail
+        ladder.cover(n_lo - 2 * K, n_hi + 2 * K)
+        ju = ladder.values
+        # read-only view[p, i, j] = J_{n_lo + i - 2(j - K)}(u_p): no gather copy
+        view = np.lib.stride_tricks.as_strided(
+            ju[:, n_lo + 2 * K - ladder.lo:],
+            shape=(ju.shape[0], width, 2 * K + 1),
+            strides=(ju.strides[0], ju.strides[1], -2 * ju.strides[1]),
+            writeable=False,
+        )
+        weights = jk[:, :-2] * phase_exp(-2 * ks[:-2], delta)
+        out = np.einsum("pij,pj->pi", view, weights)
+
+        tail = 2.0 * (np.abs(jk[:, -2]) + np.abs(jk[:, -1]))
+        bound = ctl.rel_tol * np.maximum(np.max(np.abs(out), axis=1), ctl.abs_floor)
+        if np.all(tail <= bound):
+            return out
+        if K >= k_cap:
+            raise SeriesConvergenceError(
+                f"generalized Bessel series not converged within max_terms={ctl.max_terms}",
+                float(np.max(tail[tail > bound])),
+            )
+        K = min(int(K * 1.5) + 8, k_cap)
+
+
 def gen_bessel_orders(
     n_lo: int,
     n_hi: int,
-    u: float,
-    v: float,
+    u,
+    v,
     delta: float,
     control: SeriesControl | None = None,
 ) -> np.ndarray:
@@ -190,38 +259,26 @@ def gen_bessel_orders(
     (with abs_floor as the small-value cutoff).  One truncation index is
     shared by the whole order range; the tail bound max_n |J_{n-2k}(u)| <= 1
     makes it independent of n and u.
+
+    Scalar u and v give a 1-D array over the orders.  Equal-length 1-D
+    arrays u and v (one shared delta) give one row per point, from one
+    J(u) ladder and one J_k(v) ladder for all rows; K is then the largest
+    per-row start, grown until every row meets its own tail bound.
     """
     ctl = control or DEFAULT_CONTROL
-    args = GenBesselArgs(0, u, v, delta)  # validate/normalize
-    u, v, delta = args.u, args.v, args.delta
+    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
+    if u_arr.ndim != 1 or u_arr.shape != v_arr.shape or u_arr.size == 0:
+        raise ValueError("u and v must be scalars or equal-length non-empty 1-D arrays")
+    if not (np.all(np.isfinite(u_arr)) and np.all(np.isfinite(v_arr)) and math.isfinite(delta)):
+        raise ValueError("generalized Bessel arguments must be finite")
+    delta = _reduce_angle(float(delta))
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise ValueError("empty order range")
-
-    k_cap = max((ctl.max_terms - 1) // 2, 1)
-    K = min(_series_k_start(v), k_cap)
-    while True:
-        ks = np.arange(-K, K + 1)
-        jk = _jn(ks, v)
-        orders = np.arange(n_lo - 2 * K, n_hi + 2 * K + 1)
-        if orders[0] < -2 * MAX_ORDER or orders[-1] > 2 * MAX_ORDER:
-            raise BesselRangeError("series requires ordinary-Bessel orders beyond the supported box")
-        ju = _jn(orders, u)
-        ns = np.arange(n_lo, n_hi + 1)
-        idx = (ns[:, None] - 2 * ks[None, :]) - orders[0]
-        weights = jk * phase_exp(-2 * ks, delta)
-        out = (ju[idx] * weights[None, :]).sum(axis=1)
-
-        tail = 2.0 * (abs(_jn(K + 1, v)) + abs(_jn(K + 2, v)))
-        bound = ctl.rel_tol * max(float(np.max(np.abs(out))), ctl.abs_floor)
-        if tail <= bound:
-            return out.astype(complex, copy=False)
-        if K >= k_cap:
-            raise SeriesConvergenceError(
-                f"generalized Bessel series not converged within max_terms={ctl.max_terms}",
-                tail,
-            )
-        K = min(int(K * 1.5) + 8, k_cap)
+    out = _series_rows(_Ladder(u_arr), n_lo, n_hi, v_arr, delta, ctl).astype(complex, copy=False)
+    return out[0] if scalar else out
 
 
 def gen_bessel(

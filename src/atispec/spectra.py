@@ -36,6 +36,7 @@ from .kinematics import (
     BelowThresholdError,
     LaserField,
     channel_kinematics,
+    effective_mass,
     threshold_n,
 )
 from .specfun import SeriesControl
@@ -52,6 +53,7 @@ __all__ = [
     "dwdo_linear",
     "dwdo_nonrel",
     "circular_channel_dwdo",
+    "linear_channel_dwdo",
 ]
 
 TAG_GENERAL = 42
@@ -263,6 +265,82 @@ def dwdo_circular(
     )
 
 
+def linear_channel_dwdo(
+    field: LaserField,
+    atom: Atom,
+    n: int,
+    theta,
+    phi,
+    rescattering: bool = True,
+    control: SeriesControl | None = None,
+):
+    """Vectorized linear-polarization dW/dOmega (tag 55) of channel n over
+    arrays of emission angles (theta, phi), broadcast against each other.
+
+    Returns (dwdo, prefactor, kfr, resc) arrays of the broadcast shape;
+    all four are zero below the channel threshold.  The direct and the
+    rescattering series share one J(u) ladder for all points, and the
+    photon-exchange sum is summed exactly per point.  Shared by the
+    one-point wrapper and the direct rate integrator, so both see
+    identical arithmetic.
+    """
+    if field.zeta != 0.0:
+        raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
+    ctl = control or specfun.DEFAULT_CONTROL
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    shape = theta.shape
+    if n < threshold_n(field, atom):
+        z = np.zeros(shape)
+        return z, z, z, z
+    th, ph = theta.ravel(), phi.ravel()
+
+    eps0, omega, xi = atom.epsilon0, field.omega, field.xi
+    pi0 = eps0 + n * omega
+    pi_abs = math.sqrt(max(pi0**2 - effective_mass(field) ** 2, 0.0))
+    ct = np.cos(th)
+    k_pi = omega * (pi0 - pi_abs * ct)
+    big_z = xi**2 / (4.0 * k_pi)
+    g_sq = pi_abs**2 - 2.0 * n * omega * pi_abs * ct + (n * omega) ** 2
+    ladder = specfun._Ladder(xi * pi_abs * np.sin(th) * np.abs(np.cos(ph)) / k_pi)
+    alpha_prime = xi**2 / (4.0 * omega * eps0)
+
+    # the rescattering series first: its order range nearly always holds
+    # the direct one, so the direct amplitude reuses the same ladder
+    w = -alpha_prime / 2.0
+    v2 = (big_z - alpha_prime) / 2.0
+    k_ex = int(math.ceil(abs(w))) + RESCATTER_MARGIN
+    while True:
+        orders = np.arange(-k_ex, k_ex + 3)  # the last two are the tail
+        nps = orders[:-2]
+        j_ex = specfun._jn(orders, w)
+        s_lo, s_hi = n - 2 * k_ex - 2, n + 2 * k_ex + 2
+        c_all = specfun._series_rows(ladder, s_lo, s_hi, v2, 0.0, ctl)
+        s_idx = n - 2 * nps - s_lo
+        inner = (eps0 + 2.0 * nps * omega) * c_all[:, s_idx] \
+            + omega * alpha_prime * 1.0 / 2.0 * (c_all[:, s_idx - 2] + c_all[:, s_idx + 2])
+        # exact summation: the exchange ladder can cancel many digits
+        total = np.array([math.fsum(row) for row in (j_ex[:-2] * inner).tolist()])
+        tail = (abs(j_ex[-2]) + abs(j_ex[-1])) \
+            * 2.0 * (eps0 + 2.0 * (k_ex + 2) * omega + omega * alpha_prime)
+        if np.all(tail <= ctl.rel_tol * np.maximum(np.abs(total), ctl.abs_floor)):
+            break
+        if 2 * k_ex + 1 >= ctl.max_terms:
+            raise specfun.SeriesConvergenceError(
+                f"rescattering sum not converged for channel N={n}", tail
+            )
+        k_ex = int(k_ex * 1.5) + 8
+    kfr = specfun._series_rows(ladder, n, n, -big_z / 2.0, 0.0, ctl)[:, 0]
+
+    resc = g_sq / (2.0 * (n - big_z) * k_pi) * total
+    prefactor = (
+        2.0**4 / (math.pi * atom.a**5)
+        * (n - big_z) ** 2 * k_pi**2 * pi_abs / g_sq**4
+    )
+    amp = kfr + resc if rescattering else kfr
+    dwdo = prefactor * amp**2
+    return tuple(a.reshape(shape) for a in (dwdo, prefactor, kfr, resc))
+
+
 def dwdo_linear(
     field: LaserField,
     atom: Atom,
@@ -276,53 +354,16 @@ def dwdo_linear(
 
     Built on the real generalized Bessel J_n(u, v); the azimuth enters
     through |cos phi| in the coupling amplitude, which makes the spectrum
-    even under phi -> -phi and phi -> pi - phi.
+    even under phi -> -phi and phi -> pi - phi.  One-point wrapper of
+    linear_channel_dwdo.
     """
-    if field.zeta != 0.0:
-        raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
-    ctl = control or specfun.DEFAULT_CONTROL
     n = int(n)
-    try:
-        ck = channel_kinematics(field, atom, n, theta, phi)
-    except BelowThresholdError:
+    dwdo, pref, kfr, resc = linear_channel_dwdo(
+        field, atom, n, theta, phi, rescattering, control)
+    if n < threshold_n(field, atom):
         return _zero_point(n, theta, phi, TAG_LINEAR)
-
-    eps0, omega = atom.epsilon0, field.omega
-    alpha_prime = field.xi**2 / (4.0 * omega * eps0)
-    u = ck.alpha_amp
-
-    kfr = specfun.gen_bessel_orders(n, n, u, -ck.big_z / 2.0, 0.0, ctl)[0].real
-
-    w = -alpha_prime / 2.0
-    k_ex = int(math.ceil(abs(w))) + RESCATTER_MARGIN
-    while True:
-        nps = np.arange(-k_ex, k_ex + 1)
-        j_ex = specfun._jn(nps, w)
-        v2 = (ck.big_z - alpha_prime) / 2.0
-        s_lo, s_hi = n - 2 * k_ex - 2, n + 2 * k_ex + 2
-        c_all = specfun.gen_bessel_orders(s_lo, s_hi, u, v2, 0.0, ctl).real
-        s_idx = n - 2 * nps
-        inner = (eps0 + 2.0 * nps * omega) * c_all[s_idx - s_lo] \
-            + omega * alpha_prime * 1.0 / 2.0 * (c_all[s_idx - 2 - s_lo] + c_all[s_idx + 2 - s_lo])
-        total = math.fsum(j_ex * inner)
-        tail = (abs(specfun._jn(k_ex + 1, w)) + abs(specfun._jn(k_ex + 2, w))) \
-            * 2.0 * (eps0 + 2.0 * (k_ex + 2) * omega + omega * alpha_prime)
-        if tail <= ctl.rel_tol * max(abs(total), ctl.abs_floor):
-            break
-        if 2 * k_ex + 1 >= ctl.max_terms:
-            raise specfun.SeriesConvergenceError(
-                f"rescattering sum not converged for channel N={n}", tail
-            )
-        k_ex = int(k_ex * 1.5) + 8
-
-    resc = ck.g_sq / (2.0 * (n - ck.big_z) * ck.k_dot_pi) * total
-    prefactor = (
-        2.0**4 / (math.pi * atom.a**5)
-        * (n - ck.big_z) ** 2 * ck.k_dot_pi**2 * ck.pi_abs / ck.g_sq**4
-    )
-    dwdo = _square(prefactor, complex(kfr), complex(resc), rescattering)
     return SpectrumPoint(
-        n=n, theta=theta, phi=phi, dwdo=float(dwdo), prefactor=float(prefactor),
+        n=n, theta=theta, phi=phi, dwdo=float(dwdo), prefactor=float(pref),
         kfr_amplitude=complex(kfr), rescatter_amplitude=complex(resc),
         formula_tag=TAG_LINEAR,
     )

@@ -135,6 +135,21 @@ def test_channel_explosion_exit_3(tmp_path):
     assert cp.returncode == 3
 
 
+def test_bessel_range_exit_3_without_traceback(tmp_path):
+    cfg = write_config(tmp_path, polarization="linear", theta_points=8,
+                       n_range=[3960, 3960])
+    cp = run_cli("spectrum", "-c", str(cfg))
+    assert cp.returncode == 3
+    assert cp.stderr.startswith("resource cap:") and cp.stderr.count("\n") == 1
+
+
+def test_import_skips_scipy_optimize():
+    cp = subprocess.run([sys.executable, "-c",
+                         "import sys, atispec; print('scipy.optimize' in sys.modules)"],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0 and cp.stdout.strip() == "False"
+
+
 def test_rate_regime_gating_keys(tmp_path):
     # strong-field config carries strongfield_closed and not tunneling_closed
     cfg = write_config(tmp_path, theta_points=32, n_range="auto")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from atispec import rates, specfun
 from atispec.constants import E_CHARGE, GAMMA_TWO_THIRDS
 from atispec.kinematics import Atom, ChannelExplosionError, LaserField, derive_params, threshold_n
 from atispec.rates import (
@@ -76,6 +77,29 @@ def test_saddle_widths_scale_with_omega():
     np.testing.assert_allclose(s2.delta_theta / s1.delta_theta, 2 ** (-1 / 3), rtol=1e-3)
 
 
+def test_bounded_minimizer_matches_scipy():
+    from scipy.optimize import minimize_scalar
+
+    def check(func, lo, hi, xatol):
+        want = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                               options={"xatol": xatol}).x
+        assert rates._minimize_bounded(func, lo, hi, xatol) == float(want)
+
+    for omega in (0.002, 0.01, 0.02):
+        for xi in (0.5, 1.0, 3.0):
+            for field in (LaserField.circular(omega, xi), LaserField.linear(omega, xi)):
+                n_m = saddle_point(field, DESK_ATOM).n_m
+
+                def ridge_y(n, field=field):
+                    return airy_argument(field, DESK_ATOM, n, rates._ridge_theta(field, DESK_ATOM, n))
+
+                check(ridge_y, 0.6 * n_m, 1.4 * n_m, 1e-10 * n_m)
+    # minima at a bound, interior parabolic convergence, and the evaluation cap
+    check(lambda x: (x - 3.0) ** 2, 0.0, 1.0, 1e-5)
+    check(lambda x: math.cos(x) + 0.1 * x, 0.0, 6.0, 1e-12)
+    check(lambda x: abs(x - 0.3), -1.0, 1.0, 0.0)
+
+
 def test_saddle_degenerate_error():
     # near-vanishing intensity puts the nominal peak below threshold
     field = LaserField.circular(0.01, 1e-4)
@@ -129,6 +153,26 @@ def test_rate_direct_workers_bit_identical():
     a = rate_direct(DESK_FIELD, DESK_ATOM, GridSpec(theta_points=32, workers=1))
     b = rate_direct(DESK_FIELD, DESK_ATOM, GridSpec(theta_points=32, workers=4))
     assert a.w_total == b.w_total
+
+
+def test_rate_direct_linear_workers_bit_identical():
+    field = LaserField.linear(0.02, 0.6)
+    n_cut = threshold_n(field, DESK_ATOM) + 4
+    a = rate_direct(field, DESK_ATOM, GridSpec(theta_points=8, phi_points=2, n_cut=n_cut, workers=1))
+    b = rate_direct(field, DESK_ATOM, GridSpec(theta_points=8, phi_points=2, n_cut=n_cut, workers=2))
+    assert a.w_total == b.w_total
+
+
+def test_rate_direct_linear_trips_on_bessel_fault():
+    field = LaserField.linear(0.02, 0.6)
+    grid = GridSpec(theta_points=8, phi_points=2, n_cut=threshold_n(field, DESK_ATOM) + 4)
+    clean = rate_direct(field, DESK_ATOM, grid).w_total
+    specfun.set_bessel_fault(1e-6)
+    try:
+        faulty = rate_direct(field, DESK_ATOM, grid).w_total
+    finally:
+        specfun.set_bessel_fault(0.0)
+    assert abs(faulty - clean) > 1e-9 * clean
 
 
 def test_rate_direct_channel_cap():

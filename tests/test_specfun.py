@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atispec import specfun
 from atispec.specfun import (
@@ -102,6 +103,44 @@ def test_gen_bessel_orders_consistent_with_scalar():
     arr = gen_bessel_orders(-5, 5, 4.0, 1.5, 0.9)
     for i, n in enumerate(range(-5, 6)):
         assert arr[i] == gen_bessel(n, 4.0, 1.5, 0.9)
+
+
+_U = st.one_of(st.just(0.0), st.floats(-30.0, 30.0))
+_V = st.one_of(st.just(0.0), st.floats(-12.0, 12.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    points=st.lists(st.tuples(_U, _V), min_size=1, max_size=5),
+    delta=st.sampled_from([0.0, 0.4, math.pi / 2, -2.1, math.pi]),
+    n_lo=st.integers(-20, 20),
+    width=st.integers(0, 5),
+)
+def test_batched_gen_bessel_orders_rows_match_one_point_calls(points, delta, n_lo, width):
+    u = np.array([p[0] for p in points])
+    v = np.array([p[1] for p in points])
+    rows = gen_bessel_orders(n_lo, n_lo + width, u, v, delta)
+    assert rows.shape == (len(points), width + 1)
+    for row, ui, vi in zip(rows, u, v):
+        one = gen_bessel_orders(n_lo, n_lo + width, ui, vi, delta)
+        # rows share the largest truncation, so they differ by roundoff only
+        assert np.all(np.abs(row - one) <= 1e-13 * np.max(np.abs(one)))
+        for n, val in zip(range(n_lo, n_lo + width + 1), row):
+            quad = gen_bessel_quadrature(n, ui, vi, delta)
+            assert abs(val - quad) <= max(1e-10 * abs(quad), 1e-12)
+
+
+def test_batched_gen_bessel_orders_checks():
+    with pytest.raises(ValueError):
+        gen_bessel_orders(0, 2, np.array([1.0, 2.0]), np.array([1.0]), 0.0)
+    with pytest.raises(ValueError):
+        gen_bessel_orders(0, 2, np.array([1.0, np.nan]), np.array([1.0, 2.0]), 0.0)
+    with pytest.raises(BesselRangeError):
+        gen_bessel_orders(3990, 3990, np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.0)
+    with pytest.raises(SeriesConvergenceError) as err:
+        gen_bessel_orders(0, 0, np.array([1.0, 1.0]), np.array([0.5, 400.0]), 0.0,
+                          SeriesControl(max_terms=64))
+    assert err.value.residual > 0.0
 
 
 def test_gen_bessel_real_accessor():

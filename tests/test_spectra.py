@@ -17,6 +17,7 @@ from atispec.spectra import (
     dwdo_general,
     dwdo_linear,
     dwdo_nonrel,
+    linear_channel_dwdo,
 )
 
 DESK_FIELD = LaserField.circular(0.01, 1.0)
@@ -198,6 +199,32 @@ def test_linear_mode_off_is_pure_direct_term():
 def test_linear_requires_linear_polarization():
     with pytest.raises(ValueError):
         dwdo_linear(DESK_FIELD, DESK_ATOM, 60, 0.9, 0.2)
+    with pytest.raises(ValueError):
+        linear_channel_dwdo(DESK_FIELD, DESK_ATOM, 60, np.array([0.9]), np.array([0.2]))
+
+
+@pytest.mark.parametrize("rescattering", [True, False])
+def test_linear_channel_kernel_matches_one_point_wrapper(rescattering):
+    field = LaserField.linear(0.01, 1.0)
+    angles = (0.0, math.pi / 2, math.pi)
+    theta, phi = np.meshgrid(angles, angles, indexing="ij")
+    for n in (60, 61):
+        got = linear_channel_dwdo(field, DESK_ATOM, n, theta, phi, rescattering)
+        assert all(a.shape == theta.shape for a in got)
+        for (i, j), th in np.ndenumerate(theta):
+            pt = dwdo_linear(field, DESK_ATOM, n, th, phi[i, j], rescattering)
+            want = (pt.dwdo, pt.prefactor, pt.kfr_amplitude.real, pt.rescatter_amplitude.real)
+            for arr, w in zip(got, want):
+                # the batch shares one series truncation: roundoff-level differences
+                assert abs(arr[i, j] - w) <= 1e-12 * np.max(np.abs(arr))
+
+
+def test_linear_channel_kernel_below_threshold_is_zero():
+    field = LaserField.linear(0.01, 1.0)
+    n0 = threshold_n(field, DESK_ATOM)
+    vals = linear_channel_dwdo(field, DESK_ATOM, n0 - 1, np.array([0.5, 1.0]), 0.3)
+    assert all(np.array_equal(a, [0.0, 0.0]) for a in vals)
+    assert dwdo_linear(field, DESK_ATOM, n0 - 1, 0.5, 0.3).below_threshold
 
 
 # ---------------------------------------------------------------- nonrel
