@@ -40,6 +40,8 @@ from .rates import (
     saddle_point,
     REGIME_MULTIPHOTON,
     REGIME_TUNNELING,
+    _channel_range,
+    _try_saddle,
 )
 from .selftest import run_checks
 from .specfun import BesselRangeError, SeriesConvergenceError
@@ -52,6 +54,18 @@ CSV_HEADER = "N,theta_rad,phi_rad,dwdo,kfr_only_dwdo,rescatter_factor,formula_ta
 
 class ConfigError(ValueError):
     pass
+
+
+_REAL_FIELDS = ("photon_energy_ev", "intensity_xi", "peak_field_v_per_cm", "zeta",
+                "binding_energy_ev")
+_INT_FIELDS = ("z_a", "theta_points", "phi_points", "workers", "channel_cap")
+
+
+def _is_finite_real(value) -> bool:
+    # bools are ints in Python but never a number in a config
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -90,8 +104,24 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        for key in _REAL_FIELDS:
+            value = getattr(self, key)
+            if value is not None and not _is_finite_real(value):
+                raise ConfigError(f"field '{key}' must be a finite number, got {value!r}")
+        for key in _INT_FIELDS:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"field '{key}' must be an integer, got {value!r}")
         if not self.photon_energy_ev > 0:
             raise ConfigError("field 'photon_energy_ev' must be positive")
+        for key in ("intensity_xi", "peak_field_v_per_cm"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ConfigError(f"field '{key}' must be >= 0")
+        if self.binding_energy_ev is not None and not 0 < self.binding_energy_ev < ELECTRON_MASS_EV:
+            raise ConfigError(
+                f"field 'binding_energy_ev' must be in (0, {ELECTRON_MASS_EV}) eV"
+            )
         have = [k for k in ("intensity_xi", "peak_field_v_per_cm") if getattr(self, k) is not None]
         if len(have) != 1:
             raise ConfigError(
@@ -103,7 +133,7 @@ class RunConfig:
             raise ConfigError("field 'zeta' is required for elliptic polarization")
         if self.zeta is not None and not abs(self.zeta) <= 1:
             raise ConfigError("field 'zeta' must satisfy |zeta| <= 1")
-        if int(self.z_a) < 1:
+        if self.z_a < 1:
             raise ConfigError("field 'z_a' must be a positive integer")
         if self.theta_points < 8:
             raise ConfigError("field 'theta_points' must be >= 8")
@@ -115,12 +145,22 @@ class RunConfig:
             raise ConfigError("field 'formula' must be relativistic | nonrelativistic | both")
         if self.n_range != "auto":
             ok = (isinstance(self.n_range, (list, tuple)) and len(self.n_range) == 2
-                  and all(isinstance(v, int) for v in self.n_range)
+                  and all(isinstance(v, int) and not isinstance(v, bool) for v in self.n_range)
                   and self.n_range[0] <= self.n_range[1])
             if not ok:
                 raise ConfigError("field 'n_range' must be 'auto' or [n_lo, n_hi]")
         if self.workers < 1:
             raise ConfigError("field 'workers' must be >= 1")
+        if not isinstance(self.output_path, str):
+            raise ConfigError("field 'output_path' must be a string")
+        # what is left (a hydrogenic z_a too large to bind, say) is checked
+        # by the physics types themselves
+        for what, build in (("laser field", self.field),
+                            ("atom (z_a, binding_energy_ev)", self.atom)):
+            try:
+                build()
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{what}: {exc}") from exc
 
     # -- unit conversion ---------------------------------------------------
     @property
@@ -240,18 +280,6 @@ def _summary(cfg: RunConfig, warnings: list[str]) -> dict:
 # --------------------------------------------------------------------------
 # spectrum
 
-def _auto_n_range(field, atom, cap) -> tuple[int, int]:
-    n0 = threshold_n(field, atom)
-    try:
-        s = saddle_point(field, atom)
-        hi = int(math.ceil(s.n_m + 6.0 * s.delta_n))
-    except (DegenerateSaddleError, ValueError):
-        hi = n0 + 50
-    if hi - n0 + 1 > cap:
-        raise ChannelExplosionError(f"{hi - n0 + 1} channels exceed cap {cap}")
-    return n0, hi
-
-
 def _spectrum_evaluator(cfg: RunConfig, field, atom, tagset: str):
     resc = cfg.mode == "on"
     if tagset == "relativistic":
@@ -269,7 +297,8 @@ def _spectrum_evaluator(cfg: RunConfig, field, atom, tagset: str):
 def run_spectrum(cfg: RunConfig) -> int:
     field, atom = cfg.field(), cfg.atom()
     if cfg.n_range == "auto":
-        n_lo, n_hi = _auto_n_range(field, atom, cfg.channel_cap)
+        n_lo, n_hi = _channel_range(field, atom, _try_saddle(field, atom), None,
+                                    cfg.channel_cap)
     else:
         n_lo, n_hi = int(cfg.n_range[0]), int(cfg.n_range[1])
         if n_hi - n_lo + 1 > cfg.channel_cap:
@@ -359,7 +388,8 @@ def run_sweep(cfg: RunConfig, vary: str, values: list[float]) -> int:
     rows = ["value,n0,n_m,theta_m,y_m,regime,w_direct,w_airy,w_closed,closed_method"]
     detail = []
     for v in values:
-        v_cast = int(v) if key == "z_a" else float(v)
+        # a non-integral z_a stays a float, for validate() to reject
+        v_cast = int(v) if key == "z_a" and v.is_integer() else v
         # every swept point gets its own auto channel window
         sub = replace(cfg, **{key: v_cast}, n_range="auto")
         sub.validate()

@@ -114,6 +114,26 @@ def test_config_field_error_exit_2(tmp_path):
     assert "nonsense_key" in cp2.stderr
 
 
+@pytest.mark.parametrize("key, value", [
+    ("intensity_xi", -1),
+    ("intensity_xi", float("nan")),
+    ("photon_energy_ev", "5000"),
+    ("theta_points", "16"),
+    ("binding_energy_ev", 1e9),
+    ("z_a", 1.7),
+    ("z_a", 200),  # hydrogenic binding energy above the electron mass
+])
+def test_config_value_error_exit_2_one_line(tmp_path, capsys, key, value):
+    from atispec.cli import main
+
+    cfg = write_config(tmp_path, **{key: value})
+    assert main(["spectrum", "-c", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exclusive_intensity_specification(tmp_path):
     cfg = write_config(tmp_path, peak_field_v_per_cm=1e12)
     cp = run_cli("spectrum", "-c", str(cfg))

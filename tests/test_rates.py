@@ -208,6 +208,28 @@ def test_rate_airy_integrand_peaks_at_saddle():
     assert abs(rs.grid_report["integrand_peak_theta"] - s.theta_m) <= s.delta_theta
 
 
+TUNNELING_FIELD = LaserField.circular(2e-6, 0.4)
+TUNNELING_ATOM = Atom.from_charge(6)
+
+
+@pytest.mark.parametrize("method", [rate_airy, rate_laplace])
+@pytest.mark.parametrize("field, atom", [(DESK_FIELD, DESK_ATOM),
+                                         (TUNNELING_FIELD, TUNNELING_ATOM)])
+def test_airy_mesh_rates_match_scipy_airy_oracle(monkeypatch, method, field, atom):
+    # the same mesh and weights with Ai taken from scipy's airy routine alone
+    from scipy import special as sp
+
+    rs = method(field, atom)
+    if field is TUNNELING_FIELD:
+        # the whole mesh then lies on the K_{1/3} branch of airy_ai
+        # (its smallest y is 13.94 here)
+        assert rs.saddle.y_m > specfun.AIRY_K_MIN
+    monkeypatch.setattr(rates, "airy_ai", lambda y: sp.airy(y)[0])
+    oracle = method(field, atom)
+    assert rs.w_total > 0.0
+    assert abs(rs.w_total / oracle.w_total - 1.0) <= 1e-12
+
+
 def test_rate_airy_requires_large_peak():
     with pytest.raises(AsymptoticsError):
         rate_airy(LaserField.circular(0.01, 0.5), DESK_ATOM)  # n_m = 25

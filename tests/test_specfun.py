@@ -202,6 +202,47 @@ def test_airy_asymptotic_branch_agreement():
     assert abs(airy_ai_asymptotic(25.0) / airy_ai(25.0) - 1.0) < 0.005
 
 
+AIRY_POINTS = np.concatenate([
+    np.linspace(-20.0, 105.0, 501),
+    # both sides of the branch switch at x = 10
+    [9.999999, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 11.0), 10.000001],
+    # the double underflow region: Ai(x) < 2.2e-308 from x ~ 103.9 on
+    np.linspace(103.0, 106.0, 25),
+])
+
+
+def test_airy_matches_mpmath_on_both_branches():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.airyai(mpmath.mpf(float(x)))) for x in AIRY_POINTS])
+    got = airy_ai(AIRY_POINTS)
+    err = np.abs(got - ref)
+    pos = AIRY_POINTS > 0
+    # relative for x > 0, down to the smallest normal double
+    assert np.all(err[pos] <= 1e-13 * np.abs(ref[pos]) + np.finfo(float).tiny)
+    # relative to the oscillation envelope |x|^(-1/4)/sqrt(pi) for x <= 0
+    envelope = np.maximum(np.abs(AIRY_POINTS[~pos]), 1.0) ** -0.25 / math.sqrt(math.pi)
+    assert np.all(err[~pos] <= 1e-13 * envelope)
+
+
+def test_airy_scalar_contract_and_special_values():
+    from scipy import special as sp
+
+    for x in (math.inf, -math.inf, math.nan, 0.0, 1.5, 10.0, 10.5, 50.0, -15.0):
+        for arg in (x, np.array(x), np.float64(x)):
+            got = airy_ai(arg)
+            assert type(got) is float
+            if x > specfun.AIRY_K_MIN and math.isfinite(x):
+                # the K branch: scalar and array calls give the same bits
+                want = float(airy_ai(np.array([x]))[0])
+            else:
+                want = float(sp.airy(x)[0])
+            assert got == want or (math.isnan(got) and math.isnan(want))
+    arr = airy_ai(np.array([[1.0, 12.0], [math.nan, math.inf]]))
+    assert arr.shape == (2, 2) and arr.dtype == np.float64
+    assert airy_ai(np.array([])).shape == (0,)
+
+
 def test_bessel_airy_direct_substitution():
     want = (2 / 100) ** (1 / 3) * airy_ai(50 ** (2 / 3))
     np.testing.assert_allclose(bessel_airy_approx(100, 0.0), want, rtol=1e-14)
