@@ -27,6 +27,7 @@ from .kinematics import (
     ChannelExplosionError,
     LaserField,
     derive_params,
+    effective_mass,
     threshold_n,
 )
 from .rates import (
@@ -45,16 +46,21 @@ from .rates import (
 )
 from .selftest import run_checks
 from .specfun import BesselRangeError, SeriesConvergenceError
-from .spectra import dwdo_circular, dwdo_general, dwdo_linear, dwdo_nonrel
+from .spectra import channel_spectrum
 
 __all__ = ["main", "RunConfig", "ConfigError", "run_spectrum", "run_rate", "run_sweep"]
 
 CSV_HEADER = "N,theta_rad,phi_rad,dwdo,kfr_only_dwdo,rescatter_factor,formula_tag"
+# angle-grid rows per kernel call: bounds the Bessel ladders whatever the grid size
+SPECTRUM_BLOCK = 2048
 
 
 class ConfigError(ValueError):
     pass
 
+
+# photon numbers up to 2^53 stay exact integers in floating point
+MAX_THRESHOLD_N = 2.0**53
 
 _REAL_FIELDS = ("photon_energy_ev", "intensity_xi", "peak_field_v_per_cm", "zeta",
                 "binding_energy_ev")
@@ -106,7 +112,8 @@ class RunConfig:
     def validate(self):
         for key in _REAL_FIELDS:
             value = getattr(self, key)
-            if value is not None and not _is_finite_real(value):
+            # photon_energy_ev is the one real field without a default
+            if (value is not None or key == "photon_energy_ev") and not _is_finite_real(value):
                 raise ConfigError(f"field '{key}' must be a finite number, got {value!r}")
         for key in _INT_FIELDS:
             value = getattr(self, key)
@@ -151,8 +158,10 @@ class RunConfig:
                 raise ConfigError("field 'n_range' must be 'auto' or [n_lo, n_hi]")
         if self.workers < 1:
             raise ConfigError("field 'workers' must be >= 1")
-        if not isinstance(self.output_path, str):
-            raise ConfigError("field 'output_path' must be a string")
+        if self.channel_cap < 1:
+            raise ConfigError("field 'channel_cap' must be >= 1")
+        if not isinstance(self.output_path, str) or not self.output_path:
+            raise ConfigError("field 'output_path' must be a non-empty string")
         # what is left (a hydrogenic z_a too large to bind, say) is checked
         # by the physics types themselves
         for what, build in (("laser field", self.field),
@@ -161,6 +170,25 @@ class RunConfig:
                 build()
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"{what}: {exc}") from exc
+        # pair creation is out of scope, and pi0^2 overflows long before 1e300 eV
+        if not self.omega < 1.0:
+            raise ConfigError(
+                f"field 'photon_energy_ev' must be below the electron rest energy {ELECTRON_MASS_EV} eV"
+            )
+        intensity = "intensity_xi" if self.intensity_xi is not None else "peak_field_v_per_cm"
+        try:
+            n0 = (effective_mass(self.field()) - self.atom().epsilon0) / self.omega
+        except OverflowError:
+            raise ConfigError(f"field '{intensity}' beyond the floating-point range") from None
+        try:
+            self.atom().a ** 5  # the prefactors carry 1 / a^5
+        except OverflowError:
+            raise ConfigError("field 'binding_energy_ev' too small for the floating-point range") from None
+        if not n0 <= MAX_THRESHOLD_N:
+            raise ConfigError(
+                f"threshold photon number {n0:.3g} exceeds {MAX_THRESHOLD_N:.3g}: field "
+                f"'photon_energy_ev' too small for this '{intensity}' and binding energy"
+            )
 
     # -- unit conversion ---------------------------------------------------
     @property
@@ -280,22 +308,13 @@ def _summary(cfg: RunConfig, warnings: list[str]) -> dict:
 # --------------------------------------------------------------------------
 # spectrum
 
-def _spectrum_evaluator(cfg: RunConfig, field, atom, tagset: str):
-    resc = cfg.mode == "on"
-    if tagset == "relativistic":
-        if abs(field.zeta) == 1.0:
-            return lambda n, th, ph: dwdo_circular(field, atom, n, th, resc)
-        if field.zeta == 0.0:
-            return lambda n, th, ph: dwdo_linear(field, atom, n, th, ph, resc)
-        return lambda n, th, ph: dwdo_general(field, atom, n, th, ph, resc)
-    pol = cfg.polarization
-    if pol == "elliptic":
-        raise ConfigError("nonrelativistic formulas support circular or linear polarization only")
-    return lambda n, th, ph: dwdo_nonrel(field, atom, n, th, pol, resc)
-
-
 def run_spectrum(cfg: RunConfig) -> int:
     field, atom = cfg.field(), cfg.atom()
+    formulas = {"relativistic": ["relativistic"],
+                "nonrelativistic": ["nonrelativistic"],
+                "both": ["relativistic", "nonrelativistic"]}[cfg.formula]
+    if "nonrelativistic" in formulas and cfg.polarization == "elliptic":
+        raise ConfigError("nonrelativistic formulas support circular or linear polarization only")
     if cfg.n_range == "auto":
         n_lo, n_hi = _channel_range(field, atom, _try_saddle(field, atom), None,
                                     cfg.channel_cap)
@@ -305,29 +324,26 @@ def run_spectrum(cfg: RunConfig) -> int:
             raise ChannelExplosionError(
                 f"{n_hi - n_lo + 1} channels exceed cap {cfg.channel_cap}"
             )
-    thetas = np.linspace(0.0, math.pi, cfg.theta_points)
-    phis = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
+    # the grid rows, theta major: one kernel call covers a block of them
+    thetas = np.repeat(np.linspace(0.0, math.pi, cfg.theta_points), cfg.phi_points)
+    phis = np.tile(2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points, cfg.theta_points)
+    angles = [f"{th!r},{ph!r}" for th, ph in zip(thetas.tolist(), phis.tolist())]
+    resc = cfg.mode == "on"
+    summary = _summary(cfg, [])
 
-    tagsets = {"relativistic": ["relativistic"],
-               "nonrelativistic": ["nonrelativistic"],
-               "both": ["relativistic", "nonrelativistic"]}[cfg.formula]
-
+    lines = [CSV_HEADER]
+    for formula in formulas:
+        for n in range(n_lo, n_hi + 1):
+            for lo in range(0, len(angles), SPECTRUM_BLOCK):
+                block = slice(lo, lo + SPECTRUM_BLOCK)
+                tag, *cols = channel_spectrum(field, atom, n, thetas[block], phis[block],
+                                              formula, resc)
+                lines.extend(f"{n},{a},{d!r},{k!r},{r!r},{tag}" for a, d, k, r in
+                             zip(angles[block], *(c.tolist() for c in cols)))
     outdir = Path(cfg.output_path)
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = [CSV_HEADER]
-    for tagset in tagsets:
-        ev = _spectrum_evaluator(cfg, field, atom, tagset)
-        for n in range(n_lo, n_hi + 1):
-            for th in thetas:
-                for ph in phis:
-                    pt = ev(n, float(th), float(ph))
-                    lines.append(",".join([
-                        str(pt.n), _fmt(th), _fmt(ph), _fmt(pt.dwdo),
-                        _fmt(pt.dwdo_kfr_only), _fmt(pt.rescatter_factor),
-                        str(pt.formula_tag),
-                    ]))
     (outdir / "spectrum.csv").write_text("\n".join(lines) + "\n", newline="\n")
-    _write_json(outdir / "summary.json", _summary(cfg, []))
+    _write_json(outdir / "summary.json", summary)
     return 0
 
 
@@ -341,6 +357,8 @@ def _rate_entry(rs: RateSummary) -> dict:
 
 def collect_rates(cfg: RunConfig) -> dict:
     field, atom = cfg.field(), cfg.atom()
+    if 0.0 < abs(field.zeta) < 1.0:
+        raise ConfigError("rates support circular or linear polarization only")
     grid = GridSpec(theta_points=max(cfg.theta_points, 8),
                     phi_points=cfg.phi_points,
                     n_cut=None if cfg.n_range == "auto" else int(cfg.n_range[1]),
@@ -365,10 +383,10 @@ def collect_rates(cfg: RunConfig) -> dict:
 
 
 def run_rate(cfg: RunConfig) -> int:
-    outdir = Path(cfg.output_path)
-    outdir.mkdir(parents=True, exist_ok=True)
     payload = _summary(cfg, [])
     payload.update(collect_rates(cfg))
+    outdir = Path(cfg.output_path)
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "rate.json", payload)
     return 0
 
@@ -383,8 +401,6 @@ def run_sweep(cfg: RunConfig, vary: str, values: list[float]) -> int:
     key = {"xi": "intensity_xi"}.get(vary, vary)
     if key not in SWEEPABLE:
         raise ConfigError(f"--vary must be one of {('xi',) + SWEEPABLE}")
-    outdir = Path(cfg.output_path)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = ["value,n0,n_m,theta_m,y_m,regime,w_direct,w_airy,w_closed,closed_method"]
     detail = []
     for v in values:
@@ -411,6 +427,8 @@ def run_sweep(cfg: RunConfig, vary: str, values: list[float]) -> int:
             closed_name,
         ]))
         detail.append({"value": v_cast, **data})
+    outdir = Path(cfg.output_path)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "sweep.csv").write_text("\n".join(rows) + "\n", newline="\n")
     _write_json(outdir / "sweep.json", {"vary": key, "rows": detail})
     return 0
@@ -498,7 +516,10 @@ def main(argv=None) -> int:
         if args.command == "rate":
             return run_rate(cfg)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip()]
+            except ValueError:
+                raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from None
             if not values:
                 raise ConfigError("--values must list at least one number")
             return run_sweep(cfg, args.vary, values)
@@ -509,6 +530,12 @@ def main(argv=None) -> int:
     except (ChannelExplosionError, BesselRangeError, SeriesConvergenceError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except (OverflowError, ZeroDivisionError) as exc:
+        # validate() bounds the common cases by name; an extreme combination
+        # of valid inputs can still push a closed form past the double range
+        print(f"config error: inputs outside the floating-point range of the formulas ({exc})",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

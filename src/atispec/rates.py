@@ -15,6 +15,7 @@ map is scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -207,6 +208,8 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float, maxfun: int = 50
     return xf
 
 
+# one command asks for the saddle of one (field, atom) up to five times
+@functools.lru_cache(maxsize=8)
 def saddle_point(
     field: LaserField,
     atom: Atom,
@@ -219,10 +222,12 @@ def saddle_point(
     the peak photon number is found by a bounded 1-D minimization of the
     Airy argument along that ridge, seeded by the closed-form
     (m*^2 - eps0^2)/(eps0 omega).  The refined minimizer differs from the
-    seed only by binding-energy corrections.
+    seed only by binding-energy corrections.  Memoized on its arguments
+    (the frozen field and atom are hashable; the result is immutable).
     """
-    if field.xi <= 0.0:
-        raise ValueError("saddle point requires xi > 0")
+    # xi^2 = 0 covers the field off and an xi whose square underflows
+    if not field.xi**2 > 0.0:
+        raise ValueError("saddle point requires xi^2 > 0")
     m_star = effective_mass(field)
     n_seed = (m_star**2 - atom.epsilon0**2) / (atom.epsilon0 * field.omega)
     n0 = threshold_n(field, atom)
@@ -485,7 +490,10 @@ def rate_closed(
         w = strongfield_closed_prefactor() * field.omega * (field.omega / atom.e_b) ** 3 * ratio ** (11.0 / 3.0)
         method = "strongfield_closed"
     elif regime == REGIME_TUNNELING:
-        w = 2.0 * field.omega * (field.omega / atom.e_b) ** 3 * ratio**3 * math.exp(-2.0 * ratio / 3.0)
+        decay = math.exp(-2.0 * ratio / 3.0)
+        # ratio^3 overflows only far past the underflow of the exponential
+        w = 0.0 if decay == 0.0 else \
+            2.0 * field.omega * (field.omega / atom.e_b) ** 3 * ratio**3 * decay
         method = "tunneling_closed"
     else:
         raise RegimeError(

@@ -139,13 +139,34 @@ def set_bessel_fault(eps: float) -> None:
     _FAULT_EPS = float(eps)
 
 
-def _jn(n, x):
+def _faulted(n, x, val):
+    """val perturbed by the injected fault at orders n and arguments x."""
+    if _FAULT_EPS == 0.0:
+        return val
+    return val * (1.0 + _FAULT_EPS * np.cos(1.3 * np.asarray(n, dtype=float) + 0.7 * np.asarray(x, dtype=float)))
+
+
+def _jn(n, x, fault=True):
     """J_n(x) for integer order(s); internal primitive shared by the series
-    route (so that an injected fault propagates everywhere it should)."""
+    route (so that an injected fault propagates everywhere it should).
+    fault=False leaves the fault to the caller: _jn_ladder applies it at the
+    signed orders after the reflection."""
     val = sp.jv(n, x)
-    if _FAULT_EPS != 0.0:
-        val = val * (1.0 + _FAULT_EPS * np.cos(1.3 * np.asarray(n, dtype=float) + 0.7 * np.asarray(x, dtype=float)))
-    return val
+    return _faulted(n, x, val) if fault else val
+
+
+def _jn_ladder(orders, x):
+    """J_m(x) at a 1-D integer array of orders m for every entry of a 1-D x,
+    shape (x.size, orders.size); equal bit for bit to
+    _jn(orders[None, :], x[:, None]), injected fault included.
+
+    jv runs once per distinct |m|: J_{-m}(x) = (-1)^m J_m(x), which scipy's
+    jv satisfies exactly, gives the negative orders.
+    """
+    mags, back = np.unique(np.abs(orders), return_inverse=True)
+    val = _jn(mags[None, :], x[:, None], fault=False)[:, back]
+    val[:, (orders < 0) & (orders % 2 == 1)] *= -1.0
+    return _faulted(orders[None, :], x[:, None], val)
 
 
 def ordinary_bessel(n: int, x: float) -> float:
@@ -175,16 +196,18 @@ def _series_k_start(v: float) -> int:
 
 
 class _Ladder:
-    """J_m(u) at consecutive integer orders m for every entry of a 1-D u.
+    """J_m(u) at the integer orders m of one parity for every entry of a 1-D u.
 
-    `values[p, m - lo]` holds J_m(u[p]) for lo <= m <= hi.  `cover` widens
-    the order range on demand with one broadcast `_jn` call, so several
-    series in the same arguments u share one ladder.
+    The bilinear series steps the order of J(u) by 2, so a series of orders
+    of one parity reads that parity alone.  `values[p, (m - lo) // 2]` holds
+    J_m(u[p]) for m = lo, lo + 2, ..., hi.  `cover` widens the order range
+    on demand with one `_jn_ladder` call, so several series in the same
+    arguments u share one ladder.
     """
 
-    def __init__(self, u: np.ndarray):
+    def __init__(self, u: np.ndarray, parity: int):
         self.u = u
-        self.lo, self.hi = 0, -1
+        self.lo, self.hi = parity % 2, parity % 2 - 2
         self.values = np.empty((u.size, 0))
 
     def cover(self, lo: int, hi: int) -> None:
@@ -195,7 +218,7 @@ class _Ladder:
         if self.hi >= self.lo:
             lo, hi = min(lo, self.lo), max(hi, self.hi)
         self.lo, self.hi = lo, hi
-        self.values = _jn(np.arange(lo, hi + 1)[None, :], self.u[:, None])
+        self.values = _jn_ladder(np.arange(lo, hi + 1, 2), self.u)
 
 
 def _series_rows(
@@ -206,41 +229,54 @@ def _series_rows(
     delta: float,
     ctl: SeriesControl,
 ) -> np.ndarray:
-    """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for every
-    n in [n_lo, n_hi] and every row of (ladder.u, v); shape (rows, orders).
+    """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for the
+    orders n = n_lo, n_lo + 2, ..., n_hi (of the ladder's parity) and every
+    row of (ladder.u, v); shape (rows, orders).
 
-    One truncation K serves all rows: it starts at the largest per-row
-    start and grows until every row meets its own tail bound.  The result
-    is real when delta is 0, +-pi, and complex otherwise.
+    Each row has its own truncation |k| <= K: it starts where a one-point
+    call in that row's v starts and grows only while the row fails its own
+    tail bound.  The terms are added one k at a time from k = -K up, and
+    rows with a smaller K than the widest row see zero terms in its place,
+    so every row equals its one-point call bit for bit.  The result is real
+    when delta is 0, +-pi, and complex otherwise.
     """
     k_cap = max((ctl.max_terms - 1) // 2, 1)
-    K = min(_series_k_start(float(np.max(np.abs(v)))), k_cap)
-    width = n_hi - n_lo + 1
+    k_row = np.array([min(_series_k_start(x), k_cap) for x in v.tolist()])
+    width = (n_hi - n_lo) // 2 + 1
+    out = None
+    todo = np.arange(v.size)
     while True:
-        ks = np.arange(-K, K + 3)
-        jk = _jn(ks[None, :], v[:, None])  # the last two columns are the tail
-        ladder.cover(n_lo - 2 * K, n_hi + 2 * K)
-        ju = ladder.values
-        # read-only view[p, i, j] = J_{n_lo + i - 2(j - K)}(u_p): no gather copy
-        view = np.lib.stride_tricks.as_strided(
-            ju[:, n_lo + 2 * K - ladder.lo:],
-            shape=(ju.shape[0], width, 2 * K + 1),
-            strides=(ju.strides[0], ju.strides[1], -2 * ju.strides[1]),
-            writeable=False,
-        )
+        K = k_row[todo]
+        k_top = int(K.max())
+        ks = np.arange(-k_top, k_top + 3)
+        jk = _jn_ladder(ks, v[todo])
+        ladder.cover(n_lo - 2 * k_top, n_hi + 2 * k_top)
+        ju = ladder.values if todo.size == v.size else ladder.values[todo]
         weights = jk[:, :-2] * phase_exp(-2 * ks[:-2], delta)
-        out = np.einsum("pij,pj->pi", view, weights)
+        weights[np.abs(ks[:-2]) > K[:, None]] = 0.0
+        # J_{n_lo + 2i - 2k}(u) for k = j - k_top sits in column base + i - j
+        base = (n_lo + 2 * k_top - ladder.lo) // 2
+        acc = np.zeros((todo.size, width), dtype=np.result_type(ju, weights))
+        for j in range(2 * k_top + 1):
+            acc += ju[:, base - j:base - j + width] * weights[:, j, None]
 
-        tail = 2.0 * (np.abs(jk[:, -2]) + np.abs(jk[:, -1]))
-        bound = ctl.rel_tol * np.maximum(np.max(np.abs(out), axis=1), ctl.abs_floor)
-        if np.all(tail <= bound):
+        rows = np.arange(todo.size)
+        tail = 2.0 * (np.abs(jk[rows, K + k_top + 1]) + np.abs(jk[rows, K + k_top + 2]))
+        bound = ctl.rel_tol * np.maximum(np.max(np.abs(acc), axis=1), ctl.abs_floor)
+        ok = tail <= bound
+        if out is None:
+            out = np.empty((v.size, width), dtype=acc.dtype)
+        out[todo[ok]] = acc[ok]
+        if ok.all():
             return out
-        if K >= k_cap:
+        stuck = ~ok & (K >= k_cap)
+        if stuck.any():
             raise SeriesConvergenceError(
                 f"generalized Bessel series not converged within max_terms={ctl.max_terms}",
-                float(np.max(tail[tail > bound])),
+                float(np.max(tail[stuck])),
             )
-        K = min(int(K * 1.5) + 8, k_cap)
+        todo = todo[~ok]
+        k_row[todo] = np.minimum((k_row[todo] * 1.5).astype(int) + 8, k_cap)
 
 
 def gen_bessel_orders(
@@ -256,14 +292,16 @@ def gen_bessel_orders(
     Evaluates the bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v),
     truncated at |k| <= K.  K starts at ceil(|v| + 10|v|^(1/3) + 10) and is
     enlarged until the tail bound drops below rel_tol of the running sums
-    (with abs_floor as the small-value cutoff).  One truncation index is
-    shared by the whole order range; the tail bound max_n |J_{n-2k}(u)| <= 1
-    makes it independent of n and u.
+    (with abs_floor as the small-value cutoff).  The even and the odd
+    orders of the range are two series, each with one truncation index for
+    all its orders; the tail bound max_n |J_{n-2k}(u)| <= 1 makes it
+    independent of n and u.
 
     Scalar u and v give a 1-D array over the orders.  Equal-length 1-D
     arrays u and v (one shared delta) give one row per point, from one
-    J(u) ladder and one J_k(v) ladder for all rows; K is then the largest
-    per-row start, grown until every row meets its own tail bound.
+    J(u) ladder and one J_k(v) ladder for all rows.  K is kept per row:
+    each row starts at its own K and grows only while it fails its own
+    tail bound, so every row equals the scalar call at its (u, v) exactly.
     """
     ctl = control or DEFAULT_CONTROL
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
@@ -277,7 +315,10 @@ def gen_bessel_orders(
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise ValueError("empty order range")
-    out = _series_rows(_Ladder(u_arr), n_lo, n_hi, v_arr, delta, ctl).astype(complex, copy=False)
+    out = np.empty((u_arr.size, n_hi - n_lo + 1), dtype=complex)
+    for first in range(n_lo, min(n_lo + 1, n_hi) + 1):
+        last = n_hi - (n_hi - first) % 2
+        out[:, first - n_lo::2] = _series_rows(_Ladder(u_arr, first), first, last, v_arr, delta, ctl)
     return out[0] if scalar else out
 
 

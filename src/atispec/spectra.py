@@ -31,14 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .kinematics import (
-    Atom,
-    BelowThresholdError,
-    LaserField,
-    channel_kinematics,
-    effective_mass,
-    threshold_n,
-)
+from .kinematics import Atom, LaserField, effective_mass, threshold_n
 from .specfun import SeriesControl
 
 __all__ = [
@@ -54,6 +47,9 @@ __all__ = [
     "dwdo_nonrel",
     "circular_channel_dwdo",
     "linear_channel_dwdo",
+    "general_channel_dwdo",
+    "nonrel_channel_dwdo",
+    "channel_spectrum",
 ]
 
 TAG_GENERAL = 42
@@ -114,9 +110,147 @@ def _zero_point(n, theta, phi, tag):
     )
 
 
-def _square(prefactor, kfr, resc, rescattering):
-    amp = kfr + (resc if rescattering else 0j)
-    return prefactor * abs(amp) ** 2
+def _point(rows, n, theta, phi, tag):
+    """SpectrumPoint from the one-row (dwdo, prefactor, kfr, resc) of a kernel."""
+    dwdo, pref, kfr, resc = (np.ravel(a)[0] for a in rows)
+    return SpectrumPoint(
+        n=n, theta=theta, phi=phi, dwdo=float(dwdo), prefactor=float(pref),
+        kfr_amplitude=complex(kfr), rescatter_amplitude=complex(resc),
+        formula_tag=tag,
+    )
+
+
+def _pow2(x):
+    """x**2 per element through libm pow, as the closed forms square a
+    scalar: numpy's x**2 is x*x, which differs from pow in the last bit for
+    ~0.1% of arguments, and the tag 44/56 outputs stay byte-identical."""
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def _kinematics(field, atom, n, theta):
+    """(|Pi|, k.Pi, Z, g^2) of channel n over a 1-D theta array, with the
+    arithmetic of channel_kinematics."""
+    omega = field.omega
+    pi0 = atom.epsilon0 + n * omega
+    pi_abs = math.sqrt(max(pi0**2 - effective_mass(field) ** 2, 0.0))
+    ct = np.cos(theta)
+    k_pi = omega * (pi0 - pi_abs * ct)
+    big_z = field.xi**2 / (4.0 * k_pi)
+    g_sq = pi_abs**2 - 2.0 * n * omega * pi_abs * ct + (n * omega) ** 2
+    return pi_abs, k_pi, big_z, g_sq
+
+
+def _fsum_rows(terms):
+    """math.fsum of each row of a 2-D array; real and imaginary parts apart."""
+    real = np.array([math.fsum(row) for row in terms.real.tolist()])
+    if not np.iscomplexobj(terms):
+        return real
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = [math.fsum(row) for row in terms.imag.tolist()]
+    return out
+
+
+def _exchange_sum(ladder, n, w, v2, delta, zf, eps0, omega, alpha_prime, ctl):
+    """Photon-exchange sum of the rescattering amplitude for every row of
+    the J(u) ladder (one shared delta):
+
+        sum_n' exp(-i(2n' - N) delta) J_n'(w) [(eps0 + 2 n' omega) conj(c_s)
+            + omega alpha' zf / 2 conj(exp(-2i delta) c_{s-2} + exp(2i delta) c_{s+2})]
+
+    with s = N - 2n' and c_s = J_s(u, v2, delta).  The exchange ladder can
+    cancel many digits, so each row is summed exactly; |n'| <= k_ex grows
+    for all rows until every row meets its tail bound.
+    """
+    if w == 0.0:
+        # the sum collapses to the n' = 0 term
+        c_n = specfun._series_rows(ladder, n, n, v2, delta, ctl)[:, 0]
+        return specfun.phase_exp(n, delta) * eps0 * np.conj(c_n)
+    k_ex = int(math.ceil(abs(w))) + RESCATTER_MARGIN
+    while True:
+        orders = np.arange(-k_ex, k_ex + 3)  # the last two are the tail
+        nps = orders[:-2]
+        j_ex = specfun._jn_ladder(orders, np.array([w]))[0]
+        c_all = specfun._series_rows(ladder, n - 2 * k_ex - 2, n + 2 * k_ex + 2, v2, delta, ctl)
+        s_idx = k_ex + 1 - nps  # the column of order s = N - 2n'
+        pair = c_all[:, s_idx - 1] * specfun.phase_exp(-2, delta) \
+            + c_all[:, s_idx + 1] * specfun.phase_exp(2, delta)
+        bracket = (eps0 + 2.0 * nps * omega) * np.conj(c_all[:, s_idx]) \
+            + omega * alpha_prime * zf / 2.0 * np.conj(pair)
+        total = _fsum_rows(specfun.phase_exp(-(2 * nps - n), delta) * j_ex[:-2] * bracket)
+        tail = (abs(j_ex[-2]) + abs(j_ex[-1])) \
+            * 2.0 * (eps0 + 2.0 * (k_ex + 2) * omega + omega * alpha_prime * zf)
+        if np.all(tail <= ctl.rel_tol * np.maximum(np.abs(total), ctl.abs_floor)):
+            return total
+        if 2 * k_ex + 1 >= ctl.max_terms:
+            raise specfun.SeriesConvergenceError(
+                f"rescattering sum not converged for channel N={n}", tail
+            )
+        k_ex = int(k_ex * 1.5) + 8
+
+
+def general_channel_dwdo(
+    field: LaserField,
+    atom: Atom,
+    n: int,
+    theta,
+    phi,
+    rescattering: bool = True,
+    control: SeriesControl | None = None,
+):
+    """Vectorized relativistic dW/dOmega for arbitrary polarization (tag 42)
+    of channel n over arrays of emission angles (theta, phi), broadcast
+    against each other.
+
+    Returns (dwdo, prefactor, kfr, resc) arrays of the broadcast shape, kfr
+    and resc complex; all four are zero below the channel threshold.  A
+    generalized-Bessel series takes one phase angle for all its rows, so the
+    rows are grouped by their phase angle; within a group the rescattering
+    series comes first and the direct amplitude reuses its J(u) ladder.
+    """
+    ctl = control or specfun.DEFAULT_CONTROL
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    shape = theta.shape
+    if n < threshold_n(field, atom):
+        z = np.zeros(shape)
+        return z, z, z.astype(complex), z.astype(complex)
+    th, ph = theta.ravel(), phi.ravel()
+
+    zeta, omega, eps0 = field.zeta, field.omega, atom.epsilon0
+    zf = 1.0 - zeta**2
+    pi_abs, k_pi, big_z, g_sq = _kinematics(field, atom, n, th)
+    st, cph, sph = np.sin(th), np.cos(ph), np.sin(ph)
+    u = field.xi * pi_abs * st * np.sqrt(cph**2 + zeta**2 * sph**2) / k_pi
+    # the phase angle of (|Pi| sin th cos ph, zeta |Pi| sin th sin ph) is
+    # atan2(zeta sin ph, cos ph), the same for every theta of one phi; the
+    # product form keeps channel_kinematics' value where |Pi| sin th = 0
+    a = pi_abs * st
+    dlt = np.where(a > 0.0, np.arctan2(zeta * sph, cph), np.arctan2(zeta * a * sph, a * cph))
+    dlt[dlt == -math.pi] = math.pi  # the series reduces delta to (-pi, pi]
+
+    alpha_prime = field.xi**2 / (4.0 * omega * eps0)
+    v_kfr = -big_z * zf / 2.0
+    v2 = (big_z - alpha_prime) * zf / 2.0
+    kfr = np.empty(th.size, dtype=complex)
+    total = np.empty(th.size, dtype=complex)
+    deltas, group = np.unique(dlt, return_inverse=True)
+    for g, delta in enumerate(deltas.tolist()):
+        rows = np.flatnonzero(group == g)
+        ladder = specfun._Ladder(u[rows], n)
+        total[rows] = _exchange_sum(ladder, n, -alpha_prime * zf / 2.0, v2[rows], delta,
+                                    zf, eps0, omega, alpha_prime, ctl)
+        kfr[rows] = specfun.phase_exp(n, delta) \
+            * specfun._series_rows(ladder, n, n, v_kfr[rows], delta, ctl)[:, 0]
+
+    d_coef = n - big_z * (1.0 + zeta**2)
+    resc = g_sq / (2.0 * d_coef * k_pi) * total
+    prefactor = (
+        2.0**4 / (math.pi * atom.a**5)
+        * d_coef**2 * k_pi**2 * pi_abs / g_sq**4
+    )
+    amp = kfr + resc if rescattering else kfr
+    dwdo = prefactor * np.abs(amp) ** 2
+    return tuple(a.reshape(shape) for a in (dwdo, prefactor, kfr, resc))
 
 
 def dwdo_general(
@@ -135,70 +269,13 @@ def dwdo_general(
     rescattering amplitude sums photon exchanges n' with weight
     g^2 / (2 m (N - Z(1+zeta^2)) k.Pi), an ordinary-Bessel factor
     J_n'(-alpha'(1-zeta^2)/2) and conjugated generalized-Bessel brackets.
+    One-point wrapper of general_channel_dwdo.
     """
-    ctl = control or specfun.DEFAULT_CONTROL
     n = int(n)
-    try:
-        ck = channel_kinematics(field, atom, n, theta, phi)
-    except BelowThresholdError:
+    rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering, control)
+    if n < threshold_n(field, atom):
         return _zero_point(n, theta, phi, TAG_GENERAL)
-
-    zeta = field.zeta
-    zf = 1.0 - zeta**2
-    eps0 = atom.epsilon0
-    omega = field.omega
-    alpha_prime = field.xi**2 / (4.0 * omega * eps0)
-    u, dlt = ck.alpha_amp, ck.phase_angle
-    d_coef = n - ck.big_z * (1.0 + zeta**2)
-
-    kfr = specfun.phase_exp(n, dlt) * specfun.gen_bessel(n, u, -ck.big_z * zf / 2.0, dlt, ctl)
-
-    w = -alpha_prime * zf / 2.0
-    if w == 0.0:
-        # photon-exchange sum collapses to the n' = 0 term
-        c_n = specfun.gen_bessel(n, u, (ck.big_z - alpha_prime) * zf / 2.0, dlt, ctl)
-        total = specfun.phase_exp(n, dlt) * eps0 * np.conj(c_n)
-    else:
-        k_ex = int(math.ceil(abs(w))) + RESCATTER_MARGIN
-        while True:
-            nps = np.arange(-k_ex, k_ex + 1)
-            j_ex = specfun._jn(nps, w)
-            v2 = (ck.big_z - alpha_prime) * zf / 2.0
-            s_lo, s_hi = n - 2 * k_ex - 2, n + 2 * k_ex + 2
-            c_all = specfun.gen_bessel_orders(s_lo, s_hi, u, v2, dlt, ctl)
-            s_idx = n - 2 * nps
-            c_s = c_all[s_idx - s_lo]
-            c2_pair = (
-                c_all[s_idx - 2 - s_lo] * specfun.phase_exp(-2, dlt)
-                + c_all[s_idx + 2 - s_lo] * specfun.phase_exp(2, dlt)
-            )
-            brackets = (eps0 + 2.0 * nps * omega) * np.conj(c_s) \
-                + omega * alpha_prime * zf / 2.0 * np.conj(c2_pair)
-            terms = specfun.phase_exp(-(2 * nps - n), dlt) * j_ex * brackets
-            terms = terms.astype(complex, copy=False)
-            # exact summation: the exchange ladder can cancel many digits
-            total = complex(math.fsum(terms.real), math.fsum(terms.imag))
-            tail = (abs(specfun._jn(k_ex + 1, w)) + abs(specfun._jn(k_ex + 2, w))) \
-                * 2.0 * (eps0 + 2.0 * (k_ex + 2) * omega + omega * alpha_prime * zf)
-            if tail <= ctl.rel_tol * max(abs(total), ctl.abs_floor):
-                break
-            if 2 * k_ex + 1 >= ctl.max_terms:
-                raise specfun.SeriesConvergenceError(
-                    f"rescattering sum not converged for channel N={n}", tail
-                )
-            k_ex = int(k_ex * 1.5) + 8
-
-    resc = ck.g_sq / (2.0 * d_coef * ck.k_dot_pi) * total
-    prefactor = (
-        2.0**4 / (math.pi * atom.a**5)
-        * d_coef**2 * ck.k_dot_pi**2 * ck.pi_abs / ck.g_sq**4
-    )
-    dwdo = _square(prefactor, kfr, resc, rescattering)
-    return SpectrumPoint(
-        n=n, theta=theta, phi=phi, dwdo=float(dwdo), prefactor=float(prefactor),
-        kfr_amplitude=complex(kfr), rescatter_amplitude=complex(resc),
-        formula_tag=TAG_GENERAL,
-    )
+    return _point(rows, n, theta, phi, TAG_GENERAL)
 
 
 def circular_channel_dwdo(
@@ -210,7 +287,7 @@ def circular_channel_dwdo(
 ):
     """Vectorized circular dW/dOmega over an array of cos(theta).
 
-    Returns (dwdo, rescatter_factor) arrays; shared by the scalar wrapper
+    Returns (dwdo, rescatter_factor) arrays; shared by the spectrum path
     and the direct rate integrator so both see identical arithmetic.
     """
     mu = np.asarray(cos_theta, dtype=float)
@@ -235,6 +312,19 @@ def circular_channel_dwdo(
     return pref * bracket, r
 
 
+def _circular_rows(field, atom, n, theta, rescattering):
+    """Tag 44 over a 1-D theta array: (dwdo, prefactor, kfr, resc) with the
+    bracket amplitudes (1, r), zero below the channel threshold."""
+    if abs(field.zeta) != 1.0:
+        raise ValueError("dwdo_circular requires circular polarization (|zeta| = 1)")
+    if n < threshold_n(field, atom):
+        z = np.zeros(theta.shape)
+        return z, z, z, z
+    pref, r = circular_channel_dwdo(field, atom, float(n), np.cos(theta), rescattering=False)
+    dwdo = pref * _pow2(np.abs(1.0 + r)) if rescattering else pref * 1.0
+    return dwdo, pref, np.ones(theta.shape), r
+
+
 def dwdo_circular(
     field: LaserField,
     atom: Atom,
@@ -249,20 +339,11 @@ def dwdo_circular(
     (1, r) with r = g^2 / (2 (N - 2Z) k.Pi), so dwdo(on)/dwdo(off)
     equals (1 + r)^2.
     """
-    if abs(field.zeta) != 1.0:
-        raise ValueError("dwdo_circular requires circular polarization (|zeta| = 1)")
     n = int(n)
+    rows = _circular_rows(field, atom, n, np.array([float(theta)]), rescattering)
     if n < threshold_n(field, atom):
         return _zero_point(n, theta, 0.0, TAG_CIRCULAR)
-    mu = np.array([math.cos(theta)])
-    pref_arr, r_arr = circular_channel_dwdo(field, atom, float(n), mu, rescattering=False)
-    pref, r = float(pref_arr[0]), float(r_arr[0])
-    dwdo = _square(pref, 1.0 + 0j, complex(r), rescattering)
-    return SpectrumPoint(
-        n=n, theta=theta, phi=0.0, dwdo=float(dwdo), prefactor=pref,
-        kfr_amplitude=1.0 + 0j, rescatter_amplitude=complex(r),
-        formula_tag=TAG_CIRCULAR,
-    )
+    return _point(rows, n, theta, 0.0, TAG_CIRCULAR)
 
 
 def linear_channel_dwdo(
@@ -281,8 +362,8 @@ def linear_channel_dwdo(
     all four are zero below the channel threshold.  The direct and the
     rescattering series share one J(u) ladder for all points, and the
     photon-exchange sum is summed exactly per point.  Shared by the
-    one-point wrapper and the direct rate integrator, so both see
-    identical arithmetic.
+    one-point wrapper, the spectrum path and the direct rate integrator,
+    so all see identical arithmetic.
     """
     if field.zeta != 0.0:
         raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
@@ -295,40 +376,14 @@ def linear_channel_dwdo(
     th, ph = theta.ravel(), phi.ravel()
 
     eps0, omega, xi = atom.epsilon0, field.omega, field.xi
-    pi0 = eps0 + n * omega
-    pi_abs = math.sqrt(max(pi0**2 - effective_mass(field) ** 2, 0.0))
-    ct = np.cos(th)
-    k_pi = omega * (pi0 - pi_abs * ct)
-    big_z = xi**2 / (4.0 * k_pi)
-    g_sq = pi_abs**2 - 2.0 * n * omega * pi_abs * ct + (n * omega) ** 2
-    ladder = specfun._Ladder(xi * pi_abs * np.sin(th) * np.abs(np.cos(ph)) / k_pi)
+    pi_abs, k_pi, big_z, g_sq = _kinematics(field, atom, n, th)
+    ladder = specfun._Ladder(xi * pi_abs * np.sin(th) * np.abs(np.cos(ph)) / k_pi, n)
     alpha_prime = xi**2 / (4.0 * omega * eps0)
 
     # the rescattering series first: its order range nearly always holds
     # the direct one, so the direct amplitude reuses the same ladder
-    w = -alpha_prime / 2.0
-    v2 = (big_z - alpha_prime) / 2.0
-    k_ex = int(math.ceil(abs(w))) + RESCATTER_MARGIN
-    while True:
-        orders = np.arange(-k_ex, k_ex + 3)  # the last two are the tail
-        nps = orders[:-2]
-        j_ex = specfun._jn(orders, w)
-        s_lo, s_hi = n - 2 * k_ex - 2, n + 2 * k_ex + 2
-        c_all = specfun._series_rows(ladder, s_lo, s_hi, v2, 0.0, ctl)
-        s_idx = n - 2 * nps - s_lo
-        inner = (eps0 + 2.0 * nps * omega) * c_all[:, s_idx] \
-            + omega * alpha_prime * 1.0 / 2.0 * (c_all[:, s_idx - 2] + c_all[:, s_idx + 2])
-        # exact summation: the exchange ladder can cancel many digits
-        total = np.array([math.fsum(row) for row in (j_ex[:-2] * inner).tolist()])
-        tail = (abs(j_ex[-2]) + abs(j_ex[-1])) \
-            * 2.0 * (eps0 + 2.0 * (k_ex + 2) * omega + omega * alpha_prime)
-        if np.all(tail <= ctl.rel_tol * np.maximum(np.abs(total), ctl.abs_floor)):
-            break
-        if 2 * k_ex + 1 >= ctl.max_terms:
-            raise specfun.SeriesConvergenceError(
-                f"rescattering sum not converged for channel N={n}", tail
-            )
-        k_ex = int(k_ex * 1.5) + 8
+    total = _exchange_sum(ladder, n, -alpha_prime / 2.0, (big_z - alpha_prime) / 2.0, 0.0,
+                          1.0, eps0, omega, alpha_prime, ctl)
     kfr = specfun._series_rows(ladder, n, n, -big_z / 2.0, 0.0, ctl)[:, 0]
 
     resc = g_sq / (2.0 * (n - big_z) * k_pi) * total
@@ -358,15 +413,71 @@ def dwdo_linear(
     linear_channel_dwdo.
     """
     n = int(n)
-    dwdo, pref, kfr, resc = linear_channel_dwdo(
-        field, atom, n, theta, phi, rescattering, control)
+    rows = linear_channel_dwdo(field, atom, n, theta, phi, rescattering, control)
     if n < threshold_n(field, atom):
         return _zero_point(n, theta, phi, TAG_LINEAR)
-    return SpectrumPoint(
-        n=n, theta=theta, phi=phi, dwdo=float(dwdo), prefactor=float(pref),
-        kfr_amplitude=complex(kfr), rescatter_amplitude=complex(resc),
-        formula_tag=TAG_LINEAR,
-    )
+    return _point(rows, n, theta, phi, TAG_LINEAR)
+
+
+def _nonrel_channel(field, atom, n, polarization):
+    """(tag, z, X) of a nonrelativistic channel: the ponderomotive parameter
+    z = xi^2 / (4 omega) and the kinetic photon number X."""
+    z = field.xi**2 / (4.0 * field.omega)
+    eb_w = atom.e_b / field.omega
+    if polarization == "circular":
+        return TAG_NONREL_CIRCULAR, z, n - 2.0 * z - eb_w
+    if polarization == "linear":
+        return TAG_NONREL_LINEAR, z, n - z - eb_w
+    raise ValueError(f"polarization must be 'circular' or 'linear', got {polarization!r}")
+
+
+def nonrel_channel_dwdo(
+    field: LaserField,
+    atom: Atom,
+    n: int,
+    theta,
+    polarization: str,
+    rescattering: bool = True,
+    control: SeriesControl | None = None,
+):
+    """Vectorized nonrelativistic dW/dOmega (tags 56/59) of channel n over
+    an array of theta.
+
+    Returns (dwdo, prefactor, kfr, resc) arrays of theta's shape, with the
+    bracket amplitudes (1, rho); all four are zero at and below the
+    threshold X <= 0.  Shared by the one-point wrapper and the spectrum
+    path.
+    """
+    ctl = control or specfun.DEFAULT_CONTROL
+    theta = np.asarray(theta, dtype=float)
+    tag, z, x_kin = _nonrel_channel(field, atom, n, polarization)
+    if x_kin <= 0.0:
+        zero = np.zeros(theta.shape)
+        return zero, zero, zero, zero
+    th = theta.ravel()
+    omega, xi = field.omega, field.xi
+    eb_w = atom.e_b / omega
+
+    if tag == TAG_NONREL_CIRCULAR:
+        p = math.sqrt(2.0 * omega * x_kin)
+        j_sq = _pow2(specfun._jn(n, xi / omega * p * np.sin(th)))
+        pref = (
+            8.0 * omega / math.pi * eb_w**2.5
+            * math.sqrt(x_kin) / (n - 2.0 * z) ** 2 * j_sq
+        )
+        rho = x_kin / (n - 2.0 * z)
+        dwdo = pref * (abs(1.0 + rho) ** 2 if rescattering else 1.0)
+    else:
+        u = math.sqrt(z) * (math.sqrt(8.0 * x_kin) * np.cos(th))
+        j = specfun.gen_bessel_orders(n, n, u, np.full(th.shape, -z / 2.0), 0.0, ctl)[:, 0].real
+        pref = (
+            8.0 * omega / math.pi * eb_w**2.5
+            * math.sqrt(x_kin) / (n - z) ** 2 * _pow2(j)
+        )
+        rho = x_kin / (n - z)
+        dwdo = pref * (1.0 + rho) if rescattering else pref
+    rows = (dwdo, pref, np.ones(th.shape), np.full(th.shape, rho))
+    return tuple(a.reshape(theta.shape) for a in rows)
 
 
 def dwdo_nonrel(
@@ -384,52 +495,57 @@ def dwdo_nonrel(
     kinetic energy is omega * X with X = N - 2z - E_B/omega (circular) or
     X = N - z - E_B/omega (linear).  For the linear case theta is measured
     from the polarization vector and the rescattering brace enters
-    unsquared, exactly as the closed form states it.
+    unsquared, exactly as the closed form states it.  One-point wrapper of
+    nonrel_channel_dwdo.
     """
-    ctl = control or specfun.DEFAULT_CONTROL
     n = int(n)
-    omega, xi = field.omega, field.xi
-    z = xi**2 / (4.0 * omega)
-    eb_w = atom.e_b / omega
+    tag, _, x_kin = _nonrel_channel(field, atom, n, polarization)
+    if x_kin <= 0.0:
+        return _zero_point(n, theta, 0.0, tag)
+    rows = nonrel_channel_dwdo(field, atom, n, np.array([float(theta)]), polarization,
+                               rescattering, control)
+    return _point(rows, n, theta, 0.0, tag)
 
-    if polarization == "circular":
-        tag = TAG_NONREL_CIRCULAR
-        x_kin = n - 2.0 * z - eb_w
-        if x_kin <= 0.0:
-            return _zero_point(n, theta, 0.0, tag)
-        p = math.sqrt(2.0 * omega * x_kin)
-        theta_arg = xi / omega * p * math.sin(theta)
-        j_sq = specfun._jn(n, theta_arg) ** 2
-        pref = (
-            8.0 * omega / math.pi * eb_w**2.5
-            * math.sqrt(x_kin) / (n - 2.0 * z) ** 2 * j_sq
-        )
-        rho = x_kin / (n - 2.0 * z)
-        dwdo = _square(pref, 1.0 + 0j, complex(rho), rescattering)
-        return SpectrumPoint(
-            n=n, theta=theta, phi=0.0, dwdo=float(dwdo), prefactor=float(pref),
-            kfr_amplitude=1.0 + 0j, rescatter_amplitude=complex(rho),
-            formula_tag=tag,
-        )
 
-    if polarization == "linear":
-        tag = TAG_NONREL_LINEAR
-        x_kin = n - z - eb_w
-        if x_kin <= 0.0:
-            return _zero_point(n, theta, 0.0, tag)
-        chi = math.sqrt(8.0 * x_kin) * math.cos(theta)
-        u = math.sqrt(z) * chi
-        j_sq = specfun.gen_bessel_orders(n, n, u, -z / 2.0, 0.0, ctl)[0].real ** 2
-        pref = (
-            8.0 * omega / math.pi * eb_w**2.5
-            * math.sqrt(x_kin) / (n - z) ** 2 * j_sq
-        )
-        rho = x_kin / (n - z)
-        dwdo = pref * (1.0 + rho) if rescattering else pref
-        return SpectrumPoint(
-            n=n, theta=theta, phi=0.0, dwdo=float(dwdo), prefactor=float(pref),
-            kfr_amplitude=1.0 + 0j, rescatter_amplitude=complex(rho),
-            formula_tag=tag,
-        )
+def channel_spectrum(
+    field: LaserField,
+    atom: Atom,
+    n: int,
+    theta,
+    phi,
+    formula: str = "relativistic",
+    rescattering: bool = True,
+    control: SeriesControl | None = None,
+):
+    """The `ati spectrum` columns of channel n over 1-D arrays of emission
+    angles (theta, phi): (tag, dwdo, kfr_only_dwdo, rescatter_factor).
 
-    raise ValueError(f"polarization must be 'circular' or 'linear', got {polarization!r}")
+    formula "relativistic" takes tag 44 for |zeta| = 1, 55 for zeta = 0
+    and 42 otherwise; "nonrelativistic" takes 56 for |zeta| = 1 and 59 for
+    zeta = 0.  Each row equals the SpectrumPoint of the one-point wrapper
+    at its angles: bit for bit for tags 44/56, to roundoff otherwise.  The
+    azimuth-independent tags 44/56/59 are evaluated once per distinct theta.
+    """
+    circular, linear = abs(field.zeta) == 1.0, field.zeta == 0.0
+    if formula not in ("relativistic", "nonrelativistic"):
+        raise ValueError(f"formula must be 'relativistic' or 'nonrelativistic', got {formula!r}")
+    if formula == "nonrelativistic" and not (circular or linear):
+        raise ValueError("nonrelativistic formulas support circular or linear polarization only")
+    if formula == "relativistic" and not circular:
+        tag = TAG_LINEAR if linear else TAG_GENERAL
+        kernel = linear_channel_dwdo if linear else general_channel_dwdo
+        rows = kernel(field, atom, n, theta, phi, rescattering, control)
+    else:
+        thetas, back = np.unique(theta, return_inverse=True)
+        if formula == "relativistic":
+            tag, rows = TAG_CIRCULAR, _circular_rows(field, atom, n, thetas, rescattering)
+        else:
+            tag = TAG_NONREL_CIRCULAR if circular else TAG_NONREL_LINEAR
+            rows = nonrel_channel_dwdo(field, atom, n, thetas, "circular" if circular else "linear",
+                                       rescattering, control)
+        rows = tuple(a[back] for a in rows)
+    dwdo, pref, kfr, resc = rows
+    kfr_only = pref if tag == TAG_NONREL_LINEAR else pref * np.abs(kfr) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rescatter_factor = np.where(kfr == 0, np.nan, (resc / kfr).real)
+    return tag, dwdo, kfr_only, rescatter_factor

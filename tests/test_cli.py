@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 REPO = Path(__file__).resolve().parents[1]
 DESK_CONFIG = REPO / "demos" / "configs" / "desk_circular.json"
@@ -95,6 +100,54 @@ def test_spectrum_both_formulas_tagged(tmp_path):
     assert tags == {"44", "56"}
 
 
+@pytest.mark.parametrize("mode", ["on", "off"])
+@pytest.mark.parametrize("polarization, zeta, formula", [
+    ("circular", None, "both"),          # tags 44 and 56
+    ("linear", None, "both"),            # tags 55 and 59
+    ("elliptic", 0.5, "relativistic"),   # tag 42
+])
+def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarization, zeta,
+                                                 formula, mode):
+    # a 5-row block makes the 8 x 3 grid span several kernel calls; the
+    # window starts one channel below threshold, and theta runs from 0 to pi
+    from atispec import cli
+    from atispec.kinematics import threshold_n
+    from atispec.spectra import dwdo_circular, dwdo_general, dwdo_linear, dwdo_nonrel
+
+    monkeypatch.setattr(cli, "SPECTRUM_BLOCK", 5)
+    extra = {} if zeta is None else {"zeta": zeta}
+    rc = cli.RunConfig(photon_energy_ev=5109.9895, intensity_xi=1.0, polarization=polarization,
+                       **extra)
+    field, atom = rc.field(), rc.atom()
+    n0 = threshold_n(field, atom)
+    cfg = write_config(tmp_path, polarization=polarization, formula=formula, mode=mode,
+                       theta_points=8, phi_points=3, n_range=[n0 - 1, n0 + 1], **extra)
+    out = tmp_path / "rows"
+    assert cli.main(["spectrum", "-c", str(cfg), "-o", str(out)]) == 0
+    resc = mode == "on"
+    one_point = {
+        44: lambda n, th, ph: dwdo_circular(field, atom, n, th, resc),
+        55: lambda n, th, ph: dwdo_linear(field, atom, n, th, ph, resc),
+        42: lambda n, th, ph: dwdo_general(field, atom, n, th, ph, resc),
+        56: lambda n, th, ph: dwdo_nonrel(field, atom, n, th, "circular", resc),
+        59: lambda n, th, ph: dwdo_nonrel(field, atom, n, th, "linear", resc),
+    }
+    groups = {}
+    for line in (out / "spectrum.csv").read_text().splitlines()[1:]:
+        n, th, ph, *vals, tag = line.split(",")
+        pt = one_point[int(tag)](int(n), float(th), float(ph))
+        want = (pt.dwdo, pt.dwdo_kfr_only, pt.rescatter_factor)
+        groups.setdefault((tag, n), []).append(([float(v) for v in vals], want))
+    assert len(groups) == 3 * (2 if formula == "both" else 1)
+    for (tag, _), rows in groups.items():
+        got, want = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        if tag in ("44", "56"):
+            assert np.array_equal(got, want, equal_nan=True)
+        scale = np.nanmax(np.abs(want), axis=0, initial=0.0)
+        assert np.all(np.abs(np.nan_to_num(got - want)) <= 1e-13 * scale)
+
+
 def test_config_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"photon_energy_ev": 100,,}')
@@ -122,6 +175,8 @@ def test_config_field_error_exit_2(tmp_path):
     ("binding_energy_ev", 1e9),
     ("z_a", 1.7),
     ("z_a", 200),  # hydrogenic binding energy above the electron mass
+    ("channel_cap", -1),
+    ("output_path", ""),
 ])
 def test_config_value_error_exit_2_one_line(tmp_path, capsys, key, value):
     from atispec.cli import main
@@ -132,6 +187,101 @@ def test_config_value_error_exit_2_one_line(tmp_path, capsys, key, value):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "rate"])
+@pytest.mark.parametrize("key, value", [
+    ("photon_energy_ev", 1e300),
+    ("photon_energy_ev", 1e-300),
+    ("intensity_xi", 1e300),
+    ("peak_field_v_per_cm", 1e300),
+])
+def test_out_of_range_magnitude_exit_2_one_line(tmp_path, capsys, command, key, value):
+    from atispec.cli import main
+
+    extra = {"intensity_xi": None} if key == "peak_field_v_per_cm" else {}
+    cfg = write_config(tmp_path, **{key: value, **extra})
+    assert main([command, "-c", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_elliptic_rate_exit_2_one_line(tmp_path, capsys):
+    from atispec.cli import main
+
+    cfg = write_config(tmp_path, polarization="elliptic", zeta=0.5)
+    assert main(["rate", "-c", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "polarization" in err
+    assert not (tmp_path / "out").exists()
+
+
+# a valid config over a small grid (at most 12 x 4 angles and 5 channels)
+_GOOD = st.fixed_dictionaries(
+    {"photon_energy_ev": st.floats(1e3, 2e4), "intensity_xi": st.floats(0.0, 2.0),
+     "output_path": st.just("OUT")},
+    optional={
+        "polarization": st.sampled_from(["circular", "linear"]),
+        "z_a": st.integers(1, 3),
+        "binding_energy_ev": st.floats(5.0, 5e3),
+        "theta_points": st.integers(8, 12),
+        "phi_points": st.integers(1, 4),
+        "n_range": st.builds(lambda lo, w: [lo, lo + w], st.integers(0, 45), st.integers(0, 4)),
+        "mode": st.sampled_from(["on", "off"]),
+        "formula": st.sampled_from(["relativistic", "nonrelativistic", "both"]),
+        "workers": st.integers(1, 2),
+    },
+).map(lambda raw: {"n_range": [40, 42], **raw})
+
+# any JSON value where a config expects a number, a string or a range
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.lists(st.integers(-3, 3), max_size=3), st.just(float("nan")),
+                  st.integers(-2, 2), st.floats(-1e3, 1e3))
+_EXTREMES = {
+    "photon_energy_ev": [0.0, 1e-300, 1e300, 6e5],
+    "intensity_xi": [-1.0, 5e-324, 1e-300, 1e300],
+    "peak_field_v_per_cm": [0.0, 1e300],
+    "polarization": ["elliptic", "radial"],
+    "zeta": [-1.5, 0.5, 1.0],
+    "z_a": [1.7, 200, 10**30],
+    "binding_energy_ev": [0.0, 1e-300, 1e6],
+    "theta_points": [7],
+    "phi_points": [0, -1],
+    "n_range": ["auto", [3, 2], [-3, 1]],
+    "mode": ["both"],
+    "formula": ["exact"],
+    "channel_cap": [-1, 0, 2],
+    "output_path": [""],
+}
+
+
+@st.composite
+def _configs(draw):
+    raw = draw(_GOOD)
+    for key in draw(st.lists(st.sampled_from(sorted(_EXTREMES)), max_size=2, unique=True)):
+        raw[key] = draw(st.one_of(st.sampled_from(_EXTREMES[key]), _JUNK))
+    return raw
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=_configs(), command=st.sampled_from(["spectrum", "rate"]))
+def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command):
+    from atispec.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        if raw["output_path"] == "OUT":
+            raw["output_path"] = str(Path(tmp) / "out")
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "-c", str(path)])
+    assert rc in (0, 2, 3)
+    if rc:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def test_exclusive_intensity_specification(tmp_path):
@@ -153,6 +303,15 @@ def test_channel_explosion_exit_3(tmp_path):
     cfg = write_config(tmp_path, photon_energy_ev=0.005, n_range="auto")
     cp = run_cli("spectrum", "-c", str(cfg))
     assert cp.returncode == 3
+
+
+def test_threshold_beyond_cap_exit_3_writes_nothing(tmp_path, capsys):
+    from atispec.cli import main
+
+    cfg = write_config(tmp_path, photon_energy_ev=0.005, n_range=[1, 2], theta_points=8)
+    assert main(["spectrum", "-c", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith("resource cap:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bessel_range_exit_3_without_traceback(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from atispec import rates, specfun
-from atispec.constants import E_CHARGE, GAMMA_TWO_THIRDS
+from atispec.constants import E_CHARGE, ELECTRON_MASS_EV, GAMMA_TWO_THIRDS
 from atispec.kinematics import Atom, ChannelExplosionError, LaserField, derive_params, threshold_n
 from atispec.rates import (
     AsymptoticsError,
@@ -108,6 +108,23 @@ def test_saddle_degenerate_error():
         saddle_point(field, atom)
     with pytest.raises(ValueError):
         saddle_point(LaserField.circular(0.01, 0.0), atom)
+
+
+def test_saddle_point_is_memoized_and_underflow_is_field_off():
+    saddle_point.cache_clear()
+    first = saddle_point(DESK_FIELD, DESK_ATOM)
+    again = saddle_point(LaserField.circular(DESK_FIELD.omega, DESK_FIELD.xi), DESK_ATOM)
+    assert again is first and saddle_point.cache_info().hits == 1
+    # an intensity whose square underflows has no spectral peak, like xi = 0
+    with pytest.raises(ValueError):
+        saddle_point(LaserField.circular(0.01, 1e-170), DESK_ATOM)
+
+
+def test_tunneling_closed_form_underflows_to_zero():
+    # (F_at/F0)^3 alone would overflow; the exponential has underflowed first
+    omega = 2000.0 / ELECTRON_MASS_EV
+    field, atom = LaserField.circular(omega, 1e-120), Atom.with_binding(1, omega)
+    assert rate_closed(field, atom).w_total == 0.0
 
 
 def test_regime_classification_thresholds():

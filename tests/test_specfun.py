@@ -130,6 +130,50 @@ def test_batched_gen_bessel_orders_rows_match_one_point_calls(points, delta, n_l
             assert abs(val - quad) <= max(1e-10 * abs(quad), 1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    points=st.lists(st.tuples(_U, _V), min_size=2, max_size=5),
+    delta=st.sampled_from([0.0, 0.4, math.pi / 2, -2.1, math.pi]),
+    n_lo=st.integers(-20, 20),
+    width=st.integers(0, 5),
+)
+def test_batched_gen_bessel_orders_rows_equal_one_point_calls_exactly(points, delta, n_lo, width):
+    # every row keeps the truncation of its own one-point call; the extra
+    # (u, v) = (0, 10) row has an exactly zero odd-order series, so its
+    # tail bound is the absolute floor and its truncation grows alone
+    u = np.array([p[0] for p in points] + [0.0])
+    v = np.array([p[1] for p in points] + [10.0])
+    rows = gen_bessel_orders(n_lo, n_lo + width, u, v, delta)
+    for row, ui, vi in zip(rows, u, v):
+        assert np.array_equal(row, gen_bessel_orders(n_lo, n_lo + width, ui, vi, delta))
+
+
+def test_batched_rows_keep_their_own_truncation():
+    # J_{70-2k}(1e-3) falls off so fast that the first row, truncated at
+    # k = 21 by its small v, is far below its k = 35 term; the second row's
+    # large v must not widen the first row's truncation
+    u, v = np.array([1e-3, 5.0]), np.array([1.0, 30.0])
+    rows = gen_bessel_orders(68, 72, u, v, 0.4)
+    for row, ui, vi in zip(rows, u, v):
+        assert np.array_equal(row, gen_bessel_orders(68, 72, ui, vi, 0.4))
+
+
+@pytest.mark.parametrize("fault", [0.0, 1e-6])
+def test_jn_ladder_equals_jn_exactly(fault):
+    orders = np.arange(-45, 46)
+    x = np.array([-60.0, -7.5, -0.3, 0.0, 0.3, 7.5, 60.0, 251.0])
+    specfun.set_bessel_fault(fault)
+    try:
+        got = specfun._jn_ladder(orders, x)
+        want = specfun._jn(orders[None, :], x[:, None])
+    finally:
+        specfun.set_bessel_fault(0.0)
+    assert np.array_equal(got, want)
+    # scattered, repeated and unsorted orders too
+    odd = np.array([7, -3, 0, 3, -7, -7, 2])
+    assert np.array_equal(specfun._jn_ladder(odd, x), specfun._jn(odd[None, :], x[:, None]))
+
+
 def test_batched_gen_bessel_orders_checks():
     with pytest.raises(ValueError):
         gen_bessel_orders(0, 2, np.array([1.0, 2.0]), np.array([1.0]), 0.0)
