@@ -10,7 +10,16 @@ regime, large y_m the tunneling regime.
 
 All quadratures use fixed node sets and pairwise numpy reductions, so a
 rate is bit-reproducible for a given grid regardless of how the channel
-map is scheduled.
+map is scheduled.  Gauss-Legendre node sets are built once per size.
+
+The Airy-form meshes (rate_airy, rate_laplace) are evaluated in blocks of
+rows, and Ai only where a point can count: for y > 0,
+Ai(y) <= L(y) = exp(-2/3 y^(3/2)) / (2 sqrt(pi) y^(1/4)) (the asymptotic
+expansion envelopes Ai, DLMF 9.7(iv)), with L/Ai <= 1.0706 for y >= 1.
+With B = prefactor * L^2 * quadrature weights, Lambda = (sum of B over
+y >= 1) / 1.15 is a lower bound on the rate, and a point with y >= 1 and
+B <= 2^-60 Lambda / (mesh points) gets Ai^2 = 0, so the points left out
+carry at most 2^-60 of the rate.
 """
 
 from __future__ import annotations
@@ -282,8 +291,18 @@ def _try_saddle(field, atom):
         return None
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n and
+    returned read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering):
-    mu, w_mu = np.polynomial.legendre.leggauss(theta_points)
+    mu, w_mu = _gauss_legendre(theta_points)
     channels = list(range(n0, n_cut + 1))
     if field.zeta != 0.0:
         # azimuthal symmetry: analytic 2 pi
@@ -354,31 +373,84 @@ def rate_direct(
     )
 
 
-def _mesh_kinematics(field, atom, n_grid, theta_grid):
-    """Continuous-(N, theta) mesh of the circular channel kinematics."""
+# points per row block of an Airy-form mesh (about one airy_ai block)
+_MESH_BLOCK = 16384
+# a point is left out when its bound B is at most this share of the lower
+# bound Lambda averaged over the mesh points
+_SKIP_SHARE = 2.0**-60
+# (L/Ai)^2 <= 1.0706^2 < 1.15 for y >= 1
+_ENVELOPE_SQ_MAX = 1.15
+
+
+def _trapezoid_weights(x):
+    """Weights of the trapezoid rule on the nodes x."""
+    half = np.diff(x) / 2.0
+    w = np.zeros(x.size)
+    w[:-1] += half
+    w[1:] += half
+    return w
+
+
+def _mesh_block(field, atom, n_col, theta_row, smooth):
+    """Airy argument y, and the smooth prefactor split around Ai^2 as
+    (pre, post) (both None unless smooth), on the mesh of an N column and a
+    theta row; the per-element operations are those of a full meshgrid."""
     omega, xi = field.omega, field.xi
     m_star = effective_mass(field)
-    nn, tt = np.meshgrid(n_grid, theta_grid, indexing="ij")
-    pi0 = atom.epsilon0 + nn * omega
+    cos_t = np.cos(theta_row)
+    pi0 = atom.epsilon0 + n_col * omega
     pi_abs = np.sqrt(np.maximum(pi0**2 - m_star**2, 0.0))
-    k_pi = omega * (pi0 - pi_abs * np.cos(tt))
+    k_pi = omega * (pi0 - pi_abs * cos_t)
+    g_sq = pi_abs**2 - 2.0 * n_col * omega * pi_abs * cos_t + (n_col * omega) ** 2
+    alpha = xi * pi_abs * np.sin(theta_row) / k_pi
+    y = (n_col / 2.0) ** (2.0 / 3.0) * (1.0 - alpha**2 / n_col**2)
+    if not smooth:
+        return y, None, None
     big_z = xi**2 / (4.0 * k_pi)
-    g_sq = pi_abs**2 - 2.0 * nn * omega * pi_abs * np.cos(tt) + (nn * omega) ** 2
-    alpha = xi * pi_abs * np.sin(tt) / k_pi
-    y = (nn / 2.0) ** (2.0 / 3.0) * (1.0 - alpha**2 / nn**2)
-    return nn, tt, pi_abs, k_pi, big_z, g_sq, y
+    r = g_sq / (2.0 * (n_col - 2.0 * big_z) * k_pi)
+    pre = (2.0 / n_col) ** (2.0 / 3.0) * (n_col - 2.0 * big_z) ** 2 * k_pi**2 * pi_abs / g_sq**4
+    return y, pre, (1.0 + r) ** 2
 
 
-def _airy_integrand(field, atom, n_grid, theta_grid):
-    """Continuous-N integrand of the Airy-form rate on a (N, theta) mesh."""
-    nn, tt, pi_abs, k_pi, big_z, g_sq, y = _mesh_kinematics(field, atom, n_grid, theta_grid)
-    ai2 = airy_ai(y) ** 2
-    r = g_sq / (2.0 * (nn - 2.0 * big_z) * k_pi)
-    return (
-        (2.0 / nn) ** (2.0 / 3.0)
-        * (nn - 2.0 * big_z) ** 2 * k_pi**2 * pi_abs / g_sq**4
-        * ai2 * (1.0 + r) ** 2 * np.sin(tt)
-    ), y
+def _airy_mesh(field, atom, n_grid, theta_grid, w_theta, smooth=True):
+    """Airy-form rate integrand on the (N, theta) mesh, in row blocks.
+
+    smooth=True gives prefactor(N, theta) * Ai^2(y) * sin(theta), the
+    integrand of rate_airy; smooth=False gives Ai^2(y) alone.  The bound B
+    of the skip rule (module docstring) takes trapezoid weights in N and
+    w_theta in theta; a point whose y or B is NaN or infinite always gets
+    its Ai.  Returns (integrand, Lambda).
+    """
+    w_n = _trapezoid_weights(n_grid)
+    w_row = w_theta * np.sin(theta_grid) if smooth else w_theta
+    rows = max(_MESH_BLOCK // theta_grid.size, 1)
+    out = np.empty((n_grid.size, theta_grid.size))
+    blocks = []
+    lam = 0.0
+    for i in range(0, n_grid.size, rows):
+        blk = slice(i, i + rows)
+        y, pre, post = _mesh_block(field, atom, n_grid[blk, None], theta_grid, smooth)
+        # B, NaN off the range 1 <= y < inf of the envelope bound
+        y_env = np.where((y >= 1.0) & (y < math.inf), y, math.nan)
+        root = np.sqrt(y_env)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = np.exp(-4.0 / 3.0 * y_env * root) / (4.0 * math.pi * root)  # L^2
+            b *= w_n[blk, None] * w_row
+            if smooth:
+                b *= pre * post
+        lam += float(np.sum(b, where=np.isfinite(b)))
+        out[blk] = b
+        blocks.append((blk, y, pre, post))
+    lam /= _ENVELOPE_SQ_MAX
+    cut = _SKIP_SHARE * lam / out.size
+    if not 0.0 < cut < math.inf:
+        cut = -1.0  # no bound to go by: every point gets its Ai
+    for blk, y, pre, post in blocks:
+        need = ~(out[blk] <= cut)
+        ai2 = np.zeros(y.shape)
+        ai2[need] = airy_ai(y[need]) ** 2
+        out[blk] = pre * ai2 * post * np.sin(theta_grid) if smooth else ai2
+    return out, lam
 
 
 def rate_airy(
@@ -404,10 +476,10 @@ def rate_airy(
     n0 = threshold_n(field, atom)
     n_hi = saddle.n_m + 6.0 * saddle.delta_n
     n_grid = np.linspace(float(n0), n_hi, n_points)
-    x, w = np.polynomial.legendre.leggauss(theta_points)
+    x, w = _gauss_legendre(theta_points)
     theta_grid = (x + 1.0) * math.pi / 2.0
     w_theta = w * math.pi / 2.0
-    integrand, _ = _airy_integrand(field, atom, n_grid, theta_grid)
+    integrand, _ = _airy_mesh(field, atom, n_grid, theta_grid, w_theta)
     inner = integrand @ w_theta
     w_total = 2.0**5 / atom.a**5 * float(np.trapezoid(inner, n_grid))
     # peak location of the sampled integrand, for diagnostics
@@ -440,7 +512,7 @@ def rate_laplace(field: LaserField, atom: Atom, widths: float = 8.0) -> RateSumm
     saddle = saddle_point(field, atom)
     n0 = threshold_n(field, atom)
     n_m, th_m = saddle.n_m, saddle.theta_m
-    pref_grid, _ = _airy_integrand(field, atom, np.array([n_m]), np.array([th_m]))
+    pref_grid, _ = _airy_mesh(field, atom, np.array([n_m]), np.array([th_m]), np.ones(1))
     y_at = airy_argument(field, atom, n_m, th_m)
     prefactor = float(pref_grid[0, 0]) / airy_ai(y_at) ** 2
 
@@ -449,8 +521,8 @@ def rate_laplace(field: LaserField, atom: Atom, widths: float = 8.0) -> RateSumm
     t_lo = max(0.0, th_m - widths * saddle.delta_theta)
     t_hi = min(math.pi, th_m + widths * saddle.delta_theta)
     theta_grid = np.linspace(t_lo, t_hi, 800)
-    *_, y = _mesh_kinematics(field, atom, n_grid, theta_grid)
-    mass = float(np.trapezoid(np.trapezoid(airy_ai(y) ** 2, theta_grid, axis=1), n_grid))
+    ai2, _ = _airy_mesh(field, atom, n_grid, theta_grid, _trapezoid_weights(theta_grid), smooth=False)
+    mass = float(np.trapezoid(np.trapezoid(ai2, theta_grid, axis=1), n_grid))
     w_total = 2.0**5 / atom.a**5 * prefactor * mass
     return RateSummary(
         w_total=w_total,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -266,19 +267,37 @@ def _configs(draw):
     return raw
 
 
-@settings(max_examples=40, deadline=None)
-@given(raw=_configs(), command=st.sampled_from(["spectrum", "rate"]))
-def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command):
+# `ati sweep` arguments: a swept key and its --values, valid or not
+_SWEEP = st.tuples(
+    st.sampled_from(["xi", "intensity_xi", "photon_energy_ev", "z_a", "binding_energy_ev",
+                     "theta_points", "zeta"]),
+    st.one_of(
+        st.lists(st.one_of(st.floats(0.1, 3.0), st.floats(1e3, 2e4),
+                           st.sampled_from([0.0, -1.0, 1.7, 1e300, math.nan, math.inf])),
+                 min_size=1, max_size=2).map(lambda vs: ",".join(map(repr, vs))),
+        st.text(max_size=4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_configs(), command=st.sampled_from(["spectrum", "rate", "sweep"]), sweep=_SWEEP)
+def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command, sweep):
     from atispec.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
         if raw["output_path"] == "OUT":
             raw["output_path"] = str(Path(tmp) / "out")
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(raw))
+        argv = [command, "-c", str(Path(tmp) / "config.json")]
+        if command == "sweep":
+            # every swept point takes the auto channel window; a cap keeps a
+            # wide one to a quick exit 3
+            raw.setdefault("channel_cap", 64)
+            # "=" keeps a value list that starts with "-" from reading as a flag
+            argv += ["--vary", sweep[0], f"--values={sweep[1]}"]
+        Path(argv[2]).write_text(json.dumps(raw))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = main([command, "-c", str(path)])
+            rc = main(argv)
     assert rc in (0, 2, 3)
     if rc:
         assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -5,7 +5,14 @@ import pytest
 
 from atispec import rates, specfun
 from atispec.constants import E_CHARGE, ELECTRON_MASS_EV, GAMMA_TWO_THIRDS
-from atispec.kinematics import Atom, ChannelExplosionError, LaserField, derive_params, threshold_n
+from atispec.kinematics import (
+    Atom,
+    ChannelExplosionError,
+    LaserField,
+    derive_params,
+    effective_mass,
+    threshold_n,
+)
 from atispec.rates import (
     AsymptoticsError,
     DegenerateSaddleError,
@@ -245,6 +252,87 @@ def test_airy_mesh_rates_match_scipy_airy_oracle(monkeypatch, method, field, ato
     oracle = method(field, atom)
     assert rs.w_total > 0.0
     assert abs(rs.w_total / oracle.w_total - 1.0) <= 1e-12
+
+
+def test_airy_envelope_bounds_ai():
+    # L(x) = exp(-2/3 x^(3/2)) / (2 sqrt(pi) x^(1/4)) lies above Ai on
+    # (0, 103] and within 1.0706 of it from x = 1 on; the skip rule of the
+    # Airy-form meshes uses 1.15 >= 1.0706^2 for (L/Ai)^2
+    x = np.concatenate([np.geomspace(1e-8, 1.0, 2001), np.linspace(1.0, 103.0, 200_001)])
+    env, ai = specfun.airy_ai_asymptotic(x), specfun.airy_ai(x)
+    assert np.all(env >= ai)
+    assert np.max(env[x >= 1.0] / ai[x >= 1.0]) <= 1.0706
+    assert 1.0706**2 <= rates._ENVELOPE_SQ_MAX
+
+
+def _full_airy_mesh(field, atom, n_grid, theta_grid, w_theta, smooth=True):
+    # the Airy-form integrand from a full meshgrid, every point through
+    # airy_ai; returns (integrand, y) in place of (integrand, Lambda)
+    m_star = effective_mass(field)
+    nn, tt = np.meshgrid(n_grid, theta_grid, indexing="ij")
+    pi0 = atom.epsilon0 + nn * field.omega
+    pi_abs = np.sqrt(np.maximum(pi0**2 - m_star**2, 0.0))
+    k_pi = field.omega * (pi0 - pi_abs * np.cos(tt))
+    big_z = field.xi**2 / (4.0 * k_pi)
+    g_sq = pi_abs**2 - 2.0 * nn * field.omega * pi_abs * np.cos(tt) + (nn * field.omega) ** 2
+    alpha = field.xi * pi_abs * np.sin(tt) / k_pi
+    y = (nn / 2.0) ** (2.0 / 3.0) * (1.0 - alpha**2 / nn**2)
+    ai2 = specfun.airy_ai(y) ** 2
+    if not smooth:
+        return ai2, y
+    r = g_sq / (2.0 * (nn - 2.0 * big_z) * k_pi)
+    return (
+        (2.0 / nn) ** (2.0 / 3.0)
+        * (nn - 2.0 * big_z) ** 2 * k_pi**2 * pi_abs / g_sq**4
+        * ai2 * (1.0 + r) ** 2 * np.sin(tt)
+    ), y
+
+
+SKIP_FIELDS = [
+    (DESK_FIELD, DESK_ATOM),
+    (TUNNELING_FIELD, TUNNELING_ATOM),   # almost every point is left out
+    (LaserField.circular(0.00916, 1.0), Atom.from_charge(2)),  # n_m = 109
+]
+
+
+@pytest.mark.parametrize("method", [rate_airy, rate_laplace])
+@pytest.mark.parametrize("field, atom", SKIP_FIELDS)
+def test_airy_mesh_skip_matches_full_mesh(monkeypatch, method, field, atom):
+    def recorded(mesh, calls):
+        def run(*args, **kwargs):
+            calls.append((args, mesh(*args, **kwargs)))
+            return calls[-1][1]
+        return run
+
+    skipping, full_mesh, ai_args = [], [], []
+    monkeypatch.setattr(rates, "_airy_mesh", recorded(rates._airy_mesh, skipping))
+    monkeypatch.setattr(rates, "airy_ai", recorded(specfun.airy_ai, ai_args))
+    rs = method(field, atom)
+    monkeypatch.setattr(rates, "_airy_mesh", recorded(_full_airy_mesh, full_mesh))
+    full = method(field, atom)
+    assert rs.w_total > 0.0
+    assert abs(rs.w_total / full.w_total - 1.0) <= 2.0**-50
+
+    # the last mesh of a run is its rate mesh
+    (args, (skipped, lam)), (_, (integrand, y)) = skipping[-1], full_mesh[-1]
+    _, _, n_grid, _, w_theta = args
+    weighted = integrand * np.outer(rates._trapezoid_weights(n_grid), w_theta)
+    total = np.sum(weighted)
+    # Lambda bounds the weighted sum from below and is at least its part
+    # at y >= 1 over 1.15
+    assert np.sum(weighted[y >= 1.0]) / 1.15 <= lam <= total
+    left_out = (skipped == 0.0) & (integrand > 0.0)
+    assert np.sum(weighted[left_out]) <= 2.0**-60 * total
+    if field is TUNNELING_FIELD:
+        assert sum(np.size(a[0]) for a, _ in ai_args) < 0.1 * integrand.size
+
+
+def test_gauss_legendre_nodes_are_cached_and_read_only():
+    nodes, weights = rates._gauss_legendre(37)
+    want = np.polynomial.legendre.leggauss(37)
+    assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
+    assert rates._gauss_legendre(37)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_rate_airy_requires_large_peak():
