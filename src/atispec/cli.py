@@ -506,7 +506,11 @@ def main(argv=None) -> int:
     p_self.add_argument("--inject-bessel-error", type=float, default=0.0,
                         help="testing hook: perturb the Bessel primitive")
 
-    args = parser.parse_args(argv)
+    # bind each --values list to its flag, so that argparse does not read a
+    # list that starts with "-" (-1,2) as a flag of its own
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args([f"--values={next(tokens, '')}" if tok == "--values" else tok
+                              for tok in tokens])
     try:
         if args.command == "selftest":
             return run_selftest(args.json, args.inject_bessel_error)

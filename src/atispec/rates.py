@@ -10,7 +10,8 @@ regime, large y_m the tunneling regime.
 
 All quadratures use fixed node sets and pairwise numpy reductions, so a
 rate is bit-reproducible for a given grid regardless of how the channel
-map is scheduled.  Gauss-Legendre node sets are built once per size.
+map is scheduled.  Gauss-Legendre and Gauss-Kronrod node sets are built
+once per size.
 
 The Airy-form meshes (rate_airy, rate_laplace) are evaluated in blocks of
 rows, and Ai only where a point can count: for y > 0,
@@ -104,8 +105,11 @@ class SaddleInfo:
 class GridSpec:
     """Quadrature grid for the direct rate.
 
-    theta_points  Gauss-Legendre nodes in cos(theta)
-    phi_points    uniform azimuth panels (linear polarization only)
+    theta_points  n of the cos(theta) rule: the direct rate evaluates the
+                  2n+1 nodes of its Gauss-Kronrod extension, which hold
+                  the n Gauss-Legendre nodes
+    phi_points    uniform azimuth panels (linear polarization only);
+                  panels with the same |cos phi| are evaluated once
     n_cut         channel cutoff; None means n_m + 6 delta_n
     channel_cap   hard cap on the number of summed channels
     workers       accepted for compatibility with older configs; has no
@@ -124,7 +128,8 @@ class RateSummary:
     """Total rate result.
 
     w_total in inverse electron-mass-time units; grid_report carries the
-    summed channel count and a one-refinement error estimate.
+    grid, the summed channel count and, for the direct rate, the
+    quadrature error estimate.
     """
 
     w_total: float
@@ -301,27 +306,89 @@ def _gauss_legendre(n):
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_kronrod(n):
+    """The (2n+1)-node Gauss-Kronrod extension of the n-node Gauss-Legendre
+    rule on [-1, 1]: ascending nodes and Kronrod weights, built once per n
+    and returned read-only.  Exact for polynomials of degree 3n + 1.
+
+    Laurie's algorithm (Math. Comp. 66 (1997) 1133) builds the Jacobi-
+    Kronrod matrix from the Legendre recurrence b_0 = 2, b_k = k^2/(4k^2-1);
+    the weight is even, so the diagonal is zero and the mixed moments s, t
+    only ever produce off-diagonal entries b.  The nodes are the matrix's
+    eigenvalues and the weights 2 (first eigenvector components)^2, both
+    made exactly symmetric; the n Gauss nodes at the odd positions are
+    those of _gauss_legendre(n) bit for bit, so a Gauss sum reuses the
+    integrand values at the Kronrod nodes.
+    """
+    b = np.zeros(2 * n + 1)
+    known = (3 * n + 1) // 2 + 1
+    k = np.arange(1.0, known)
+    b[0] = 2.0
+    b[1:known] = k**2 / (4.0 * k**2 - 1.0)
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+
+    off = np.sqrt(b[1:])
+    values = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    nodes = (values - values[::-1]) / 2.0
+    nodes[1::2] = _gauss_legendre(n)[0]
+    # the eigenvector of node x is (q_0(x), ..., q_2n(x)) by the matrix's
+    # three-term recurrence, so its squared first component normalized is
+    # 1 / sum q_k(x)^2
+    q_prev, q = np.zeros(nodes.size), np.ones(nodes.size)
+    norm = np.ones(nodes.size)
+    for k in range(2 * n):
+        q_prev, q = q, (nodes * q - off[k - 1] * q_prev) / off[k]
+        norm += q**2
+    weights = 2.0 / norm
+    weights = (weights + weights[::-1]) / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering):
-    mu, w_mu = _gauss_legendre(theta_points)
-    channels = list(range(n0, n_cut + 1))
+    """Kronrod sums K and Gauss sums G of every channel of the window, from
+    one evaluation of each channel at the 2n+1 Gauss-Kronrod cos(theta)
+    nodes (the n Gauss nodes among them).  Returns (K, G) arrays."""
+    mu, w_k = _gauss_kronrod(theta_points)
+    w_g = _gauss_legendre(theta_points)[1]
     if field.zeta != 0.0:
         # azimuthal symmetry: analytic 2 pi
-        def one(n):
-            vals, _ = circular_channel_dwdo(field, atom, float(n), mu, rescattering)
-            return 2.0 * math.pi * float(np.dot(w_mu, vals))
+        def profile(n):
+            return 2.0 * math.pi * circular_channel_dwdo(field, atom, float(n), mu, rescattering)[0]
     else:
-        phis = 2.0 * math.pi * np.arange(phi_points) / phi_points
+        # panel j at 2 pi j / P folded into [0, pi/2], where |cos phi| is
+        # cos phi: mirrored panels get bitwise-equal |cos phi|, which
+        # linear_channel_dwdo evaluates once
+        j = np.arange(phi_points)
+        j = np.minimum(j, phi_points - j)
+        phis = math.pi * np.minimum(2 * j, phi_points - 2 * j) / phi_points
         w_phi = 2.0 * math.pi / phi_points
         thetas, phis = np.meshgrid(np.arccos(mu), phis, indexing="ij")
 
-        def one(n):
+        def profile(n):
             # the whole (theta, phi) grid of the channel in one call
             vals = linear_channel_dwdo(field, atom, n, thetas, phis, rescattering)[0]
-            acc = np.array([math.fsum(row) for row in vals.tolist()]) * w_phi
-            return float(np.dot(w_mu, acc))
+            return np.array([math.fsum(row) for row in vals.tolist()]) * w_phi
 
-    per_channel = np.fromiter(map(one, channels), dtype=float, count=len(channels))
-    return float(np.sum(per_channel)), per_channel
+    sums = [(np.dot(w_k, p), np.dot(w_g, p[1::2])) for p in map(profile, range(n0, n_cut + 1))]
+    sums = np.array(sums, dtype=float).reshape(-1, 2)
+    return sums[:, 0], sums[:, 1]
 
 
 def rate_direct(
@@ -332,31 +399,33 @@ def rate_direct(
 ) -> RateSummary:
     """Total rate by exact channel summation and angular quadrature.
 
-    Circular polarization (|zeta| = 1) integrates cos(theta) with
-    Gauss-Legendre and the azimuth analytically; linear polarization adds
-    uniform azimuth panels.  The reported value uses doubled theta nodes
-    and the difference from the coarse pass is the error estimate; an
-    estimate above 1% of the total is carried as a warning, never an
-    exception.
+    Circular polarization (|zeta| = 1) integrates cos(theta) and takes the
+    azimuth analytically; linear polarization adds uniform azimuth panels.
+    Each channel is evaluated once, at the 2n+1 nodes of the Gauss-Kronrod
+    extension of the n = grid.theta_points Gauss-Legendre rule in
+    cos(theta).  w_total is the Kronrod sum K (exact to degree 3n + 1);
+    quad_error_estimate = |K - G|, with G the n-node Gauss sum over the
+    same values (exact to degree 2n - 1), is the error of the n-node rule,
+    which makes it a conservative estimate for K.  An estimate above 1% of
+    the total is carried as a warning, never an exception.
     """
     if 0.0 < abs(field.zeta) < 1.0:
         raise ValueError("rate_direct supports circular or linear polarization")
     grid = grid or GridSpec()
     saddle = _try_saddle(field, atom)
     n0, n_cut = _channel_range(field, atom, saddle, grid.n_cut, grid.channel_cap)
-    coarse, _ = _direct_once(field, atom, n0, n_cut, grid.theta_points,
-                             grid.phi_points, rescattering)
-    fine, per_channel = _direct_once(field, atom, n0, n_cut, 2 * grid.theta_points,
-                                     grid.phi_points, rescattering)
-    estimate = abs(fine - coarse)
+    per_channel, gauss = _direct_once(field, atom, n0, n_cut, grid.theta_points,
+                                      grid.phi_points, rescattering)
+    w_total = float(np.sum(per_channel))
+    estimate = abs(w_total - float(np.sum(gauss)))
     tail = float(np.sum(per_channel[-2:])) if per_channel.size >= 2 else 0.0
     warnings = ()
-    if fine > 0.0 and estimate > 0.01 * fine:
+    if w_total > 0.0 and estimate > 0.01 * w_total:
         warnings = (f"quadrature estimate {estimate:.3e} exceeds 1% of total",)
     if n_cut < n0:
         warnings += (f"channel window ends at {n_cut}, below threshold {n0}; rate is zero",)
     return RateSummary(
-        w_total=fine,
+        w_total=w_total,
         method="direct",
         regime=saddle.regime if saddle else REGIME_INTERMEDIATE,
         saddle=saddle,
@@ -364,7 +433,7 @@ def rate_direct(
             "channels_summed": max(n_cut - n0 + 1, 0),
             "n_lo": n0,
             "n_hi": n_cut,
-            "theta_points": 2 * grid.theta_points,
+            "theta_points": 2 * grid.theta_points + 1,
             "phi_points": grid.phi_points if field.zeta == 0.0 else 1,
             "quad_error_estimate": estimate,
             "tail_channel_sum": tail,

@@ -359,11 +359,14 @@ def linear_channel_dwdo(
     arrays of emission angles (theta, phi), broadcast against each other.
 
     Returns (dwdo, prefactor, kfr, resc) arrays of the broadcast shape;
-    all four are zero below the channel threshold.  The direct and the
-    rescattering series share one J(u) ladder for all points, and the
-    photon-exchange sum is summed exactly per point.  Shared by the
-    one-point wrapper, the spectrum path and the direct rate integrator,
-    so all see identical arithmetic.
+    all four are zero below the channel threshold.  The azimuth enters
+    through |cos phi| alone, so each distinct (theta, |cos phi|) row is
+    evaluated once and scattered back; the series truncations are maxima
+    over rows, which duplicates do not move, so every row is bit-identical
+    to an evaluation without them.  The direct and the rescattering series
+    share one J(u) ladder for all rows, and the photon-exchange sum is
+    summed exactly per row.  Shared by the one-point wrapper, the spectrum
+    path and the direct rate integrator, so all see identical arithmetic.
     """
     if field.zeta != 0.0:
         raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
@@ -373,11 +376,13 @@ def linear_channel_dwdo(
     if n < threshold_n(field, atom):
         z = np.zeros(shape)
         return z, z, z, z
-    th, ph = theta.ravel(), phi.ravel()
+    rows, back = np.unique(np.stack([theta.ravel(), np.abs(np.cos(phi.ravel()))], axis=1),
+                           axis=0, return_inverse=True)
+    th, abs_cos = rows[:, 0], rows[:, 1]
 
     eps0, omega, xi = atom.epsilon0, field.omega, field.xi
     pi_abs, k_pi, big_z, g_sq = _kinematics(field, atom, n, th)
-    ladder = specfun._Ladder(xi * pi_abs * np.sin(th) * np.abs(np.cos(ph)) / k_pi, n)
+    ladder = specfun._Ladder(xi * pi_abs * np.sin(th) * abs_cos / k_pi, n)
     alpha_prime = xi**2 / (4.0 * omega * eps0)
 
     # the rescattering series first: its order range nearly always holds
@@ -393,7 +398,8 @@ def linear_channel_dwdo(
     )
     amp = kfr + resc if rescattering else kfr
     dwdo = prefactor * amp**2
-    return tuple(a.reshape(shape) for a in (dwdo, prefactor, kfr, resc))
+    back = back.ravel()  # the shape of an axis-wise unique's inverse varies across numpy 2.x
+    return tuple(a[back].reshape(shape) for a in (dwdo, prefactor, kfr, resc))
 
 
 def dwdo_linear(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 REPO = Path(__file__).resolve().parents[1]
 DESK_CONFIG = REPO / "demos" / "configs" / "desk_circular.json"
@@ -280,8 +280,11 @@ _SWEEP = st.tuples(
 
 
 @settings(max_examples=60, deadline=None)
-@given(raw=_configs(), command=st.sampled_from(["spectrum", "rate", "sweep"]), sweep=_SWEEP)
-def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command, sweep):
+@given(raw=_configs(), command=st.sampled_from(["spectrum", "rate", "sweep"]), sweep=_SWEEP,
+       joined=st.booleans())
+@example(raw={"photon_energy_ev": 5e3, "intensity_xi": 1.0, "output_path": "OUT"},
+         command="sweep", sweep=("xi", "-1,2"), joined=False)
+def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command, sweep, joined):
     from atispec.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -292,8 +295,10 @@ def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command, sweep):
             # every swept point takes the auto channel window; a cap keeps a
             # wide one to a quick exit 3
             raw.setdefault("channel_cap", 64)
-            # "=" keeps a value list that starts with "-" from reading as a flag
-            argv += ["--vary", sweep[0], f"--values={sweep[1]}"]
+            # the list joined to its flag by "=", or as an argv entry of its
+            # own, which may start with "-" (-1,2)
+            values = [f"--values={sweep[1]}"] if joined else ["--values", sweep[1]]
+            argv += ["--vary", sweep[0], *values]
         Path(argv[2]).write_text(json.dumps(raw))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -25,6 +25,7 @@ from atispec.rates import (
     rate_laplace,
     saddle_point,
 )
+from atispec.spectra import circular_channel_dwdo, linear_channel_dwdo
 
 DESK_FIELD = LaserField.circular(0.01, 1.0)
 DESK_ATOM = Atom.from_charge(1)
@@ -199,6 +200,63 @@ def test_rate_direct_linear_trips_on_bessel_fault():
     assert abs(faulty - clean) > 1e-9 * clean
 
 
+def _gauss_legendre_pair_rate(field, rs, theta_points, phi_points):
+    """The direct rate as the two-pass rule computed it: the 2n-node
+    Gauss-Legendre rule in cos(theta), panels at 2 pi j / P in phi."""
+    mu, w = np.polynomial.legendre.leggauss(2 * theta_points)
+    phis = 2.0 * math.pi * np.arange(phi_points) / phi_points
+    thetas, phis = np.meshgrid(np.arccos(mu), phis, indexing="ij")
+    total = []
+    for n in range(rs.grid_report["n_lo"], rs.grid_report["n_hi"] + 1):
+        if field.zeta != 0.0:
+            vals, _ = circular_channel_dwdo(field, DESK_ATOM, float(n), mu)
+            total.append(2.0 * math.pi * float(np.dot(w, vals)))
+        else:
+            vals = linear_channel_dwdo(field, DESK_ATOM, n, thetas, phis)[0]
+            acc = np.array([math.fsum(row) for row in vals.tolist()]) * (2.0 * math.pi / phi_points)
+            total.append(float(np.dot(w, acc)))
+    return float(np.sum(total))
+
+
+LINEAR_FIELD = LaserField.linear(0.02, 0.6)
+# the under-resolved rate_linear benchmark config (the two-pass estimate
+# was 78% of its rate)
+COARSE_LINEAR_FIELD = LaserField.linear(25006.2432 / ELECTRON_MASS_EV, 0.44247)
+
+
+@pytest.mark.parametrize("field, grid, coarse", [
+    (DESK_FIELD, GridSpec(theta_points=48), False),
+    (LINEAR_FIELD,
+     GridSpec(theta_points=12, phi_points=8, n_cut=threshold_n(LINEAR_FIELD, DESK_ATOM) + 12),
+     False),
+    (COARSE_LINEAR_FIELD, GridSpec(theta_points=28, phi_points=2, n_cut=7), True),
+], ids=["desk-circular", "linear", "coarse-linear"])
+def test_rate_direct_agrees_with_gauss_legendre_pair(field, grid, coarse):
+    rs = rate_direct(field, DESK_ATOM, grid)
+    old = _gauss_legendre_pair_rate(field, rs, grid.theta_points, grid.phi_points)
+    estimate = rs.grid_report["quad_error_estimate"]
+    assert rs.grid_report["theta_points"] == 2 * grid.theta_points + 1
+    assert abs(rs.w_total - old) <= estimate
+    assert (estimate > 0.5 * rs.w_total) == coarse
+    assert any("exceeds 1% of total" in w for w in rs.warnings) == coarse
+
+
+@pytest.mark.parametrize("phi_points, distinct", [(16, 5), (3, 2), (2, 1)])
+def test_rate_direct_linear_evaluates_each_abs_cos_phi_once(phi_points, distinct, monkeypatch):
+    # |cos(2 pi j / 16)| takes 5 values (phi = 0, pi/8, pi/4, 3 pi/8, pi/2)
+    grid = GridSpec(theta_points=8, phi_points=phi_points, n_cut=threshold_n(LINEAR_FIELD, DESK_ATOM))
+    ladder_rows = []
+
+    class CountingLadder(specfun._Ladder):
+        def __init__(self, u, parity):
+            ladder_rows.append(u.size)
+            super().__init__(u, parity)
+
+    monkeypatch.setattr(specfun, "_Ladder", CountingLadder)
+    rate_direct(LINEAR_FIELD, DESK_ATOM, grid)
+    assert ladder_rows == [(2 * grid.theta_points + 1) * distinct]
+
+
 def test_rate_direct_channel_cap():
     with pytest.raises(ChannelExplosionError):
         rate_direct(DESK_FIELD, DESK_ATOM, GridSpec(theta_points=16, channel_cap=10))
@@ -333,6 +391,24 @@ def test_gauss_legendre_nodes_are_cached_and_read_only():
     assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
     assert rates._gauss_legendre(37)[0] is nodes
     assert not nodes.flags.writeable and not weights.flags.writeable
+    nodes, weights = rates._gauss_kronrod(37)
+    assert rates._gauss_kronrod(37)[0] is nodes and rates._gauss_kronrod(37)[1] is weights
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 7, 28, 64, 200])
+def test_gauss_kronrod_extends_gauss_legendre(n):
+    nodes, weights = rates._gauss_kronrod(n)
+    assert nodes.shape == weights.shape == (2 * n + 1,)
+    # exact for x^d, d <= 3n + 1
+    for d in range(3 * n + 2):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(float(np.dot(weights, nodes**d)) - exact) <= 1e-14, d
+    # the Gauss nodes, bit for bit, at the odd positions
+    assert np.array_equal(nodes[1::2], rates._gauss_legendre(n)[0])
+    assert np.all(np.diff(nodes) > 0.0)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert np.all(weights > 0.0)
 
 
 def test_rate_airy_requires_large_peak():

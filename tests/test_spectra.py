@@ -219,6 +219,46 @@ def test_linear_channel_kernel_matches_one_point_wrapper(rescattering):
                 assert abs(arr[i, j] - w) <= 1e-12 * np.max(np.abs(arr))
 
 
+def _mirrored_azimuths(count):
+    """Groups (phi, -phi, pi - phi, pi + phi) whose |cos| agree bit for bit
+    (the images of most phi differ in the last bit), phi = 0 first."""
+    groups = [[0.0, -0.0, math.pi, -math.pi]]
+    for phi in np.linspace(0.3, 1.4, 200).tolist():
+        group = [phi, -phi, math.pi - phi, math.pi + phi]
+        if len(set(np.abs(np.cos(group)).tolist())) == 1:
+            groups.append(group)
+    assert len(groups) > count
+    return groups[:count + 1]
+
+
+@pytest.mark.parametrize("rescattering", [True, False])
+def test_linear_channel_kernel_evaluates_each_abs_cos_phi_once(rescattering, monkeypatch):
+    field = LaserField.linear(0.01, 1.0)
+    groups = _mirrored_azimuths(3)
+    thetas = np.array([0.4, 1.1, 2.0])
+    theta, phi = np.meshgrid(thetas, np.ravel(groups), indexing="ij")
+    alone_theta, alone_phi = np.meshgrid(thetas, [g[0] for g in groups], indexing="ij")
+    ladder_rows = []
+
+    class CountingLadder(specfun._Ladder):
+        def __init__(self, u, parity):
+            ladder_rows.append(u.size)
+            super().__init__(u, parity)
+
+    monkeypatch.setattr(specfun, "_Ladder", CountingLadder)
+    # an odd channel: there the amplitudes flip sign with cos phi
+    for n in (60, 61):
+        ladder_rows.clear()
+        got = linear_channel_dwdo(field, DESK_ATOM, n, theta, phi, rescattering)
+        assert ladder_rows == [alone_theta.size]
+        alone = linear_channel_dwdo(field, DESK_ATOM, n, alone_theta, alone_phi, rescattering)
+        for arr, want in zip(got, alone):
+            assert arr.shape == theta.shape
+            # every member of a mirrored group equals the distinct row, bit for bit
+            assert np.array_equal(arr.reshape(thetas.size, len(groups), 4),
+                                  np.repeat(want[:, :, None], 4, axis=2))
+
+
 def test_linear_channel_kernel_below_threshold_is_zero():
     field = LaserField.linear(0.01, 1.0)
     n0 = threshold_n(field, DESK_ATOM)
