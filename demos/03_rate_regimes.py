@@ -4,6 +4,7 @@ The ratio of the atomic field F_at = Z^3 m^2 e^5 to the laser field
 F0 = omega m xi / e sets the regime parameter y_m = (F_at/2F0)^(2/3):
 small y_m means the multiphoton strong-field regime with a power-law
 closed form, large y_m the exponentially suppressed tunneling regime.
+The last block sums the direct rate of one field at zeta = 0, 0.5 and 1.
 Run: python3 demos/03_rate_regimes.py
 """
 
@@ -12,6 +13,7 @@ from atispec import (
     GridSpec,
     LaserField,
     derive_params,
+    threshold_n,
     rate_airy,
     rate_closed,
     rate_direct,
@@ -50,3 +52,12 @@ print("\nintensity scaling of the strong-field closed form (W ~ F0^(-11/3)):")
 w1 = rate_closed(LaserField.circular(0.01, 1.0), atom).w_total
 w2 = rate_closed(LaserField.circular(0.01, 2.0), atom).w_total
 print(f"  W(2 F0) / W(F0) = {w2 / w1:.6f}   2^(-11/3) = {2 ** (-11 / 3):.6f}")
+
+print("\npolarization dependence of the direct rate (omega = 0.02 m, xi = 0.6, small grid):")
+grid = GridSpec(theta_points=12, phi_points=8,
+                n_cut=threshold_n(LaserField.linear(0.02, 0.6), atom) + 12)
+for zeta in (0.0, 0.5, 1.0):
+    rs = rate_direct(LaserField(0.02, 0.6, zeta), atom, grid)
+    print(f"  zeta = {zeta:.1f}: W = {rs.w_total:.4e}  "
+          f"(channels {rs.grid_report['n_lo']}-{rs.grid_report['n_hi']}, "
+          f"{rs.grid_report['phi_points']} azimuth panels)")

@@ -357,13 +357,10 @@ def _rate_entry(rs: RateSummary) -> dict:
 
 def collect_rates(cfg: RunConfig) -> dict:
     field, atom = cfg.field(), cfg.atom()
-    if 0.0 < abs(field.zeta) < 1.0:
-        raise ConfigError("rates support circular or linear polarization only")
     grid = GridSpec(theta_points=max(cfg.theta_points, 8),
                     phi_points=cfg.phi_points,
                     n_cut=None if cfg.n_range == "auto" else int(cfg.n_range[1]),
-                    channel_cap=cfg.channel_cap,
-                    workers=cfg.workers)
+                    channel_cap=cfg.channel_cap)
     resc = cfg.mode == "on"
     methods: dict = {}
     direct = rate_direct(field, atom, grid, rescattering=resc)

@@ -42,7 +42,7 @@ from .kinematics import (
     threshold_n,
 )
 from .specfun import airy_ai
-from .spectra import circular_channel_dwdo, linear_channel_dwdo
+from .spectra import circular_channel_dwdo, general_channel_dwdo
 
 __all__ = [
     "DegenerateSaddleError",
@@ -108,19 +108,17 @@ class GridSpec:
     theta_points  n of the cos(theta) rule: the direct rate evaluates the
                   2n+1 nodes of its Gauss-Kronrod extension, which hold
                   the n Gauss-Legendre nodes
-    phi_points    uniform azimuth panels (linear polarization only);
-                  panels with the same |cos phi| are evaluated once
+    phi_points    uniform azimuth panels (non-circular polarization);
+                  panels that fold onto the same azimuth in [0, pi/2]
+                  are evaluated once
     n_cut         channel cutoff; None means n_m + 6 delta_n
     channel_cap   hard cap on the number of summed channels
-    workers       accepted for compatibility with older configs; has no
-                  effect (channels are evaluated in order on one thread)
     """
 
     theta_points: int = 200
     phi_points: int = 16
     n_cut: int | None = None
     channel_cap: int = DEFAULT_RATE_CHANNEL_CAP
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -367,14 +365,16 @@ def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering)
     nodes (the n Gauss nodes among them).  Returns (K, G) arrays."""
     mu, w_k = _gauss_kronrod(theta_points)
     w_g = _gauss_legendre(theta_points)[1]
-    if field.zeta != 0.0:
+    if abs(field.zeta) == 1.0:
         # azimuthal symmetry: analytic 2 pi
         def profile(n):
             return 2.0 * math.pi * circular_channel_dwdo(field, atom, float(n), mu, rescattering)[0]
     else:
-        # panel j at 2 pi j / P folded into [0, pi/2], where |cos phi| is
-        # cos phi: mirrored panels get bitwise-equal |cos phi|, which
-        # linear_channel_dwdo evaluates once
+        # |amp|^2 is even under phi -> -phi (amp -> conj amp) and under
+        # phi -> pi - phi (amp -> (-1)^N conj amp), for every zeta, so panel
+        # j at 2 pi j / P is folded into [0, pi/2]; the fold is integer
+        # arithmetic before the angle, so mirrored panels get bitwise-equal
+        # azimuths, which general_channel_dwdo evaluates once
         j = np.arange(phi_points)
         j = np.minimum(j, phi_points - j)
         phis = math.pi * np.minimum(2 * j, phi_points - 2 * j) / phi_points
@@ -383,7 +383,7 @@ def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering)
 
         def profile(n):
             # the whole (theta, phi) grid of the channel in one call
-            vals = linear_channel_dwdo(field, atom, n, thetas, phis, rescattering)[0]
+            vals = general_channel_dwdo(field, atom, n, thetas, phis, rescattering)[0]
             return np.array([math.fsum(row) for row in vals.tolist()]) * w_phi
 
     sums = [(np.dot(w_k, p), np.dot(w_g, p[1::2])) for p in map(profile, range(n0, n_cut + 1))]
@@ -399,8 +399,9 @@ def rate_direct(
 ) -> RateSummary:
     """Total rate by exact channel summation and angular quadrature.
 
-    Circular polarization (|zeta| = 1) integrates cos(theta) and takes the
-    azimuth analytically; linear polarization adds uniform azimuth panels.
+    Circular polarization (|zeta| = 1) integrates the tag-44 closed form in
+    cos(theta) and takes the azimuth analytically; every other zeta
+    integrates general_channel_dwdo over uniform azimuth panels as well.
     Each channel is evaluated once, at the 2n+1 nodes of the Gauss-Kronrod
     extension of the n = grid.theta_points Gauss-Legendre rule in
     cos(theta).  w_total is the Kronrod sum K (exact to degree 3n + 1);
@@ -409,8 +410,6 @@ def rate_direct(
     which makes it a conservative estimate for K.  An estimate above 1% of
     the total is carried as a warning, never an exception.
     """
-    if 0.0 < abs(field.zeta) < 1.0:
-        raise ValueError("rate_direct supports circular or linear polarization")
     grid = grid or GridSpec()
     saddle = _try_saddle(field, atom)
     n0, n_cut = _channel_range(field, atom, saddle, grid.n_cut, grid.channel_cap)
@@ -434,7 +433,7 @@ def rate_direct(
             "n_lo": n0,
             "n_hi": n_cut,
             "theta_points": 2 * grid.theta_points + 1,
-            "phi_points": grid.phi_points if field.zeta == 0.0 else 1,
+            "phi_points": 1 if abs(field.zeta) == 1.0 else grid.phi_points,
             "quad_error_estimate": estimate,
             "tail_channel_sum": tail,
         },

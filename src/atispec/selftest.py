@@ -2,13 +2,15 @@
 
 Runs the special-function identity checks (series vs quadrature oracle,
 recurrence, Fourier reconstruction, addition theorem, reductions at
-u = 0 / v = 0), the Airy checks, the kinematic identities and the
-polarization reductions of the spectra, each against a fixed tolerance.
-Every check produces one record; the suite passes only if all do.
+u = 0 / v = 0), the Airy checks, the kinematic identities, the
+polarization reductions of the spectra and the linear spectrum against a
+scalar quadrature reference, each against a fixed tolerance.  Every check
+produces one record; the suite passes only if all do.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -18,7 +20,7 @@ from .constants import E_CHARGE
 from .kinematics import Atom, LaserField, channel_kinematics, derive_params, threshold_n
 from .spectra import dwdo_circular, dwdo_general, dwdo_linear
 
-__all__ = ["run_checks", "Check"]
+__all__ = ["run_checks", "Check", "dwdo_quadrature_oracle"]
 
 
 class Check(dict):
@@ -211,6 +213,50 @@ def _check_polarization_reduction():
     ]
 
 
+def dwdo_quadrature_oracle(field, atom, n, theta, phi, rescattering=True):
+    """Scalar reference for the relativistic dW/dOmega (tags 42 and 55) that
+    shares no code with the spectra kernels: kinematics from
+    channel_kinematics, every J_s(u, v, delta) and J_n'(w) from
+    gen_bessel_quadrature, and the photon-exchange series over a fixed
+    |n'| <= ceil|w| + 60 summed with math.fsum.  The quadrature values have
+    absolute accuracy, so a tiny dwdo is good only to the roundoff of the
+    largest terms."""
+    ck = channel_kinematics(field, atom, n, theta, phi)
+    omega, eps0, zf = field.omega, atom.epsilon0, 1.0 - field.zeta**2
+    u, delta = ck.alpha_amp, ck.phase_angle
+    alpha_p = field.xi**2 / (4.0 * omega * eps0)
+    w, v2 = -alpha_p * zf / 2.0, (ck.big_z - alpha_p) * zf / 2.0
+    k = math.ceil(abs(w)) + 60
+    c = {s: specfun.gen_bessel_quadrature(s, u, v2, delta)
+         for s in range(n - 2 * k - 2, n + 2 * k + 3, 2)}
+    e2 = cmath.exp(2j * delta)
+    terms = []
+    for m in range(-k, k + 1):
+        s = n - 2 * m
+        pair = (c[s - 2] / e2 + c[s + 2] * e2).conjugate()
+        bracket = (eps0 + 2.0 * m * omega) * c[s].conjugate() + omega * alpha_p * zf / 2.0 * pair
+        terms.append(cmath.exp(-1j * (2 * m - n) * delta) * specfun.gen_bessel_quadrature(m, w, 0.0, 0.0)
+                     * bracket)
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    d_coef = n - ck.big_z * (1.0 + field.zeta**2)
+    kfr = cmath.exp(1j * n * delta) * specfun.gen_bessel_quadrature(n, u, -ck.big_z * zf / 2.0, delta)
+    amp = kfr + ck.g_sq / (2.0 * d_coef * ck.k_dot_pi) * total if rescattering else kfr
+    return 2.0**4 / (math.pi * atom.a**5) * d_coef**2 * ck.k_dot_pi**2 * ck.pi_abs / ck.g_sq**4 * abs(amp)**2
+
+
+def _check_linear_oracle():
+    """dwdo_linear against dwdo_quadrature_oracle at odd and even N, phi in
+    all four quadrants, rescattering on and off: 1e-9 relative with a floor
+    of 1e-9 of the largest value (the benchmark gate's form)."""
+    atom, field = Atom.from_charge(1), LaserField.linear(0.01, 1.0)
+    cases = [(n, th, ph, resc) for n in (45, 60) for resc in (True, False)
+             for th, ph in [(0.7, 0.3), (1.2, 2.0), (2.1, 3.6), (0.9, 5.5)]]
+    got = np.array([dwdo_linear(field, atom, *case).dwdo for case in cases])
+    want = np.array([dwdo_quadrature_oracle(field, atom, *case) for case in cases])
+    worst = np.max(np.abs(got - want) / (1e-9 * (np.abs(want) + np.max(np.abs(want)))))
+    return Check.make("linear_vs_quadrature_oracle", worst, 1.0)
+
+
 def run_checks(bessel_fault: float = 0.0) -> list[Check]:
     """Run every check; optional bessel_fault perturbs the ordinary-Bessel
     primitive to prove the suite trips on a corrupted build."""
@@ -228,6 +274,7 @@ def run_checks(bessel_fault: float = 0.0) -> list[Check]:
             _check_threshold(),
             _check_peak_identity(),
             *_check_polarization_reduction(),
+            _check_linear_oracle(),
         ]
     finally:
         specfun.set_bessel_fault(0.0)

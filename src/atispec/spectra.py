@@ -6,9 +6,13 @@ also appears in the CSV output:
   42  relativistic, arbitrary polarization, complex generalized-Bessel
       amplitudes (direct + rescattering interfere at amplitude level)
   44  relativistic, circular polarization (ordinary Bessel, real bracket)
-  55  relativistic, linear polarization (real generalized Bessel)
+  55  relativistic, linear polarization: tag 42 at zeta = 0, where the
+      generalized Bessel functions are real
   56  nonrelativistic, circular polarization
   59  nonrelativistic, linear polarization
+
+One relativistic kernel, general_channel_dwdo, serves every zeta (tags 42
+and 55); the circular closed form (tag 44) is its fast path at |zeta| = 1.
 
 Angle conventions: the relativistic formulas measure theta from the wave
 vector and phi from the major polarization axis e1.  The nonrelativistic
@@ -26,7 +30,7 @@ states it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +50,6 @@ __all__ = [
     "dwdo_linear",
     "dwdo_nonrel",
     "circular_channel_dwdo",
-    "linear_channel_dwdo",
     "general_channel_dwdo",
     "nonrel_channel_dwdo",
     "channel_spectrum",
@@ -198,15 +201,20 @@ def general_channel_dwdo(
     rescattering: bool = True,
     control: SeriesControl | None = None,
 ):
-    """Vectorized relativistic dW/dOmega for arbitrary polarization (tag 42)
-    of channel n over arrays of emission angles (theta, phi), broadcast
+    """Vectorized relativistic dW/dOmega for every zeta (tags 42 and 55) of
+    channel n over arrays of emission angles (theta, phi), broadcast
     against each other.
 
     Returns (dwdo, prefactor, kfr, resc) arrays of the broadcast shape, kfr
-    and resc complex; all four are zero below the channel threshold.  A
-    generalized-Bessel series takes one phase angle for all its rows, so the
-    rows are grouped by their phase angle; within a group the rescattering
-    series comes first and the direct amplitude reuses its J(u) ladder.
+    and resc complex (real at zeta = 0); all four are zero below the channel
+    threshold.  The series is pi-periodic in the phase angle delta and
+    delta -> delta - pi multiplies kfr and resc by the same (-1)^N, so
+    delta = pi is folded to 0: at zeta = 0 every row runs at delta = 0 with
+    the coupling |cos phi|.  Each distinct (theta, u, delta) row is
+    evaluated once and scattered back (the truncations are maxima over
+    rows, which duplicates do not move).  The rows are grouped by delta,
+    which one series shares; within a group the rescattering series comes
+    first and the direct amplitude reuses its J(u) ladder.
     """
     ctl = control or specfun.DEFAULT_CONTROL
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
@@ -226,13 +234,17 @@ def general_channel_dwdo(
     # product form keeps channel_kinematics' value where |Pi| sin th = 0
     a = pi_abs * st
     dlt = np.where(a > 0.0, np.arctan2(zeta * sph, cph), np.arctan2(zeta * a * sph, a * cph))
-    dlt[dlt == -math.pi] = math.pi  # the series reduces delta to (-pi, pi]
+    dlt[np.abs(dlt) == math.pi] = 0.0
+    _, first, back = np.unique(np.stack([th, u, dlt], axis=1), axis=0,
+                               return_index=True, return_inverse=True)
+    k_pi, big_z, g_sq, u, dlt = (x[first] for x in (k_pi, big_z, g_sq, u, dlt))
 
     alpha_prime = field.xi**2 / (4.0 * omega * eps0)
     v_kfr = -big_z * zf / 2.0
     v2 = (big_z - alpha_prime) * zf / 2.0
-    kfr = np.empty(th.size, dtype=complex)
-    total = np.empty(th.size, dtype=complex)
+    # every delta is 0 at zeta = 0: real amplitudes keep Re(resc/kfr) a real division
+    kfr = np.empty(first.size, dtype=float if zeta == 0.0 else complex)
+    total = np.empty(first.size, dtype=kfr.dtype)
     deltas, group = np.unique(dlt, return_inverse=True)
     for g, delta in enumerate(deltas.tolist()):
         rows = np.flatnonzero(group == g)
@@ -250,7 +262,8 @@ def general_channel_dwdo(
     )
     amp = kfr + resc if rescattering else kfr
     dwdo = prefactor * np.abs(amp) ** 2
-    return tuple(a.reshape(shape) for a in (dwdo, prefactor, kfr, resc))
+    back = back.ravel()  # the shape of an axis-wise unique's inverse varies across numpy 2.x
+    return tuple(a[back].reshape(shape) for a in (dwdo, prefactor, kfr, resc))
 
 
 def dwdo_general(
@@ -346,62 +359,6 @@ def dwdo_circular(
     return _point(rows, n, theta, 0.0, TAG_CIRCULAR)
 
 
-def linear_channel_dwdo(
-    field: LaserField,
-    atom: Atom,
-    n: int,
-    theta,
-    phi,
-    rescattering: bool = True,
-    control: SeriesControl | None = None,
-):
-    """Vectorized linear-polarization dW/dOmega (tag 55) of channel n over
-    arrays of emission angles (theta, phi), broadcast against each other.
-
-    Returns (dwdo, prefactor, kfr, resc) arrays of the broadcast shape;
-    all four are zero below the channel threshold.  The azimuth enters
-    through |cos phi| alone, so each distinct (theta, |cos phi|) row is
-    evaluated once and scattered back; the series truncations are maxima
-    over rows, which duplicates do not move, so every row is bit-identical
-    to an evaluation without them.  The direct and the rescattering series
-    share one J(u) ladder for all rows, and the photon-exchange sum is
-    summed exactly per row.  Shared by the one-point wrapper, the spectrum
-    path and the direct rate integrator, so all see identical arithmetic.
-    """
-    if field.zeta != 0.0:
-        raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
-    ctl = control or specfun.DEFAULT_CONTROL
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    shape = theta.shape
-    if n < threshold_n(field, atom):
-        z = np.zeros(shape)
-        return z, z, z, z
-    rows, back = np.unique(np.stack([theta.ravel(), np.abs(np.cos(phi.ravel()))], axis=1),
-                           axis=0, return_inverse=True)
-    th, abs_cos = rows[:, 0], rows[:, 1]
-
-    eps0, omega, xi = atom.epsilon0, field.omega, field.xi
-    pi_abs, k_pi, big_z, g_sq = _kinematics(field, atom, n, th)
-    ladder = specfun._Ladder(xi * pi_abs * np.sin(th) * abs_cos / k_pi, n)
-    alpha_prime = xi**2 / (4.0 * omega * eps0)
-
-    # the rescattering series first: its order range nearly always holds
-    # the direct one, so the direct amplitude reuses the same ladder
-    total = _exchange_sum(ladder, n, -alpha_prime / 2.0, (big_z - alpha_prime) / 2.0, 0.0,
-                          1.0, eps0, omega, alpha_prime, ctl)
-    kfr = specfun._series_rows(ladder, n, n, -big_z / 2.0, 0.0, ctl)[:, 0]
-
-    resc = g_sq / (2.0 * (n - big_z) * k_pi) * total
-    prefactor = (
-        2.0**4 / (math.pi * atom.a**5)
-        * (n - big_z) ** 2 * k_pi**2 * pi_abs / g_sq**4
-    )
-    amp = kfr + resc if rescattering else kfr
-    dwdo = prefactor * amp**2
-    back = back.ravel()  # the shape of an axis-wise unique's inverse varies across numpy 2.x
-    return tuple(a[back].reshape(shape) for a in (dwdo, prefactor, kfr, resc))
-
-
 def dwdo_linear(
     field: LaserField,
     atom: Atom,
@@ -413,16 +370,15 @@ def dwdo_linear(
 ) -> SpectrumPoint:
     """Relativistic linear-polarization dW/dOmega (tag 55).
 
-    Built on the real generalized Bessel J_n(u, v); the azimuth enters
-    through |cos phi| in the coupling amplitude, which makes the spectrum
-    even under phi -> -phi and phi -> pi - phi.  One-point wrapper of
-    linear_channel_dwdo.
+    Tag 42 at zeta = 0: the generalized Bessel functions are real and the
+    azimuth enters through |cos phi| in the coupling amplitude, which makes
+    the spectrum even under phi -> -phi and phi -> pi - phi.  One-point
+    wrapper of general_channel_dwdo.
     """
-    n = int(n)
-    rows = linear_channel_dwdo(field, atom, n, theta, phi, rescattering, control)
-    if n < threshold_n(field, atom):
-        return _zero_point(n, theta, phi, TAG_LINEAR)
-    return _point(rows, n, theta, phi, TAG_LINEAR)
+    if field.zeta != 0.0:
+        raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
+    point = dwdo_general(field, atom, n, theta, phi, rescattering, control)
+    return replace(point, formula_tag=TAG_LINEAR)
 
 
 def _nonrel_channel(field, atom, n, polarization):
@@ -539,8 +495,7 @@ def channel_spectrum(
         raise ValueError("nonrelativistic formulas support circular or linear polarization only")
     if formula == "relativistic" and not circular:
         tag = TAG_LINEAR if linear else TAG_GENERAL
-        kernel = linear_channel_dwdo if linear else general_channel_dwdo
-        rows = kernel(field, atom, n, theta, phi, rescattering, control)
+        rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering, control)
     else:
         thetas, back = np.unique(theta, return_inverse=True)
         if formula == "relativistic":

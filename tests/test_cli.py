@@ -209,23 +209,31 @@ def test_out_of_range_magnitude_exit_2_one_line(tmp_path, capsys, command, key, 
     assert not (tmp_path / "out").exists()
 
 
-def test_elliptic_rate_exit_2_one_line(tmp_path, capsys):
+def test_elliptic_rate_and_sweep_exit_0(tmp_path, capsys):
     from atispec.cli import main
 
-    cfg = write_config(tmp_path, polarization="elliptic", zeta=0.5)
-    assert main(["rate", "-c", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
-    assert "polarization" in err
-    assert not (tmp_path / "out").exists()
+    cfg = write_config(tmp_path, polarization="elliptic", zeta=0.5, phi_points=4, n_range=[30, 40])
+    assert main(["rate", "-c", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    direct = json.loads((tmp_path / "out" / "rate.json").read_text())["methods"]["direct"]
+    assert direct["w_total"] > 0.0 and direct["grid_report"]["phi_points"] == 4
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(cfg), "-o", str(out), "--vary", "xi", "--values", "0.3,0.5"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(float(r.split(",")[6]) > 0.0 for r in rows)
 
 
-# a valid config over a small grid (at most 12 x 4 angles and 5 channels)
+# a valid config over a small grid (at most 12 x 4 angles and 5 channels);
+# an elliptic field comes with its zeta
+_POLARIZATION = st.one_of(
+    st.fixed_dictionaries({}, optional={"polarization": st.sampled_from(["circular", "linear"])}),
+    st.fixed_dictionaries({"polarization": st.just("elliptic"), "zeta": st.floats(-1.0, 1.0)}),
+)
 _GOOD = st.fixed_dictionaries(
     {"photon_energy_ev": st.floats(1e3, 2e4), "intensity_xi": st.floats(0.0, 2.0),
      "output_path": st.just("OUT")},
     optional={
-        "polarization": st.sampled_from(["circular", "linear"]),
         "z_a": st.integers(1, 3),
         "binding_energy_ev": st.floats(5.0, 5e3),
         "theta_points": st.integers(8, 12),
@@ -235,7 +243,8 @@ _GOOD = st.fixed_dictionaries(
         "formula": st.sampled_from(["relativistic", "nonrelativistic", "both"]),
         "workers": st.integers(1, 2),
     },
-).map(lambda raw: {"n_range": [40, 42], **raw})
+)
+_GOOD = st.tuples(_GOOD, _POLARIZATION).map(lambda p: {"n_range": [40, 42], **p[0], **p[1]})
 
 # any JSON value where a config expects a number, a string or a range
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
@@ -408,6 +417,9 @@ def test_selftest_fault_injection_fails():
     cp = run_cli("selftest", "--inject-bessel-error", "1e-6")
     assert cp.returncode == 1
     assert "FAIL" in cp.stdout
+    # the tag-55 kernel against its scalar quadrature reference trips too
+    assert any(line.startswith("linear_vs_quadrature_oracle") and line.endswith("FAIL")
+               for line in cp.stdout.splitlines())
 
 
 def test_unit_round_trip():

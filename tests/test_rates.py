@@ -25,7 +25,7 @@ from atispec.rates import (
     rate_laplace,
     saddle_point,
 )
-from atispec.spectra import circular_channel_dwdo, linear_channel_dwdo
+from atispec.spectra import circular_channel_dwdo, general_channel_dwdo
 
 DESK_FIELD = LaserField.circular(0.01, 1.0)
 DESK_ATOM = Atom.from_charge(1)
@@ -174,17 +174,17 @@ def test_rate_direct_rescattering_enhancement_bounded():
     assert 1.0 < on / off < 9.0
 
 
-def test_rate_direct_workers_bit_identical():
-    a = rate_direct(DESK_FIELD, DESK_ATOM, GridSpec(theta_points=32, workers=1))
-    b = rate_direct(DESK_FIELD, DESK_ATOM, GridSpec(theta_points=32, workers=4))
+def test_rate_direct_rerun_bit_identical():
+    a = rate_direct(DESK_FIELD, DESK_ATOM, GridSpec(theta_points=32))
+    b = rate_direct(DESK_FIELD, DESK_ATOM, GridSpec(theta_points=32))
     assert a.w_total == b.w_total
 
 
-def test_rate_direct_linear_workers_bit_identical():
+def test_rate_direct_linear_rerun_bit_identical():
     field = LaserField.linear(0.02, 0.6)
     n_cut = threshold_n(field, DESK_ATOM) + 4
-    a = rate_direct(field, DESK_ATOM, GridSpec(theta_points=8, phi_points=2, n_cut=n_cut, workers=1))
-    b = rate_direct(field, DESK_ATOM, GridSpec(theta_points=8, phi_points=2, n_cut=n_cut, workers=2))
+    a = rate_direct(field, DESK_ATOM, GridSpec(theta_points=8, phi_points=2, n_cut=n_cut))
+    b = rate_direct(field, DESK_ATOM, GridSpec(theta_points=8, phi_points=2, n_cut=n_cut))
     assert a.w_total == b.w_total
 
 
@@ -212,7 +212,7 @@ def _gauss_legendre_pair_rate(field, rs, theta_points, phi_points):
             vals, _ = circular_channel_dwdo(field, DESK_ATOM, float(n), mu)
             total.append(2.0 * math.pi * float(np.dot(w, vals)))
         else:
-            vals = linear_channel_dwdo(field, DESK_ATOM, n, thetas, phis)[0]
+            vals = general_channel_dwdo(field, DESK_ATOM, n, thetas, phis)[0]
             acc = np.array([math.fsum(row) for row in vals.tolist()]) * (2.0 * math.pi / phi_points)
             total.append(float(np.dot(w, acc)))
     return float(np.sum(total))
@@ -267,8 +267,42 @@ def test_rate_direct_linear_polarization_runs():
     rs = rate_direct(field, DESK_ATOM, GridSpec(theta_points=12, phi_points=8, n_cut=threshold_n(field, DESK_ATOM) + 12))
     assert rs.w_total > 0.0
     assert rs.grid_report["phi_points"] == 8
-    with pytest.raises(ValueError):
-        rate_direct(LaserField(0.01, 1.0, 0.5), DESK_ATOM)
+    elliptic = LaserField(0.01, 1.0, 0.5)
+    grid = GridSpec(theta_points=8, phi_points=4, n_cut=threshold_n(elliptic, DESK_ATOM) + 4)
+    assert rate_direct(elliptic, DESK_ATOM, grid).w_total > 0.0
+
+
+def test_rate_direct_elliptic_tends_to_linear_and_circular():
+    # one channel window and grid for every zeta; near zeta = 1 the general
+    # amplitude differs from the tag-44 closed form by the reduction_circular
+    # bound E_B / eps0
+    linear = LaserField.linear(0.02, 0.6)
+    grid = GridSpec(theta_points=12, phi_points=8, n_cut=threshold_n(linear, DESK_ATOM) + 12)
+    w_lin = rate_direct(linear, DESK_ATOM, grid).w_total
+    w_near_lin = rate_direct(LaserField(0.02, 0.6, 1e-6), DESK_ATOM, grid).w_total
+    assert abs(w_near_lin - w_lin) <= 1e-9 * w_lin
+    circ = rate_direct(LaserField.circular(0.02, 0.6), DESK_ATOM, grid)
+    near_circ = rate_direct(LaserField(0.02, 0.6, 1.0 - 1e-9), DESK_ATOM, grid)
+    assert near_circ.grid_report["phi_points"] == 8 and circ.grid_report["phi_points"] == 1
+    bound = DESK_ATOM.e_b / DESK_ATOM.epsilon0 + 1e-9
+    assert abs(near_circ.w_total - circ.w_total) <= bound * circ.w_total
+
+
+@pytest.mark.parametrize("zeta, phi_points", [(0.5, 8), (-0.3, 5), (0.8, 2)])
+def test_rate_direct_folded_panels_equal_unfolded_sum(zeta, phi_points):
+    # the panels 2 pi j / P, each evaluated where it lies, through the same kernel
+    field = LaserField(0.02, 0.6, zeta)
+    grid = GridSpec(theta_points=8, phi_points=phi_points, n_cut=threshold_n(field, DESK_ATOM) + 6)
+    rs = rate_direct(field, DESK_ATOM, grid)
+    mu, w = rates._gauss_kronrod(grid.theta_points)
+    thetas, phis = np.meshgrid(np.arccos(mu), 2.0 * math.pi * np.arange(phi_points) / phi_points,
+                               indexing="ij")
+    total = 0.0
+    for n in range(rs.grid_report["n_lo"], rs.grid_report["n_hi"] + 1):
+        vals = general_channel_dwdo(field, DESK_ATOM, n, thetas, phis)[0]
+        total += float(np.dot(w, vals.sum(axis=1))) * 2.0 * math.pi / phi_points
+    assert rs.w_total > 0.0
+    assert abs(rs.w_total - total) <= 1e-12 * rs.w_total
 
 
 # ------------------------------------------------------------- airy rate
