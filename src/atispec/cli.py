@@ -359,6 +359,7 @@ def collect_rates(cfg: RunConfig) -> dict:
     field, atom = cfg.field(), cfg.atom()
     grid = GridSpec(theta_points=max(cfg.theta_points, 8),
                     phi_points=cfg.phi_points,
+                    n_lo=None if cfg.n_range == "auto" else int(cfg.n_range[0]),
                     n_cut=None if cfg.n_range == "auto" else int(cfg.n_range[1]),
                     channel_cap=cfg.channel_cap)
     resc = cfg.mode == "on"

@@ -111,12 +111,22 @@ class GridSpec:
     phi_points    uniform azimuth panels (non-circular polarization);
                   panels that fold onto the same azimuth in [0, pi/2]
                   are evaluated once
+    n_lo          first summed channel, clamped up to the threshold n0;
+                  None means n0
     n_cut         channel cutoff; None means n_m + 6 delta_n
     channel_cap   hard cap on the number of summed channels
+
+    The defaults are for library use on circular fields.  On a
+    non-circular field every (theta, azimuth) row runs the general
+    amplitude kernel: theta_points=200 (401 Kronrod nodes) with 16 panels
+    (5 folded azimuths) costs ~1 s per channel on the desk fields (omega
+    0.01, xi 1; 2-core VM), several minutes per rate_direct call over a
+    ~200-channel window.  The CLI's theta_points default is 24.
     """
 
     theta_points: int = 200
     phi_points: int = 16
+    n_lo: int | None = None
     n_cut: int | None = None
     channel_cap: int = DEFAULT_RATE_CHANNEL_CAP
 
@@ -272,19 +282,21 @@ def saddle_point(
     )
 
 
-def _channel_range(field, atom, saddle, n_cut, channel_cap):
-    # an explicit n_cut below threshold gives an empty window (zero rate)
+def _channel_range(field, atom, saddle, n_cut, channel_cap, n_lo=None):
+    # the window starts at n_lo clamped up to the threshold n0; an explicit
+    # n_cut below that start gives an empty window (zero rate)
     n0 = threshold_n(field, atom)
     if n_cut is None:
         if saddle is None:
             n_cut = n0 + 50
         else:
             n_cut = int(math.ceil(saddle.n_m + 6.0 * saddle.delta_n))
-    if n_cut - n0 + 1 > channel_cap:
+    first = n0 if n_lo is None else max(n0, int(n_lo))
+    if n_cut - first + 1 > channel_cap:
         raise ChannelExplosionError(
-            f"{n_cut - n0 + 1} channels exceed cap {channel_cap}"
+            f"{n_cut - first + 1} channels exceed cap {channel_cap}"
         )
-    return n0, int(n_cut)
+    return first, int(n_cut)
 
 
 def _try_saddle(field, atom):
@@ -408,11 +420,16 @@ def rate_direct(
     quad_error_estimate = |K - G|, with G the n-node Gauss sum over the
     same values (exact to degree 2n - 1), is the error of the n-node rule,
     which makes it a conservative estimate for K.  An estimate above 1% of
-    the total is carried as a warning, never an exception.
+    the total is carried as a warning, never an exception.  The channels
+    summed are grid.n_lo (clamped up to the threshold) to grid.n_cut.
+
+    The default grid suits circular fields; with it a non-circular field
+    takes ~1 s per channel on the desk fields, several minutes per call
+    (see GridSpec).  The CLI passes theta_points=24 unless configured.
     """
     grid = grid or GridSpec()
     saddle = _try_saddle(field, atom)
-    n0, n_cut = _channel_range(field, atom, saddle, grid.n_cut, grid.channel_cap)
+    n0, n_cut = _channel_range(field, atom, saddle, grid.n_cut, grid.channel_cap, grid.n_lo)
     per_channel, gauss = _direct_once(field, atom, n0, n_cut, grid.theta_points,
                                       grid.phi_points, rescattering)
     w_total = float(np.sum(per_channel))
@@ -422,7 +439,8 @@ def rate_direct(
     if w_total > 0.0 and estimate > 0.01 * w_total:
         warnings = (f"quadrature estimate {estimate:.3e} exceeds 1% of total",)
     if n_cut < n0:
-        warnings += (f"channel window ends at {n_cut}, below threshold {n0}; rate is zero",)
+        warnings += (f"channel window ends at {n_cut}, below its first channel {n0}; "
+                     "rate is zero",)
     return RateSummary(
         w_total=w_total,
         method="direct",
@@ -441,7 +459,7 @@ def rate_direct(
     )
 
 
-# points per row block of an Airy-form mesh (about one airy_ai block)
+# points per row block of an Airy-form mesh (two airy_ai blocks)
 _MESH_BLOCK = 16384
 # a point is left out when its bound B is at most this share of the lower
 # bound Lambda averaged over the mesh points

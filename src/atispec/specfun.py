@@ -3,7 +3,9 @@
 Provides the ordinary Bessel function J_n(x), the complex three-argument
 generalized Bessel function J_n(u, v, delta) that arises when a plane-wave
 phase carries both sin(theta) and sin(2*theta) harmonics, the Airy function
-Ai(x), and the large-order Airy approximation of J_N(x).
+Ai(x), and the large-order Airy approximation of J_N(x).  scipy's jv is the
+only scipy function used; Ai is numpy alone, from the Chebyshev series in
+_airy_tables.
 
 Two independent evaluation routes are kept for the generalized function:
 a truncated bilinear series over ordinary Bessel factors, and a trapezoid
@@ -19,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
+
+from . import _airy_tables as _tab
 
 __all__ = [
     "BesselRangeError",
@@ -382,24 +386,27 @@ def gen_bessel_quadrature(
 # --------------------------------------------------------------------------
 # Airy function and the large-order Bessel approximation
 
-# above this argument Ai comes from K_{1/3}; at and below it from sp.airy
-AIRY_K_MIN = 10.0
-# points per block of airy_ai
-_AIRY_BLOCK = 16384
+# points per block of airy_ai: a block holds ~12 temporaries of its size
+_AIRY_BLOCK = 8192
+# series boundaries of airy_ai: P on x >= 2, Q between, M and phi on x <= -3
+_AIRY_X_POS = 2.0
+_AIRY_X_NEG = -3.0
 # Veltkamp splitting constant 2^27 + 1 for Dekker's exact product
 _SPLIT = 134217729.0
 
 
-def _two_prod(a, b):
-    """Dekker's error-free product: a * b == p + e exactly (no FMA needed)."""
-    p = a * b
-    ca = _SPLIT * a
-    a_hi = ca - (ca - a)
-    a_lo = a - a_hi
-    cb = _SPLIT * b
-    b_hi = cb - (cb - b)
-    b_lo = b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+def _split(a):
+    """Veltkamp's split a == hi + lo into two halves of 26 bits each, so
+    that products of halves are exact."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _prod_err(a, b_hi, b_lo, p):
+    """a * (b_hi + b_lo) - p exactly, for p = a * b rounded (Dekker)."""
+    a_hi, a_lo = _split(a)
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _airy_zeta(x):
@@ -407,56 +414,117 @@ def _airy_zeta(x):
 
     Ai(x) ~ exp(-zeta), so a rounded zeta alone would cost zeta * 2^-53
     relative accuracy (1e-13 near x = 100); carrying lo keeps it at 1e-16.
+    With r = sqrt(x) and w = x r rounded, x r - w and x - r^2 come exactly
+    from products of Veltkamp halves (Dekker; no FMA needed).
     """
-    s = np.sqrt(x)
-    p, e = _two_prod(s, s)
-    s_lo = ((x - p) - e) / (2.0 * s)  # sqrt(x) = s + s_lo
-    t, t_lo = _two_prod(x, s)
-    t_lo = t_lo + x * s_lo  # x^(3/2) = t + t_lo
-    hi = 2.0 * t / 3.0
-    q, q_e = _two_prod(hi, 3.0)
-    lo = (((2.0 * t - q) - q_e) + 2.0 * t_lo) / 3.0
+    r = np.sqrt(x)
+    r_hi, r_lo = _split(r)
+    w = x * r
+    w_lo = _prod_err(x, r_hi, r_lo, w)
+    # x - r^2: every product of halves is exact and both differences are
+    # Sterbenz, so d is rounded once
+    d = x - r_hi * r_hi
+    d -= 2.0 * r_hi * r_lo
+    d -= r_lo * r_lo
+    d /= r + r
+    d *= x
+    w_lo += d  # x^(3/2) = w + w_lo
+    hi = (w + w) / 3.0
+    # 2w - 3 hi == 2 (w - hi) - hi exactly: both differences are Sterbenz
+    lo = (2.0 * (w - hi) - hi + 2.0 * w_lo) / 3.0
     return hi, lo
+
+
+def _chebyshev(coef, t):
+    """sum_k coef[k] T_k(t) by Clenshaw's recurrence (len(coef) >= 3), in
+    place on three buffers."""
+    t2 = t + t
+    b1 = t2 * coef[-1]
+    b1 += coef[-2]
+    b2 = np.full_like(t, coef[-1])
+    tmp = np.empty_like(t)
+    for c in coef[-3:0:-1]:
+        np.multiply(t2, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    np.multiply(t, b1, out=tmp)
+    tmp -= b2
+    tmp += coef[0]
+    return tmp
 
 
 def airy_ai(x):
     """Airy function Ai(x) of real x; scalar in, scalar out (arrays pass through).
 
-    Two branches, chosen per point by one mask:
+    numpy only: three Chebyshev series from ``_airy_tables`` (written by
+    ``tools/make_airy_tables.py`` with mpmath), after Gil, Segura & Temme,
+    ACM TOMS 28 (2002) 325.  With zeta = 2/3 |x|^(3/2) as the double-double
+    of ``_airy_zeta`` and s = 1/zeta:
 
-    - x <= 10 (and NaN): ``scipy.special.airy(x)[0]`` (cephes for
-      |x| <= 10), within 2e-14 relative of mpmath on (0, 10] and 2e-14 of
-      the envelope |x|^(-1/4)/sqrt(pi) on [-20, 0).
-    - x > 10: DLMF 9.6.1, Ai(x) = sqrt(x/3)/pi K_{1/3}(zeta) with
-      zeta = 2/3 x^(3/2), as sqrt(x/3)/pi kve(1/3, hi) exp(-hi) (1 - lo)
-      from the double-double zeta = hi + lo.  Within 1e-15 relative of
-      mpmath up to the double underflow near x = 104, at ~300 ns per
-      point against the ~2 us of the complex AMOS routine that
-      ``sp.airy`` switches to above 10.
-      +inf gives NaN, as ``sp.airy`` does.
+    - x >= 2: Ai = exp(-zeta) x^(-1/4) P(s), degree 23;
+    - -3 < x < 2: Ai = Q(x), degree 27;
+    - x <= -3: Ai = |x|^(-1/4) M(s) cos(phi(s) - zeta), degree 20 each,
+      the phase taken as an angle sum on hi and lo of zeta.
+
+    Within 2e-15 relative of mpmath on (0, 104] (down to the double
+    underflow there; 5e-16 from x = 2 on) and 7e-16 of the envelope
+    |x|^(-1/4)/sqrt(pi) on [-1e5, 0]; ~110 ns per point on the arguments
+    of the benchmark's Airy-form rate meshes (2-core Xeon VM).  +-inf and
+    NaN give NaN; Ai underflows to 0.0 from x ~ 107 on (1e300 included);
+    x < -2e205, where zeta overflows, gives NaN.  A scalar call returns the
+    bits of the same point in an array call.
     """
     xa = np.asarray(x, dtype=float)
     out = np.empty(xa.shape)
     x_flat, out_flat = xa.reshape(-1), out.reshape(-1)
-    # blocks bound the temporaries of the K branch (a whole mesh at once
-    # would hold ~20 mesh-sized arrays)
-    for i in range(0, x_flat.size, _AIRY_BLOCK):
-        _airy_block(x_flat[i:i + _AIRY_BLOCK], out_flat[i:i + _AIRY_BLOCK])
+    # blocks bound the temporaries (a whole mesh at once would hold ~12
+    # mesh-sized arrays); inf and huge |x| run into inf - inf on purpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, x_flat.size, _AIRY_BLOCK):
+            _airy_block(x_flat[i:i + _AIRY_BLOCK], out_flat[i:i + _AIRY_BLOCK])
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def _airy_block(x, out):
-    """Ai of a 1-D block x into out, with one mask for the two branches."""
-    big = x > AIRY_K_MIN
-    out[~big] = sp.airy(x[~big])[0]
-    xs = x[big]
+    """Ai of a 1-D block x into out, one series per mask."""
+    pos = x >= _AIRY_X_POS
+    if pos.all():
+        out[:] = _airy_pos(x)
+        return
+    neg = x <= _AIRY_X_NEG
+    mid = ~(pos | neg)
+    out[pos] = _airy_pos(x[pos])
+    out[mid] = _chebyshev(_tab.Q_COEF, x[mid] * _tab.Q_SCALE + _tab.Q_SHIFT)
+    out[neg] = _airy_neg(x[neg])
+
+
+def _airy_pos(x):
+    """exp(-zeta) x^(-1/4) P(1/zeta) for x >= 2."""
     # Ai underflows to 0 well before x = 1000; clipping keeps the exact
-    # products finite while +inf still gives inf * 0 = NaN
-    hi, lo = _airy_zeta(np.minimum(xs, 1000.0))
-    with np.errstate(invalid="ignore"):
-        out[big] = np.sqrt(xs / 3.0) / np.pi * sp.kve(1.0 / 3.0, hi) * np.exp(-hi) * (1.0 - lo)
+    # products of zeta finite
+    xc = np.minimum(x, 1000.0)
+    hi, lo = _airy_zeta(xc)
+    ai = _chebyshev(_tab.P_COEF, _tab.P_SCALE / hi + _tab.P_SHIFT)
+    ai *= np.exp(-hi)
+    ai *= 1.0 - lo
+    ai /= np.sqrt(np.sqrt(xc))
+    ai[x == math.inf] = math.nan
+    return ai
+
+
+def _airy_neg(x):
+    """|x|^(-1/4) M(s) cos(phi(s) - zeta), s = 1/zeta, for x <= -3."""
+    ax = -x
+    hi, lo = _airy_zeta(ax)
+    t = _tab.M_SCALE / hi + _tab.M_SHIFT
+    # phi - zeta = b - hi with b = phi - lo, so cos(b - hi) as an angle sum
+    # keeps the phase to roundoff of b when hi is large
+    b = _chebyshev(_tab.PHI_COEF, t) - lo
+    wave = np.cos(hi) * np.cos(b) + np.sin(hi) * np.sin(b)
+    return _chebyshev(_tab.M_COEF, t) / np.sqrt(np.sqrt(ax)) * wave
 
 
 def airy_ai_asymptotic(x):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -268,9 +269,21 @@ _EXTREMES = {
 }
 
 
+def _threshold(raw):
+    from atispec.cli import RunConfig
+    from atispec.kinematics import threshold_n
+
+    cfg = RunConfig.from_dict(raw)
+    return threshold_n(cfg.field(), cfg.atom())
+
+
 @st.composite
 def _configs(draw):
     raw = draw(_GOOD)
+    if draw(st.booleans()):
+        # n_range[0] below, at or above the threshold photon number
+        lo = _threshold(raw) + draw(st.integers(-2, 2))
+        raw["n_range"] = [lo, lo + draw(st.integers(0, 4))]
     for key in draw(st.lists(st.sampled_from(sorted(_EXTREMES)), max_size=2, unique=True)):
         raw[key] = draw(st.one_of(st.sampled_from(_EXTREMES[key]), _JUNK))
     return raw
@@ -296,6 +309,7 @@ _SWEEP = st.tuples(
 def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command, sweep, joined):
     from atispec.cli import main
 
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         if raw["output_path"] == "OUT":
             raw["output_path"] = str(Path(tmp) / "out")
@@ -310,11 +324,31 @@ def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command, sweep, joi
             argv += ["--vary", sweep[0], *values]
         Path(argv[2]).write_text(json.dumps(raw))
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = main(argv)
+        # a junk relative output_path lands in the temporary directory
+        before = set(os.listdir(cwd))
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = main(argv)
+        finally:
+            os.chdir(cwd)
+        assert set(os.listdir(cwd)) <= before
     assert rc in (0, 2, 3)
     if rc:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@pytest.mark.parametrize("offsets, first, count", [((2, 4), 2, 3), ((-3, 1), 0, 2)])
+def test_rate_sums_n_range_from_its_first_channel(tmp_path, offsets, first, count):
+    from atispec.cli import main
+
+    n0 = _threshold({"photon_energy_ev": 5109.9895, "intensity_xi": 1.0})
+    cfg = write_config(tmp_path, n_range=[n0 + offsets[0], n0 + offsets[1]], theta_points=8)
+    assert main(["rate", "-c", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "rate.json").read_text())["methods"]["direct"]["grid_report"]
+    # the first summed channel is n_range[0], clamped up to the threshold
+    assert report["n_lo"] == n0 + first and report["n_hi"] == n0 + offsets[1]
+    assert report["channels_summed"] == count
 
 
 def test_exclusive_intensity_specification(tmp_path):

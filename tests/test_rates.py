@@ -337,9 +337,9 @@ def test_airy_mesh_rates_match_scipy_airy_oracle(monkeypatch, method, field, ato
 
     rs = method(field, atom)
     if field is TUNNELING_FIELD:
-        # the whole mesh then lies on the K_{1/3} branch of airy_ai
+        # the whole mesh then lies in the deep decaying tail of Ai, y > 10
         # (its smallest y is 13.94 here)
-        assert rs.saddle.y_m > specfun.AIRY_K_MIN
+        assert rs.saddle.y_m > 10.0
     monkeypatch.setattr(rates, "airy_ai", lambda y: sp.airy(y)[0])
     oracle = method(field, atom)
     assert rs.w_total > 0.0
