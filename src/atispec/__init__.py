@@ -38,7 +38,6 @@ from .rates import (
 from .specfun import (
     BesselRangeError,
     GenBesselArgs,
-    SeriesControl,
     SeriesConvergenceError,
     airy_ai,
     airy_ai_asymptotic,

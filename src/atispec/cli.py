@@ -31,6 +31,7 @@ from .kinematics import (
     threshold_n,
 )
 from .rates import (
+    DEFAULT_RATE_CHANNEL_CAP,
     AsymptoticsError,
     DegenerateSaddleError,
     GridSpec,
@@ -90,7 +91,7 @@ class RunConfig:
     output_path: str = "ati_out"
     formula: str = "relativistic"
     workers: int = 1  # accepted for older configs; has no effect
-    channel_cap: int = 200_000
+    channel_cap: int = DEFAULT_RATE_CHANNEL_CAP
 
     _ALLOWED = (
         "photon_energy_ev", "intensity_xi", "peak_field_v_per_cm", "polarization",
@@ -510,29 +511,35 @@ def main(argv=None) -> int:
     args = parser.parse_args([f"--values={next(tokens, '')}" if tok == "--values" else tok
                               for tok in tokens])
     try:
-        if args.command == "selftest":
-            return run_selftest(args.json, args.inject_bessel_error)
-        cfg = load_config(args.config, _overrides(args))
-        if args.command == "spectrum":
-            return run_spectrum(cfg)
-        if args.command == "rate":
-            return run_rate(cfg)
-        if args.command == "sweep":
-            try:
-                values = [float(v) for v in args.values.split(",") if v.strip()]
-            except ValueError:
-                raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from None
-            if not values:
-                raise ConfigError("--values must list at least one number")
-            return run_sweep(cfg, args.vary, values)
-        raise AssertionError(args.command)
+        # a numpy division by zero, overflow or NaN means the inputs left the
+        # range of the formulas; the few places where such a value is
+        # expected ignore it in an errstate of their own
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            if args.command == "selftest":
+                return run_selftest(args.json, args.inject_bessel_error)
+            cfg = load_config(args.config, _overrides(args))
+            if args.command == "spectrum":
+                return run_spectrum(cfg)
+            if args.command == "rate":
+                return run_rate(cfg)
+            if args.command == "sweep":
+                try:
+                    values = [float(v) for v in args.values.split(",") if v.strip()]
+                except ValueError:
+                    raise ConfigError(
+                        f"--values must be comma-separated numbers, got {args.values!r}") from None
+                if not values:
+                    raise ConfigError("--values must list at least one number")
+                return run_sweep(cfg, args.vary, values)
+            raise AssertionError(args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ChannelExplosionError, BesselRangeError, SeriesConvergenceError) as exc:
+    except (ChannelExplosionError, BesselRangeError, SeriesConvergenceError, MemoryError) as exc:
+        # MemoryError: a grid too large to allocate
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         # validate() bounds the common cases by name; an extreme combination
         # of valid inputs can still push a closed form past the double range
         print(f"config error: inputs outside the floating-point range of the formulas ({exc})",

@@ -33,7 +33,10 @@ __all__ = [
     "channel_kinematics",
 ]
 
-DEFAULT_CHANNEL_CAP = 10_000_000
+# largest threshold photon number derive_params accepts
+THRESHOLD_N_CAP = 10_000_000
+# born_ok holds when the Born ratio is at most this
+BORN_LIMIT = 0.2
 
 
 class BelowThresholdError(ValueError):
@@ -140,7 +143,7 @@ class DerivedParams:
     f_at        atomic field strength z_a^3 m^2 e^5
     born_ratio  z_a alpha / v at the spectral peak = z_a alpha sqrt(1+xi^2)/xi
     v_mean      peak photoelectron speed xi / sqrt(1 + xi^2)
-    born_ok     True when born_ratio is below the configured limit
+    born_ok     True when born_ratio is below 0.2
     """
 
     m_star: float
@@ -153,19 +156,14 @@ class DerivedParams:
     born_ok: bool
 
 
-def derive_params(
-    field: LaserField,
-    atom: Atom,
-    born_limit: float = 0.2,
-    n0_cap: int = DEFAULT_CHANNEL_CAP,
-) -> DerivedParams:
+def derive_params(field: LaserField, atom: Atom) -> DerivedParams:
     """Populate DerivedParams; raises ChannelExplosionError when the
-    threshold photon number exceeds n0_cap."""
+    threshold photon number exceeds THRESHOLD_N_CAP."""
     m_star = effective_mass(field)
     n0 = threshold_n(field, atom)
-    if n0 > n0_cap:
+    if n0 > THRESHOLD_N_CAP:
         raise ChannelExplosionError(
-            f"threshold photon number {n0} exceeds cap {n0_cap}"
+            f"threshold photon number {n0} exceeds cap {THRESHOLD_N_CAP}"
         )
     xi = field.xi
     alpha_prime = xi**2 / (4.0 * field.omega * atom.epsilon0)
@@ -185,7 +183,7 @@ def derive_params(
         f_at=f_at,
         born_ratio=born_ratio,
         v_mean=v_mean,
-        born_ok=born_ratio <= born_limit,
+        born_ok=born_ratio <= BORN_LIMIT,
     )
 
 

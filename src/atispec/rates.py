@@ -63,6 +63,9 @@ __all__ = [
 REGIME_MULTIPHOTON = "multiphoton_strongfield"
 REGIME_TUNNELING = "tunneling"
 REGIME_INTERMEDIATE = "intermediate"
+# y_m bounds of the multiphoton strong-field and the tunneling regimes
+MULTIPHOTON_Y_MAX = 0.1
+TUNNELING_Y_MIN = 10.0
 
 DEFAULT_RATE_CHANNEL_CAP = 200_000
 
@@ -232,12 +235,7 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float, maxfun: int = 50
 
 # one command asks for the saddle of one (field, atom) up to five times
 @functools.lru_cache(maxsize=8)
-def saddle_point(
-    field: LaserField,
-    atom: Atom,
-    multiphoton_max: float = 0.1,
-    tunneling_min: float = 10.0,
-) -> SaddleInfo:
+def saddle_point(field: LaserField, atom: Atom) -> SaddleInfo:
     """Locate the spectral peak and classify the rate regime.
 
     The angular stationarity cos(theta) = |Pi|/Pi0 is exact for every N;
@@ -266,9 +264,9 @@ def saddle_point(
     theta_m = _ridge_theta(field, atom, n_m)
     n_m_flat = field.xi**2 / field.omega
     y_m = 2.0 ** (1.0 / 3.0) * atom.e_b / (n_m_flat ** (1.0 / 3.0) * field.omega)
-    if y_m <= multiphoton_max:
+    if y_m <= MULTIPHOTON_Y_MAX:
         regime = REGIME_MULTIPHOTON
-    elif y_m >= tunneling_min:
+    elif y_m >= TUNNELING_Y_MIN:
         regime = REGIME_TUNNELING
     else:
         regime = REGIME_INTERMEDIATE
@@ -459,6 +457,12 @@ def rate_direct(
     )
 
 
+# the rate_airy mesh: N points (trapezoid) by theta points (Gauss-Legendre)
+AIRY_N_POINTS = 2000
+AIRY_THETA_POINTS = 300
+# half-width of the rate_laplace window, in peak widths
+LAPLACE_WIDTHS = 8.0
+
 # points per row block of an Airy-form mesh (two airy_ai blocks)
 _MESH_BLOCK = 16384
 # a point is left out when its bound B is at most this share of the lower
@@ -539,12 +543,7 @@ def _airy_mesh(field, atom, n_grid, theta_grid, w_theta, smooth=True):
     return out, lam
 
 
-def rate_airy(
-    field: LaserField,
-    atom: Atom,
-    n_points: int = 2000,
-    theta_points: int = 300,
-) -> RateSummary:
+def rate_airy(field: LaserField, atom: Atom) -> RateSummary:
     """Total circular-polarization rate with J_N replaced by its Airy form
     and the channel sum replaced by an integral over continuous N.
 
@@ -561,8 +560,8 @@ def rate_airy(
         )
     n0 = threshold_n(field, atom)
     n_hi = saddle.n_m + 6.0 * saddle.delta_n
-    n_grid = np.linspace(float(n0), n_hi, n_points)
-    x, w = _gauss_legendre(theta_points)
+    n_grid = np.linspace(float(n0), n_hi, AIRY_N_POINTS)
+    x, w = _gauss_legendre(AIRY_THETA_POINTS)
     theta_grid = (x + 1.0) * math.pi / 2.0
     w_theta = w * math.pi / 2.0
     integrand, _ = _airy_mesh(field, atom, n_grid, theta_grid, w_theta)
@@ -576,8 +575,8 @@ def rate_airy(
         regime=saddle.regime,
         saddle=saddle,
         grid_report={
-            "n_points": n_points,
-            "theta_points": theta_points,
+            "n_points": AIRY_N_POINTS,
+            "theta_points": AIRY_THETA_POINTS,
             "n_lo": float(n0),
             "n_hi": n_hi,
             "integrand_peak_n": float(n_grid[i_pk]),
@@ -586,12 +585,12 @@ def rate_airy(
     )
 
 
-def rate_laplace(field: LaserField, atom: Atom, widths: float = 8.0) -> RateSummary:
+def rate_laplace(field: LaserField, atom: Atom) -> RateSummary:
     """Steepest-descent estimate of the Airy-form rate.
 
     Freezes the smooth prefactor at the saddle and integrates Ai^2 of the
-    exact Airy argument over a +-widths peak neighborhood.  Used to check
-    the Airy-form integral against the strong-field closed form.
+    exact Airy argument over a +-LAPLACE_WIDTHS peak neighborhood.  Used to
+    check the Airy-form integral against the strong-field closed form.
     """
     if abs(field.zeta) != 1.0:
         raise ValueError("rate_laplace requires circular polarization")
@@ -602,10 +601,10 @@ def rate_laplace(field: LaserField, atom: Atom, widths: float = 8.0) -> RateSumm
     y_at = airy_argument(field, atom, n_m, th_m)
     prefactor = float(pref_grid[0, 0]) / airy_ai(y_at) ** 2
 
-    n_lo = max(float(n0), n_m - widths * saddle.delta_n)
-    n_grid = np.linspace(n_lo, n_m + widths * saddle.delta_n, 3000)
-    t_lo = max(0.0, th_m - widths * saddle.delta_theta)
-    t_hi = min(math.pi, th_m + widths * saddle.delta_theta)
+    n_lo = max(float(n0), n_m - LAPLACE_WIDTHS * saddle.delta_n)
+    n_grid = np.linspace(n_lo, n_m + LAPLACE_WIDTHS * saddle.delta_n, 3000)
+    t_lo = max(0.0, th_m - LAPLACE_WIDTHS * saddle.delta_theta)
+    t_hi = min(math.pi, th_m + LAPLACE_WIDTHS * saddle.delta_theta)
     theta_grid = np.linspace(t_lo, t_hi, 800)
     ai2, _ = _airy_mesh(field, atom, n_grid, theta_grid, _trapezoid_weights(theta_grid), smooth=False)
     mass = float(np.trapezoid(np.trapezoid(ai2, theta_grid, axis=1), n_grid))
@@ -615,7 +614,7 @@ def rate_laplace(field: LaserField, atom: Atom, widths: float = 8.0) -> RateSumm
         method="laplace",
         regime=saddle.regime,
         saddle=saddle,
-        grid_report={"widths": widths, "airy_mass": mass},
+        grid_report={"widths": LAPLACE_WIDTHS, "airy_mass": mass},
     )
 
 

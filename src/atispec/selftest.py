@@ -101,7 +101,6 @@ def _check_addition():
 
 
 def _check_reductions():
-    ctl = specfun.DEFAULT_CONTROL
     worst = 0.0
     for n in (-6, -1, 0, 3, 8):
         for u in (0.5, 7.2):
@@ -114,7 +113,7 @@ def _check_reductions():
                 worst = max(worst, abs(specfun.gen_bessel(n, 0.0, v, d) - want))
             for n in (-3, 1, 5):
                 worst = max(worst, abs(specfun.gen_bessel(n, 0.0, v, d)))
-    return Check.make("reduction_special_cases", worst, ctl.abs_floor)
+    return Check.make("reduction_special_cases", worst, specfun.ABS_FLOOR)
 
 
 def _check_airy():

@@ -27,9 +27,7 @@ from . import _airy_tables as _tab
 __all__ = [
     "BesselRangeError",
     "SeriesConvergenceError",
-    "SeriesControl",
     "GenBesselArgs",
-    "DEFAULT_CONTROL",
     "ordinary_bessel",
     "gen_bessel",
     "gen_bessel_real",
@@ -45,6 +43,16 @@ __all__ = [
 MAX_ORDER = 2000
 MAX_ARGUMENT = 5000.0
 
+# series truncation: a series stops once its tail bound is below REL_TOL of
+# the largest partial sum, magnitudes below ABS_FLOOR counting as zero; one
+# series may not grow past MAX_TERMS terms.  Read at call time, so that a
+# test can patch them.
+REL_TOL = 1e-12
+ABS_FLOOR = 1e-12
+MAX_TERMS = 40000
+# quadrature nodes beyond the integrand bandwidth (even)
+QUAD_POINTS = 256
+
 
 class BesselRangeError(ValueError):
     """Order or argument outside the supported evaluation box."""
@@ -56,35 +64,6 @@ class SeriesConvergenceError(RuntimeError):
     def __init__(self, message, residual):
         super().__init__(f"{message} (residual estimate {residual:.3e})")
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation and quadrature knobs.
-
-    rel_tol     relative truncation tolerance for the series tail
-    abs_floor   values below this magnitude are treated as zero
-    max_terms   hard cap on one-sided series length
-    quad_points minimum number of quadrature nodes (even)
-    """
-
-    rel_tol: float = 1e-12
-    abs_floor: float = 1e-12
-    max_terms: int = 40000
-    quad_points: int = 256
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ValueError(f"rel_tol must be in (0, 1e-6], got {self.rel_tol}")
-        if self.quad_points < 64 or self.quad_points % 2:
-            raise ValueError(f"quad_points must be even and >= 64, got {self.quad_points}")
-        if self.abs_floor <= 0.0:
-            raise ValueError("abs_floor must be positive")
-        if self.max_terms < 16:
-            raise ValueError("max_terms too small")
-
-
-DEFAULT_CONTROL = SeriesControl()
 
 
 def _reduce_angle(delta: float) -> float:
@@ -225,14 +204,7 @@ class _Ladder:
         self.values = _jn_ladder(np.arange(lo, hi + 1, 2), self.u)
 
 
-def _series_rows(
-    ladder: _Ladder,
-    n_lo: int,
-    n_hi: int,
-    v: np.ndarray,
-    delta: float,
-    ctl: SeriesControl,
-) -> np.ndarray:
+def _series_rows(ladder: _Ladder, n_lo: int, n_hi: int, v: np.ndarray, delta: float) -> np.ndarray:
     """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for the
     orders n = n_lo, n_lo + 2, ..., n_hi (of the ladder's parity) and every
     row of (ladder.u, v); shape (rows, orders).
@@ -244,7 +216,7 @@ def _series_rows(
     so every row equals its one-point call bit for bit.  The result is real
     when delta is 0, +-pi, and complex otherwise.
     """
-    k_cap = max((ctl.max_terms - 1) // 2, 1)
+    k_cap = max((MAX_TERMS - 1) // 2, 1)
     k_row = np.array([min(_series_k_start(x), k_cap) for x in v.tolist()])
     width = (n_hi - n_lo) // 2 + 1
     out = None
@@ -266,7 +238,7 @@ def _series_rows(
 
         rows = np.arange(todo.size)
         tail = 2.0 * (np.abs(jk[rows, K + k_top + 1]) + np.abs(jk[rows, K + k_top + 2]))
-        bound = ctl.rel_tol * np.maximum(np.max(np.abs(acc), axis=1), ctl.abs_floor)
+        bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=1), ABS_FLOOR)
         ok = tail <= bound
         if out is None:
             out = np.empty((v.size, width), dtype=acc.dtype)
@@ -276,27 +248,20 @@ def _series_rows(
         stuck = ~ok & (K >= k_cap)
         if stuck.any():
             raise SeriesConvergenceError(
-                f"generalized Bessel series not converged within max_terms={ctl.max_terms}",
+                f"generalized Bessel series not converged within {MAX_TERMS} terms",
                 float(np.max(tail[stuck])),
             )
         todo = todo[~ok]
         k_row[todo] = np.minimum((k_row[todo] * 1.5).astype(int) + 8, k_cap)
 
 
-def gen_bessel_orders(
-    n_lo: int,
-    n_hi: int,
-    u,
-    v,
-    delta: float,
-    control: SeriesControl | None = None,
-) -> np.ndarray:
+def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
     """J_n(u, v, delta) for all integer n in [n_lo, n_hi] at once.
 
     Evaluates the bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v),
     truncated at |k| <= K.  K starts at ceil(|v| + 10|v|^(1/3) + 10) and is
-    enlarged until the tail bound drops below rel_tol of the running sums
-    (with abs_floor as the small-value cutoff).  The even and the odd
+    enlarged until the tail bound drops below REL_TOL of the running sums
+    (with ABS_FLOOR as the small-value cutoff).  The even and the odd
     orders of the range are two series, each with one truncation index for
     all its orders; the tail bound max_n |J_{n-2k}(u)| <= 1 makes it
     independent of n and u.
@@ -307,7 +272,6 @@ def gen_bessel_orders(
     each row starts at its own K and grows only while it fails its own
     tail bound, so every row equals the scalar call at its (u, v) exactly.
     """
-    ctl = control or DEFAULT_CONTROL
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     v_arr = np.atleast_1d(np.asarray(v, dtype=float))
@@ -322,32 +286,27 @@ def gen_bessel_orders(
     out = np.empty((u_arr.size, n_hi - n_lo + 1), dtype=complex)
     for first in range(n_lo, min(n_lo + 1, n_hi) + 1):
         last = n_hi - (n_hi - first) % 2
-        out[:, first - n_lo::2] = _series_rows(_Ladder(u_arr, first), first, last, v_arr, delta, ctl)
+        out[:, first - n_lo::2] = _series_rows(_Ladder(u_arr, first), first, last, v_arr, delta)
     return out[0] if scalar else out
 
 
-def gen_bessel(
-    n: int, u: float, v: float, delta: float, control: SeriesControl | None = None
-) -> complex:
+def gen_bessel(n: int, u: float, v: float, delta: float) -> complex:
     """Complex generalized Bessel function J_n(u, v, delta).
 
     Reduces exactly to J_n(u) at v = 0 and, at u = 0, to
     exp(-i n delta) J_{n/2}(v) for even n (zero for odd n).
     """
-    return complex(gen_bessel_orders(int(n), int(n), u, v, delta, control)[0])
+    return complex(gen_bessel_orders(int(n), int(n), u, v, delta)[0])
 
 
-def gen_bessel_real(
-    n: int, u: float, v: float, control: SeriesControl | None = None
-) -> float:
+def gen_bessel_real(n: int, u: float, v: float) -> float:
     """Real generalized Bessel function J_n(u, v) = J_n(u, v, 0).
 
     At delta = 0 every series term is real; the imaginary part is exactly
-    zero and an assertion guards the abs_floor contract.
+    zero and an assertion guards the ABS_FLOOR contract.
     """
-    ctl = control or DEFAULT_CONTROL
-    z = gen_bessel(n, u, v, 0.0, ctl)
-    if abs(z.imag) > ctl.abs_floor:
+    z = gen_bessel(n, u, v, 0.0)
+    if abs(z.imag) > ABS_FLOOR:
         raise SeriesConvergenceError("real generalized Bessel has nonzero imaginary part", abs(z.imag))
     return z.real
 
@@ -355,15 +314,13 @@ def gen_bessel_real(
 # --------------------------------------------------------------------------
 # generalized Bessel function: quadrature oracle
 
-def quadrature_points(n: int, u: float, v: float, minimum: int = 64) -> int:
+def quadrature_points(n: int, u: float, v: float) -> int:
     """Node count giving spectral accuracy for the periodic integrand."""
-    m = 2 * (abs(int(n)) + math.ceil(abs(u)) + 2 * math.ceil(abs(v))) + max(minimum, 64)
+    m = 2 * (abs(int(n)) + math.ceil(abs(u)) + 2 * math.ceil(abs(v))) + QUAD_POINTS
     return m + (m % 2)
 
 
-def gen_bessel_quadrature(
-    n: int, u: float, v: float, delta: float, control: SeriesControl | None = None
-) -> complex:
+def gen_bessel_quadrature(n: int, u: float, v: float, delta: float) -> complex:
     """Oracle evaluation of J_n(u, v, delta) by trapezoid quadrature of
 
         (2 pi)^-1 integral_{-pi}^{pi} exp[i(u sin(t + delta)
@@ -372,12 +329,11 @@ def gen_bessel_quadrature(
     The integrand is entire and 2*pi periodic, so the equispaced trapezoid
     rule converges faster than any power of the node count once the node
     count exceeds the integrand bandwidth; the node formula is
-    2(|n| + ceil|u| + 2 ceil|v|) + max(quad_points, 64).
+    2(|n| + ceil|u| + 2 ceil|v|) + QUAD_POINTS.
     """
-    ctl = control or DEFAULT_CONTROL
     args = GenBesselArgs(n, u, v, delta)
     n, u, v, delta = args.n, args.u, args.v, args.delta
-    m = quadrature_points(n, u, v, ctl.quad_points)
+    m = quadrature_points(n, u, v)
     t = -np.pi + 2.0 * np.pi * np.arange(m) / m
     phase = u * np.sin(t + delta) + v * np.sin(2.0 * t) - n * (t + delta)
     return complex(np.exp(1j * phase).mean())

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import specfun
 from .kinematics import Atom, LaserField, effective_mass, threshold_n
-from .specfun import SeriesControl
 
 __all__ = [
     "TAG_GENERAL",
@@ -154,7 +153,7 @@ def _fsum_rows(terms):
     return out
 
 
-def _exchange_sum(ladder, n, w, v2, delta, zf, eps0, omega, alpha_prime, ctl):
+def _exchange_sum(ladder, n, w, v2, delta, zf, eps0, omega, alpha_prime):
     """Photon-exchange sum of the rescattering amplitude for every row of
     the J(u) ladder (one shared delta):
 
@@ -167,14 +166,14 @@ def _exchange_sum(ladder, n, w, v2, delta, zf, eps0, omega, alpha_prime, ctl):
     """
     if w == 0.0:
         # the sum collapses to the n' = 0 term
-        c_n = specfun._series_rows(ladder, n, n, v2, delta, ctl)[:, 0]
+        c_n = specfun._series_rows(ladder, n, n, v2, delta)[:, 0]
         return specfun.phase_exp(n, delta) * eps0 * np.conj(c_n)
     k_ex = int(math.ceil(abs(w))) + RESCATTER_MARGIN
     while True:
         orders = np.arange(-k_ex, k_ex + 3)  # the last two are the tail
         nps = orders[:-2]
         j_ex = specfun._jn_ladder(orders, np.array([w]))[0]
-        c_all = specfun._series_rows(ladder, n - 2 * k_ex - 2, n + 2 * k_ex + 2, v2, delta, ctl)
+        c_all = specfun._series_rows(ladder, n - 2 * k_ex - 2, n + 2 * k_ex + 2, v2, delta)
         s_idx = k_ex + 1 - nps  # the column of order s = N - 2n'
         pair = c_all[:, s_idx - 1] * specfun.phase_exp(-2, delta) \
             + c_all[:, s_idx + 1] * specfun.phase_exp(2, delta)
@@ -183,9 +182,9 @@ def _exchange_sum(ladder, n, w, v2, delta, zf, eps0, omega, alpha_prime, ctl):
         total = _fsum_rows(specfun.phase_exp(-(2 * nps - n), delta) * j_ex[:-2] * bracket)
         tail = (abs(j_ex[-2]) + abs(j_ex[-1])) \
             * 2.0 * (eps0 + 2.0 * (k_ex + 2) * omega + omega * alpha_prime * zf)
-        if np.all(tail <= ctl.rel_tol * np.maximum(np.abs(total), ctl.abs_floor)):
+        if np.all(tail <= specfun.REL_TOL * np.maximum(np.abs(total), specfun.ABS_FLOOR)):
             return total
-        if 2 * k_ex + 1 >= ctl.max_terms:
+        if 2 * k_ex + 1 >= specfun.MAX_TERMS:
             raise specfun.SeriesConvergenceError(
                 f"rescattering sum not converged for channel N={n}", tail
             )
@@ -199,7 +198,6 @@ def general_channel_dwdo(
     theta,
     phi,
     rescattering: bool = True,
-    control: SeriesControl | None = None,
 ):
     """Vectorized relativistic dW/dOmega for every zeta (tags 42 and 55) of
     channel n over arrays of emission angles (theta, phi), broadcast
@@ -216,7 +214,6 @@ def general_channel_dwdo(
     which one series shares; within a group the rescattering series comes
     first and the direct amplitude reuses its J(u) ladder.
     """
-    ctl = control or specfun.DEFAULT_CONTROL
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     shape = theta.shape
     if n < threshold_n(field, atom):
@@ -250,9 +247,9 @@ def general_channel_dwdo(
         rows = np.flatnonzero(group == g)
         ladder = specfun._Ladder(u[rows], n)
         total[rows] = _exchange_sum(ladder, n, -alpha_prime * zf / 2.0, v2[rows], delta,
-                                    zf, eps0, omega, alpha_prime, ctl)
+                                    zf, eps0, omega, alpha_prime)
         kfr[rows] = specfun.phase_exp(n, delta) \
-            * specfun._series_rows(ladder, n, n, v_kfr[rows], delta, ctl)[:, 0]
+            * specfun._series_rows(ladder, n, n, v_kfr[rows], delta)[:, 0]
 
     d_coef = n - big_z * (1.0 + zeta**2)
     resc = g_sq / (2.0 * d_coef * k_pi) * total
@@ -273,7 +270,6 @@ def dwdo_general(
     theta: float,
     phi: float,
     rescattering: bool = True,
-    control: SeriesControl | None = None,
 ) -> SpectrumPoint:
     """Relativistic dW/dOmega for arbitrary polarization (tag 42).
 
@@ -285,7 +281,7 @@ def dwdo_general(
     One-point wrapper of general_channel_dwdo.
     """
     n = int(n)
-    rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering, control)
+    rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering)
     if n < threshold_n(field, atom):
         return _zero_point(n, theta, phi, TAG_GENERAL)
     return _point(rows, n, theta, phi, TAG_GENERAL)
@@ -366,7 +362,6 @@ def dwdo_linear(
     theta: float,
     phi: float,
     rescattering: bool = True,
-    control: SeriesControl | None = None,
 ) -> SpectrumPoint:
     """Relativistic linear-polarization dW/dOmega (tag 55).
 
@@ -377,7 +372,7 @@ def dwdo_linear(
     """
     if field.zeta != 0.0:
         raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
-    point = dwdo_general(field, atom, n, theta, phi, rescattering, control)
+    point = dwdo_general(field, atom, n, theta, phi, rescattering)
     return replace(point, formula_tag=TAG_LINEAR)
 
 
@@ -400,7 +395,6 @@ def nonrel_channel_dwdo(
     theta,
     polarization: str,
     rescattering: bool = True,
-    control: SeriesControl | None = None,
 ):
     """Vectorized nonrelativistic dW/dOmega (tags 56/59) of channel n over
     an array of theta.
@@ -410,7 +404,6 @@ def nonrel_channel_dwdo(
     threshold X <= 0.  Shared by the one-point wrapper and the spectrum
     path.
     """
-    ctl = control or specfun.DEFAULT_CONTROL
     theta = np.asarray(theta, dtype=float)
     tag, z, x_kin = _nonrel_channel(field, atom, n, polarization)
     if x_kin <= 0.0:
@@ -431,7 +424,7 @@ def nonrel_channel_dwdo(
         dwdo = pref * (abs(1.0 + rho) ** 2 if rescattering else 1.0)
     else:
         u = math.sqrt(z) * (math.sqrt(8.0 * x_kin) * np.cos(th))
-        j = specfun.gen_bessel_orders(n, n, u, np.full(th.shape, -z / 2.0), 0.0, ctl)[:, 0].real
+        j = specfun.gen_bessel_orders(n, n, u, np.full(th.shape, -z / 2.0), 0.0)[:, 0].real
         pref = (
             8.0 * omega / math.pi * eb_w**2.5
             * math.sqrt(x_kin) / (n - z) ** 2 * _pow2(j)
@@ -449,7 +442,6 @@ def dwdo_nonrel(
     theta: float,
     polarization: str,
     rescattering: bool = True,
-    control: SeriesControl | None = None,
 ) -> SpectrumPoint:
     """Nonrelativistic dW/dOmega (tags 56 circular / 59 linear).
 
@@ -464,8 +456,7 @@ def dwdo_nonrel(
     tag, _, x_kin = _nonrel_channel(field, atom, n, polarization)
     if x_kin <= 0.0:
         return _zero_point(n, theta, 0.0, tag)
-    rows = nonrel_channel_dwdo(field, atom, n, np.array([float(theta)]), polarization,
-                               rescattering, control)
+    rows = nonrel_channel_dwdo(field, atom, n, np.array([float(theta)]), polarization, rescattering)
     return _point(rows, n, theta, 0.0, tag)
 
 
@@ -477,7 +468,6 @@ def channel_spectrum(
     phi,
     formula: str = "relativistic",
     rescattering: bool = True,
-    control: SeriesControl | None = None,
 ):
     """The `ati spectrum` columns of channel n over 1-D arrays of emission
     angles (theta, phi): (tag, dwdo, kfr_only_dwdo, rescatter_factor).
@@ -495,7 +485,7 @@ def channel_spectrum(
         raise ValueError("nonrelativistic formulas support circular or linear polarization only")
     if formula == "relativistic" and not circular:
         tag = TAG_LINEAR if linear else TAG_GENERAL
-        rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering, control)
+        rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering)
     else:
         thetas, back = np.unique(theta, return_inverse=True)
         if formula == "relativistic":
@@ -503,10 +493,12 @@ def channel_spectrum(
         else:
             tag = TAG_NONREL_CIRCULAR if circular else TAG_NONREL_LINEAR
             rows = nonrel_channel_dwdo(field, atom, n, thetas, "circular" if circular else "linear",
-                                       rescattering, control)
+                                       rescattering)
         rows = tuple(a[back] for a in rows)
     dwdo, pref, kfr, resc = rows
     kfr_only = pref if tag == TAG_NONREL_LINEAR else pref * np.abs(kfr) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero direct amplitude gives NaN; one near underflow (at theta = pi,
+    # say) gives a ratio past the double range, written as inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rescatter_factor = np.where(kfr == 0, np.nan, (resc / kfr).real)
     return tag, dwdo, kfr_only, rescatter_factor

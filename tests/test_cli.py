@@ -86,6 +86,23 @@ def test_spectrum_field_off_all_zeros(tmp_path):
     assert summary["validity"]["field_off"] is True
 
 
+def test_spectrum_rescatter_factor_overflow_exit_0(tmp_path):
+    # on this weak elliptic field the direct amplitude at theta = pi is so
+    # small that resc / kfr overflows: the column reads inf, and the run
+    # succeeds without a warning
+    from atispec.cli import main
+
+    xi = 0.007673713722511133
+    cfg = write_config(tmp_path, photon_energy_ev=1000.0, intensity_xi=xi, polarization="elliptic",
+                       zeta=xi, theta_points=8, n_range=[40, 42])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["spectrum", "-c", str(cfg)]) == 0
+    assert err.getvalue() == ""
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[5] for r in rows].count("inf") == 1
+
+
 def test_spectrum_csv_header_contract(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "hdr"
@@ -259,9 +276,10 @@ _EXTREMES = {
     "zeta": [-1.5, 0.5, 1.0],
     "z_a": [1.7, 200, 10**30],
     "binding_energy_ev": [0.0, 1e-300, 1e6],
-    "theta_points": [7],
-    "phi_points": [0, -1],
-    "n_range": ["auto", [3, 2], [-3, 1]],
+    # 10**15 points fail at their first allocation; n = 10**15 takes k.Pi to 0
+    "theta_points": [7, 10**15],
+    "phi_points": [0, -1, 10**15],
+    "n_range": ["auto", [3, 2], [-3, 1], [10**15, 10**15]],
     "mode": ["both"],
     "formula": ["exact"],
     "channel_cap": [-1, 0, 2],
@@ -306,6 +324,12 @@ _SWEEP = st.tuples(
        joined=st.booleans())
 @example(raw={"photon_energy_ev": 5e3, "intensity_xi": 1.0, "output_path": "OUT"},
          command="sweep", sweep=("xi", "-1,2"), joined=False)
+@example(raw={"photon_energy_ev": 5e3, "intensity_xi": 1.0, "output_path": "OUT",
+              "theta_points": 10**15}, command="rate", sweep=("xi", "1"), joined=False)
+@example(raw={"photon_energy_ev": 5e3, "intensity_xi": 1.0, "output_path": "OUT",
+              "phi_points": 10**15}, command="spectrum", sweep=("xi", "1"), joined=False)
+@example(raw={"photon_energy_ev": 5e3, "intensity_xi": 1.0, "output_path": "OUT", "theta_points": 8,
+              "n_range": [10**15, 10**15]}, command="spectrum", sweep=("xi", "1"), joined=False)
 def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command, sweep, joined):
     from atispec.cli import main
 
@@ -336,6 +360,8 @@ def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command, sweep, joi
     assert rc in (0, 2, 3)
     if rc:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 @pytest.mark.parametrize("offsets, first, count", [((2, 4), 2, 3), ((-3, 1), 0, 2)])

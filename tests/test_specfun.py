@@ -8,7 +8,6 @@ from atispec import specfun
 from atispec.specfun import (
     BesselRangeError,
     GenBesselArgs,
-    SeriesControl,
     SeriesConvergenceError,
     airy_ai,
     airy_ai_asymptotic,
@@ -174,16 +173,16 @@ def test_jn_ladder_equals_jn_exactly(fault):
     assert np.array_equal(specfun._jn_ladder(odd, x), specfun._jn(odd[None, :], x[:, None]))
 
 
-def test_batched_gen_bessel_orders_checks():
+def test_batched_gen_bessel_orders_checks(monkeypatch):
     with pytest.raises(ValueError):
         gen_bessel_orders(0, 2, np.array([1.0, 2.0]), np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         gen_bessel_orders(0, 2, np.array([1.0, np.nan]), np.array([1.0, 2.0]), 0.0)
     with pytest.raises(BesselRangeError):
         gen_bessel_orders(3990, 3990, np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.0)
+    monkeypatch.setattr(specfun, "MAX_TERMS", 64)
     with pytest.raises(SeriesConvergenceError) as err:
-        gen_bessel_orders(0, 0, np.array([1.0, 1.0]), np.array([0.5, 400.0]), 0.0,
-                          SeriesControl(max_terms=64))
+        gen_bessel_orders(0, 0, np.array([1.0, 1.0]), np.array([0.5, 400.0]), 0.0)
     assert err.value.residual > 0.0
 
 
@@ -194,21 +193,11 @@ def test_gen_bessel_real_accessor():
     assert v == ref.real
 
 
-def test_gen_bessel_convergence_error_carries_residual():
-    ctl = SeriesControl(max_terms=64)
+def test_gen_bessel_convergence_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(specfun, "MAX_TERMS", 64)
     with pytest.raises(SeriesConvergenceError) as err:
-        gen_bessel(0, 1.0, 400.0, 0.0, ctl)
+        gen_bessel(0, 1.0, 400.0, 0.0)
     assert err.value.residual > 0.0
-
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        SeriesControl(quad_points=62)
-    with pytest.raises(ValueError):
-        SeriesControl(quad_points=65)
-    SeriesControl(quad_points=70)
 
 
 def test_quadrature_trivial_values():
@@ -223,9 +212,10 @@ def test_quadrature_regression_anchor():
     assert abs(val - pinned) < 1e-13
 
 
-def test_quadrature_doubled_nodes_stable():
+def test_quadrature_doubled_nodes_stable(monkeypatch):
     a = gen_bessel_quadrature(9, 8.0, 4.0, 0.6)
-    b = gen_bessel_quadrature(9, 8.0, 4.0, 0.6, SeriesControl(quad_points=1024))
+    monkeypatch.setattr(specfun, "QUAD_POINTS", 1024)
+    b = gen_bessel_quadrature(9, 8.0, 4.0, 0.6)
     assert abs(a - b) < 1e-13
 
 
@@ -279,6 +269,13 @@ def test_airy_matches_mpmath_on_every_series():
     # relative to the oscillation envelope |x|^(-1/4)/sqrt(pi) for x <= 0
     # (6.3e-16 measured)
     assert np.all(err[~pos] <= 2e-15 * _airy_envelope(AIRY_POINTS[~pos]))
+
+
+def test_airy_phase_and_modulus_share_one_map():
+    # _airy_neg evaluates M and phi at the one argument of the M map
+    from atispec import _airy_tables as tab
+
+    assert tab.PHI_SCALE == tab.M_SCALE and tab.PHI_SHIFT == tab.M_SHIFT
 
 
 def test_airy_far_negative_beats_scipy():

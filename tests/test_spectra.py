@@ -390,3 +390,17 @@ def test_general_collapses_to_single_exchange_for_circular():
     r_gen = (pt.rescatter_amplitude / pt.kfr_amplitude).real
     r_circ = dwdo_circular(DESK_FIELD, DESK_ATOM, 100, 0.8).rescatter_factor
     np.testing.assert_allclose(r_gen, r_circ * DESK_ATOM.epsilon0, rtol=1e-10)
+
+
+def test_exchange_sum_raises_when_not_converged(monkeypatch):
+    # with no margin the exchange sum starts at |n'| <= ceil|w| = 5, where
+    # J_6(5) and J_7(5) still carry a tail, and the term cap forbids growing
+    from atispec import spectra
+
+    monkeypatch.setattr(spectra, "RESCATTER_MARGIN", 0)
+    monkeypatch.setattr(specfun, "MAX_TERMS", 11)
+    ladder = specfun._Ladder(np.array([3.0]), 4)
+    with pytest.raises(specfun.SeriesConvergenceError, match="rescattering sum") as err:
+        spectra._exchange_sum(ladder, 4, -5.0, np.array([0.0]), 0.0, 1.0,
+                              DESK_ATOM.epsilon0, 0.01, 20.0)
+    assert err.value.residual > 0.0
