@@ -37,7 +37,6 @@ from .rates import (
 )
 from .specfun import (
     BesselRangeError,
-    GenBesselArgs,
     SeriesConvergenceError,
     airy_ai,
     airy_ai_asymptotic,
@@ -45,7 +44,6 @@ from .specfun import (
     gen_bessel,
     gen_bessel_orders,
     gen_bessel_quadrature,
-    gen_bessel_real,
     ordinary_bessel,
 )
 from .spectra import (

@@ -23,6 +23,7 @@ import numpy as np
 
 from .constants import ATOMIC_FIELD_V_PER_CM, E_CHARGE, ELECTRON_MASS_EV
 from .kinematics import (
+    BORN_LIMIT,
     Atom,
     ChannelExplosionError,
     LaserField,
@@ -139,6 +140,8 @@ class RunConfig:
             raise ConfigError("field 'polarization' must be circular | linear | elliptic")
         if self.polarization == "elliptic" and self.zeta is None:
             raise ConfigError("field 'zeta' is required for elliptic polarization")
+        if self.zeta is not None and self.polarization != "elliptic":
+            raise ConfigError("field 'zeta' is for elliptic polarization only")
         if self.zeta is not None and not abs(self.zeta) <= 1:
             raise ConfigError("field 'zeta' must satisfy |zeta| <= 1")
         if self.z_a < 1:
@@ -301,7 +304,7 @@ def _summary(cfg: RunConfig, warnings: list[str]) -> dict:
         out["saddle_note"] = saddle_note
     if not dp.born_ok:
         out["warnings"].append(
-            "Born condition violated: born_ratio exceeds the configured limit"
+            f"Born condition violated: born_ratio exceeds {BORN_LIMIT:g}"
         )
     return out
 
@@ -358,7 +361,7 @@ def _rate_entry(rs: RateSummary) -> dict:
 
 def collect_rates(cfg: RunConfig) -> dict:
     field, atom = cfg.field(), cfg.atom()
-    grid = GridSpec(theta_points=max(cfg.theta_points, 8),
+    grid = GridSpec(theta_points=cfg.theta_points,
                     phi_points=cfg.phi_points,
                     n_lo=None if cfg.n_range == "auto" else int(cfg.n_range[0]),
                     n_cut=None if cfg.n_range == "auto" else int(cfg.n_range[1]),

@@ -378,7 +378,8 @@ def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering)
     if abs(field.zeta) == 1.0:
         # azimuthal symmetry: analytic 2 pi
         def profile(n):
-            return 2.0 * math.pi * circular_channel_dwdo(field, atom, float(n), mu, rescattering)[0]
+            pref, r = circular_channel_dwdo(field, atom, float(n), mu)
+            return 2.0 * math.pi * (pref * (1.0 + r) ** 2 if rescattering else pref)
     else:
         # |amp|^2 is even under phi -> -phi (amp -> conj amp) and under
         # phi -> pi - phi (amp -> (-1)^N conj amp), for every zeta, so panel
@@ -597,9 +598,9 @@ def rate_laplace(field: LaserField, atom: Atom) -> RateSummary:
     saddle = saddle_point(field, atom)
     n0 = threshold_n(field, atom)
     n_m, th_m = saddle.n_m, saddle.theta_m
-    pref_grid, _ = _airy_mesh(field, atom, np.array([n_m]), np.array([th_m]), np.ones(1))
-    y_at = airy_argument(field, atom, n_m, th_m)
-    prefactor = float(pref_grid[0, 0]) / airy_ai(y_at) ** 2
+    theta_m = np.array([th_m])
+    _, pre, post = _mesh_block(field, atom, np.array([[n_m]]), theta_m, smooth=True)
+    prefactor = float((pre * post * np.sin(theta_m))[0, 0])
 
     n_lo = max(float(n0), n_m - LAPLACE_WIDTHS * saddle.delta_n)
     n_grid = np.linspace(n_lo, n_m + LAPLACE_WIDTHS * saddle.delta_n, 3000)

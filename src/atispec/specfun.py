@@ -17,7 +17,6 @@ never shares code with the series route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -27,10 +26,8 @@ from . import _airy_tables as _tab
 __all__ = [
     "BesselRangeError",
     "SeriesConvergenceError",
-    "GenBesselArgs",
     "ordinary_bessel",
     "gen_bessel",
-    "gen_bessel_real",
     "gen_bessel_orders",
     "gen_bessel_quadrature",
     "airy_ai",
@@ -90,22 +87,6 @@ def phase_exp(m, delta: float):
     else:
         out = np.exp(1j * m * delta)
     return out if out.ndim else out[()]
-
-
-@dataclass(frozen=True)
-class GenBesselArgs:
-    """Argument bundle (n, u, v, delta) with delta reduced to (-pi, pi]."""
-
-    n: int
-    u: float
-    v: float
-    delta: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.u, self.v, self.delta)):
-            raise ValueError("generalized Bessel arguments must be finite")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "delta", _reduce_angle(float(self.delta)))
 
 
 # --------------------------------------------------------------------------
@@ -299,18 +280,6 @@ def gen_bessel(n: int, u: float, v: float, delta: float) -> complex:
     return complex(gen_bessel_orders(int(n), int(n), u, v, delta)[0])
 
 
-def gen_bessel_real(n: int, u: float, v: float) -> float:
-    """Real generalized Bessel function J_n(u, v) = J_n(u, v, 0).
-
-    At delta = 0 every series term is real; the imaginary part is exactly
-    zero and an assertion guards the ABS_FLOOR contract.
-    """
-    z = gen_bessel(n, u, v, 0.0)
-    if abs(z.imag) > ABS_FLOOR:
-        raise SeriesConvergenceError("real generalized Bessel has nonzero imaginary part", abs(z.imag))
-    return z.real
-
-
 # --------------------------------------------------------------------------
 # generalized Bessel function: quadrature oracle
 
@@ -331,8 +300,9 @@ def gen_bessel_quadrature(n: int, u: float, v: float, delta: float) -> complex:
     count exceeds the integrand bandwidth; the node formula is
     2(|n| + ceil|u| + 2 ceil|v|) + QUAD_POINTS.
     """
-    args = GenBesselArgs(n, u, v, delta)
-    n, u, v, delta = args.n, args.u, args.v, args.delta
+    if not all(math.isfinite(x) for x in (u, v, delta)):
+        raise ValueError("generalized Bessel arguments must be finite")
+    n, delta = int(n), _reduce_angle(float(delta))
     m = quadrature_points(n, u, v)
     t = -np.pi + 2.0 * np.pi * np.arange(m) / m
     phase = u * np.sin(t + delta) + v * np.sin(2.0 * t) - n * (t + delta)

@@ -19,6 +19,13 @@ vector and phi from the major polarization axis e1.  The nonrelativistic
 linear formula (tag 59) measures theta from the polarization vector
 instead; the CLI documents both.
 
+Which form serves a field follows from one rule on its zeta: "relativistic"
+takes 44 for |zeta| = 1, 55 for zeta = 0 and 42 otherwise; "nonrelativistic"
+takes 56 for |zeta| = 1 and 59 for zeta = 0, and has no elliptic form.
+channel_spectrum and dwdo_nonrel take their tag from it, dwdo_circular and
+dwdo_linear check the field against it, and dwdo_general takes tag 42 at
+every zeta; all of them go through one row dispatcher.
+
 Each result carries the direct (KFR) and rescattering amplitudes
 separately.  For tags 44/56/59 the squared Bessel factor is absorbed into
 the prefactor and the amplitudes are the dimensionless bracket entries
@@ -30,7 +37,7 @@ states it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +80,13 @@ class SpectrumPoint:
     prefactor           everything outside the squared amplitude bracket
     kfr_amplitude       direct-transition amplitude entry
     rescatter_amplitude rescattering amplitude entry
+    dwdo_kfr_only       dwdo with the rescattering amplitude zeroed before
+                        squaring
+    rescatter_factor    Re(resc/kfr); for the circular bracket this is the
+                        plain factor g^2 / (2 (N - 2Z) k.Pi).  NaN when the
+                        direct amplitude vanishes
     formula_tag         which closed form produced the point
-    below_threshold     True for channels below the photon-number threshold
+    below_threshold     True for channels below the threshold of the form
                         (dwdo is exactly zero there)
     """
 
@@ -85,41 +97,22 @@ class SpectrumPoint:
     prefactor: float
     kfr_amplitude: complex
     rescatter_amplitude: complex
+    dwdo_kfr_only: float
+    rescatter_factor: float
     formula_tag: int
-    below_threshold: bool = False
-
-    @property
-    def dwdo_kfr_only(self) -> float:
-        """dwdo with the rescattering amplitude zeroed before squaring."""
-        if self.formula_tag == TAG_NONREL_LINEAR:
-            return self.prefactor
-        return self.prefactor * abs(self.kfr_amplitude) ** 2
-
-    @property
-    def rescatter_factor(self) -> float:
-        """Re(resc/kfr); for the circular bracket this is the plain factor
-        g^2 / (2 (N - 2Z) k.Pi).  NaN when the direct amplitude vanishes."""
-        if self.kfr_amplitude == 0:
-            return math.nan
-        return (self.rescatter_amplitude / self.kfr_amplitude).real
+    below_threshold: bool
 
 
-def _zero_point(n, theta, phi, tag):
-    return SpectrumPoint(
-        n=int(n), theta=theta, phi=phi, dwdo=0.0, prefactor=0.0,
-        kfr_amplitude=0j, rescatter_amplitude=0j, formula_tag=tag,
-        below_threshold=True,
-    )
-
-
-def _point(rows, n, theta, phi, tag):
-    """SpectrumPoint from the one-row (dwdo, prefactor, kfr, resc) of a kernel."""
-    dwdo, pref, kfr, resc = (np.ravel(a)[0] for a in rows)
-    return SpectrumPoint(
-        n=n, theta=theta, phi=phi, dwdo=float(dwdo), prefactor=float(pref),
-        kfr_amplitude=complex(kfr), rescatter_amplitude=complex(resc),
-        formula_tag=tag,
-    )
+def _tag(field, formula):
+    """The closed form that serves a field: formula x zeta -> tag."""
+    circular, linear = abs(field.zeta) == 1.0, field.zeta == 0.0
+    if formula == "relativistic":
+        return TAG_CIRCULAR if circular else TAG_LINEAR if linear else TAG_GENERAL
+    if formula != "nonrelativistic":
+        raise ValueError(f"formula must be 'relativistic' or 'nonrelativistic', got {formula!r}")
+    if not (circular or linear):
+        raise ValueError("nonrelativistic formulas support circular or linear polarization only")
+    return TAG_NONREL_CIRCULAR if circular else TAG_NONREL_LINEAR
 
 
 def _pow2(x):
@@ -263,41 +256,17 @@ def general_channel_dwdo(
     return tuple(a[back].reshape(shape) for a in (dwdo, prefactor, kfr, resc))
 
 
-def dwdo_general(
-    field: LaserField,
-    atom: Atom,
-    n: int,
-    theta: float,
-    phi: float,
-    rescattering: bool = True,
-) -> SpectrumPoint:
-    """Relativistic dW/dOmega for arbitrary polarization (tag 42).
-
-    The direct amplitude is exp(i N th_p) J_N(alpha, -Z(1-zeta^2)/2, th_p)
-    with th_p the polarization phase angle of the emission direction.  The
-    rescattering amplitude sums photon exchanges n' with weight
-    g^2 / (2 m (N - Z(1+zeta^2)) k.Pi), an ordinary-Bessel factor
-    J_n'(-alpha'(1-zeta^2)/2) and conjugated generalized-Bessel brackets.
-    One-point wrapper of general_channel_dwdo.
-    """
-    n = int(n)
-    rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering)
-    if n < threshold_n(field, atom):
-        return _zero_point(n, theta, phi, TAG_GENERAL)
-    return _point(rows, n, theta, phi, TAG_GENERAL)
-
-
 def circular_channel_dwdo(
     field: LaserField,
     atom: Atom,
     n: float,
     cos_theta: np.ndarray,
-    rescattering: bool = True,
 ):
-    """Vectorized circular dW/dOmega over an array of cos(theta).
+    """Vectorized circular (tag 44) dW/dOmega over an array of cos(theta).
 
-    Returns (dwdo, rescatter_factor) arrays; shared by the spectrum path
-    and the direct rate integrator so both see identical arithmetic.
+    Returns (prefactor, r) arrays: dwdo is prefactor * (1 + r)^2 with
+    rescattering and the prefactor alone without.  Shared by the spectrum
+    path and the direct rate integrator so both see identical arithmetic.
     """
     mu = np.asarray(cos_theta, dtype=float)
     m_star = math.sqrt(1.0 + field.xi**2)
@@ -316,76 +285,26 @@ def circular_channel_dwdo(
         * (n - 2.0 * big_z) ** 2 * k_pi**2 * pi_abs / g_sq**4
         * specfun._jn(n, alpha) ** 2
     )
-    r = g_sq / (2.0 * (n - 2.0 * big_z) * k_pi)
-    bracket = (1.0 + r) ** 2 if rescattering else np.ones_like(r)
-    return pref * bracket, r
+    return pref, g_sq / (2.0 * (n - 2.0 * big_z) * k_pi)
 
 
 def _circular_rows(field, atom, n, theta, rescattering):
     """Tag 44 over a 1-D theta array: (dwdo, prefactor, kfr, resc) with the
     bracket amplitudes (1, r), zero below the channel threshold."""
-    if abs(field.zeta) != 1.0:
-        raise ValueError("dwdo_circular requires circular polarization (|zeta| = 1)")
     if n < threshold_n(field, atom):
         z = np.zeros(theta.shape)
         return z, z, z, z
-    pref, r = circular_channel_dwdo(field, atom, float(n), np.cos(theta), rescattering=False)
-    dwdo = pref * _pow2(np.abs(1.0 + r)) if rescattering else pref * 1.0
+    pref, r = circular_channel_dwdo(field, atom, float(n), np.cos(theta))
+    dwdo = pref * _pow2(np.abs(1.0 + r)) if rescattering else pref
     return dwdo, pref, np.ones(theta.shape), r
 
 
-def dwdo_circular(
-    field: LaserField,
-    atom: Atom,
-    n: int,
-    theta: float,
-    rescattering: bool = True,
-) -> SpectrumPoint:
-    """Relativistic circular-polarization dW/dOmega (tag 44).
-
-    Requires |zeta| = 1; azimuth-independent.  The squared ordinary Bessel
-    J_N^2(alpha) sits in the prefactor and the bracket amplitudes are
-    (1, r) with r = g^2 / (2 (N - 2Z) k.Pi), so dwdo(on)/dwdo(off)
-    equals (1 + r)^2.
-    """
-    n = int(n)
-    rows = _circular_rows(field, atom, n, np.array([float(theta)]), rescattering)
-    if n < threshold_n(field, atom):
-        return _zero_point(n, theta, 0.0, TAG_CIRCULAR)
-    return _point(rows, n, theta, 0.0, TAG_CIRCULAR)
-
-
-def dwdo_linear(
-    field: LaserField,
-    atom: Atom,
-    n: int,
-    theta: float,
-    phi: float,
-    rescattering: bool = True,
-) -> SpectrumPoint:
-    """Relativistic linear-polarization dW/dOmega (tag 55).
-
-    Tag 42 at zeta = 0: the generalized Bessel functions are real and the
-    azimuth enters through |cos phi| in the coupling amplitude, which makes
-    the spectrum even under phi -> -phi and phi -> pi - phi.  One-point
-    wrapper of general_channel_dwdo.
-    """
-    if field.zeta != 0.0:
-        raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
-    point = dwdo_general(field, atom, n, theta, phi, rescattering)
-    return replace(point, formula_tag=TAG_LINEAR)
-
-
-def _nonrel_channel(field, atom, n, polarization):
-    """(tag, z, X) of a nonrelativistic channel: the ponderomotive parameter
-    z = xi^2 / (4 omega) and the kinetic photon number X."""
+def _nonrel_channel(field, atom, n, tag):
+    """(z, X) of a channel of the nonrelativistic form `tag`: the
+    ponderomotive parameter z = xi^2 / (4 omega) and the kinetic photon
+    number X."""
     z = field.xi**2 / (4.0 * field.omega)
-    eb_w = atom.e_b / field.omega
-    if polarization == "circular":
-        return TAG_NONREL_CIRCULAR, z, n - 2.0 * z - eb_w
-    if polarization == "linear":
-        return TAG_NONREL_LINEAR, z, n - z - eb_w
-    raise ValueError(f"polarization must be 'circular' or 'linear', got {polarization!r}")
+    return z, n - (2.0 * z if tag == TAG_NONREL_CIRCULAR else z) - atom.e_b / field.omega
 
 
 def nonrel_channel_dwdo(
@@ -393,19 +312,19 @@ def nonrel_channel_dwdo(
     atom: Atom,
     n: int,
     theta,
-    polarization: str,
     rescattering: bool = True,
 ):
-    """Vectorized nonrelativistic dW/dOmega (tags 56/59) of channel n over
-    an array of theta.
+    """Vectorized nonrelativistic dW/dOmega of channel n over an array of
+    theta: tag 56 for |zeta| = 1, tag 59 for zeta = 0, ValueError for an
+    elliptic field.
 
     Returns (dwdo, prefactor, kfr, resc) arrays of theta's shape, with the
     bracket amplitudes (1, rho); all four are zero at and below the
-    threshold X <= 0.  Shared by the one-point wrapper and the spectrum
-    path.
+    threshold X <= 0.
     """
     theta = np.asarray(theta, dtype=float)
-    tag, z, x_kin = _nonrel_channel(field, atom, n, polarization)
+    tag = _tag(field, "nonrelativistic")
+    z, x_kin = _nonrel_channel(field, atom, n, tag)
     if x_kin <= 0.0:
         zero = np.zeros(theta.shape)
         return zero, zero, zero, zero
@@ -435,29 +354,121 @@ def nonrel_channel_dwdo(
     return tuple(a.reshape(theta.shape) for a in rows)
 
 
+def _rows(field, atom, n, theta, phi, tag, rescattering):
+    """Channel n by the closed form `tag` over 1-D angle arrays:
+    (dwdo, prefactor, kfr, resc, kfr_only_dwdo, rescatter_factor).  The
+    azimuth-independent tags 44/56/59 are evaluated once per distinct
+    theta."""
+    if tag in (TAG_GENERAL, TAG_LINEAR):
+        rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering)
+    else:
+        thetas, back = np.unique(theta, return_inverse=True)
+        kernel = _circular_rows if tag == TAG_CIRCULAR else nonrel_channel_dwdo
+        rows = tuple(a[back] for a in kernel(field, atom, n, thetas, rescattering))
+    dwdo, pref, kfr, resc = rows
+    kfr_only = pref if tag == TAG_NONREL_LINEAR else pref * np.abs(kfr) ** 2
+    # a zero direct amplitude gives NaN; one near underflow (at theta = pi,
+    # say) gives a ratio past the double range, written as inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rescatter_factor = np.where(kfr == 0, np.nan, (resc / kfr).real)
+    return dwdo, pref, kfr, resc, kfr_only, rescatter_factor
+
+
+def _point(field, atom, n, theta, phi, tag, rescattering):
+    """SpectrumPoint of channel n at one emission direction by the closed
+    form `tag`; the channel is below threshold at n < threshold_n for the
+    relativistic forms and at X <= 0 for the nonrelativistic ones."""
+    n = int(n)
+    rows = _rows(field, atom, n, np.array([float(theta)]), np.array([float(phi)]), tag,
+                 rescattering)
+    dwdo, pref, kfr, resc, kfr_only, factor = (a[0] for a in rows)
+    if tag in (TAG_NONREL_CIRCULAR, TAG_NONREL_LINEAR):
+        below = _nonrel_channel(field, atom, n, tag)[1] <= 0.0
+    else:
+        below = n < threshold_n(field, atom)
+    return SpectrumPoint(
+        n=n, theta=theta, phi=phi, dwdo=float(dwdo), prefactor=float(pref),
+        kfr_amplitude=complex(kfr), rescatter_amplitude=complex(resc),
+        dwdo_kfr_only=float(kfr_only), rescatter_factor=float(factor),
+        formula_tag=tag, below_threshold=bool(below),
+    )
+
+
+def dwdo_general(
+    field: LaserField,
+    atom: Atom,
+    n: int,
+    theta: float,
+    phi: float,
+    rescattering: bool = True,
+) -> SpectrumPoint:
+    """Relativistic dW/dOmega for arbitrary polarization (tag 42).
+
+    The direct amplitude is exp(i N th_p) J_N(alpha, -Z(1-zeta^2)/2, th_p)
+    with th_p the polarization phase angle of the emission direction.  The
+    rescattering amplitude sums photon exchanges n' with weight
+    g^2 / (2 m (N - Z(1+zeta^2)) k.Pi), an ordinary-Bessel factor
+    J_n'(-alpha'(1-zeta^2)/2) and conjugated generalized-Bessel brackets.
+    One-point form of general_channel_dwdo, at every zeta.
+    """
+    return _point(field, atom, n, theta, phi, TAG_GENERAL, rescattering)
+
+
+def dwdo_circular(
+    field: LaserField,
+    atom: Atom,
+    n: int,
+    theta: float,
+    rescattering: bool = True,
+) -> SpectrumPoint:
+    """Relativistic circular-polarization dW/dOmega (tag 44).
+
+    Requires |zeta| = 1; azimuth-independent.  The squared ordinary Bessel
+    J_N^2(alpha) sits in the prefactor and the bracket amplitudes are
+    (1, r) with r = g^2 / (2 (N - 2Z) k.Pi), so dwdo(on)/dwdo(off)
+    equals (1 + r)^2.
+    """
+    if _tag(field, "relativistic") != TAG_CIRCULAR:
+        raise ValueError("dwdo_circular requires circular polarization (|zeta| = 1)")
+    return _point(field, atom, n, theta, 0.0, TAG_CIRCULAR, rescattering)
+
+
+def dwdo_linear(
+    field: LaserField,
+    atom: Atom,
+    n: int,
+    theta: float,
+    phi: float,
+    rescattering: bool = True,
+) -> SpectrumPoint:
+    """Relativistic linear-polarization dW/dOmega (tag 55).
+
+    Tag 42 at zeta = 0: the generalized Bessel functions are real and the
+    azimuth enters through |cos phi| in the coupling amplitude, which makes
+    the spectrum even under phi -> -phi and phi -> pi - phi.
+    """
+    if _tag(field, "relativistic") != TAG_LINEAR:
+        raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
+    return _point(field, atom, n, theta, phi, TAG_LINEAR, rescattering)
+
+
 def dwdo_nonrel(
     field: LaserField,
     atom: Atom,
     n: int,
     theta: float,
-    polarization: str,
     rescattering: bool = True,
 ) -> SpectrumPoint:
-    """Nonrelativistic dW/dOmega (tags 56 circular / 59 linear).
+    """Nonrelativistic dW/dOmega: tag 56 for a circular field, tag 59 for a
+    linear one; an elliptic field raises ValueError.
 
     The ponderomotive parameter is z = xi^2 / (4 omega) and the channel
     kinetic energy is omega * X with X = N - 2z - E_B/omega (circular) or
     X = N - z - E_B/omega (linear).  For the linear case theta is measured
     from the polarization vector and the rescattering brace enters
-    unsquared, exactly as the closed form states it.  One-point wrapper of
-    nonrel_channel_dwdo.
+    unsquared, exactly as the closed form states it.
     """
-    n = int(n)
-    tag, _, x_kin = _nonrel_channel(field, atom, n, polarization)
-    if x_kin <= 0.0:
-        return _zero_point(n, theta, 0.0, tag)
-    rows = nonrel_channel_dwdo(field, atom, n, np.array([float(theta)]), polarization, rescattering)
-    return _point(rows, n, theta, 0.0, tag)
+    return _point(field, atom, n, theta, 0.0, _tag(field, "nonrelativistic"), rescattering)
 
 
 def channel_spectrum(
@@ -470,35 +481,12 @@ def channel_spectrum(
     rescattering: bool = True,
 ):
     """The `ati spectrum` columns of channel n over 1-D arrays of emission
-    angles (theta, phi): (tag, dwdo, kfr_only_dwdo, rescatter_factor).
-
-    formula "relativistic" takes tag 44 for |zeta| = 1, 55 for zeta = 0
-    and 42 otherwise; "nonrelativistic" takes 56 for |zeta| = 1 and 59 for
-    zeta = 0.  Each row equals the SpectrumPoint of the one-point wrapper
-    at its angles: bit for bit for tags 44/56, to roundoff otherwise.  The
-    azimuth-independent tags 44/56/59 are evaluated once per distinct theta.
+    angles (theta, phi): (tag, dwdo, kfr_only_dwdo, rescatter_factor), the
+    tag by the rule of the module docstring.  Each row equals the
+    SpectrumPoint of the one-point function at its angles: bit for bit for
+    tags 44/56/59, to roundoff otherwise.
     """
-    circular, linear = abs(field.zeta) == 1.0, field.zeta == 0.0
-    if formula not in ("relativistic", "nonrelativistic"):
-        raise ValueError(f"formula must be 'relativistic' or 'nonrelativistic', got {formula!r}")
-    if formula == "nonrelativistic" and not (circular or linear):
-        raise ValueError("nonrelativistic formulas support circular or linear polarization only")
-    if formula == "relativistic" and not circular:
-        tag = TAG_LINEAR if linear else TAG_GENERAL
-        rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering)
-    else:
-        thetas, back = np.unique(theta, return_inverse=True)
-        if formula == "relativistic":
-            tag, rows = TAG_CIRCULAR, _circular_rows(field, atom, n, thetas, rescattering)
-        else:
-            tag = TAG_NONREL_CIRCULAR if circular else TAG_NONREL_LINEAR
-            rows = nonrel_channel_dwdo(field, atom, n, thetas, "circular" if circular else "linear",
-                                       rescattering)
-        rows = tuple(a[back] for a in rows)
-    dwdo, pref, kfr, resc = rows
-    kfr_only = pref if tag == TAG_NONREL_LINEAR else pref * np.abs(kfr) ** 2
-    # a zero direct amplitude gives NaN; one near underflow (at theta = pi,
-    # say) gives a ratio past the double range, written as inf
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rescatter_factor = np.where(kfr == 0, np.nan, (resc / kfr).real)
+    tag = _tag(field, formula)
+    dwdo, _, _, _, kfr_only, rescatter_factor = _rows(field, atom, n, theta, phi, tag,
+                                                      rescattering)
     return tag, dwdo, kfr_only, rescatter_factor

@@ -235,7 +235,7 @@ def test_a07_nonrelativistic_limit():
     worst = 0.0
     for n in (n_peak, n_peak + 1):
         val, theta = ridge[n]
-        nr = dwdo_nonrel(field, atom, n, theta, "circular").dwdo
+        nr = dwdo_nonrel(field, atom, n, theta).dwdo
         worst = max(worst, abs(val / nr - 1.0))
     _report("07 nonrelativistic-limit", worst, 0.10, extra=f"(peak N={n_peak}) ")
 

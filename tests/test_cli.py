@@ -148,8 +148,8 @@ def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarizat
         44: lambda n, th, ph: dwdo_circular(field, atom, n, th, resc),
         55: lambda n, th, ph: dwdo_linear(field, atom, n, th, ph, resc),
         42: lambda n, th, ph: dwdo_general(field, atom, n, th, ph, resc),
-        56: lambda n, th, ph: dwdo_nonrel(field, atom, n, th, "circular", resc),
-        59: lambda n, th, ph: dwdo_nonrel(field, atom, n, th, "linear", resc),
+        56: lambda n, th, ph: dwdo_nonrel(field, atom, n, th, resc),
+        59: lambda n, th, ph: dwdo_nonrel(field, atom, n, th, resc),
     }
     groups = {}
     for line in (out / "spectrum.csv").read_text().splitlines()[1:]:
@@ -196,6 +196,7 @@ def test_config_field_error_exit_2(tmp_path):
     ("z_a", 200),  # hydrogenic binding energy above the electron mass
     ("channel_cap", -1),
     ("output_path", ""),
+    ("zeta", 0.5),  # on the circular field of write_config
 ])
 def test_config_value_error_exit_2_one_line(tmp_path, capsys, key, value):
     from atispec.cli import main
@@ -225,6 +226,27 @@ def test_out_of_range_magnitude_exit_2_one_line(tmp_path, capsys, command, key, 
     assert err.startswith("config error:") and err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+def test_zeta_override_outside_elliptic_exit_2_one_line(tmp_path, capsys):
+    # --zeta on a linear field would be ignored by the run
+    from atispec.cli import main
+
+    cfg = write_config(tmp_path, polarization="linear")
+    assert main(["spectrum", "-c", str(cfg), "--zeta", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: field 'zeta' is for elliptic polarization only\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_born_warning_states_its_limit(tmp_path):
+    from atispec.cli import main
+
+    cfg = write_config(tmp_path, intensity_xi=0.01, theta_points=8, n_range=[1, 2])
+    assert main(["spectrum", "-c", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["derived"]["born_ratio"] > 0.2
+    assert summary["warnings"] == ["Born condition violated: born_ratio exceeds 0.2"]
 
 
 def test_elliptic_rate_and_sweep_exit_0(tmp_path, capsys):

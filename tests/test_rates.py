@@ -209,7 +209,8 @@ def _gauss_legendre_pair_rate(field, rs, theta_points, phi_points):
     total = []
     for n in range(rs.grid_report["n_lo"], rs.grid_report["n_hi"] + 1):
         if field.zeta != 0.0:
-            vals, _ = circular_channel_dwdo(field, DESK_ATOM, float(n), mu)
+            pref, r = circular_channel_dwdo(field, DESK_ATOM, float(n), mu)
+            vals = pref * (1.0 + r) ** 2
             total.append(2.0 * math.pi * float(np.dot(w, vals)))
         else:
             vals = general_channel_dwdo(field, DESK_ATOM, n, thetas, phis)[0]

@@ -13,12 +13,14 @@ from atispec.spectra import (
     TAG_LINEAR,
     TAG_NONREL_CIRCULAR,
     TAG_NONREL_LINEAR,
+    channel_spectrum,
     circular_channel_dwdo,
     dwdo_circular,
     dwdo_general,
     dwdo_linear,
     dwdo_nonrel,
     general_channel_dwdo,
+    nonrel_channel_dwdo,
 )
 
 DESK_FIELD = LaserField.circular(0.01, 1.0)
@@ -70,7 +72,8 @@ def test_circular_accepts_both_helicities():
 
 def test_circular_vector_helper_matches_scalar():
     mu = np.array([math.cos(0.6), math.cos(1.1)])
-    vals, _ = circular_channel_dwdo(DESK_FIELD, DESK_ATOM, 100.0, mu)
+    pref, r = circular_channel_dwdo(DESK_FIELD, DESK_ATOM, 100.0, mu)
+    vals = pref * (1.0 + r) ** 2
     for m, v in zip(mu, vals):
         assert v == dwdo_circular(DESK_FIELD, DESK_ATOM, 100, math.acos(m)).dwdo
 
@@ -298,14 +301,14 @@ NR_LINEAR = LaserField.linear(5e-3, 0.05)
 def test_nonrel_threshold_zero():
     z = NR_FIELD.xi**2 / (4 * NR_FIELD.omega)
     n_below = int(math.floor(2 * z + DESK_ATOM.e_b / NR_FIELD.omega))
-    pt = dwdo_nonrel(NR_FIELD, DESK_ATOM, n_below, 0.9, "circular")
+    pt = dwdo_nonrel(NR_FIELD, DESK_ATOM, n_below, 0.9)
     assert pt.below_threshold and pt.dwdo == 0.0
 
 
 def test_nonrel_circular_bracket_structure():
-    pt = dwdo_nonrel(NR_FIELD, DESK_ATOM, 2, 0.9, "circular")
+    pt = dwdo_nonrel(NR_FIELD, DESK_ATOM, 2, 0.9)
     rho = pt.rescatter_factor
-    off = dwdo_nonrel(NR_FIELD, DESK_ATOM, 2, 0.9, "circular", rescattering=False)
+    off = dwdo_nonrel(NR_FIELD, DESK_ATOM, 2, 0.9, rescattering=False)
     np.testing.assert_allclose(pt.dwdo / off.dwdo, (1 + rho) ** 2, rtol=1e-12)
     assert pt.formula_tag == TAG_NONREL_CIRCULAR
 
@@ -322,13 +325,13 @@ def test_nonrel_matches_relativistic_circular_at_peak():
     n_peak = max(ridge, key=lambda k: ridge[k][0])
     for n in (n_peak, n_peak + 1):
         val, th = ridge[n]
-        nr = dwdo_nonrel(NR_FIELD, DESK_ATOM, n, th, "circular").dwdo
+        nr = dwdo_nonrel(NR_FIELD, DESK_ATOM, n, th).dwdo
         assert abs(val / nr - 1.0) < 0.10
 
 
 def test_nonrel_linear_brace_enters_unsquared():
-    pt_on = dwdo_nonrel(NR_LINEAR, DESK_ATOM, 2, 0.4, "linear")
-    pt_off = dwdo_nonrel(NR_LINEAR, DESK_ATOM, 2, 0.4, "linear", rescattering=False)
+    pt_on = dwdo_nonrel(NR_LINEAR, DESK_ATOM, 2, 0.4)
+    pt_off = dwdo_nonrel(NR_LINEAR, DESK_ATOM, 2, 0.4, rescattering=False)
     rho = pt_on.rescatter_factor
     np.testing.assert_allclose(pt_on.dwdo / pt_off.dwdo, 1 + rho, rtol=1e-12)
     assert pt_on.formula_tag == TAG_NONREL_LINEAR
@@ -348,16 +351,50 @@ def test_nonrel_linear_joint_limit():
         field = LaserField.linear(omega, math.sqrt(2.0 * omega))  # fixed z = 1/2
         rel = dwdo_linear(field, atom, 2, math.pi / 2 - th_pol, 0.0,
                           rescattering=False).dwdo
-        nr = dwdo_nonrel(field, atom, 2, th_pol, "linear", rescattering=False).dwdo
+        nr = dwdo_nonrel(field, atom, 2, th_pol, rescattering=False).dwdo
         ratios.append(rel / nr)
     devs = [abs(r - 1.0) for r in ratios]
     assert devs[0] > devs[1] > devs[2]
     assert devs[-1] < 0.03
 
 
-def test_nonrel_rejects_unknown_polarization():
+def test_nonrel_entry_points_reject_elliptic_field():
+    # the nonrelativistic forms exist for circular and linear fields only
+    field = LaserField(5e-3, 0.05, 0.5)
     with pytest.raises(ValueError):
-        dwdo_nonrel(NR_FIELD, DESK_ATOM, 3, 0.4, "elliptic")
+        nonrel_channel_dwdo(field, DESK_ATOM, 3, np.array([0.4]))
+    with pytest.raises(ValueError):
+        dwdo_nonrel(field, DESK_ATOM, 3, 0.4)
+    with pytest.raises(ValueError):
+        channel_spectrum(field, DESK_ATOM, 3, np.array([0.4]), np.array([0.0]), "nonrelativistic")
+
+
+# ------------------------------------------------------------- threshold
+
+def _nonrel_first_open(field, c):
+    # X = N - c z - E_B / omega > 0, with c = 2 (circular) or 1 (linear)
+    return math.floor(c * field.xi**2 / (4 * field.omega) + DESK_ATOM.e_b / field.omega) + 1
+
+
+@pytest.mark.parametrize("tag, field, point, first_open", [
+    (TAG_GENERAL, LaserField(0.01, 1.0, 0.5),
+     lambda f, n: dwdo_general(f, DESK_ATOM, n, 0.7, 0.3), None),
+    (TAG_CIRCULAR, DESK_FIELD, lambda f, n: dwdo_circular(f, DESK_ATOM, n, 0.7), None),
+    (TAG_LINEAR, LaserField.linear(0.01, 1.0),
+     lambda f, n: dwdo_linear(f, DESK_ATOM, n, 0.7, 0.3), None),
+    (TAG_NONREL_CIRCULAR, LaserField.circular(5e-3, 0.2),
+     lambda f, n: dwdo_nonrel(f, DESK_ATOM, n, 0.7), 2.0),
+    (TAG_NONREL_LINEAR, LaserField.linear(5e-3, 0.2),
+     lambda f, n: dwdo_nonrel(f, DESK_ATOM, n, 0.7), 1.0),
+])
+def test_below_threshold_flag_at_last_closed_and_first_open_channel(tag, field, point, first_open):
+    n_open = threshold_n(field, DESK_ATOM) if first_open is None \
+        else _nonrel_first_open(field, first_open)
+    closed, opened = point(field, n_open - 1), point(field, n_open)
+    assert closed.formula_tag == opened.formula_tag == tag
+    assert closed.below_threshold and not opened.below_threshold
+    assert (closed.dwdo, closed.prefactor, closed.kfr_amplitude, closed.rescatter_amplitude,
+            closed.dwdo_kfr_only) == (0.0, 0.0, 0j, 0j, 0.0)
 
 
 # ------------------------------------------------------------- invariants
@@ -376,8 +413,8 @@ def test_every_formula_nonnegative_over_random_scan():
         assert dwdo_circular(DESK_FIELD, DESK_ATOM, int(n0_c + rng.integers(0, 150)), th, resc).dwdo >= 0
         assert dwdo_general(field_e, DESK_ATOM, int(n0_e + rng.integers(0, 80)), th, ph, resc).dwdo >= 0
         assert dwdo_linear(field_l, DESK_ATOM, int(n0_l + rng.integers(0, 80)), th, ph, resc).dwdo >= 0
-        assert dwdo_nonrel(NR_FIELD, DESK_ATOM, int(rng.integers(1, 12)), th, "circular", resc).dwdo >= 0
-        assert dwdo_nonrel(NR_LINEAR, DESK_ATOM, int(rng.integers(1, 12)), th, "linear", resc).dwdo >= 0
+        assert dwdo_nonrel(NR_FIELD, DESK_ATOM, int(rng.integers(1, 12)), th, resc).dwdo >= 0
+        assert dwdo_nonrel(NR_LINEAR, DESK_ATOM, int(rng.integers(1, 12)), th, resc).dwdo >= 0
 
 
 def test_general_collapses_to_single_exchange_for_circular():
