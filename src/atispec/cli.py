@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,12 +93,6 @@ class RunConfig:
     formula: str = "relativistic"
     workers: int = 1  # accepted for older configs; has no effect
     channel_cap: int = DEFAULT_RATE_CHANNEL_CAP
-
-    _ALLOWED = (
-        "photon_energy_ev", "intensity_xi", "peak_field_v_per_cm", "polarization",
-        "zeta", "z_a", "binding_energy_ev", "theta_points", "phi_points",
-        "n_range", "mode", "output_path", "formula", "workers", "channel_cap",
-    )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -221,6 +215,9 @@ class RunConfig:
         if self.binding_energy_ev is None:
             return Atom.from_charge(int(self.z_a))
         return Atom.with_binding(int(self.z_a), self.binding_energy_ev / ELECTRON_MASS_EV)
+
+
+RunConfig._ALLOWED = frozenset(f.name for f in fields(RunConfig))
 
 
 def load_config(path: str, overrides: dict) -> RunConfig:
@@ -460,9 +457,12 @@ def run_selftest(json_mode: bool, fault: float) -> int:
 # argument parsing
 
 def _add_common(p):
+    # every flag but --config overrides the config key named by its dest
     p.add_argument("-c", "--config", required=True, help="JSON config file")
-    p.add_argument("-o", "--output", help="output directory (overrides config)")
-    p.add_argument("--xi", type=float, help="override intensity_xi")
+    p.add_argument("-o", "--output", dest="output_path", metavar="OUTPUT",
+                   help="output directory (overrides config)")
+    p.add_argument("--xi", dest="intensity_xi", metavar="XI", type=float,
+                   help="override intensity_xi")
     p.add_argument("--photon-energy-ev", type=float)
     p.add_argument("--z-a", type=int)
     p.add_argument("--binding-energy-ev", type=float)
@@ -476,15 +476,7 @@ def _add_common(p):
 
 
 def _overrides(args) -> dict:
-    pairs = {
-        "output_path": args.output, "intensity_xi": args.xi,
-        "photon_energy_ev": args.photon_energy_ev, "z_a": args.z_a,
-        "binding_energy_ev": args.binding_energy_ev,
-        "polarization": args.polarization, "zeta": args.zeta,
-        "theta_points": args.theta_points, "phi_points": args.phi_points,
-        "mode": args.mode, "formula": args.formula, "workers": args.workers,
-    }
-    return {k: v for k, v in pairs.items() if v is not None}
+    return {k: v for k, v in vars(args).items() if k in RunConfig._ALLOWED and v is not None}
 
 
 def main(argv=None) -> int:

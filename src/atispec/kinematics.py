@@ -11,12 +11,17 @@ Z = xi^2 m^2 / (4 k.p) and moves on the shifted shell Pi^2 = m*^2 with the
 effective mass m* = sqrt(1 + xi^2 (1 + zeta^2) / 2).  A channel that
 absorbed N photons has quasienergy Pi0 = eps0 + N omega and hands the
 recoil three-momentum g = Pi - N k to the atomic remainder.
+channel_kinematics is the one place these are computed: every dW/dOmega
+kernel and the Airy-form rate mesh call it, over arrays of n, theta and
+phi.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import E_CHARGE, FINE_STRUCTURE
 
@@ -189,23 +194,25 @@ def derive_params(field: LaserField, atom: Atom) -> DerivedParams:
 
 @dataclass(frozen=True)
 class ChannelKinematics:
-    """Per-channel kinematics for emission direction (theta, phi).
+    """Kinematics of channel n in the emission direction (theta, phi).
 
-    n           net absorbed photon number (continuous values allowed for
-                saddle/steepest-descent work; physical channels are integers)
+    Each field has the broadcast shape of the inputs it depends on: pi0 and
+    pi_abs of n; k_dot_pi, big_z and g_sq of n and theta; alpha_amp and
+    phase_angle of all three.
+
     pi0         quasienergy eps0 + N omega
     pi_abs      |Pi| = sqrt(pi0^2 - m*^2)
     k_dot_pi    omega (pi0 - |Pi| cos theta)
     big_z       Z = xi^2 m^2 / (4 k.Pi)
-    g_sq        |Pi - N k|^2, squared recoil momentum
+    g_sq        |Pi - N k|^2 = |Pi|^2 - 2 N omega |Pi| cos theta + (N omega)^2,
+                squared recoil momentum
     alpha_amp   field-electron coupling amplitude
                 xi |Pi| sin(theta) sqrt(cos^2 phi + zeta^2 sin^2 phi) / k.Pi
-    phase_angle atan2(zeta |Pi| sin theta sin phi, |Pi| sin theta cos phi)
+    phase_angle atan2(zeta sin phi, cos phi); where |Pi| sin theta = 0 the
+                product form atan2(zeta |Pi| sin theta sin phi,
+                |Pi| sin theta cos phi), whose signed zeros pick 0 or +-pi
     """
 
-    n: float
-    theta: float
-    phi: float
     pi0: float
     pi_abs: float
     k_dot_pi: float
@@ -215,39 +222,51 @@ class ChannelKinematics:
     phase_angle: float
 
 
-def channel_kinematics(
-    field: LaserField, atom: Atom, n: float, theta: float, phi: float
-) -> ChannelKinematics:
-    """Kinematics of the channel (n, theta, phi).
+def _lib(x):
+    """numpy for an array, math for a scalar: numpy's cos, sin, sqrt, atan2
+    and x**2 (x*x) can differ from libm's in the last bit, and the scalar
+    callers (saddle_point among them) keep libm's."""
+    return np if isinstance(x, np.ndarray) else math
 
-    Raises BelowThresholdError when n is below the threshold photon number;
-    the spectra layer catches this and reports an explicit zero instead.
+
+def channel_kinematics(field: LaserField, atom: Atom, n, theta, phi) -> ChannelKinematics:
+    """Kinematics of the channel (n, theta, phi), broadcast over the three.
+
+    Each input keeps the arithmetic of its type, libm for a scalar and
+    numpy for an array (_lib), so a per-channel kernel (scalar n, angle
+    arrays), the Airy-form mesh (n and theta arrays) and a scalar call
+    share this one function.  Raises
+    BelowThresholdError when any n is below the threshold photon number;
+    the spectra layer checks the threshold first and reports an explicit
+    zero instead.
     """
     n0 = threshold_n(field, atom)
-    if n < n0:
-        raise BelowThresholdError(n, n0)
-    m_star = effective_mass(field)
-    omega, xi = field.omega, field.xi
+    n_min = np.min(n) if isinstance(n, np.ndarray) else n
+    if n_min < n0:
+        raise BelowThresholdError(n_min, n0)
+    t, p = _lib(theta), _lib(phi)
+    return _kinematics(field, atom, n, t.cos(theta), t.sin(theta), p.cos(phi), p.sin(phi))
+
+
+def _kinematics(field, atom, n, cos_t, sin_t, cos_p, sin_p) -> ChannelKinematics:
+    """channel_kinematics from the cosines and sines of the emission angles,
+    with no threshold check; the circular closed form, which integrates in
+    cos theta, enters here."""
+    omega, xi, zeta = field.omega, field.xi, field.zeta
     pi0 = atom.epsilon0 + n * omega
-    pi_abs = math.sqrt(max(pi0**2 - m_star**2, 0.0))
-    ct, st = math.cos(theta), math.sin(theta)
-    k_dot_pi = omega * (pi0 - pi_abs * ct)
+    pi_abs = _lib(n).sqrt(np.maximum(pi0**2 - effective_mass(field) ** 2, 0.0))
+    k_dot_pi = omega * (pi0 - pi_abs * cos_t)
     big_z = xi**2 / (4.0 * k_dot_pi)
-    g_sq = pi_abs**2 - 2.0 * n * omega * pi_abs * ct + (n * omega) ** 2
-    proj = math.sqrt(math.cos(phi) ** 2 + field.zeta**2 * math.sin(phi) ** 2)
-    alpha_amp = xi * pi_abs * st * proj / k_dot_pi
-    phase_angle = math.atan2(
-        field.zeta * pi_abs * st * math.sin(phi), pi_abs * st * math.cos(phi)
-    )
-    return ChannelKinematics(
-        n=n,
-        theta=theta,
-        phi=phi,
-        pi0=pi0,
-        pi_abs=pi_abs,
-        k_dot_pi=k_dot_pi,
-        big_z=big_z,
-        g_sq=g_sq,
-        alpha_amp=alpha_amp,
-        phase_angle=phase_angle,
-    )
+    g_sq = pi_abs**2 - 2.0 * n * omega * pi_abs * cos_t + (n * omega) ** 2
+    proj_sq = cos_p**2 + zeta**2 * sin_p**2
+    alpha_amp = xi * pi_abs * sin_t * _lib(proj_sq).sqrt(proj_sq) / k_dot_pi
+    # the phase angle of (|Pi| sin th cos ph, zeta |Pi| sin th sin ph) is
+    # that of (cos ph, zeta sin ph) for every theta of one phi
+    phase_angle = _lib(sin_p).atan2(zeta * sin_p, cos_p)
+    a = pi_abs * sin_t
+    if isinstance(a, np.ndarray):
+        if not (a > 0.0).all():
+            phase_angle = np.where(a > 0.0, phase_angle, np.atan2(zeta * a * sin_p, a * cos_p))
+    elif not a > 0.0:
+        phase_angle = _lib(sin_p).atan2(zeta * a * sin_p, a * cos_p)
+    return ChannelKinematics(pi0, pi_abs, k_dot_pi, big_z, g_sq, alpha_amp, phase_angle)

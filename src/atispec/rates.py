@@ -13,8 +13,10 @@ rate is bit-reproducible for a given grid regardless of how the channel
 map is scheduled.  Gauss-Legendre and Gauss-Kronrod node sets are built
 once per size.
 
-The Airy-form meshes (rate_airy, rate_laplace) are evaluated in blocks of
-rows, and Ai only where a point can count: for y > 0,
+The Airy-form rates (rate_airy, rate_laplace) serve circular fields with
+n_m >= 50.  Their meshes share the kernels' kinematics and 1s density,
+are evaluated in blocks of rows, and call Ai only where a point can
+count: for y > 0,
 Ai(y) <= L(y) = exp(-2/3 y^(3/2)) / (2 sqrt(pi) y^(1/4)) (the asymptotic
 expansion envelopes Ai, DLMF 9.7(iv)), with L/Ai <= 1.0706 for y >= 1.
 With B = prefactor * L^2 * quadrature weights, Lambda = (sum of B over
@@ -42,7 +44,7 @@ from .kinematics import (
     threshold_n,
 )
 from .specfun import airy_ai
-from .spectra import circular_channel_dwdo, general_channel_dwdo
+from .spectra import _recoil, circular_channel_dwdo, general_channel_dwdo
 
 __all__ = [
     "DegenerateSaddleError",
@@ -151,10 +153,14 @@ class RateSummary:
     warnings: tuple = dc_field(default=())
 
 
+def _airy_y(n, alpha):
+    """(N/2)^(2/3) (1 - alpha^2 / N^2), scalar or array."""
+    return (n / 2.0) ** (2.0 / 3.0) * (1.0 - alpha**2 / n**2)
+
+
 def airy_argument(field: LaserField, atom: Atom, n: float, theta: float) -> float:
     """Airy argument y(N, theta) = (N/2)^(2/3) (1 - alpha^2 / N^2)."""
-    ck = channel_kinematics(field, atom, n, theta, 0.0)
-    return (n / 2.0) ** (2.0 / 3.0) * (1.0 - ck.alpha_amp**2 / n**2)
+    return _airy_y(n, channel_kinematics(field, atom, n, theta, 0.0).alpha_amp)
 
 
 def _ridge_theta(field, atom, n):
@@ -486,20 +492,11 @@ def _mesh_block(field, atom, n_col, theta_row, smooth):
     """Airy argument y, and the smooth prefactor split around Ai^2 as
     (pre, post) (both None unless smooth), on the mesh of an N column and a
     theta row; the per-element operations are those of a full meshgrid."""
-    omega, xi = field.omega, field.xi
-    m_star = effective_mass(field)
-    cos_t = np.cos(theta_row)
-    pi0 = atom.epsilon0 + n_col * omega
-    pi_abs = np.sqrt(np.maximum(pi0**2 - m_star**2, 0.0))
-    k_pi = omega * (pi0 - pi_abs * cos_t)
-    g_sq = pi_abs**2 - 2.0 * n_col * omega * pi_abs * cos_t + (n_col * omega) ** 2
-    alpha = xi * pi_abs * np.sin(theta_row) / k_pi
-    y = (n_col / 2.0) ** (2.0 / 3.0) * (1.0 - alpha**2 / n_col**2)
+    ck = channel_kinematics(field, atom, n_col, theta_row, 0.0)
+    y = _airy_y(n_col, ck.alpha_amp)
     if not smooth:
         return y, None, None
-    big_z = xi**2 / (4.0 * k_pi)
-    r = g_sq / (2.0 * (n_col - 2.0 * big_z) * k_pi)
-    pre = (2.0 / n_col) ** (2.0 / 3.0) * (n_col - 2.0 * big_z) ** 2 * k_pi**2 * pi_abs / g_sq**4
+    pre, r = _recoil((2.0 / n_col) ** (2.0 / 3.0), field, n_col, ck)
     return y, pre, (1.0 + r) ** 2
 
 
@@ -544,6 +541,21 @@ def _airy_mesh(field, atom, n_grid, theta_grid, w_theta, smooth=True):
     return out, lam
 
 
+def _asymptotic_saddle(field, atom, method):
+    """The saddle of a field that the Airy-form rates serve: ValueError
+    unless |zeta| = 1, AsymptoticsError unless a saddle exists with
+    n_m >= 50."""
+    if abs(field.zeta) != 1.0:
+        raise ValueError(f"{method} requires circular polarization")
+    saddle = _try_saddle(field, atom)
+    if saddle is None or saddle.n_m < 50.0:
+        raise AsymptoticsError(
+            f"peak photon number {'below threshold' if saddle is None else saddle.n_m} "
+            "too small for the large-order asymptotics (need n_m >= 50)"
+        )
+    return saddle
+
+
 def rate_airy(field: LaserField, atom: Atom) -> RateSummary:
     """Total circular-polarization rate with J_N replaced by its Airy form
     and the channel sum replaced by an integral over continuous N.
@@ -551,14 +563,7 @@ def rate_airy(field: LaserField, atom: Atom) -> RateSummary:
     Requires |zeta| = 1 and a peak photon number n_m >= 50 for the
     large-order asymptotics to make sense.
     """
-    if abs(field.zeta) != 1.0:
-        raise ValueError("rate_airy requires circular polarization")
-    saddle = _try_saddle(field, atom)
-    if saddle is None or saddle.n_m < 50.0:
-        raise AsymptoticsError(
-            f"peak photon number {'below threshold' if saddle is None else saddle.n_m} "
-            "too small for the large-order asymptotics (need n_m >= 50)"
-        )
+    saddle = _asymptotic_saddle(field, atom, "rate_airy")
     n0 = threshold_n(field, atom)
     n_hi = saddle.n_m + 6.0 * saddle.delta_n
     n_grid = np.linspace(float(n0), n_hi, AIRY_N_POINTS)
@@ -592,10 +597,9 @@ def rate_laplace(field: LaserField, atom: Atom) -> RateSummary:
     Freezes the smooth prefactor at the saddle and integrates Ai^2 of the
     exact Airy argument over a +-LAPLACE_WIDTHS peak neighborhood.  Used to
     check the Airy-form integral against the strong-field closed form.
+    Requires, as rate_airy does, |zeta| = 1 and n_m >= 50.
     """
-    if abs(field.zeta) != 1.0:
-        raise ValueError("rate_laplace requires circular polarization")
-    saddle = saddle_point(field, atom)
+    saddle = _asymptotic_saddle(field, atom, "rate_laplace")
     n0 = threshold_n(field, atom)
     n_m, th_m = saddle.n_m, saddle.theta_m
     theta_m = np.array([th_m])

@@ -12,7 +12,10 @@ also appears in the CSV output:
   59  nonrelativistic, linear polarization
 
 One relativistic kernel, general_channel_dwdo, serves every zeta (tags 42
-and 55); the circular closed form (tag 44) is its fast path at |zeta| = 1.
+and 55); the circular closed form (tag 44) is its fast path at |zeta| = 1
+and raises ValueError for any other field.  Both take their kinematics
+from channel_kinematics, and the 1s density a^-5 g^-8 and the bracket r
+from _recoil, which the Airy-form rate mesh shares.
 
 Angle conventions: the relativistic formulas measure theta from the wave
 vector and phi from the major polarization axis e1.  The nonrelativistic
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .kinematics import Atom, LaserField, effective_mass, threshold_n
+from .kinematics import Atom, LaserField, _kinematics, channel_kinematics, threshold_n
 
 __all__ = [
     "TAG_GENERAL",
@@ -122,17 +125,14 @@ def _pow2(x):
     return np.array([v ** 2 for v in x.tolist()])
 
 
-def _kinematics(field, atom, n, theta):
-    """(|Pi|, k.Pi, Z, g^2) of channel n over a 1-D theta array, with the
-    arithmetic of channel_kinematics."""
-    omega = field.omega
-    pi0 = atom.epsilon0 + n * omega
-    pi_abs = math.sqrt(max(pi0**2 - effective_mass(field) ** 2, 0.0))
-    ct = np.cos(theta)
-    k_pi = omega * (pi0 - pi_abs * ct)
-    big_z = field.xi**2 / (4.0 * k_pi)
-    g_sq = pi_abs**2 - 2.0 * n * omega * pi_abs * ct + (n * omega) ** 2
-    return pi_abs, k_pi, big_z, g_sq
+def _recoil(lead, field, n, ck):
+    """The high-momentum 1s density and the rescattering bracket of channel
+    n over its kinematics ck: (lead d^2 (k.Pi)^2 |Pi| / g^8,
+    r = g^2 / (2 d k.Pi)) with d = N - Z (1 + zeta^2) and the caller's
+    leading constant."""
+    d = n - ck.big_z * (1.0 + field.zeta**2)
+    return (lead * d**2 * ck.k_dot_pi**2 * ck.pi_abs / ck.g_sq**4,
+            ck.g_sq / (2.0 * d * ck.k_dot_pi))
 
 
 def _fsum_rows(terms):
@@ -216,18 +216,11 @@ def general_channel_dwdo(
 
     zeta, omega, eps0 = field.zeta, field.omega, atom.epsilon0
     zf = 1.0 - zeta**2
-    pi_abs, k_pi, big_z, g_sq = _kinematics(field, atom, n, th)
-    st, cph, sph = np.sin(th), np.cos(ph), np.sin(ph)
-    u = field.xi * pi_abs * st * np.sqrt(cph**2 + zeta**2 * sph**2) / k_pi
-    # the phase angle of (|Pi| sin th cos ph, zeta |Pi| sin th sin ph) is
-    # atan2(zeta sin ph, cos ph), the same for every theta of one phi; the
-    # product form keeps channel_kinematics' value where |Pi| sin th = 0
-    a = pi_abs * st
-    dlt = np.where(a > 0.0, np.arctan2(zeta * sph, cph), np.arctan2(zeta * a * sph, a * cph))
-    dlt[np.abs(dlt) == math.pi] = 0.0
-    _, first, back = np.unique(np.stack([th, u, dlt], axis=1), axis=0,
+    ck = channel_kinematics(field, atom, n, th, ph)
+    dlt = np.where(np.abs(ck.phase_angle) == math.pi, 0.0, ck.phase_angle)
+    _, first, back = np.unique(np.stack([th, ck.alpha_amp, dlt], axis=1), axis=0,
                                return_index=True, return_inverse=True)
-    k_pi, big_z, g_sq, u, dlt = (x[first] for x in (k_pi, big_z, g_sq, u, dlt))
+    big_z, u, dlt = ck.big_z[first], ck.alpha_amp[first], dlt[first]
 
     alpha_prime = field.xi**2 / (4.0 * omega * eps0)
     v_kfr = -big_z * zf / 2.0
@@ -244,16 +237,12 @@ def general_channel_dwdo(
         kfr[rows] = specfun.phase_exp(n, delta) \
             * specfun._series_rows(ladder, n, n, v_kfr[rows], delta)[:, 0]
 
-    d_coef = n - big_z * (1.0 + zeta**2)
-    resc = g_sq / (2.0 * d_coef * k_pi) * total
-    prefactor = (
-        2.0**4 / (math.pi * atom.a**5)
-        * d_coef**2 * k_pi**2 * pi_abs / g_sq**4
-    )
-    amp = kfr + resc if rescattering else kfr
-    dwdo = prefactor * np.abs(amp) ** 2
     back = back.ravel()  # the shape of an axis-wise unique's inverse varies across numpy 2.x
-    return tuple(a[back].reshape(shape) for a in (dwdo, prefactor, kfr, resc))
+    kfr = kfr[back]
+    prefactor, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
+    resc = r * total[back]
+    dwdo = prefactor * np.abs(kfr + resc if rescattering else kfr) ** 2
+    return tuple(a.reshape(shape) for a in (dwdo, prefactor, kfr, resc))
 
 
 def circular_channel_dwdo(
@@ -268,24 +257,15 @@ def circular_channel_dwdo(
     rescattering and the prefactor alone without.  Shared by the spectrum
     path and the direct rate integrator so both see identical arithmetic.
     """
+    if abs(field.zeta) != 1.0:
+        raise ValueError("circular_channel_dwdo requires circular polarization (|zeta| = 1)")
     mu = np.asarray(cos_theta, dtype=float)
-    m_star = math.sqrt(1.0 + field.xi**2)
-    pi0 = atom.epsilon0 + n * field.omega
-    pi_sq = pi0**2 - m_star**2
-    if pi_sq < 0.0:
+    if n < threshold_n(field, atom):
         z = np.zeros_like(mu)
         return z, z
-    pi_abs = math.sqrt(pi_sq)
-    k_pi = field.omega * (pi0 - pi_abs * mu)
-    big_z = field.xi**2 / (4.0 * k_pi)
-    g_sq = pi_sq - 2.0 * n * field.omega * pi_abs * mu + (n * field.omega) ** 2
-    alpha = field.xi * pi_abs * np.sqrt(np.maximum(1.0 - mu**2, 0.0)) / k_pi
-    pref = (
-        2.0**4 / (math.pi * atom.a**5)
-        * (n - 2.0 * big_z) ** 2 * k_pi**2 * pi_abs / g_sq**4
-        * specfun._jn(n, alpha) ** 2
-    )
-    return pref, g_sq / (2.0 * (n - 2.0 * big_z) * k_pi)
+    ck = _kinematics(field, atom, n, mu, np.sqrt(np.maximum(1.0 - mu**2, 0.0)), 1.0, 0.0)
+    pref, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
+    return pref * specfun._jn(n, ck.alpha_amp) ** 2, r
 
 
 def _circular_rows(field, atom, n, theta, rescattering):

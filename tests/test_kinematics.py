@@ -8,6 +8,7 @@ from atispec.kinematics import (
     Atom,
     BelowThresholdError,
     ChannelExplosionError,
+    ChannelKinematics,
     LaserField,
     channel_kinematics,
     derive_params,
@@ -113,6 +114,8 @@ def test_below_threshold_error():
     n0 = threshold_n(field, atom)
     with pytest.raises(BelowThresholdError):
         channel_kinematics(field, atom, n0 - 1, 0.5, 0.0)
+    with pytest.raises(BelowThresholdError):
+        channel_kinematics(field, atom, np.array([n0, n0 - 1]), np.array([0.5, 0.6]), 0.0)
 
 
 def test_threshold_channel_momentum_nonnegative():
@@ -181,3 +184,22 @@ def test_forward_emission_limits():
     np.testing.assert_allclose(
         ck.g_sq, (ck.pi_abs - 100 * field.omega) ** 2, rtol=1e-10
     )
+
+
+@pytest.mark.parametrize("zeta", [1.0, -1.0, 0.0, 0.5])
+def test_array_kinematics_match_scalar_calls(zeta):
+    # one broadcast call over (n, theta, phi) against the scalar call at each
+    # point, theta = 0 and pi included: numpy and libm may differ in the
+    # last bits, the arithmetic may not
+    field, atom = LaserField(0.01, 1.0, zeta), Atom.from_charge(1)
+    n0 = threshold_n(field, atom)
+    ns = np.array([n0, n0 + 3, n0 + 40, n0 + 200])[:, None, None]
+    thetas = np.concatenate([[0.0, math.pi], np.linspace(0.01, 3.1, 12)])[:, None]
+    phis = np.linspace(0.0, 2.0 * math.pi, 9)
+    ck = channel_kinematics(field, atom, ns, thetas, phis)
+    shape = np.broadcast_shapes(ns.shape, thetas.shape, phis.shape)
+    points = [channel_kinematics(field, atom, int(ns[i, 0, 0]), float(thetas[j, 0]),
+                                 float(phis[k])) for i, j, k in np.ndindex(shape)]
+    for name in ChannelKinematics.__dataclass_fields__:
+        want = np.reshape([getattr(pt, name) for pt in points], shape)
+        np.testing.assert_array_max_ulp(np.broadcast_to(getattr(ck, name), shape), want, maxulp=4)

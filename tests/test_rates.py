@@ -447,10 +447,14 @@ def test_gauss_kronrod_extends_gauss_legendre(n):
 
 
 def test_rate_airy_requires_large_peak():
-    with pytest.raises(AsymptoticsError):
-        rate_airy(LaserField.circular(0.01, 0.5), DESK_ATOM)  # n_m = 25
-    with pytest.raises(ValueError):
-        rate_airy(LaserField.linear(0.01, 1.0), DESK_ATOM)
+    # rate_laplace shares the guard
+    nm5 = LaserField.circular(100327.5006 / ELECTRON_MASS_EV, 0.9988), Atom.from_charge(2)
+    for method in (rate_airy, rate_laplace):
+        for field, atom in [(LaserField.circular(0.01, 0.5), DESK_ATOM), nm5]:  # n_m = 25, 5.08
+            with pytest.raises(AsymptoticsError):
+                method(field, atom)
+        with pytest.raises(ValueError):
+            method(LaserField.linear(0.01, 1.0), DESK_ATOM)
 
 
 # ----------------------------------------------------------- closed forms

@@ -66,8 +66,12 @@ def test_circular_accepts_both_helicities():
     a = dwdo_circular(left, DESK_ATOM, 100, 0.8).dwdo
     b = dwdo_circular(DESK_FIELD, DESK_ATOM, 100, 0.8).dwdo
     np.testing.assert_allclose(a, b, rtol=1e-14)
-    with pytest.raises(ValueError):
-        dwdo_circular(LaserField(0.01, 1.0, 0.5), DESK_ATOM, 100, 0.8)
+    for zeta in (0.0, 0.5):
+        with pytest.raises(ValueError):
+            dwdo_circular(LaserField(0.01, 1.0, zeta), DESK_ATOM, 100, 0.8)
+        # the closed form itself refuses a linear or elliptic field too
+        with pytest.raises(ValueError):
+            circular_channel_dwdo(LaserField(0.01, 1.0, zeta), DESK_ATOM, 100.0, np.array([0.5]))
 
 
 def test_circular_vector_helper_matches_scalar():
