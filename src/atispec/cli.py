@@ -275,7 +275,7 @@ def _saddle_dict(field, atom):
     }, None
 
 
-def _summary(cfg: RunConfig, warnings: list[str]) -> dict:
+def _summary(cfg: RunConfig) -> dict:
     field, atom = cfg.field(), cfg.atom()
     dp = derive_params(field, atom)
     saddle, saddle_note = _saddle_dict(field, atom)
@@ -295,7 +295,7 @@ def _summary(cfg: RunConfig, warnings: list[str]) -> dict:
             "born_ok": dp.born_ok,
             "field_off": field.xi == 0.0,
         },
-        "warnings": list(warnings),
+        "warnings": [],
     }
     if saddle_note:
         out["saddle_note"] = saddle_note
@@ -330,7 +330,7 @@ def run_spectrum(cfg: RunConfig) -> int:
     phis = np.tile(2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points, cfg.theta_points)
     angles = [f"{th!r},{ph!r}" for th, ph in zip(thetas.tolist(), phis.tolist())]
     resc = cfg.mode == "on"
-    summary = _summary(cfg, [])
+    summary = _summary(cfg)
 
     lines = [CSV_HEADER]
     for formula in formulas:
@@ -382,7 +382,7 @@ def collect_rates(cfg: RunConfig) -> dict:
 
 
 def run_rate(cfg: RunConfig) -> int:
-    payload = _summary(cfg, [])
+    payload = _summary(cfg)
     payload.update(collect_rates(cfg))
     outdir = Path(cfg.output_path)
     outdir.mkdir(parents=True, exist_ok=True)

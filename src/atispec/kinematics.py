@@ -11,9 +11,10 @@ Z = xi^2 m^2 / (4 k.p) and moves on the shifted shell Pi^2 = m*^2 with the
 effective mass m* = sqrt(1 + xi^2 (1 + zeta^2) / 2).  A channel that
 absorbed N photons has quasienergy Pi0 = eps0 + N omega and hands the
 recoil three-momentum g = Pi - N k to the atomic remainder.
-channel_kinematics is the one place these are computed: every dW/dOmega
-kernel and the Airy-form rate mesh call it, over arrays of n, theta and
-phi.
+channel_kinematics is the one place these are computed, from the
+emission angles themselves: every dW/dOmega kernel (the circular closed
+form included), the direct rates and the Airy-form rate mesh call it, over
+arrays of n, theta and phi.
 """
 
 from __future__ import annotations
@@ -245,13 +246,7 @@ def channel_kinematics(field: LaserField, atom: Atom, n, theta, phi) -> ChannelK
     if n_min < n0:
         raise BelowThresholdError(n_min, n0)
     t, p = _lib(theta), _lib(phi)
-    return _kinematics(field, atom, n, t.cos(theta), t.sin(theta), p.cos(phi), p.sin(phi))
-
-
-def _kinematics(field, atom, n, cos_t, sin_t, cos_p, sin_p) -> ChannelKinematics:
-    """channel_kinematics from the cosines and sines of the emission angles,
-    with no threshold check; the circular closed form, which integrates in
-    cos theta, enters here."""
+    cos_t, sin_t, cos_p, sin_p = t.cos(theta), t.sin(theta), p.cos(phi), p.sin(phi)
     omega, xi, zeta = field.omega, field.xi, field.zeta
     pi0 = atom.epsilon0 + n * omega
     pi_abs = _lib(n).sqrt(np.maximum(pi0**2 - effective_mass(field) ** 2, 0.0))

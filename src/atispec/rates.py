@@ -71,6 +71,13 @@ TUNNELING_Y_MIN = 10.0
 
 DEFAULT_RATE_CHANNEL_CAP = 200_000
 
+# the auto channel window and the rate_airy N mesh end at n_m + 6 delta_n;
+# with no peak the window ends 50 channels past the threshold n0
+WINDOW_WIDTHS = 6.0
+NO_SADDLE_CHANNELS = 50
+# half-width of the rate_laplace window, in peak widths
+LAPLACE_WIDTHS = 8.0
+
 
 class DegenerateSaddleError(RuntimeError):
     """No interior spectral peak (N_m below the channel threshold)."""
@@ -110,15 +117,16 @@ class SaddleInfo:
 class GridSpec:
     """Quadrature grid for the direct rate.
 
-    theta_points  n of the cos(theta) rule: the direct rate evaluates the
-                  2n+1 nodes of its Gauss-Kronrod extension, which hold
-                  the n Gauss-Legendre nodes
-    phi_points    uniform azimuth panels (non-circular polarization);
+    theta_points  n >= 1 of the cos(theta) rule: the direct rate evaluates
+                  the 2n+1 nodes of its Gauss-Kronrod extension, which
+                  hold the n Gauss-Legendre nodes
+    phi_points    uniform azimuth panels, >= 1 (non-circular polarization);
                   panels that fold onto the same azimuth in [0, pi/2]
                   are evaluated once
     n_lo          first summed channel, clamped up to the threshold n0;
                   None means n0
-    n_cut         channel cutoff; None means n_m + 6 delta_n
+    n_cut         channel cutoff; None means n_m + WINDOW_WIDTHS delta_n,
+                  or n0 + NO_SADDLE_CHANNELS for a field with no peak
     channel_cap   hard cap on the number of summed channels
 
     The defaults are for library use on circular fields.  On a
@@ -134,6 +142,11 @@ class GridSpec:
     n_lo: int | None = None
     n_cut: int | None = None
     channel_cap: int = DEFAULT_RATE_CHANNEL_CAP
+
+    def __post_init__(self):
+        for name in ("theta_points", "phi_points"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -292,9 +305,9 @@ def _channel_range(field, atom, saddle, n_cut, channel_cap, n_lo=None):
     n0 = threshold_n(field, atom)
     if n_cut is None:
         if saddle is None:
-            n_cut = n0 + 50
+            n_cut = n0 + NO_SADDLE_CHANNELS
         else:
-            n_cut = int(math.ceil(saddle.n_m + 6.0 * saddle.delta_n))
+            n_cut = int(math.ceil(saddle.n_m + WINDOW_WIDTHS * saddle.delta_n))
     first = n0 if n_lo is None else max(n0, int(n_lo))
     if n_cut - first + 1 > channel_cap:
         raise ChannelExplosionError(
@@ -376,16 +389,16 @@ def _gauss_kronrod(n):
 
 
 def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering):
-    """Kronrod sums K and Gauss sums G of every channel of the window, from
-    one evaluation of each channel at the 2n+1 Gauss-Kronrod cos(theta)
-    nodes (the n Gauss nodes among them).  Returns (K, G) arrays."""
+    """Kronrod sums K and Gauss sums G of every channel of the window over
+    the dwdo column of one kernel call per channel, at theta = arccos of
+    the 2n+1 Gauss-Kronrod nodes (the n Gauss nodes among them)."""
     mu, w_k = _gauss_kronrod(theta_points)
     w_g = _gauss_legendre(theta_points)[1]
+    thetas = np.arccos(mu)
     if abs(field.zeta) == 1.0:
         # azimuthal symmetry: analytic 2 pi
         def profile(n):
-            pref, r = circular_channel_dwdo(field, atom, float(n), mu)
-            return 2.0 * math.pi * (pref * (1.0 + r) ** 2 if rescattering else pref)
+            return 2.0 * math.pi * circular_channel_dwdo(field, atom, n, thetas, rescattering)[0]
     else:
         # |amp|^2 is even under phi -> -phi (amp -> conj amp) and under
         # phi -> pi - phi (amp -> (-1)^N conj amp), for every zeta, so panel
@@ -396,7 +409,7 @@ def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering)
         j = np.minimum(j, phi_points - j)
         phis = math.pi * np.minimum(2 * j, phi_points - 2 * j) / phi_points
         w_phi = 2.0 * math.pi / phi_points
-        thetas, phis = np.meshgrid(np.arccos(mu), phis, indexing="ij")
+        thetas, phis = np.meshgrid(thetas, phis, indexing="ij")
 
         def profile(n):
             # the whole (theta, phi) grid of the channel in one call
@@ -416,12 +429,14 @@ def rate_direct(
 ) -> RateSummary:
     """Total rate by exact channel summation and angular quadrature.
 
-    Circular polarization (|zeta| = 1) integrates the tag-44 closed form in
-    cos(theta) and takes the azimuth analytically; every other zeta
-    integrates general_channel_dwdo over uniform azimuth panels as well.
-    Each channel is evaluated once, at the 2n+1 nodes of the Gauss-Kronrod
-    extension of the n = grid.theta_points Gauss-Legendre rule in
-    cos(theta).  w_total is the Kronrod sum K (exact to degree 3n + 1);
+    Circular polarization (|zeta| = 1) integrates the tag-44 closed form
+    circular_channel_dwdo in cos(theta) and takes the azimuth analytically;
+    every other zeta integrates general_channel_dwdo over uniform azimuth
+    panels as well.  Each channel is evaluated once, at theta = arccos of
+    the 2n+1 nodes of the Gauss-Kronrod extension of the
+    n = grid.theta_points Gauss-Legendre rule in cos(theta); the values
+    summed are the kernel's dwdo column, which channel_spectrum writes at
+    the same angles.  w_total is the Kronrod sum K (exact to degree 3n + 1);
     quad_error_estimate = |K - G|, with G the n-node Gauss sum over the
     same values (exact to degree 2n - 1), is the error of the n-node rule,
     which makes it a conservative estimate for K.  An estimate above 1% of
@@ -467,9 +482,6 @@ def rate_direct(
 # the rate_airy mesh: N points (trapezoid) by theta points (Gauss-Legendre)
 AIRY_N_POINTS = 2000
 AIRY_THETA_POINTS = 300
-# half-width of the rate_laplace window, in peak widths
-LAPLACE_WIDTHS = 8.0
-
 # points per row block of an Airy-form mesh (two airy_ai blocks)
 _MESH_BLOCK = 16384
 # a point is left out when its bound B is at most this share of the lower
@@ -565,7 +577,7 @@ def rate_airy(field: LaserField, atom: Atom) -> RateSummary:
     """
     saddle = _asymptotic_saddle(field, atom, "rate_airy")
     n0 = threshold_n(field, atom)
-    n_hi = saddle.n_m + 6.0 * saddle.delta_n
+    n_hi = saddle.n_m + WINDOW_WIDTHS * saddle.delta_n
     n_grid = np.linspace(float(n0), n_hi, AIRY_N_POINTS)
     x, w = _gauss_legendre(AIRY_THETA_POINTS)
     theta_grid = (x + 1.0) * math.pi / 2.0

@@ -11,11 +11,13 @@ also appears in the CSV output:
   56  nonrelativistic, circular polarization
   59  nonrelativistic, linear polarization
 
-One relativistic kernel, general_channel_dwdo, serves every zeta (tags 42
-and 55); the circular closed form (tag 44) is its fast path at |zeta| = 1
-and raises ValueError for any other field.  Both take their kinematics
-from channel_kinematics, and the 1s density a^-5 g^-8 and the bracket r
-from _recoil, which the Airy-form rate mesh shares.
+Three kernels share one contract, (field, atom, n, theta[, phi],
+rescattering) -> (dwdo, prefactor, kfr, resc) over arrays of emission
+angles: general_channel_dwdo serves every zeta (tags 42 and 55),
+circular_channel_dwdo (tag 44) is its fast path at |zeta| = 1, and
+nonrel_channel_dwdo serves tags 56 and 59.  The relativistic two take
+their kinematics from channel_kinematics, and the 1s density a^-5 g^-8
+and the bracket r from _recoil, which the Airy-form rate mesh shares.
 
 Angle conventions: the relativistic formulas measure theta from the wave
 vector and phi from the major polarization axis e1.  The nonrelativistic
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .kinematics import Atom, LaserField, _kinematics, channel_kinematics, threshold_n
+from .kinematics import Atom, LaserField, channel_kinematics, threshold_n
 
 __all__ = [
     "TAG_GENERAL",
@@ -116,13 +118,6 @@ def _tag(field, formula):
     if not (circular or linear):
         raise ValueError("nonrelativistic formulas support circular or linear polarization only")
     return TAG_NONREL_CIRCULAR if circular else TAG_NONREL_LINEAR
-
-
-def _pow2(x):
-    """x**2 per element through libm pow, as the closed forms square a
-    scalar: numpy's x**2 is x*x, which differs from pow in the last bit for
-    ~0.1% of arguments, and the tag 44/56 outputs stay byte-identical."""
-    return np.array([v ** 2 for v in x.tolist()])
 
 
 def _recoil(lead, field, n, ck):
@@ -248,34 +243,25 @@ def general_channel_dwdo(
 def circular_channel_dwdo(
     field: LaserField,
     atom: Atom,
-    n: float,
-    cos_theta: np.ndarray,
+    n: int,
+    theta,
+    rescattering: bool = True,
 ):
-    """Vectorized circular (tag 44) dW/dOmega over an array of cos(theta).
-
-    Returns (prefactor, r) arrays: dwdo is prefactor * (1 + r)^2 with
-    rescattering and the prefactor alone without.  Shared by the spectrum
-    path and the direct rate integrator so both see identical arithmetic.
+    """Vectorized circular (tag 44) dW/dOmega of channel n over an array of
+    theta, as general_channel_dwdo returns it; ValueError unless |zeta| = 1.
+    The prefactor holds J_N^2(alpha) and (kfr, resc) = (1, r), so dwdo is
+    prefactor * (1 + r)^2 with rescattering and the prefactor without.
     """
     if abs(field.zeta) != 1.0:
         raise ValueError("circular_channel_dwdo requires circular polarization (|zeta| = 1)")
-    mu = np.asarray(cos_theta, dtype=float)
-    if n < threshold_n(field, atom):
-        z = np.zeros_like(mu)
-        return z, z
-    ck = _kinematics(field, atom, n, mu, np.sqrt(np.maximum(1.0 - mu**2, 0.0)), 1.0, 0.0)
-    pref, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
-    return pref * specfun._jn(n, ck.alpha_amp) ** 2, r
-
-
-def _circular_rows(field, atom, n, theta, rescattering):
-    """Tag 44 over a 1-D theta array: (dwdo, prefactor, kfr, resc) with the
-    bracket amplitudes (1, r), zero below the channel threshold."""
+    theta = np.asarray(theta, dtype=float)
     if n < threshold_n(field, atom):
         z = np.zeros(theta.shape)
         return z, z, z, z
-    pref, r = circular_channel_dwdo(field, atom, float(n), np.cos(theta))
-    dwdo = pref * _pow2(np.abs(1.0 + r)) if rescattering else pref
+    ck = channel_kinematics(field, atom, n, theta, 0.0)
+    pref, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
+    pref = pref * specfun._jn(n, ck.alpha_amp) ** 2
+    dwdo = pref * (1.0 + r) ** 2 if rescattering else pref
     return dwdo, pref, np.ones(theta.shape), r
 
 
@@ -314,7 +300,7 @@ def nonrel_channel_dwdo(
 
     if tag == TAG_NONREL_CIRCULAR:
         p = math.sqrt(2.0 * omega * x_kin)
-        j_sq = _pow2(specfun._jn(n, xi / omega * p * np.sin(th)))
+        j_sq = specfun._jn(n, xi / omega * p * np.sin(th)) ** 2
         pref = (
             8.0 * omega / math.pi * eb_w**2.5
             * math.sqrt(x_kin) / (n - 2.0 * z) ** 2 * j_sq
@@ -326,7 +312,7 @@ def nonrel_channel_dwdo(
         j = specfun.gen_bessel_orders(n, n, u, np.full(th.shape, -z / 2.0), 0.0)[:, 0].real
         pref = (
             8.0 * omega / math.pi * eb_w**2.5
-            * math.sqrt(x_kin) / (n - z) ** 2 * _pow2(j)
+            * math.sqrt(x_kin) / (n - z) ** 2 * j**2
         )
         rho = x_kin / (n - z)
         dwdo = pref * (1.0 + rho) if rescattering else pref
@@ -343,7 +329,7 @@ def _rows(field, atom, n, theta, phi, tag, rescattering):
         rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering)
     else:
         thetas, back = np.unique(theta, return_inverse=True)
-        kernel = _circular_rows if tag == TAG_CIRCULAR else nonrel_channel_dwdo
+        kernel = circular_channel_dwdo if tag == TAG_CIRCULAR else nonrel_channel_dwdo
         rows = tuple(a[back] for a in kernel(field, atom, n, thetas, rescattering))
     dwdo, pref, kfr, resc = rows
     kfr_only = pref if tag == TAG_NONREL_LINEAR else pref * np.abs(kfr) ** 2

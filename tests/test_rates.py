@@ -25,7 +25,7 @@ from atispec.rates import (
     rate_laplace,
     saddle_point,
 )
-from atispec.spectra import circular_channel_dwdo, general_channel_dwdo
+from atispec.spectra import channel_spectrum, circular_channel_dwdo, general_channel_dwdo
 
 DESK_FIELD = LaserField.circular(0.01, 1.0)
 DESK_ATOM = Atom.from_charge(1)
@@ -209,8 +209,7 @@ def _gauss_legendre_pair_rate(field, rs, theta_points, phi_points):
     total = []
     for n in range(rs.grid_report["n_lo"], rs.grid_report["n_hi"] + 1):
         if field.zeta != 0.0:
-            pref, r = circular_channel_dwdo(field, DESK_ATOM, float(n), mu)
-            vals = pref * (1.0 + r) ** 2
+            vals = circular_channel_dwdo(field, DESK_ATOM, n, np.arccos(mu))[0]
             total.append(2.0 * math.pi * float(np.dot(w, vals)))
         else:
             vals = general_channel_dwdo(field, DESK_ATOM, n, thetas, phis)[0]
@@ -304,6 +303,50 @@ def test_rate_direct_folded_panels_equal_unfolded_sum(zeta, phi_points):
         total += float(np.dot(w, vals.sum(axis=1))) * 2.0 * math.pi / phi_points
     assert rs.w_total > 0.0
     assert abs(rs.w_total - total) <= 1e-12 * rs.w_total
+
+
+@pytest.mark.parametrize("field", [DESK_FIELD, LaserField(0.01, 0.5, -1.0)],
+                         ids=["desk", "left-helicity"])
+@pytest.mark.parametrize("theta_points", [8, 24, 48])
+def test_rate_direct_circular_integrates_the_spectrum_column(field, theta_points):
+    # a one-channel direct rate is the Kronrod sum of the dwdo column that
+    # `ati spectrum` writes at theta = arccos of the nodes, bit for bit
+    mu, w_k = rates._gauss_kronrod(theta_points)
+    thetas = np.arccos(mu)
+    n_m = int(round(saddle_point(field, DESK_ATOM).n_m))
+    channels = range(max(n_m - 10, threshold_n(field, DESK_ATOM)), n_m + 10)
+    mismatched = []
+    for n in channels:
+        grid = GridSpec(theta_points=theta_points, n_lo=n, n_cut=n)
+        w = rate_direct(field, DESK_ATOM, grid).w_total
+        column = channel_spectrum(field, DESK_ATOM, n, thetas, np.zeros(thetas.size))[1]
+        if w != np.dot(w_k, 2.0 * math.pi * column):
+            mismatched.append(n)
+    assert len(channels) == 20 and mismatched == []
+
+
+def test_rate_direct_linear_integrates_the_spectrum_column():
+    # the same on a linear field: the dwdo column at the folded azimuths,
+    # summed exactly over the panels
+    grid = GridSpec(theta_points=8, phi_points=8)
+    mu, w_k = rates._gauss_kronrod(grid.theta_points)
+    j = np.arange(grid.phi_points)
+    j = np.minimum(j, grid.phi_points - j)
+    phis = math.pi * np.minimum(2 * j, grid.phi_points - 2 * j) / grid.phi_points
+    thetas, phis = np.meshgrid(np.arccos(mu), phis, indexing="ij")
+    n0 = threshold_n(LINEAR_FIELD, DESK_ATOM)
+    for n in range(n0, n0 + 3):
+        w = rate_direct(LINEAR_FIELD, DESK_ATOM, GridSpec(8, 8, n_lo=n, n_cut=n)).w_total
+        column = channel_spectrum(LINEAR_FIELD, DESK_ATOM, n, thetas.ravel(), phis.ravel())[1]
+        profile = [math.fsum(row) for row in column.reshape(thetas.shape).tolist()]
+        assert w == np.dot(w_k, np.array(profile) * (2.0 * math.pi / grid.phi_points))
+
+
+@pytest.mark.parametrize("kwargs", [{"theta_points": 0}, {"theta_points": -2},
+                                    {"phi_points": 0}, {"phi_points": -1}])
+def test_gridspec_rejects_empty_rules(kwargs):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        GridSpec(**kwargs)
 
 
 # ------------------------------------------------------------- airy rate

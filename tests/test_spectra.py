@@ -71,15 +71,14 @@ def test_circular_accepts_both_helicities():
             dwdo_circular(LaserField(0.01, 1.0, zeta), DESK_ATOM, 100, 0.8)
         # the closed form itself refuses a linear or elliptic field too
         with pytest.raises(ValueError):
-            circular_channel_dwdo(LaserField(0.01, 1.0, zeta), DESK_ATOM, 100.0, np.array([0.5]))
+            circular_channel_dwdo(LaserField(0.01, 1.0, zeta), DESK_ATOM, 100, np.array([0.5]))
 
 
 def test_circular_vector_helper_matches_scalar():
-    mu = np.array([math.cos(0.6), math.cos(1.1)])
-    pref, r = circular_channel_dwdo(DESK_FIELD, DESK_ATOM, 100.0, mu)
-    vals = pref * (1.0 + r) ** 2
-    for m, v in zip(mu, vals):
-        assert v == dwdo_circular(DESK_FIELD, DESK_ATOM, 100, math.acos(m)).dwdo
+    thetas = np.array([0.6, 1.1])
+    vals = circular_channel_dwdo(DESK_FIELD, DESK_ATOM, 100, thetas)[0]
+    for th, v in zip(thetas, vals):
+        assert v == dwdo_circular(DESK_FIELD, DESK_ATOM, 100, th).dwdo
 
 
 # ----------------------------------------------------------------- general
