@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -266,13 +266,9 @@ def _write_json(path: Path, obj) -> None:
 
 def _saddle_dict(field, atom):
     try:
-        s = saddle_point(field, atom)
+        return asdict(saddle_point(field, atom)), None
     except (DegenerateSaddleError, ValueError) as exc:
         return None, str(exc)
-    return {
-        "n_m": s.n_m, "theta_m": s.theta_m, "y_m": s.y_m,
-        "delta_n": s.delta_n, "delta_theta": s.delta_theta, "regime": s.regime,
-    }, None
 
 
 def _summary(cfg: RunConfig) -> dict:
@@ -377,7 +373,7 @@ def collect_rates(cfg: RunConfig) -> dict:
         methods["strongfield_closed"] = _rate_entry(rate_closed(field, atom))
     elif regime == REGIME_TUNNELING:
         methods["tunneling_closed"] = _rate_entry(rate_closed(field, atom))
-    saddle, _ = _saddle_dict(field, atom)
+    saddle = asdict(direct.saddle) if direct.saddle else None
     return {"regime": regime, "saddle": saddle, "methods": methods}
 
 

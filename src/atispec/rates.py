@@ -14,9 +14,10 @@ map is scheduled.  Gauss-Legendre and Gauss-Kronrod node sets are built
 once per size.
 
 The Airy-form rates (rate_airy, rate_laplace) serve circular fields with
-n_m >= 50.  Their meshes share the kernels' kinematics and 1s density,
-are evaluated in blocks of rows, and call Ai only where a point can
-count: for y > 0,
+n_m >= 50 and share the kernels' kinematics and 1s density.  rate_laplace
+integrates the smooth Ai^2 alone, on a tensor Gauss-Legendre rule over
+its peak window.  The rate_airy mesh is evaluated in blocks of rows and
+calls Ai only where a point can count: for y > 0,
 Ai(y) <= L(y) = exp(-2/3 y^(3/2)) / (2 sqrt(pi) y^(1/4)) (the asymptotic
 expansion envelopes Ai, DLMF 9.7(iv)), with L/Ai <= 1.0706 for y >= 1.
 With B = prefactor * L^2 * quadrature weights, Lambda = (sum of B over
@@ -44,7 +45,7 @@ from .kinematics import (
     threshold_n,
 )
 from .specfun import airy_ai
-from .spectra import _recoil, circular_channel_dwdo, general_channel_dwdo
+from .spectra import _fsum_rows, _recoil, circular_channel_dwdo, general_channel_dwdo
 
 __all__ = [
     "DegenerateSaddleError",
@@ -75,8 +76,9 @@ DEFAULT_RATE_CHANNEL_CAP = 200_000
 # with no peak the window ends 50 channels past the threshold n0
 WINDOW_WIDTHS = 6.0
 NO_SADDLE_CHANNELS = 50
-# half-width of the rate_laplace window, in peak widths
+# the rate_laplace window: half-width in peak widths, Gauss-Legendre nodes per axis
 LAPLACE_WIDTHS = 8.0
+LAPLACE_POINTS = 160
 
 
 class DegenerateSaddleError(RuntimeError):
@@ -333,6 +335,13 @@ def _gauss_legendre(n):
     return nodes, weights
 
 
+def _window_rule(lo, hi, n):
+    """The nodes and weights of _gauss_legendre(n) mapped to [lo, hi]."""
+    x, w = _gauss_legendre(n)
+    half = (hi - lo) / 2.0
+    return lo + (x + 1.0) * half, w * half
+
+
 @functools.lru_cache(maxsize=16)
 def _gauss_kronrod(n):
     """The (2n+1)-node Gauss-Kronrod extension of the n-node Gauss-Legendre
@@ -414,7 +423,7 @@ def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering)
         def profile(n):
             # the whole (theta, phi) grid of the channel in one call
             vals = general_channel_dwdo(field, atom, n, thetas, phis, rescattering)[0]
-            return np.array([math.fsum(row) for row in vals.tolist()]) * w_phi
+            return _fsum_rows(vals) * w_phi
 
     sums = [(np.dot(w_k, p), np.dot(w_g, p[1::2])) for p in map(profile, range(n0, n_cut + 1))]
     sums = np.array(sums, dtype=float).reshape(-1, 2)
@@ -482,7 +491,7 @@ def rate_direct(
 # the rate_airy mesh: N points (trapezoid) by theta points (Gauss-Legendre)
 AIRY_N_POINTS = 2000
 AIRY_THETA_POINTS = 300
-# points per row block of an Airy-form mesh (two airy_ai blocks)
+# points per row block of the rate_airy mesh (two airy_ai blocks)
 _MESH_BLOCK = 16384
 # a point is left out when its bound B is at most this share of the lower
 # bound Lambda averaged over the mesh points
@@ -500,44 +509,38 @@ def _trapezoid_weights(x):
     return w
 
 
-def _mesh_block(field, atom, n_col, theta_row, smooth):
-    """Airy argument y, and the smooth prefactor split around Ai^2 as
-    (pre, post) (both None unless smooth), on the mesh of an N column and a
-    theta row; the per-element operations are those of a full meshgrid."""
+def _mesh_block(field, atom, n_col, theta_row):
+    """Airy argument y and the smooth prefactor split around Ai^2 as
+    (pre, post), on the mesh of an N column and a theta row; the
+    per-element operations are those of a full meshgrid."""
     ck = channel_kinematics(field, atom, n_col, theta_row, 0.0)
-    y = _airy_y(n_col, ck.alpha_amp)
-    if not smooth:
-        return y, None, None
     pre, r = _recoil((2.0 / n_col) ** (2.0 / 3.0), field, n_col, ck)
-    return y, pre, (1.0 + r) ** 2
+    return _airy_y(n_col, ck.alpha_amp), pre, (1.0 + r) ** 2
 
 
-def _airy_mesh(field, atom, n_grid, theta_grid, w_theta, smooth=True):
-    """Airy-form rate integrand on the (N, theta) mesh, in row blocks.
-
-    smooth=True gives prefactor(N, theta) * Ai^2(y) * sin(theta), the
-    integrand of rate_airy; smooth=False gives Ai^2(y) alone.  The bound B
-    of the skip rule (module docstring) takes trapezoid weights in N and
-    w_theta in theta; a point whose y or B is NaN or infinite always gets
-    its Ai.  Returns (integrand, Lambda).
+def _airy_mesh(field, atom, n_grid, theta_grid, w_theta):
+    """The rate_airy integrand prefactor(N, theta) * Ai^2(y) * sin(theta)
+    on the (N, theta) mesh, in row blocks.  The bound B of the skip rule
+    (module docstring) takes trapezoid weights in N and w_theta in theta;
+    a point whose y or B is NaN or infinite always gets its Ai.  Returns
+    (integrand, Lambda).
     """
     w_n = _trapezoid_weights(n_grid)
-    w_row = w_theta * np.sin(theta_grid) if smooth else w_theta
+    w_row = w_theta * np.sin(theta_grid)
     rows = max(_MESH_BLOCK // theta_grid.size, 1)
     out = np.empty((n_grid.size, theta_grid.size))
     blocks = []
     lam = 0.0
     for i in range(0, n_grid.size, rows):
         blk = slice(i, i + rows)
-        y, pre, post = _mesh_block(field, atom, n_grid[blk, None], theta_grid, smooth)
+        y, pre, post = _mesh_block(field, atom, n_grid[blk, None], theta_grid)
         # B, NaN off the range 1 <= y < inf of the envelope bound
         y_env = np.where((y >= 1.0) & (y < math.inf), y, math.nan)
         root = np.sqrt(y_env)
         with np.errstate(over="ignore", invalid="ignore"):
             b = np.exp(-4.0 / 3.0 * y_env * root) / (4.0 * math.pi * root)  # L^2
             b *= w_n[blk, None] * w_row
-            if smooth:
-                b *= pre * post
+            b *= pre * post
         lam += float(np.sum(b, where=np.isfinite(b)))
         out[blk] = b
         blocks.append((blk, y, pre, post))
@@ -549,7 +552,7 @@ def _airy_mesh(field, atom, n_grid, theta_grid, w_theta, smooth=True):
         need = ~(out[blk] <= cut)
         ai2 = np.zeros(y.shape)
         ai2[need] = airy_ai(y[need]) ** 2
-        out[blk] = pre * ai2 * post * np.sin(theta_grid) if smooth else ai2
+        out[blk] = pre * ai2 * post * np.sin(theta_grid)
     return out, lam
 
 
@@ -579,9 +582,7 @@ def rate_airy(field: LaserField, atom: Atom) -> RateSummary:
     n0 = threshold_n(field, atom)
     n_hi = saddle.n_m + WINDOW_WIDTHS * saddle.delta_n
     n_grid = np.linspace(float(n0), n_hi, AIRY_N_POINTS)
-    x, w = _gauss_legendre(AIRY_THETA_POINTS)
-    theta_grid = (x + 1.0) * math.pi / 2.0
-    w_theta = w * math.pi / 2.0
+    theta_grid, w_theta = _window_rule(0.0, math.pi, AIRY_THETA_POINTS)
     integrand, _ = _airy_mesh(field, atom, n_grid, theta_grid, w_theta)
     inner = integrand @ w_theta
     w_total = 2.0**5 / atom.a**5 * float(np.trapezoid(inner, n_grid))
@@ -607,24 +608,23 @@ def rate_laplace(field: LaserField, atom: Atom) -> RateSummary:
     """Steepest-descent estimate of the Airy-form rate.
 
     Freezes the smooth prefactor at the saddle and integrates Ai^2 of the
-    exact Airy argument over a +-LAPLACE_WIDTHS peak neighborhood.  Used to
-    check the Airy-form integral against the strong-field closed form.
-    Requires, as rate_airy does, |zeta| = 1 and n_m >= 50.
+    exact Airy argument with a LAPLACE_POINTS-node Gauss-Legendre rule per
+    axis over a +-LAPLACE_WIDTHS peak window, clamped to N >= n0 and to
+    [0, pi].  Used to check the Airy-form integral against the strong-field
+    closed form.  Requires, as rate_airy does, |zeta| = 1 and n_m >= 50.
     """
     saddle = _asymptotic_saddle(field, atom, "rate_laplace")
-    n0 = threshold_n(field, atom)
     n_m, th_m = saddle.n_m, saddle.theta_m
     theta_m = np.array([th_m])
-    _, pre, post = _mesh_block(field, atom, np.array([[n_m]]), theta_m, smooth=True)
+    _, pre, post = _mesh_block(field, atom, np.array([[n_m]]), theta_m)
     prefactor = float((pre * post * np.sin(theta_m))[0, 0])
 
-    n_lo = max(float(n0), n_m - LAPLACE_WIDTHS * saddle.delta_n)
-    n_grid = np.linspace(n_lo, n_m + LAPLACE_WIDTHS * saddle.delta_n, 3000)
-    t_lo = max(0.0, th_m - LAPLACE_WIDTHS * saddle.delta_theta)
-    t_hi = min(math.pi, th_m + LAPLACE_WIDTHS * saddle.delta_theta)
-    theta_grid = np.linspace(t_lo, t_hi, 800)
-    ai2, _ = _airy_mesh(field, atom, n_grid, theta_grid, _trapezoid_weights(theta_grid), smooth=False)
-    mass = float(np.trapezoid(np.trapezoid(ai2, theta_grid, axis=1), n_grid))
+    half_n, half_t = LAPLACE_WIDTHS * saddle.delta_n, LAPLACE_WIDTHS * saddle.delta_theta
+    n_lo = max(float(threshold_n(field, atom)), n_m - half_n)
+    n_nodes, w_n = _window_rule(n_lo, n_m + half_n, LAPLACE_POINTS)
+    t_nodes, w_t = _window_rule(max(0.0, th_m - half_t), min(math.pi, th_m + half_t), LAPLACE_POINTS)
+    y = _mesh_block(field, atom, n_nodes[:, None], t_nodes)[0]
+    mass = float(w_n @ airy_ai(y) ** 2 @ w_t)
     w_total = 2.0**5 / atom.a**5 * prefactor * mass
     return RateSummary(
         w_total=w_total,

@@ -401,8 +401,8 @@ def test_airy_envelope_bounds_ai():
     assert 1.0706**2 <= rates._ENVELOPE_SQ_MAX
 
 
-def _full_airy_mesh(field, atom, n_grid, theta_grid, w_theta, smooth=True):
-    # the Airy-form integrand from a full meshgrid, every point through
+def _full_airy_mesh(field, atom, n_grid, theta_grid, w_theta):
+    # the rate_airy integrand from a full meshgrid, every point through
     # airy_ai; returns (integrand, y) in place of (integrand, Lambda)
     m_star = effective_mass(field)
     nn, tt = np.meshgrid(n_grid, theta_grid, indexing="ij")
@@ -414,8 +414,6 @@ def _full_airy_mesh(field, atom, n_grid, theta_grid, w_theta, smooth=True):
     alpha = field.xi * pi_abs * np.sin(tt) / k_pi
     y = (nn / 2.0) ** (2.0 / 3.0) * (1.0 - alpha**2 / nn**2)
     ai2 = specfun.airy_ai(y) ** 2
-    if not smooth:
-        return ai2, y
     r = g_sq / (2.0 * (nn - 2.0 * big_z) * k_pi)
     return (
         (2.0 / nn) ** (2.0 / 3.0)
@@ -431,7 +429,7 @@ SKIP_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("method", [rate_airy, rate_laplace])
+@pytest.mark.parametrize("method", [rate_airy])
 @pytest.mark.parametrize("field, atom", SKIP_FIELDS)
 def test_airy_mesh_skip_matches_full_mesh(monkeypatch, method, field, atom):
     def recorded(mesh, calls):
@@ -461,6 +459,54 @@ def test_airy_mesh_skip_matches_full_mesh(monkeypatch, method, field, atom):
     assert np.sum(weighted[left_out]) <= 2.0**-60 * total
     if field is TUNNELING_FIELD:
         assert sum(np.size(a[0]) for a, _ in ai_args) < 0.1 * integrand.size
+
+
+def test_rate_airy_theta_rule_is_the_mapped_gauss_legendre_rule(monkeypatch):
+    # the [0, pi] window rule of rate_airy, bit for bit the
+    # (x + 1) pi / 2, w pi / 2 of the Gauss-Legendre rule on [-1, 1]
+    meshes, mesh = [], rates._airy_mesh
+
+    def recorded(*args):
+        meshes.append(args)
+        return mesh(*args)
+
+    monkeypatch.setattr(rates, "_airy_mesh", recorded)
+    rate_airy(DESK_FIELD, DESK_ATOM)
+    _, _, _, theta_grid, w_theta = meshes[-1]
+    x, w = np.polynomial.legendre.leggauss(rates.AIRY_THETA_POINTS)
+    assert np.array_equal(theta_grid, (x + 1.0) * math.pi / 2.0)
+    assert np.array_equal(w_theta, w * math.pi / 2.0)
+
+
+# rate_laplace w_total of the 3000 x 800 trapezoid mesh it replaced
+LAPLACE_PINNED = [
+    (DESK_FIELD, DESK_ATOM, 7.745695353888507e-11),
+    (TUNNELING_FIELD, TUNNELING_ATOM, 3.084670437932283e-38),
+    (LaserField.circular(0.00916, 1.0), Atom.from_charge(2), 2.3933769204041826e-09),
+    (LaserField.circular(0.005, 1.0), DESK_ATOM, 6.085665631742971e-11),
+]
+
+
+@pytest.mark.parametrize("field, atom, want", LAPLACE_PINNED)
+def test_rate_laplace_matches_trapezoid_mesh(field, atom, want):
+    assert abs(rate_laplace(field, atom).w_total / want - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("field, atom", [(f, a) for f, a, _ in LAPLACE_PINNED])
+def test_laplace_airy_mass_converged_under_node_doubling(field, atom):
+    # 320 Gauss-Legendre nodes per axis on the same window, from a full
+    # meshgrid of airy_argument
+    s = saddle_point(field, atom)
+    k = rates.LAPLACE_WIDTHS
+    windows = [(max(float(threshold_n(field, atom)), s.n_m - k * s.delta_n), s.n_m + k * s.delta_n),
+               (max(0.0, s.theta_m - k * s.delta_theta), min(math.pi, s.theta_m + k * s.delta_theta))]
+    x, w = np.polynomial.legendre.leggauss(2 * rates.LAPLACE_POINTS)
+    (n_nodes, w_n), (t_nodes, w_t) = [
+        (lo + (x + 1.0) * (hi - lo) / 2.0, w * (hi - lo) / 2.0) for lo, hi in windows
+    ]
+    nn, tt = np.meshgrid(n_nodes, t_nodes, indexing="ij")
+    mass = w_n @ specfun.airy_ai(airy_argument(field, atom, nn, tt)) ** 2 @ w_t
+    assert abs(rate_laplace(field, atom).grid_report["airy_mass"] / mass - 1.0) <= 1e-10
 
 
 def test_gauss_legendre_nodes_are_cached_and_read_only():
