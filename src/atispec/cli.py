@@ -245,22 +245,8 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n",
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
                     newline="\n")
 
 
@@ -436,7 +422,7 @@ def run_selftest(json_mode: bool, fault: float) -> int:
     records = run_checks(bessel_fault=fault)
     passed = all(r["passed"] for r in records)
     if json_mode:
-        print(json.dumps(_jsonable({"records": records, "passed": passed}),
+        print(json.dumps({"records": records, "passed": passed},
                          sort_keys=True, indent=2))
     else:
         width = max(len(r["name"]) for r in records)

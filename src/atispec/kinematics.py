@@ -223,45 +223,33 @@ class ChannelKinematics:
     phase_angle: float
 
 
-def _lib(x):
-    """numpy for an array, math for a scalar: numpy's cos, sin, sqrt, atan2
-    and x**2 (x*x) can differ from libm's in the last bit, and the scalar
-    callers (saddle_point among them) keep libm's."""
-    return np if isinstance(x, np.ndarray) else math
-
-
 def channel_kinematics(field: LaserField, atom: Atom, n, theta, phi) -> ChannelKinematics:
     """Kinematics of the channel (n, theta, phi), broadcast over the three.
 
-    Each input keeps the arithmetic of its type, libm for a scalar and
-    numpy for an array (_lib), so a per-channel kernel (scalar n, angle
-    arrays), the Airy-form mesh (n and theta arrays) and a scalar call
-    share this one function.  Raises
-    BelowThresholdError when any n is below the threshold photon number;
-    the spectra layer checks the threshold first and reports an explicit
-    zero instead.
+    One numpy arithmetic serves every input type, so a per-channel kernel
+    (scalar n, angle arrays), the Airy-form mesh (n and theta arrays) and a
+    scalar call share this one function; a scalar call gets numpy float64
+    values.  Raises BelowThresholdError when any n is below the threshold
+    photon number; the spectra layer checks the threshold first and reports
+    an explicit zero instead.
     """
     n0 = threshold_n(field, atom)
-    n_min = np.min(n) if isinstance(n, np.ndarray) else n
+    n_min = np.asarray(n).min()
     if n_min < n0:
         raise BelowThresholdError(n_min, n0)
-    t, p = _lib(theta), _lib(phi)
-    cos_t, sin_t, cos_p, sin_p = t.cos(theta), t.sin(theta), p.cos(phi), p.sin(phi)
+    cos_t, sin_t, cos_p, sin_p = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
     omega, xi, zeta = field.omega, field.xi, field.zeta
     pi0 = atom.epsilon0 + n * omega
-    pi_abs = _lib(n).sqrt(np.maximum(pi0**2 - effective_mass(field) ** 2, 0.0))
+    pi_abs = np.sqrt(np.maximum(pi0**2 - effective_mass(field) ** 2, 0.0))
     k_dot_pi = omega * (pi0 - pi_abs * cos_t)
     big_z = xi**2 / (4.0 * k_dot_pi)
     g_sq = pi_abs**2 - 2.0 * n * omega * pi_abs * cos_t + (n * omega) ** 2
     proj_sq = cos_p**2 + zeta**2 * sin_p**2
-    alpha_amp = xi * pi_abs * sin_t * _lib(proj_sq).sqrt(proj_sq) / k_dot_pi
+    alpha_amp = xi * pi_abs * sin_t * np.sqrt(proj_sq) / k_dot_pi
     # the phase angle of (|Pi| sin th cos ph, zeta |Pi| sin th sin ph) is
     # that of (cos ph, zeta sin ph) for every theta of one phi
-    phase_angle = _lib(sin_p).atan2(zeta * sin_p, cos_p)
+    phase_angle = np.atan2(zeta * sin_p, cos_p)
     a = pi_abs * sin_t
-    if isinstance(a, np.ndarray):
-        if not (a > 0.0).all():
-            phase_angle = np.where(a > 0.0, phase_angle, np.atan2(zeta * a * sin_p, a * cos_p))
-    elif not a > 0.0:
-        phase_angle = _lib(sin_p).atan2(zeta * a * sin_p, a * cos_p)
+    if not (a > 0.0).all():
+        phase_angle = np.where(a > 0.0, phase_angle, np.atan2(zeta * a * sin_p, a * cos_p))[()]
     return ChannelKinematics(pi0, pi_abs, k_dot_pi, big_z, g_sq, alpha_amp, phase_angle)

@@ -45,7 +45,7 @@ from .kinematics import (
     threshold_n,
 )
 from .specfun import airy_ai
-from .spectra import _fsum_rows, _recoil, circular_channel_dwdo, general_channel_dwdo
+from .spectra import _recoil, circular_channel_dwdo, general_channel_dwdo
 
 __all__ = [
     "DegenerateSaddleError",
@@ -395,6 +395,11 @@ def _gauss_kronrod(n):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+def _fsum_rows(terms):
+    """math.fsum of each row of a real 2-D array."""
+    return np.array([math.fsum(row) for row in terms.tolist()])
 
 
 def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering):

@@ -216,8 +216,9 @@ def dwdo_quadrature_oracle(field, atom, n, theta, phi, rescattering=True):
     """Scalar reference for the relativistic dW/dOmega (tags 42 and 55) that
     shares no code with the spectra kernels: kinematics from
     channel_kinematics, every J_s(u, v, delta) and J_n'(w) from
-    gen_bessel_quadrature, and the photon-exchange series over a fixed
-    |n'| <= ceil|w| + 60 summed with math.fsum.  The quadrature values have
+    gen_bessel_quadrature, and the photon-exchange series as the paper
+    writes it (the kernels take its closed form) over a fixed
+    |n'| <= ceil|w| + 60, summed with math.fsum.  The quadrature values have
     absolute accuracy, so a tiny dwdo is good only to the roundoff of the
     largest terms."""
     ck = channel_kinematics(field, atom, n, theta, phi)

@@ -124,11 +124,13 @@ def _jn_ladder(orders, x):
     shape (x.size, orders.size); equal bit for bit to
     _jn(orders[None, :], x[:, None]), injected fault included.
 
-    jv runs once per distinct |m|: J_{-m}(x) = (-1)^m J_m(x), which scipy's
-    jv satisfies exactly, gives the negative orders.
+    jv runs once per distinct |m| and distinct x: J_{-m}(x) = (-1)^m J_m(x),
+    which scipy's jv satisfies exactly, gives the negative orders, and jv is
+    elementwise, so repeated arguments share the row of one evaluation.
     """
     mags, back = np.unique(np.abs(orders), return_inverse=True)
-    val = _jn(mags[None, :], x[:, None], fault=False)[:, back]
+    xs, rows = np.unique(x, return_inverse=True)
+    val = _jn(mags[None, :], xs[:, None], fault=False)[rows][:, back]
     val[:, (orders < 0) & (orders % 2 == 1)] *= -1.0
     return _faulted(orders[None, :], x[:, None], val)
 
@@ -165,8 +167,10 @@ class _Ladder:
     The bilinear series steps the order of J(u) by 2, so a series of orders
     of one parity reads that parity alone.  `values[p, (m - lo) // 2]` holds
     J_m(u[p]) for m = lo, lo + 2, ..., hi.  `cover` widens the order range
-    on demand with one `_jn_ladder` call, so several series in the same
-    arguments u share one ladder.
+    on demand, evaluating only the orders it adds (one `_jn_ladder` call per
+    side) and stacking them onto the values it has, so several series in
+    the same arguments u share one ladder.  jv is elementwise, so a ladder
+    covered in steps equals one covered at once, bit for bit.
     """
 
     def __init__(self, u: np.ndarray, parity: int):
@@ -177,25 +181,30 @@ class _Ladder:
     def cover(self, lo: int, hi: int) -> None:
         if lo < -2 * MAX_ORDER or hi > 2 * MAX_ORDER:
             raise BesselRangeError("series requires ordinary-Bessel orders beyond the supported box")
-        if self.lo <= lo and hi <= self.hi:
-            return
-        if self.hi >= self.lo:
-            lo, hi = min(lo, self.lo), max(hi, self.hi)
-        self.lo, self.hi = lo, hi
-        self.values = _jn_ladder(np.arange(lo, hi + 1, 2), self.u)
+        if self.hi < self.lo:  # empty: grow from lo
+            self.lo, self.hi = lo, lo - 2
+        if lo < self.lo:
+            self.values = np.hstack([_jn_ladder(np.arange(lo, self.lo, 2), self.u), self.values])
+            self.lo = lo
+        if hi > self.hi:
+            self.values = np.hstack([self.values,
+                                     _jn_ladder(np.arange(self.hi + 2, hi + 1, 2), self.u)])
+            self.hi = hi
 
 
-def _series_rows(ladder: _Ladder, n_lo: int, n_hi: int, v: np.ndarray, delta: float) -> np.ndarray:
+def _series_rows(ladder: _Ladder, n_lo: int, n_hi: int, v: np.ndarray, delta) -> np.ndarray:
     """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for the
     orders n = n_lo, n_lo + 2, ..., n_hi (of the ladder's parity) and every
-    row of (ladder.u, v); shape (rows, orders).
+    row of (ladder.u, v, delta); shape (rows, orders).  delta is one scalar
+    for every row, whose phases come from phase_exp, or a 1-D array of one
+    value per row, whose phases come from np.exp.
 
     Each row has its own truncation |k| <= K: it starts where a one-point
     call in that row's v starts and grows only while the row fails its own
     tail bound.  The terms are added one k at a time from k = -K up, and
     rows with a smaller K than the widest row see zero terms in its place,
     so every row equals its one-point call bit for bit.  The result is real
-    when delta is 0, +-pi, and complex otherwise.
+    when delta is the scalar 0 or +-pi, and complex otherwise.
     """
     k_cap = max((MAX_TERMS - 1) // 2, 1)
     k_row = np.array([min(_series_k_start(x), k_cap) for x in v.tolist()])
@@ -209,7 +218,8 @@ def _series_rows(ladder: _Ladder, n_lo: int, n_hi: int, v: np.ndarray, delta: fl
         jk = _jn_ladder(ks, v[todo])
         ladder.cover(n_lo - 2 * k_top, n_hi + 2 * k_top)
         ju = ladder.values if todo.size == v.size else ladder.values[todo]
-        weights = jk[:, :-2] * phase_exp(-2 * ks[:-2], delta)
+        weights = jk[:, :-2] * (phase_exp(-2 * ks[:-2], delta) if np.ndim(delta) == 0
+                                else np.exp(-2j * ks[:-2] * delta[todo, None]))
         weights[np.abs(ks[:-2]) > K[:, None]] = 0.0
         # J_{n_lo + 2i - 2k}(u) for k = j - k_top sits in column base + i - j
         base = (n_lo + 2 * k_top - ladder.lo) // 2

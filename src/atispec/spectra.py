@@ -18,6 +18,9 @@ circular_channel_dwdo (tag 44) is its fast path at |zeta| = 1, and
 nonrel_channel_dwdo serves tags 56 and 59.  The relativistic two take
 their kinematics from channel_kinematics, and the 1s density a^-5 g^-8
 and the bracket r from _recoil, which the Airy-form rate mesh shares.
+The rescattering amplitude of tags 42/55 is the paper's photon-exchange
+sum in closed form (_rescattering_sum): one generalized-Bessel series
+over the orders N-2..N+2.
 
 Angle conventions: the relativistic formulas measure theta from the wave
 vector and phi from the major polarization axis e1.  The nonrelativistic
@@ -71,10 +74,6 @@ TAG_CIRCULAR = 44
 TAG_LINEAR = 55
 TAG_NONREL_CIRCULAR = 56
 TAG_NONREL_LINEAR = 59
-
-# extra one-sided margin on the photon-exchange sum of the rescattering term
-RESCATTER_MARGIN = 40
-
 
 @dataclass(frozen=True)
 class SpectrumPoint:
@@ -130,53 +129,33 @@ def _recoil(lead, field, n, ck):
             ck.g_sq / (2.0 * d * ck.k_dot_pi))
 
 
-def _fsum_rows(terms):
-    """math.fsum of each row of a 2-D array; real and imaginary parts apart."""
-    real = np.array([math.fsum(row) for row in terms.real.tolist()])
-    if not np.iscomplexobj(terms):
-        return real
-    out = np.empty(real.shape, dtype=complex)
-    out.real = real
-    out.imag = [math.fsum(row) for row in terms.imag.tolist()]
-    return out
-
-
-def _exchange_sum(ladder, n, w, v2, delta, zf, eps0, omega, alpha_prime):
-    """Photon-exchange sum of the rescattering amplitude for every row of
-    the J(u) ladder (one shared delta):
+def _rescattering_sum(ladder, n, v2, w, delta, eps0, omega):
+    """The photon-exchange sum of the rescattering amplitude,
 
         sum_n' exp(-i(2n' - N) delta) J_n'(w) [(eps0 + 2 n' omega) conj(c_s)
-            + omega alpha' zf / 2 conj(exp(-2i delta) c_{s-2} + exp(2i delta) c_{s+2})]
+            - omega w conj(exp(-2i delta) c_{s-2} + exp(2i delta) c_{s+2})]
 
-    with s = N - 2n' and c_s = J_s(u, v2, delta).  The exchange ladder can
-    cancel many digits, so each row is summed exactly; |n'| <= k_ex grows
-    for all rows until every row meets its tail bound.
+    with s = N - 2n' and c_s = J_s(u, v2, delta), in closed form for every
+    row of the J(u) ladder (one shared delta).  In the integral form of c_s
+    the n' sum is a Jacobi-Anger series (DLMF 10.12), and the two sin 2t
+    harmonics merge into one, as in Graf's addition theorem (DLMF 10.23(ii)):
+    with R exp(i chi) = v2 exp(2i delta) + w exp(-2i delta),
+
+        exp(i N delta) [eps0 J_N - 2i omega w sin 2delta (J_{N-2} - J_{N+2})](u, R, -chi/2).
+
+    Where exp(2i delta) is real (delta = 0, +-pi/2) sin 2delta is exactly
+    0, and the signed R exp(i chi) serves as v at delta' = 0, so the series
+    stays real.
     """
-    if w == 0.0:
-        # the sum collapses to the n' = 0 term
-        c_n = specfun._series_rows(ladder, n, n, v2, delta)[:, 0]
-        return specfun.phase_exp(n, delta) * eps0 * np.conj(c_n)
-    k_ex = int(math.ceil(abs(w))) + RESCATTER_MARGIN
-    while True:
-        orders = np.arange(-k_ex, k_ex + 3)  # the last two are the tail
-        nps = orders[:-2]
-        j_ex = specfun._jn_ladder(orders, np.array([w]))[0]
-        c_all = specfun._series_rows(ladder, n - 2 * k_ex - 2, n + 2 * k_ex + 2, v2, delta)
-        s_idx = k_ex + 1 - nps  # the column of order s = N - 2n'
-        pair = c_all[:, s_idx - 1] * specfun.phase_exp(-2, delta) \
-            + c_all[:, s_idx + 1] * specfun.phase_exp(2, delta)
-        bracket = (eps0 + 2.0 * nps * omega) * np.conj(c_all[:, s_idx]) \
-            + omega * alpha_prime * zf / 2.0 * np.conj(pair)
-        total = _fsum_rows(specfun.phase_exp(-(2 * nps - n), delta) * j_ex[:-2] * bracket)
-        tail = (abs(j_ex[-2]) + abs(j_ex[-1])) \
-            * 2.0 * (eps0 + 2.0 * (k_ex + 2) * omega + omega * alpha_prime * zf)
-        if np.all(tail <= specfun.REL_TOL * np.maximum(np.abs(total), specfun.ABS_FLOOR)):
-            return total
-        if 2 * k_ex + 1 >= specfun.MAX_TERMS:
-            raise specfun.SeriesConvergenceError(
-                f"rescattering sum not converged for channel N={n}", tail
-            )
-        k_ex = int(k_ex * 1.5) + 8
+    e2 = specfun.phase_exp(2, delta)
+    c = v2 * e2 + w * np.conj(e2)
+    sin2 = float(np.imag(e2))
+    if sin2 == 0.0:
+        j = specfun._series_rows(ladder, n - 2, n + 2, np.real(c), 0.0)
+        return specfun.phase_exp(n, delta) * eps0 * j[:, 1]
+    j = specfun._series_rows(ladder, n - 2, n + 2, np.abs(c), -np.angle(c) / 2.0)
+    return specfun.phase_exp(n, delta) \
+        * (eps0 * j[:, 1] - 2j * omega * w * sin2 * (j[:, 0] - j[:, 2]))
 
 
 def general_channel_dwdo(
@@ -199,8 +178,9 @@ def general_channel_dwdo(
     the coupling |cos phi|.  Each distinct (theta, u, delta) row is
     evaluated once and scattered back (the truncations are maxima over
     rows, which duplicates do not move).  The rows are grouped by delta,
-    which one series shares; within a group the rescattering series comes
-    first and the direct amplitude reuses its J(u) ladder.
+    which one series shares; within a group the rescattering amplitude
+    (_rescattering_sum, one series over the orders N-2..N+2) comes first
+    and the direct amplitude reuses its J(u) ladder.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     shape = theta.shape
@@ -218,6 +198,7 @@ def general_channel_dwdo(
     big_z, u, dlt = ck.big_z[first], ck.alpha_amp[first], dlt[first]
 
     alpha_prime = field.xi**2 / (4.0 * omega * eps0)
+    w = -alpha_prime * zf / 2.0
     v_kfr = -big_z * zf / 2.0
     v2 = (big_z - alpha_prime) * zf / 2.0
     # every delta is 0 at zeta = 0: real amplitudes keep Re(resc/kfr) a real division
@@ -227,8 +208,7 @@ def general_channel_dwdo(
     for g, delta in enumerate(deltas.tolist()):
         rows = np.flatnonzero(group == g)
         ladder = specfun._Ladder(u[rows], n)
-        total[rows] = _exchange_sum(ladder, n, -alpha_prime * zf / 2.0, v2[rows], delta,
-                                    zf, eps0, omega, alpha_prime)
+        total[rows] = _rescattering_sum(ladder, n, v2[rows], w, delta, eps0, omega)
         kfr[rows] = specfun.phase_exp(n, delta) \
             * specfun._series_rows(ladder, n, n, v_kfr[rows], delta)[:, 0]
 
@@ -372,10 +352,12 @@ def dwdo_general(
 
     The direct amplitude is exp(i N th_p) J_N(alpha, -Z(1-zeta^2)/2, th_p)
     with th_p the polarization phase angle of the emission direction.  The
-    rescattering amplitude sums photon exchanges n' with weight
-    g^2 / (2 m (N - Z(1+zeta^2)) k.Pi), an ordinary-Bessel factor
-    J_n'(-alpha'(1-zeta^2)/2) and conjugated generalized-Bessel brackets.
-    One-point form of general_channel_dwdo, at every zeta.
+    rescattering amplitude is the weight g^2 / (2 m (N - Z(1+zeta^2)) k.Pi)
+    times the paper's sum over photon exchanges n' (ordinary-Bessel factors
+    J_n'(-alpha'(1-zeta^2)/2) and conjugated generalized-Bessel brackets),
+    taken in closed form: eps0 J_N and a sin 2th_p term in J_{N-2} - J_{N+2},
+    all at one merged second argument (_rescattering_sum).  One-point form
+    of general_channel_dwdo, at every zeta.
     """
     return _point(field, atom, n, theta, phi, TAG_GENERAL, rescattering)
 

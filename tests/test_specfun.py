@@ -161,16 +161,34 @@ def test_batched_rows_keep_their_own_truncation():
 def test_jn_ladder_equals_jn_exactly(fault):
     orders = np.arange(-45, 46)
     x = np.array([-60.0, -7.5, -0.3, 0.0, 0.3, 7.5, 60.0, 251.0])
+    # repeated and signed-zero arguments share the row of one jv evaluation
+    x_rep = np.array([7.5, 0.0, 60.0, 7.5, -0.0, 60.0, 7.5])
     specfun.set_bessel_fault(fault)
     try:
-        got = specfun._jn_ladder(orders, x)
-        want = specfun._jn(orders[None, :], x[:, None])
+        for xs in (x, x_rep):
+            got = specfun._jn_ladder(orders, xs)
+            assert np.array_equal(got, specfun._jn(orders[None, :], xs[:, None]))
     finally:
         specfun.set_bessel_fault(0.0)
-    assert np.array_equal(got, want)
     # scattered, repeated and unsorted orders too
     odd = np.array([7, -3, 0, 3, -7, -7, 2])
     assert np.array_equal(specfun._jn_ladder(odd, x), specfun._jn(odd[None, :], x[:, None]))
+
+
+@pytest.mark.parametrize("fault", [0.0, 1e-6])
+def test_ladder_covered_in_steps_equals_one_shot_ladder(fault):
+    # cover stacks only the orders it adds onto the values it holds
+    u = np.array([0.3, 7.5, 60.0, 7.5, 251.0])
+    specfun.set_bessel_fault(fault)
+    try:
+        ladder = specfun._Ladder(u, 1)
+        for lo, hi in [(41, 61), (21, 65), (-31, 101)]:
+            ladder.cover(lo, hi)
+        want = specfun._jn_ladder(np.arange(-31, 102, 2), u)
+    finally:
+        specfun.set_bessel_fault(0.0)
+    assert (ladder.lo, ladder.hi) == (-31, 101)
+    assert np.array_equal(ladder.values, want)
 
 
 def test_batched_gen_bessel_orders_checks(monkeypatch):
