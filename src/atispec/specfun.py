@@ -3,9 +3,12 @@
 Provides the ordinary Bessel function J_n(x), the complex three-argument
 generalized Bessel function J_n(u, v, delta) that arises when a plane-wave
 phase carries both sin(theta) and sin(2*theta) harmonics, the Airy function
-Ai(x), and the large-order Airy approximation of J_N(x).  scipy's jv is the
-only scipy function used; Ai is numpy alone, from the Chebyshev series in
-_airy_tables.
+Ai(x), and the large-order Airy approximation of J_N(x).  The series route
+reads its ordinary-Bessel ladders from one numpy backward recurrence
+(Miller's algorithm, _JTable) per call, and ordinary_bessel reads the same
+kernel; scipy's jv serves only the batched single-order calls of tags 44
+and 56 (_jn) and is the only scipy function used.  Ai
+is numpy alone, from the Chebyshev series in _airy_tables.
 
 Two independent evaluation routes are kept for the generalized function:
 a truncated bilinear series over ordinary Bessel factors, and a trapezoid
@@ -110,38 +113,160 @@ def _faulted(n, x, val):
     return val * (1.0 + _FAULT_EPS * np.cos(1.3 * np.asarray(n, dtype=float) + 0.7 * np.asarray(x, dtype=float)))
 
 
-def _jn(n, x, fault=True):
-    """J_n(x) for integer order(s); internal primitive shared by the series
-    route (so that an injected fault propagates everywhere it should).
-    fault=False leaves the fault to the caller: _jn_ladder applies it at the
-    signed orders after the reflection."""
-    val = sp.jv(n, x)
-    return _faulted(n, x, val) if fault else val
+def _jn(n, x):
+    """J_n(x) by scipy's jv, injected fault included: the batched
+    single-order calls of tags 44 and 56, which read J_N at one order per
+    point.  (A Miller recurrence per point costs more there: 185 ms against
+    jv's 120 ms on an n_m ~ 110 circular rate.)"""
+    return _faulted(n, x, sp.jv(n, x))
+
+
+# --------------------------------------------------------------------------
+# ordinary-Bessel ladders: Miller's backward recurrence
+
+# A sweep starts at the order where the Debye estimate of J_S(x) is 2^-1000,
+# with the value 2^-1000, so that the unnormalized values run at about the
+# scale of J itself.
+_MILLER_LOG = 1000.0 * math.log(2.0)
+_MILLER_START = 2.0 ** -1000
+# below this |x|, J_0 = 1, J_1 = x/2 and J_m = 0 for m >= 2, correctly rounded
+_MILLER_TINY = 2.0 ** -1000
+# the recurrence coefficients are computed this many steps at a time
+_MILLER_BLOCK = 32
+
+
+def _start_orders(x):
+    """Start order S(x) of the backward recurrence at each x of a 1-D
+    array in [2^-1000, MAX_ARGUMENT]: the first integer m > x at which the
+    Debye estimate J_m(x) ~ exp(s - m a) / sqrt(2 pi s), with
+    s = sqrt(m^2 - x^2) and cosh a = m / x (DLMF 10.19.3), falls to 2^-1000.
+    Its exponent is increasing and convex in m there, so three Newton steps
+    from the upper bound x + 82 x^(1/3) + 150 converge from above, to within
+    1e-3 of an order."""
+    m = x + 82.0 * np.cbrt(x) + 150.0
+    for _ in range(3):
+        s = np.sqrt((m - x) * (m + x))
+        a = np.log((m + s) / x)
+        m -= (m * a - s + 0.5 * np.log(2.0 * math.pi * s) - _MILLER_LOG) / (a + m / (2.0 * s * s))
+    return np.ceil(m).astype(np.int64)
+
+
+def _miller(x, top: int, out):
+    """J_m(x) for m = 0..top at each x of a 1-D array in
+    [2^-1000, MAX_ARGUMENT], written into out of shape (top + 1, x.size),
+    by Miller's algorithm (A&S 9.12, DLMF 10.74(iv), Numerical Recipes 6.5).
+
+    Each row runs f_{m} = (2(m+1)/x) f_{m+1} - f_{m+2} from f_{S+1} = 0 and
+    f_S = 2^-1000 at its own start order S(x) (_start_orders) down to order
+    0, keeps the orders <= top, and divides by f_0 + 2 sum f_2k, because
+    J_0 + 2 sum J_2k = 1.  J_S(x) is about 2^-1000, so f stays near the
+    scale of J (below 2^1004 even at x = 2^-1000) and is never rescaled;
+    the orders above S read 0.
+
+    A row's bits depend on its x alone.  The rows are sorted by S and the
+    orders run in blocks of _MILLER_BLOCK; a block runs on the prefix of
+    rows that start at or above its lowest order, and a row that starts
+    inside the block holds exact zeros until its start value is set.  Each
+    coefficient 2(m+1)/x is a correctly rounded quotient (m+1 times a
+    rounded 2/x would shift the argument of every row by its rounding
+    error, 2e-13 of the envelope at x = 5000).  A step is two numpy calls,
+    plus one every other step for the normalization sum.
+    """
+    s = _start_orders(x)
+    by_start = np.argsort(-s, kind="stable")
+    xs, s = x[by_start], s[by_start]
+    rows, s_top, block = xs.size, int(s[0]), _MILLER_BLOCK
+    # the rows [a, b) of xs start at order m, for each distinct m, descending
+    cut = np.flatnonzero(s[1:] != s[:-1]) + 1
+    starts = list(zip(s[np.r_[0, cut]].tolist(), [0, *cut.tolist()], [*cut.tolist(), rows]))
+    starts.append((-1, 0, 0))
+    los = np.arange(s_top - s_top % block, -1, -block)
+    widths = np.searchsorted(-s, -los, side="right").tolist()
+    table = np.zeros((top + 1, rows))
+    ring = np.zeros((2 * block, rows))  # order m > top sits in row m % (2 block)
+    zero, acc = np.zeros(rows), np.zeros(rows)  # acc: f at the even orders >= 2
+
+    def order(m):
+        return table[m] if m <= top else ring[m % (2 * block)] if m <= s_top else zero
+
+    mul, sub = np.multiply, np.subtract
+    event = 0
+    for lo, width in zip(los.tolist(), widths):
+        hi = min(lo + block - 1, s_top)
+        ms = np.arange(hi + 1, lo, -1.0)  # m + 1
+        coef = np.divide.outer(ms + ms, xs[:width])
+        split = min(max(hi - top, 0), hi - lo + 1)  # orders above top come first
+        r = lo % (2 * block) + hi - lo + 1
+        outs = list(ring[r - split:r, :width][::-1]) + list(table[lo:hi + 1 - split, :width][::-1])
+        f1, f2, acc_w = order(hi + 1)[:width], order(hi + 2)[:width], acc[:width]
+        for c, f0, m in zip(coef, outs, range(hi, lo - 1, -1)):
+            mul(c, f1, f0)
+            sub(f0, f2, f0)
+            if m == starts[event][0]:
+                _, a, b = starts[event]
+                f0[a:b] = _MILLER_START
+                event += 1
+            if m and not m & 1:
+                acc_w += f0
+            f2, f1 = f1, f0
+    out[:, by_start] = table / (table[0] + 2.0 * acc)
+
+
+class _JTable:
+    """J_m(x) at the orders |m| <= top for a set of arguments x, from one
+    backward recurrence (_miller) over their distinct |x|; a |x| below
+    2^-1000 (0 included) takes J_0 = 1, J_1 = |x|/2 and 0 beyond, correctly
+    rounded.  Orders past 2 MAX_ORDER and arguments past MAX_ARGUMENT (a
+    recurrence takes about |x| steps) raise BesselRangeError.
+
+    table(orders, x) reads J at signed orders for signed arguments through
+    J_{-m}(x) = J_m(-x) = (-1)^m J_m(x), with the injected fault applied at
+    the signed order.
+    """
+
+    def __init__(self, x, top: int):
+        ax = np.unique(np.abs(np.asarray(x, dtype=float)))
+        if top > 2 * MAX_ORDER or (ax.size and not ax[-1] <= MAX_ARGUMENT):
+            raise BesselRangeError(
+                f"series requires ordinary-Bessel values beyond the supported box "
+                f"|m|<={2 * MAX_ORDER}, |x|<={MAX_ARGUMENT}"
+            )
+        tiny = int(np.searchsorted(ax, _MILLER_TINY))
+        self.x = ax
+        self.values = np.zeros((top + 1, ax.size))
+        self.values[0, :tiny] = 1.0
+        self.values[1:2, :tiny] = ax[:tiny] / 2.0
+        if tiny < ax.size:
+            _miller(ax[tiny:], top, self.values[:, tiny:])
+
+    def __call__(self, orders, x):
+        """J_m(x) at a 1-D integer array of orders m for every entry of a 1-D
+        x, shape (x.size, orders.size); an x whose |x| the table lacks reads
+        NaN."""
+        ax = np.abs(x)
+        col = np.minimum(np.searchsorted(self.x, ax), self.x.size - 1)
+        val = self.values[np.abs(orders)[None, :], col[:, None]]
+        val[self.x[col] != ax] = np.nan
+        flip = ((orders < 0)[None, :] != (x < 0)[:, None]) & (orders % 2 == 1)[None, :]
+        np.negative(val, out=val, where=flip)
+        return _faulted(orders[None, :], x[:, None], val)
 
 
 def _jn_ladder(orders, x):
     """J_m(x) at a 1-D integer array of orders m for every entry of a 1-D x,
-    shape (x.size, orders.size); equal bit for bit to
-    _jn(orders[None, :], x[:, None]), injected fault included.
-
-    jv runs once per distinct |m| and distinct x: J_{-m}(x) = (-1)^m J_m(x),
-    which scipy's jv satisfies exactly, gives the negative orders, and jv is
-    elementwise, so repeated arguments share the row of one evaluation.
-    """
-    mags, back = np.unique(np.abs(orders), return_inverse=True)
-    xs, rows = np.unique(x, return_inverse=True)
-    val = _jn(mags[None, :], xs[:, None], fault=False)[rows][:, back]
-    val[:, (orders < 0) & (orders % 2 == 1)] *= -1.0
-    return _faulted(orders[None, :], x[:, None], val)
+    shape (x.size, orders.size), from a _JTable of its own, injected fault
+    included."""
+    return _JTable(x, int(np.max(np.abs(orders), initial=0)))(orders, x)
 
 
 def ordinary_bessel(n: int, x: float) -> float:
     """Ordinary Bessel function J_n(x) of integer order.
 
-    Supported box: |n| <= 2000, |x| <= 5000.  Double precision throughout;
-    accuracy is at machine level relative to the oscillation envelope
-    sqrt(2/(pi x)), which near isolated zeros of J_n at |x| >~ 2000 amounts
-    to ~11 significant digits of the point value.
+    Supported box: |n| <= 2000, |x| <= 5000.  The value is the one the
+    series route reads (_jn_ladder), so gen_bessel(n, x, 0, delta) equals
+    it exactly.  Against mpmath, for |n| <= x: within 3.3e-15 of the
+    oscillation envelope sqrt(2/(pi x)) up to x = 300 and 3.1e-14 at
+    x = 2000; beyond the turning point, 1e-14 relative down to 1e-280.
     """
     if not math.isfinite(x):
         raise BesselRangeError(f"argument must be finite, got {x}")
@@ -150,7 +275,7 @@ def ordinary_bessel(n: int, x: float) -> float:
         raise BesselRangeError(
             f"J_{n}({x}) outside supported box |n|<={MAX_ORDER}, |x|<={MAX_ARGUMENT}"
         )
-    return float(_jn(n, x))
+    return float(_jn_ladder(np.array([n]), np.array([float(x)]))[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -161,16 +286,31 @@ def _series_k_start(v: float) -> int:
     return int(math.ceil(av + 10.0 * av ** (1.0 / 3.0) + 10.0))
 
 
+def _k_start(v, k_cap: int):
+    """min(_series_k_start(v), k_cap) at every entry of a 1-D v, as one
+    numpy expression.  numpy's power can round differently from Python's in
+    the last bit, so an entry whose pre-ceil value lies within 1e-9 of an
+    integer takes the scalar rule."""
+    av = np.abs(v)
+    pre = av + 10.0 * av ** (1.0 / 3.0) + 10.0
+    k = np.ceil(np.minimum(pre, k_cap)).astype(np.int64)
+    for i in np.flatnonzero(np.abs(pre - np.rint(pre)) <= 1e-9).tolist():
+        k[i] = min(_series_k_start(float(v[i])), k_cap)
+    return k
+
+
 class _Ladder:
     """J_m(u) at the integer orders m of one parity for every entry of a 1-D u.
 
     The bilinear series steps the order of J(u) by 2, so a series of orders
     of one parity reads that parity alone.  `values[p, (m - lo) // 2]` holds
     J_m(u[p]) for m = lo, lo + 2, ..., hi.  `cover` widens the order range
-    on demand, evaluating only the orders it adds (one `_jn_ladder` call per
-    side) and stacking them onto the values it has, so several series in
-    the same arguments u share one ladder.  jv is elementwise, so a ladder
-    covered in steps equals one covered at once, bit for bit.
+    on demand, reading only the orders it adds from a _JTable (by default
+    one of its own) and stacking them onto the values it has, so several
+    series in the same arguments u share one ladder.  A value depends on
+    (m, u) alone, so a ladder covered in steps equals one covered at once,
+    bit for bit; a row whose u the table lacks reads NaN in the added
+    orders.
     """
 
     def __init__(self, u: np.ndarray, parity: int):
@@ -178,72 +318,95 @@ class _Ladder:
         self.lo, self.hi = parity % 2, parity % 2 - 2
         self.values = np.empty((u.size, 0))
 
-    def cover(self, lo: int, hi: int) -> None:
-        if lo < -2 * MAX_ORDER or hi > 2 * MAX_ORDER:
-            raise BesselRangeError("series requires ordinary-Bessel orders beyond the supported box")
+    def cover(self, lo: int, hi: int, table=None) -> None:
+        table = _jn_ladder if table is None else table
         if self.hi < self.lo:  # empty: grow from lo
             self.lo, self.hi = lo, lo - 2
         if lo < self.lo:
-            self.values = np.hstack([_jn_ladder(np.arange(lo, self.lo, 2), self.u), self.values])
+            self.values = np.hstack([table(np.arange(lo, self.lo, 2), self.u), self.values])
             self.lo = lo
         if hi > self.hi:
-            self.values = np.hstack([self.values,
-                                     _jn_ladder(np.arange(self.hi + 2, hi + 1, 2), self.u)])
+            self.values = np.hstack([self.values, table(np.arange(self.hi + 2, hi + 1, 2), self.u)])
             self.hi = hi
 
 
-def _series_rows(ladder: _Ladder, n_lo: int, n_hi: int, v: np.ndarray, delta) -> np.ndarray:
-    """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for the
-    orders n = n_lo, n_lo + 2, ..., n_hi (of the ladder's parity) and every
-    row of (ladder.u, v, delta); shape (rows, orders).  delta is one scalar
-    for every row, whose phases come from phase_exp, or a 1-D array of one
-    value per row, whose phases come from np.exp.
+def _series_rows(series):
+    """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for each
+    (ladder, n_lo, n_hi, v, delta) of a list: the orders n = n_lo, n_lo + 2,
+    ..., n_hi (of the ladder's parity) at every row of (ladder.u, v, delta);
+    a list of (rows, orders) arrays.  delta is one scalar for every row,
+    whose phases come from phase_exp, or a 1-D array of one value per row,
+    whose phases come from np.exp.
 
     Each row has its own truncation |k| <= K: it starts where a one-point
     call in that row's v starts and grows only while the row fails its own
-    tail bound.  The terms are added one k at a time from k = -K up, and
-    rows with a smaller K than the widest row see zero terms in its place,
-    so every row equals its one-point call bit for bit.  The result is real
-    when delta is the scalar 0 or +-pi, and complex otherwise.
+    tail bound.  Every J value of a round comes from one _JTable over the
+    stacked v of the rows still open and the ladder arguments whose orders
+    it adds, so a call runs one backward recurrence plus one per round in
+    which some rows grow, over those rows alone.  The terms are added one k
+    at a time from k = -K up, and rows with a smaller K than the widest row
+    see zero terms in its place, so every row equals its one-point call bit
+    for bit.  A result is real when its delta is the scalar 0 or +-pi, and
+    complex otherwise.
     """
     k_cap = max((MAX_TERMS - 1) // 2, 1)
-    k_row = np.array([min(_series_k_start(x), k_cap) for x in v.tolist()])
-    width = (n_hi - n_lo) // 2 + 1
-    out = None
-    todo = np.arange(v.size)
+    k_row = [_k_start(s[3], k_cap) for s in series]
+    todo = [np.arange(s[3].size) for s in series]
+    out = [None] * len(series)
     while True:
-        K = k_row[todo]
-        k_top = int(K.max())
-        ks = np.arange(-k_top, k_top + 3)
-        jk = _jn_ladder(ks, v[todo])
-        ladder.cover(n_lo - 2 * k_top, n_hi + 2 * k_top)
-        ju = ladder.values if todo.size == v.size else ladder.values[todo]
-        weights = jk[:, :-2] * (phase_exp(-2 * ks[:-2], delta) if np.ndim(delta) == 0
-                                else np.exp(-2j * ks[:-2] * delta[todo, None]))
-        weights[np.abs(ks[:-2]) > K[:, None]] = 0.0
-        # J_{n_lo + 2i - 2k}(u) for k = j - k_top sits in column base + i - j
-        base = (n_lo + 2 * k_top - ladder.lo) // 2
-        acc = np.zeros((todo.size, width), dtype=np.result_type(ju, weights))
-        for j in range(2 * k_top + 1):
-            acc += ju[:, base - j:base - j + width] * weights[:, j, None]
-
-        rows = np.arange(todo.size)
-        tail = 2.0 * (np.abs(jk[rows, K + k_top + 1]) + np.abs(jk[rows, K + k_top + 2]))
-        bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=1), ABS_FLOOR)
-        ok = tail <= bound
-        if out is None:
-            out = np.empty((v.size, width), dtype=acc.dtype)
-        out[todo[ok]] = acc[ok]
-        if ok.all():
+        live = [i for i in range(len(series)) if todo[i].size]
+        if not live:
             return out
-        stuck = ~ok & (K >= k_cap)
-        if stuck.any():
-            raise SeriesConvergenceError(
-                f"generalized Bessel series not converged within {MAX_TERMS} terms",
-                float(np.max(tail[stuck])),
-            )
-        todo = todo[~ok]
-        k_row[todo] = np.minimum((k_row[todo] * 1.5).astype(int) + 8, k_cap)
+        k_top = {i: int(k_row[i][todo[i]].max()) for i in live}
+        reach = {}  # per ladder: [ladder, lo, hi, open rows]
+        for i in live:
+            ladder, n_lo, n_hi = series[i][:3]
+            lo, hi = n_lo - 2 * k_top[i], n_hi + 2 * k_top[i]
+            r = reach.setdefault(id(ladder), [ladder, lo, hi, []])
+            r[1], r[2] = min(r[1], lo), max(r[2], hi)
+            r[3].append(todo[i])
+        grow = [r for r in reach.values() if r[1] < r[0].lo or r[2] > r[0].hi]
+        table = _JTable(
+            np.concatenate([series[i][3][todo[i]] for i in live]
+                           + [lad.u[np.unique(np.concatenate(rows))] for lad, _, _, rows in grow]),
+            max([k_top[i] + 2 for i in live] + [max(-lo, hi) for _, lo, hi, _ in grow]),
+        )
+        for ladder, lo, hi, _ in grow:
+            ladder.cover(lo, hi, table)
+        for i in live:
+            ladder, n_lo, n_hi, v, delta = series[i]
+            t = todo[i]
+            K = k_row[i][t]
+            ks = np.arange(-k_top[i], k_top[i] + 3)
+            jk = table(ks, v[t])
+            ju = ladder.values if t.size == v.size else ladder.values[t]
+            weights = jk[:, :-2] * (phase_exp(-2 * ks[:-2], delta) if np.ndim(delta) == 0
+                                    else np.exp(-2j * ks[:-2] * delta[t, None]))
+            weights[np.abs(ks[:-2]) > K[:, None]] = 0.0
+            # J_{n_lo + 2j - 2k}(u) for k = l - k_top sits in column base + j - l
+            width = (n_hi - n_lo) // 2 + 1
+            base = (n_lo + 2 * k_top[i] - ladder.lo) // 2
+            acc = np.zeros((t.size, width), dtype=np.result_type(ju, weights))
+            term = np.empty_like(acc)
+            for l in range(2 * k_top[i] + 1):
+                np.multiply(ju[:, base - l:base - l + width], weights[:, l, None], out=term)
+                acc += term
+
+            rows = np.arange(t.size)
+            tail = 2.0 * (np.abs(jk[rows, K + k_top[i] + 1]) + np.abs(jk[rows, K + k_top[i] + 2]))
+            bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=1), ABS_FLOOR)
+            ok = tail <= bound
+            if out[i] is None:
+                out[i] = np.empty((v.size, width), dtype=acc.dtype)
+            out[i][t[ok]] = acc[ok]
+            stuck = ~ok & (K >= k_cap)
+            if stuck.any():
+                raise SeriesConvergenceError(
+                    f"generalized Bessel series not converged within {MAX_TERMS} terms",
+                    float(np.max(tail[stuck])),
+                )
+            todo[i] = t[~ok]
+            k_row[i][todo[i]] = np.minimum((k_row[i][todo[i]] * 1.5).astype(int) + 8, k_cap)
 
 
 def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
@@ -255,7 +418,8 @@ def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
     (with ABS_FLOOR as the small-value cutoff).  The even and the odd
     orders of the range are two series, each with one truncation index for
     all its orders; the tail bound max_n |J_{n-2k}(u)| <= 1 makes it
-    independent of n and u.
+    independent of n and u.  Both series read their J values from one
+    backward recurrence (_series_rows).
 
     Scalar u and v give a 1-D array over the orders.  Equal-length 1-D
     arrays u and v (one shared delta) give one row per point, from one
@@ -274,10 +438,11 @@ def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise ValueError("empty order range")
+    series = [(_Ladder(u_arr, first), first, n_hi - (n_hi - first) % 2, v_arr, delta)
+              for first in range(n_lo, min(n_lo + 1, n_hi) + 1)]
     out = np.empty((u_arr.size, n_hi - n_lo + 1), dtype=complex)
-    for first in range(n_lo, min(n_lo + 1, n_hi) + 1):
-        last = n_hi - (n_hi - first) % 2
-        out[:, first - n_lo::2] = _series_rows(_Ladder(u_arr, first), first, last, v_arr, delta)
+    for (_, first, *_), rows in zip(series, _series_rows(series)):
+        out[:, first - n_lo::2] = rows
     return out[0] if scalar else out
 
 

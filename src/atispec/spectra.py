@@ -19,8 +19,8 @@ nonrel_channel_dwdo serves tags 56 and 59.  The relativistic two take
 their kinematics from channel_kinematics, and the 1s density a^-5 g^-8
 and the bracket r from _recoil, which the Airy-form rate mesh shares.
 The rescattering amplitude of tags 42/55 is the paper's photon-exchange
-sum in closed form (_rescattering_sum): one generalized-Bessel series
-over the orders N-2..N+2.
+sum in closed form (_rescattering_series and _rescattering_sum): one
+generalized-Bessel series over the orders N-2..N+2.
 
 Angle conventions: the relativistic formulas measure theta from the wave
 vector and phi from the major polarization axis e1.  The nonrelativistic
@@ -129,8 +129,9 @@ def _recoil(lead, field, n, ck):
             ck.g_sq / (2.0 * d * ck.k_dot_pi))
 
 
-def _rescattering_sum(ladder, n, v2, w, delta, eps0, omega):
-    """The photon-exchange sum of the rescattering amplitude,
+def _rescattering_series(ladder, n, v2, w, delta):
+    """The generalized-Bessel series of the photon-exchange sum of the
+    rescattering amplitude, which _rescattering_sum completes,
 
         sum_n' exp(-i(2n' - N) delta) J_n'(w) [(eps0 + 2 n' omega) conj(c_s)
             - omega w conj(exp(-2i delta) c_{s-2} + exp(2i delta) c_{s+2})]
@@ -143,17 +144,23 @@ def _rescattering_sum(ladder, n, v2, w, delta, eps0, omega):
 
         exp(i N delta) [eps0 J_N - 2i omega w sin 2delta (J_{N-2} - J_{N+2})](u, R, -chi/2).
 
-    Where exp(2i delta) is real (delta = 0, +-pi/2) sin 2delta is exactly
-    0, and the signed R exp(i chi) serves as v at delta' = 0, so the series
-    stays real.
+    The series is J_{N-2..N+2}(u, R, -chi/2) as a _series_rows entry.  Where
+    exp(2i delta) is real (delta = 0, +-pi/2) sin 2delta is exactly 0, and
+    the signed R exp(i chi) serves as v at delta' = 0, so the series stays
+    real.
     """
     e2 = specfun.phase_exp(2, delta)
     c = v2 * e2 + w * np.conj(e2)
-    sin2 = float(np.imag(e2))
+    if np.imag(e2) == 0.0:
+        return ladder, n - 2, n + 2, np.real(c), 0.0
+    return ladder, n - 2, n + 2, np.abs(c), -np.angle(c) / 2.0
+
+
+def _rescattering_sum(j, n, w, delta, eps0, omega):
+    """The photon-exchange sum from the rows j of _rescattering_series."""
+    sin2 = float(np.imag(specfun.phase_exp(2, delta)))
     if sin2 == 0.0:
-        j = specfun._series_rows(ladder, n - 2, n + 2, np.real(c), 0.0)
         return specfun.phase_exp(n, delta) * eps0 * j[:, 1]
-    j = specfun._series_rows(ladder, n - 2, n + 2, np.abs(c), -np.angle(c) / 2.0)
     return specfun.phase_exp(n, delta) \
         * (eps0 * j[:, 1] - 2j * omega * w * sin2 * (j[:, 0] - j[:, 2]))
 
@@ -179,8 +186,11 @@ def general_channel_dwdo(
     evaluated once and scattered back (the truncations are maxima over
     rows, which duplicates do not move).  The rows are grouped by delta,
     which one series shares; within a group the rescattering amplitude
-    (_rescattering_sum, one series over the orders N-2..N+2) comes first
-    and the direct amplitude reuses its J(u) ladder.
+    (_rescattering_series, one series over the orders N-2..N+2) and the
+    direct amplitude share one J(u) ladder, and the series of every group
+    run in one _series_rows call, so a call runs one backward recurrence
+    over all its Bessel arguments (plus one over the rows whose truncation
+    grows).
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     shape = theta.shape
@@ -205,12 +215,16 @@ def general_channel_dwdo(
     kfr = np.empty(first.size, dtype=float if zeta == 0.0 else complex)
     total = np.empty(first.size, dtype=kfr.dtype)
     deltas, group = np.unique(dlt, return_inverse=True)
-    for g, delta in enumerate(deltas.tolist()):
-        rows = np.flatnonzero(group == g)
+    groups = [(np.flatnonzero(group == g), delta) for g, delta in enumerate(deltas.tolist())]
+    series = []
+    for rows, delta in groups:
         ladder = specfun._Ladder(u[rows], n)
-        total[rows] = _rescattering_sum(ladder, n, v2[rows], w, delta, eps0, omega)
-        kfr[rows] = specfun.phase_exp(n, delta) \
-            * specfun._series_rows(ladder, n, n, v_kfr[rows], delta)[:, 0]
+        series += [_rescattering_series(ladder, n, v2[rows], w, delta),
+                   (ladder, n, n, v_kfr[rows], delta)]
+    sums = specfun._series_rows(series)
+    for (rows, delta), j, j_kfr in zip(groups, sums[0::2], sums[1::2]):
+        total[rows] = _rescattering_sum(j, n, w, delta, eps0, omega)
+        kfr[rows] = specfun.phase_exp(n, delta) * j_kfr[:, 0]
 
     back = back.ravel()  # the shape of an axis-wise unique's inverse varies across numpy 2.x
     kfr = kfr[back]

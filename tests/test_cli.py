@@ -437,6 +437,19 @@ def test_bessel_range_exit_3_without_traceback(tmp_path):
     assert cp.stderr.startswith("resource cap:") and cp.stderr.count("\n") == 1
 
 
+def test_huge_linear_intensity_exit_3_one_line(tmp_path):
+    # the series route would need ordinary-Bessel arguments far past
+    # MAX_ARGUMENT, whose recurrences would take about |x| steps each
+    cfg = json.loads((REPO / "demos" / "configs" / "linear_small.json").read_text())
+    cfg.update(intensity_xi=30.0, n_range="auto", theta_points=8, output_path=str(tmp_path / "out"))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    cp = run_cli("spectrum", "-c", str(path))
+    assert cp.returncode == 3
+    assert cp.stderr.startswith("resource cap:") and cp.stderr.count("\n") == 1
+    assert "Traceback" not in cp.stderr
+
+
 def test_import_skips_scipy_optimize():
     cp = subprocess.run([sys.executable, "-c",
                          "import sys, atispec; print('scipy.optimize' in sys.modules)"],

@@ -159,20 +159,109 @@ def test_batched_rows_keep_their_own_truncation():
 
 @pytest.mark.parametrize("fault", [0.0, 1e-6])
 def test_jn_ladder_equals_jn_exactly(fault):
+    # every entry equals the kernel's own one-point value J_m(x), injected
+    # fault included, and the reflections J_{-m}(x) = J_m(-x) = (-1)^m J_m(x)
+    # hold bit for bit
+    def one_point(m, x):
+        return specfun._jn_ladder(np.array([m]), np.array([x]))[0, 0]
+
     orders = np.arange(-45, 46)
     x = np.array([-60.0, -7.5, -0.3, 0.0, 0.3, 7.5, 60.0, 251.0])
-    # repeated and signed-zero arguments share the row of one jv evaluation
+    # repeated and signed-zero arguments share the row of one evaluation
     x_rep = np.array([7.5, 0.0, 60.0, 7.5, -0.0, 60.0, 7.5])
     specfun.set_bessel_fault(fault)
     try:
         for xs in (x, x_rep):
             got = specfun._jn_ladder(orders, xs)
-            assert np.array_equal(got, specfun._jn(orders[None, :], xs[:, None]))
+            want = np.array([[one_point(m, xi) for m in orders.tolist()] for xi in xs.tolist()])
+            assert np.array_equal(got, want)
+        # scattered, repeated and unsorted orders too
+        odd = np.array([7, -3, 0, 3, -7, -7, 2])
+        got = specfun._jn_ladder(odd, x)
+        assert np.array_equal(got, np.array([[one_point(m, xi) for m in odd.tolist()] for xi in x.tolist()]))
     finally:
         specfun.set_bessel_fault(0.0)
-    # scattered, repeated and unsorted orders too
-    odd = np.array([7, -3, 0, 3, -7, -7, 2])
-    assert np.array_equal(specfun._jn_ladder(odd, x), specfun._jn(odd[None, :], x[:, None]))
+    got = specfun._jn_ladder(orders, x)
+    sign = np.where(orders % 2 == 1, -1.0, 1.0)
+    assert np.array_equal(got[:, ::-1], got * sign)
+    assert np.array_equal(got[6::-1], got[:7] * sign)  # x[:7] is symmetric about 0
+
+
+def _mp_ladder(mp, x, m_max):
+    with mp.workdps(30):
+        return np.array([float(mp.besselj(m, mp.mpf(x))) for m in range(m_max + 1)])
+
+
+def test_jn_ladder_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    orders = np.arange(-400, 401)
+    xs = [0.0, 1e-300, -1e-300, 1e-8, 0.3, 7.5, 60.0, 251.0, 300.0, 5000.0]
+    got = specfun._jn_ladder(orders, np.array(xs))
+    assert got[0, 400] == 1.0 and np.count_nonzero(got[0]) == 1
+    sign = np.where(orders % 2 == 1, -1.0, 1.0)
+    for row, x in zip(got[1:], xs[1:]):
+        ref = _mp_ladder(mp, x, 400)[np.abs(orders)]
+        ref = np.where(orders < 0, sign * ref, ref)
+        err = np.abs(row - ref)
+        inside = np.abs(orders) <= abs(x)
+        envelope = math.sqrt(2.0 / (math.pi * max(abs(x), 1.0)))
+        assert np.all(err[inside] <= (2e-13 if abs(x) <= 300.0 else 1e-12) * envelope)
+        beyond = ~inside & (np.abs(ref) >= 1e-280)
+        assert np.all(err[beyond] <= 1e-12 * np.abs(ref[beyond]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    xs=st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e-290, 1e-290),
+                          st.floats(-300.0, 300.0)), min_size=1, max_size=6),
+    lo=st.integers(-80, 80),
+    width=st.integers(0, 60),
+)
+def test_jn_ladder_row_bits_do_not_depend_on_the_rest_of_the_call(xs, lo, width):
+    # a value depends on (m, x) alone: not on the other rows of the call,
+    # nor on the order range it covers
+    orders = np.arange(lo, lo + width + 1)
+    got = specfun._jn_ladder(orders, np.array(xs))
+    for row, x in zip(got, xs):
+        assert np.array_equal(row, specfun._jn_ladder(orders, np.array([x]))[0])
+        wide = specfun._jn_ladder(np.arange(-400, 401), np.array([x]))[0]
+        assert np.array_equal(row, wide[orders + 400])
+
+
+def test_jn_ladder_fault_applies_at_the_signed_order():
+    orders = np.arange(-9, 10)
+    x = np.array([-7.5, -0.0, 0.3, 7.5])
+    clean = specfun._jn_ladder(orders, x)
+    specfun.set_bessel_fault(1e-6)
+    try:
+        faulted = specfun._jn_ladder(orders, x)
+    finally:
+        specfun.set_bessel_fault(0.0)
+    assert np.array_equal(faulted, clean * (1.0 + 1e-6 * np.cos(1.3 * orders[None, :] + 0.7 * x[:, None])))
+
+
+def test_series_route_range_guard():
+    # a recurrence takes about |x| steps: arguments past MAX_ARGUMENT raise,
+    # as ordinary_bessel does, whether they are u or v
+    with pytest.raises(BesselRangeError):
+        ordinary_bessel(10, 8000.0)
+    with pytest.raises(BesselRangeError):
+        gen_bessel_orders(10, 12, 8000.0, 3.0, 0.0)
+    with pytest.raises(BesselRangeError):
+        gen_bessel_orders(10, 12, np.array([1.0, -5000.5]), np.array([3.0, 0.0]), 0.4)
+    with pytest.raises(BesselRangeError):
+        specfun._jn_ladder(np.arange(3), np.array([1.0, 6000.0]))
+    assert np.all(np.isfinite(gen_bessel_orders(0, 2, 5000.0, 1.0, 0.3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-3e4, 3e4, allow_nan=False),
+                          st.integers(0, 20000).map(float),
+                          st.floats(-1e300, 1e300, allow_nan=False)), min_size=1, max_size=20),
+       st.sampled_from([1, 31, 19999]))
+def test_vectorized_truncation_start_equals_the_scalar_rule(vs, k_cap):
+    got = specfun._k_start(np.array(vs), k_cap)
+    assert got.tolist() == [min(specfun._series_k_start(v), k_cap) for v in vs]
 
 
 @pytest.mark.parametrize("fault", [0.0, 1e-6])
