@@ -7,8 +7,8 @@ Ai(x), and the large-order Airy approximation of J_N(x).  The series route
 reads its ordinary-Bessel ladders from one numpy backward recurrence
 (Miller's algorithm, _JTable) per call, and ordinary_bessel reads the same
 kernel; scipy's jv serves only the batched single-order calls of tags 44
-and 56 (_jn) and is the only scipy function used.  Ai
-is numpy alone, from the Chebyshev series in _airy_tables.
+and 56 (_jn) and is the only scipy function used.  Ai is numpy alone, from
+the Chebyshev series in _airy_tables.
 
 Two independent evaluation routes are kept for the generalized function:
 a truncated bilinear series over ordinary Bessel factors, and a trapezoid
