@@ -53,7 +53,7 @@ from .spectra import channel_spectrum
 __all__ = ["main", "RunConfig", "ConfigError", "run_spectrum", "run_rate", "run_sweep"]
 
 CSV_HEADER = "N,theta_rad,phi_rad,dwdo,kfr_only_dwdo,rescatter_factor,formula_tag"
-# angle-grid rows per kernel call: bounds the Bessel ladders whatever the grid size
+# angle-grid rows per kernel call: bounds the Bessel tables whatever the grid size
 SPECTRUM_BLOCK = 2048
 
 

@@ -4,11 +4,11 @@ Provides the ordinary Bessel function J_n(x), the complex three-argument
 generalized Bessel function J_n(u, v, delta) that arises when a plane-wave
 phase carries both sin(theta) and sin(2*theta) harmonics, the Airy function
 Ai(x), and the large-order Airy approximation of J_N(x).  The series route
-reads its ordinary-Bessel ladders from one numpy backward recurrence
-(Miller's algorithm, _JTable) per call, and ordinary_bessel reads the same
-kernel; scipy's jv serves only the batched single-order calls of tags 44
-and 56 (_jn) and is the only scipy function used.  Ai is numpy alone, from
-the Chebyshev series in _airy_tables.
+reads every ordinary-Bessel value of a round, J(u) and J(v) alike, from
+one numpy backward recurrence (Miller's algorithm, _JTable), and
+ordinary_bessel reads the same kernel; scipy's jv serves only the batched
+single-order calls of tags 44 and 56 (_jn) and is the only scipy function
+used.  Ai is numpy alone, from the Chebyshev series in _airy_tables.
 
 Two independent evaluation routes are kept for the generalized function:
 a truncated bilinear series over ordinary Bessel factors, and a trapezoid
@@ -122,7 +122,7 @@ def _jn(n, x):
 
 
 # --------------------------------------------------------------------------
-# ordinary-Bessel ladders: Miller's backward recurrence
+# ordinary-Bessel tables: Miller's backward recurrence
 
 # A sweep starts at the order where the Debye estimate of J_S(x) is 2^-1000,
 # with the value 2^-1000, so that the unnormalized values run at about the
@@ -252,7 +252,7 @@ class _JTable:
         return _faulted(orders[None, :], x[:, None], val)
 
 
-def _jn_ladder(orders, x):
+def _jn_table(orders, x):
     """J_m(x) at a 1-D integer array of orders m for every entry of a 1-D x,
     shape (x.size, orders.size), from a _JTable of its own, injected fault
     included."""
@@ -263,7 +263,7 @@ def ordinary_bessel(n: int, x: float) -> float:
     """Ordinary Bessel function J_n(x) of integer order.
 
     Supported box: |n| <= 2000, |x| <= 5000.  The value is the one the
-    series route reads (_jn_ladder), so gen_bessel(n, x, 0, delta) equals
+    series route reads (_jn_table), so gen_bessel(n, x, 0, delta) equals
     it exactly.  Against mpmath, for |n| <= x: within 3.3e-15 of the
     oscillation envelope sqrt(2/(pi x)) up to x = 300 and 3.1e-14 at
     x = 2000; beyond the turning point, 1e-14 relative down to 1e-280.
@@ -275,7 +275,7 @@ def ordinary_bessel(n: int, x: float) -> float:
         raise BesselRangeError(
             f"J_{n}({x}) outside supported box |n|<={MAX_ORDER}, |x|<={MAX_ARGUMENT}"
         )
-    return float(_jn_ladder(np.array([n]), np.array([float(x)]))[0, 0])
+    return float(_jn_table(np.array([n]), np.array([float(x)]))[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -299,55 +299,24 @@ def _k_start(v, k_cap: int):
     return k
 
 
-class _Ladder:
-    """J_m(u) at the integer orders m of one parity for every entry of a 1-D u.
-
-    The bilinear series steps the order of J(u) by 2, so a series of orders
-    of one parity reads that parity alone.  `values[p, (m - lo) // 2]` holds
-    J_m(u[p]) for m = lo, lo + 2, ..., hi.  `cover` widens the order range
-    on demand, reading only the orders it adds from a _JTable (by default
-    one of its own) and stacking them onto the values it has, so several
-    series in the same arguments u share one ladder.  A value depends on
-    (m, u) alone, so a ladder covered in steps equals one covered at once,
-    bit for bit; a row whose u the table lacks reads NaN in the added
-    orders.
-    """
-
-    def __init__(self, u: np.ndarray, parity: int):
-        self.u = u
-        self.lo, self.hi = parity % 2, parity % 2 - 2
-        self.values = np.empty((u.size, 0))
-
-    def cover(self, lo: int, hi: int, table=None) -> None:
-        table = _jn_ladder if table is None else table
-        if self.hi < self.lo:  # empty: grow from lo
-            self.lo, self.hi = lo, lo - 2
-        if lo < self.lo:
-            self.values = np.hstack([table(np.arange(lo, self.lo, 2), self.u), self.values])
-            self.lo = lo
-        if hi > self.hi:
-            self.values = np.hstack([self.values, table(np.arange(self.hi + 2, hi + 1, 2), self.u)])
-            self.hi = hi
-
-
 def _series_rows(series):
     """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for each
-    (ladder, n_lo, n_hi, v, delta) of a list: the orders n = n_lo, n_lo + 2,
-    ..., n_hi (of the ladder's parity) at every row of (ladder.u, v, delta);
-    a list of (rows, orders) arrays.  delta is one scalar for every row,
-    whose phases come from phase_exp, or a 1-D array of one value per row,
-    whose phases come from np.exp.
+    (u, n_lo, n_hi, v, delta) of a list: the orders n = n_lo, n_lo + 2,
+    ..., n_hi at every row of (u, v, delta); a list of (rows, orders)
+    arrays.  delta is one scalar for every row, whose phases come from
+    phase_exp, or (the elliptic rescattering series) a 1-D array of one
+    value per row, whose phases come from np.exp.
 
     Each row has its own truncation |k| <= K: it starts where a one-point
     call in that row's v starts and grows only while the row fails its own
-    tail bound.  Every J value of a round comes from one _JTable over the
-    stacked v of the rows still open and the ladder arguments whose orders
-    it adds, so a call runs one backward recurrence plus one per round in
-    which some rows grow, over those rows alone.  The terms are added one k
-    at a time from k = -K up, and rows with a smaller K than the widest row
-    see zero terms in its place, so every row equals its one-point call bit
-    for bit.  A result is real when its delta is the scalar 0 or +-pi, and
-    complex otherwise.
+    tail bound.  Every J value of a round, J(u) and J(v) alike, comes from
+    one _JTable over the u and v of the rows still open, so a call runs one
+    backward recurrence plus one per round in which some rows grow, over
+    those rows alone; entries that share one u array sweep it once.  The
+    terms are added one k at a time from k = -K up, and rows with a smaller
+    K than the widest row see zero terms in its place, so every row equals
+    its one-point call bit for bit.  A result is real when its delta is the
+    scalar 0 or +-pi, and complex otherwise.
     """
     k_cap = max((MAX_TERMS - 1) // 2, 1)
     k_row = [_k_start(s[3], k_cap) for s in series]
@@ -358,34 +327,23 @@ def _series_rows(series):
         if not live:
             return out
         k_top = {i: int(k_row[i][todo[i]].max()) for i in live}
-        reach = {}  # per ladder: [ladder, lo, hi, open rows]
-        for i in live:
-            ladder, n_lo, n_hi = series[i][:3]
-            lo, hi = n_lo - 2 * k_top[i], n_hi + 2 * k_top[i]
-            r = reach.setdefault(id(ladder), [ladder, lo, hi, []])
-            r[1], r[2] = min(r[1], lo), max(r[2], hi)
-            r[3].append(todo[i])
-        grow = [r for r in reach.values() if r[1] < r[0].lo or r[2] > r[0].hi]
         table = _JTable(
-            np.concatenate([series[i][3][todo[i]] for i in live]
-                           + [lad.u[np.unique(np.concatenate(rows))] for lad, _, _, rows in grow]),
-            max([k_top[i] + 2 for i in live] + [max(-lo, hi) for _, lo, hi, _ in grow]),
+            np.concatenate([series[i][x][todo[i]] for i in live for x in (0, 3)]),
+            max(max(k + 2, 2 * k - series[i][1], series[i][2] + 2 * k) for i, k in k_top.items()),
         )
-        for ladder, lo, hi, _ in grow:
-            ladder.cover(lo, hi, table)
         for i in live:
-            ladder, n_lo, n_hi, v, delta = series[i]
+            u, n_lo, n_hi, v, delta = series[i]
             t = todo[i]
             K = k_row[i][t]
             ks = np.arange(-k_top[i], k_top[i] + 3)
             jk = table(ks, v[t])
-            ju = ladder.values if t.size == v.size else ladder.values[t]
+            ju = table(np.arange(n_lo - 2 * k_top[i], n_hi + 2 * k_top[i] + 1, 2), u[t])
             weights = jk[:, :-2] * (phase_exp(-2 * ks[:-2], delta) if np.ndim(delta) == 0
                                     else np.exp(-2j * ks[:-2] * delta[t, None]))
             weights[np.abs(ks[:-2]) > K[:, None]] = 0.0
             # J_{n_lo + 2j - 2k}(u) for k = l - k_top sits in column base + j - l
             width = (n_hi - n_lo) // 2 + 1
-            base = (n_lo + 2 * k_top[i] - ladder.lo) // 2
+            base = 2 * k_top[i]
             acc = np.zeros((t.size, width), dtype=np.result_type(ju, weights))
             term = np.empty_like(acc)
             for l in range(2 * k_top[i] + 1):
@@ -422,10 +380,11 @@ def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
     backward recurrence (_series_rows).
 
     Scalar u and v give a 1-D array over the orders.  Equal-length 1-D
-    arrays u and v (one shared delta) give one row per point, from one
-    J(u) ladder and one J_k(v) ladder for all rows.  K is kept per row:
-    each row starts at its own K and grows only while it fails its own
-    tail bound, so every row equals the scalar call at its (u, v) exactly.
+    arrays u and v (one shared delta) give one row per point, every J(u)
+    and J_k(v) value of a round read from one table for all rows.  K is
+    kept per row: each row starts at its own K and grows only while it
+    fails its own tail bound, so every row equals the scalar call at its
+    (u, v) exactly.
     """
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
@@ -438,7 +397,7 @@ def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise ValueError("empty order range")
-    series = [(_Ladder(u_arr, first), first, n_hi - (n_hi - first) % 2, v_arr, delta)
+    series = [(u_arr, first, n_hi - (n_hi - first) % 2, v_arr, delta)
               for first in range(n_lo, min(n_lo + 1, n_hi) + 1)]
     out = np.empty((u_arr.size, n_hi - n_lo + 1), dtype=complex)
     for (_, first, *_), rows in zip(series, _series_rows(series)):

@@ -129,7 +129,7 @@ def _recoil(lead, field, n, ck):
             ck.g_sq / (2.0 * d * ck.k_dot_pi))
 
 
-def _rescattering_series(ladder, n, v2, w, delta):
+def _rescattering_series(u, n, v2, w, delta):
     """The generalized-Bessel series of the photon-exchange sum of the
     rescattering amplitude, which _rescattering_sum completes,
 
@@ -137,7 +137,7 @@ def _rescattering_series(ladder, n, v2, w, delta):
             - omega w conj(exp(-2i delta) c_{s-2} + exp(2i delta) c_{s+2})]
 
     with s = N - 2n' and c_s = J_s(u, v2, delta), in closed form for every
-    row of the J(u) ladder (one shared delta).  In the integral form of c_s
+    row of (u, v2) (one shared delta).  In the integral form of c_s
     the n' sum is a Jacobi-Anger series (DLMF 10.12), and the two sin 2t
     harmonics merge into one, as in Graf's addition theorem (DLMF 10.23(ii)):
     with R exp(i chi) = v2 exp(2i delta) + w exp(-2i delta),
@@ -152,8 +152,8 @@ def _rescattering_series(ladder, n, v2, w, delta):
     e2 = specfun.phase_exp(2, delta)
     c = v2 * e2 + w * np.conj(e2)
     if np.imag(e2) == 0.0:
-        return ladder, n - 2, n + 2, np.real(c), 0.0
-    return ladder, n - 2, n + 2, np.abs(c), -np.angle(c) / 2.0
+        return u, n - 2, n + 2, np.real(c), 0.0
+    return u, n - 2, n + 2, np.abs(c), -np.angle(c) / 2.0
 
 
 def _rescattering_sum(j, n, w, delta, eps0, omega):
@@ -187,10 +187,10 @@ def general_channel_dwdo(
     rows, which duplicates do not move).  The rows are grouped by delta,
     which one series shares; within a group the rescattering amplitude
     (_rescattering_series, one series over the orders N-2..N+2) and the
-    direct amplitude share one J(u) ladder, and the series of every group
+    direct amplitude pass the same u rows, and the series of every group
     run in one _series_rows call, so a call runs one backward recurrence
-    over all its Bessel arguments (plus one over the rows whose truncation
-    grows).
+    over all its distinct Bessel arguments (plus one over the rows whose
+    truncation grows).
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     shape = theta.shape
@@ -218,9 +218,9 @@ def general_channel_dwdo(
     groups = [(np.flatnonzero(group == g), delta) for g, delta in enumerate(deltas.tolist())]
     series = []
     for rows, delta in groups:
-        ladder = specfun._Ladder(u[rows], n)
-        series += [_rescattering_series(ladder, n, v2[rows], w, delta),
-                   (ladder, n, n, v_kfr[rows], delta)]
+        u_rows = u[rows]
+        series += [_rescattering_series(u_rows, n, v2[rows], w, delta),
+                   (u_rows, n, n, v_kfr[rows], delta)]
     sums = specfun._series_rows(series)
     for (rows, delta), j, j_kfr in zip(groups, sums[0::2], sums[1::2]):
         total[rows] = _rescattering_sum(j, n, w, delta, eps0, omega)

@@ -512,9 +512,10 @@ def test_selftest_fault_injection_fails():
     cp = run_cli("selftest", "--inject-bessel-error", "1e-6")
     assert cp.returncode == 1
     assert "FAIL" in cp.stdout
-    # the tag-55 kernel against its scalar quadrature reference trips too
-    assert any(line.startswith("linear_vs_quadrature_oracle") and line.endswith("FAIL")
-               for line in cp.stdout.splitlines())
+    # the tag-55 kernel against its scalar quadrature reference and against
+    # the complex general series trip too
+    for name in ("linear_vs_quadrature_oracle", "reduction_linear"):
+        assert any(line.startswith(name) and line.endswith("FAIL") for line in cp.stdout.splitlines())
 
 
 def test_unit_round_trip():

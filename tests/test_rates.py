@@ -245,16 +245,17 @@ def test_rate_direct_agrees_with_gauss_legendre_pair(field, grid, coarse):
 def test_rate_direct_linear_evaluates_each_abs_cos_phi_once(phi_points, distinct, monkeypatch):
     # |cos(2 pi j / 16)| takes 5 values (phi = 0, pi/8, pi/4, 3 pi/8, pi/2)
     grid = GridSpec(theta_points=8, phi_points=phi_points, n_cut=threshold_n(LINEAR_FIELD, DESK_ATOM))
-    ladder_rows = []
+    u_rows = []
+    series_rows = specfun._series_rows
 
-    class CountingLadder(specfun._Ladder):
-        def __init__(self, u, parity):
-            ladder_rows.append(u.size)
-            super().__init__(u, parity)
+    def counting_series_rows(series):
+        # the rows of each distinct u array: the two series of a delta group share one
+        u_rows.extend({id(s[0]): s[0].size for s in series}.values())
+        return series_rows(series)
 
-    monkeypatch.setattr(specfun, "_Ladder", CountingLadder)
+    monkeypatch.setattr(specfun, "_series_rows", counting_series_rows)
     rate_direct(LINEAR_FIELD, DESK_ATOM, grid)
-    assert ladder_rows == [(2 * grid.theta_points + 1) * distinct]
+    assert u_rows == [(2 * grid.theta_points + 1) * distinct]
 
 
 def test_rate_direct_channel_cap():

@@ -163,7 +163,7 @@ def test_jn_ladder_equals_jn_exactly(fault):
     # fault included, and the reflections J_{-m}(x) = J_m(-x) = (-1)^m J_m(x)
     # hold bit for bit
     def one_point(m, x):
-        return specfun._jn_ladder(np.array([m]), np.array([x]))[0, 0]
+        return specfun._jn_table(np.array([m]), np.array([x]))[0, 0]
 
     orders = np.arange(-45, 46)
     x = np.array([-60.0, -7.5, -0.3, 0.0, 0.3, 7.5, 60.0, 251.0])
@@ -172,16 +172,16 @@ def test_jn_ladder_equals_jn_exactly(fault):
     specfun.set_bessel_fault(fault)
     try:
         for xs in (x, x_rep):
-            got = specfun._jn_ladder(orders, xs)
+            got = specfun._jn_table(orders, xs)
             want = np.array([[one_point(m, xi) for m in orders.tolist()] for xi in xs.tolist()])
             assert np.array_equal(got, want)
         # scattered, repeated and unsorted orders too
         odd = np.array([7, -3, 0, 3, -7, -7, 2])
-        got = specfun._jn_ladder(odd, x)
+        got = specfun._jn_table(odd, x)
         assert np.array_equal(got, np.array([[one_point(m, xi) for m in odd.tolist()] for xi in x.tolist()]))
     finally:
         specfun.set_bessel_fault(0.0)
-    got = specfun._jn_ladder(orders, x)
+    got = specfun._jn_table(orders, x)
     sign = np.where(orders % 2 == 1, -1.0, 1.0)
     assert np.array_equal(got[:, ::-1], got * sign)
     assert np.array_equal(got[6::-1], got[:7] * sign)  # x[:7] is symmetric about 0
@@ -196,7 +196,7 @@ def test_jn_ladder_against_mpmath():
     mp = pytest.importorskip("mpmath")
     orders = np.arange(-400, 401)
     xs = [0.0, 1e-300, -1e-300, 1e-8, 0.3, 7.5, 60.0, 251.0, 300.0, 5000.0]
-    got = specfun._jn_ladder(orders, np.array(xs))
+    got = specfun._jn_table(orders, np.array(xs))
     assert got[0, 400] == 1.0 and np.count_nonzero(got[0]) == 1
     sign = np.where(orders % 2 == 1, -1.0, 1.0)
     for row, x in zip(got[1:], xs[1:]):
@@ -221,20 +221,20 @@ def test_jn_ladder_row_bits_do_not_depend_on_the_rest_of_the_call(xs, lo, width)
     # a value depends on (m, x) alone: not on the other rows of the call,
     # nor on the order range it covers
     orders = np.arange(lo, lo + width + 1)
-    got = specfun._jn_ladder(orders, np.array(xs))
+    got = specfun._jn_table(orders, np.array(xs))
     for row, x in zip(got, xs):
-        assert np.array_equal(row, specfun._jn_ladder(orders, np.array([x]))[0])
-        wide = specfun._jn_ladder(np.arange(-400, 401), np.array([x]))[0]
+        assert np.array_equal(row, specfun._jn_table(orders, np.array([x]))[0])
+        wide = specfun._jn_table(np.arange(-400, 401), np.array([x]))[0]
         assert np.array_equal(row, wide[orders + 400])
 
 
 def test_jn_ladder_fault_applies_at_the_signed_order():
     orders = np.arange(-9, 10)
     x = np.array([-7.5, -0.0, 0.3, 7.5])
-    clean = specfun._jn_ladder(orders, x)
+    clean = specfun._jn_table(orders, x)
     specfun.set_bessel_fault(1e-6)
     try:
-        faulted = specfun._jn_ladder(orders, x)
+        faulted = specfun._jn_table(orders, x)
     finally:
         specfun.set_bessel_fault(0.0)
     assert np.array_equal(faulted, clean * (1.0 + 1e-6 * np.cos(1.3 * orders[None, :] + 0.7 * x[:, None])))
@@ -250,7 +250,7 @@ def test_series_route_range_guard():
     with pytest.raises(BesselRangeError):
         gen_bessel_orders(10, 12, np.array([1.0, -5000.5]), np.array([3.0, 0.0]), 0.4)
     with pytest.raises(BesselRangeError):
-        specfun._jn_ladder(np.arange(3), np.array([1.0, 6000.0]))
+        specfun._jn_table(np.arange(3), np.array([1.0, 6000.0]))
     assert np.all(np.isfinite(gen_bessel_orders(0, 2, 5000.0, 1.0, 0.3)))
 
 
@@ -265,19 +265,38 @@ def test_vectorized_truncation_start_equals_the_scalar_rule(vs, k_cap):
 
 
 @pytest.mark.parametrize("fault", [0.0, 1e-6])
-def test_ladder_covered_in_steps_equals_one_shot_ladder(fault):
-    # cover stacks only the orders it adds onto the values it holds
+def test_series_rows_entries_sharing_u_equal_each_row_alone(fault, monkeypatch):
+    # entries that share one u array, as the rescattering and direct series
+    # of a phase-angle group do, give the bits of each row run alone; every
+    # row starts at K = 2, so the rows close in different later rounds, each
+    # of whose tables holds the J(u) orders of the rows still open alone
+    monkeypatch.setattr(specfun, "_k_start", lambda v, k_cap: np.full(v.size, 2))
+    tables = []
+    jtable = specfun._JTable
+
+    def counting_table(x, top):
+        tables.append(top)
+        return jtable(x, top)
+
+    monkeypatch.setattr(specfun, "_JTable", counting_table)
     u = np.array([0.3, 7.5, 60.0, 7.5, 251.0])
+    series = [(u, 58, 62, np.array([0.5, 3.0, 12.0, 30.0, 1.0]), 0.4),
+              (u, 60, 60, np.array([-2.0, 0.0, 25.0, -9.0, 4.0]), 0.4),
+              (u, 59, 63, np.array([6.0, 0.5, 40.0, 3.0, 18.0]), np.array([0.1, -1.2, 0.7, 2.0, 0.0]))]
     specfun.set_bessel_fault(fault)
     try:
-        ladder = specfun._Ladder(u, 1)
-        for lo, hi in [(41, 61), (21, 65), (-31, 101)]:
-            ladder.cover(lo, hi)
-        want = specfun._jn_ladder(np.arange(-31, 102, 2), u)
+        together = specfun._series_rows(series)
+        rounds = len(tables)
+        alone = []
+        for _, n_lo, n_hi, v, delta in series:
+            rows = [(u[[p]], n_lo, n_hi, v[[p]], delta if np.ndim(delta) == 0 else delta[[p]])
+                    for p in range(u.size)]
+            alone.append(np.vstack([specfun._series_rows([row])[0] for row in rows]))
     finally:
         specfun.set_bessel_fault(0.0)
-    assert (ladder.lo, ladder.hi) == (-31, 101)
-    assert np.array_equal(ladder.values, want)
+    assert rounds >= 4
+    for got, want in zip(together, alone):
+        assert np.array_equal(got, want)
 
 
 def test_batched_gen_bessel_orders_checks(monkeypatch):

@@ -268,19 +268,20 @@ def test_linear_channel_kernel_evaluates_each_abs_cos_phi_once(rescattering, mon
     thetas = np.array([0.4, 1.1, 2.0])
     theta, phi = np.meshgrid(thetas, np.ravel(groups), indexing="ij")
     alone_theta, alone_phi = np.meshgrid(thetas, [g[0] for g in groups], indexing="ij")
-    ladder_rows = []
+    u_rows = []
+    series_rows = specfun._series_rows
 
-    class CountingLadder(specfun._Ladder):
-        def __init__(self, u, parity):
-            ladder_rows.append(u.size)
-            super().__init__(u, parity)
+    def counting_series_rows(series):
+        # the rows of each distinct u array: the two series of a delta group share one
+        u_rows.extend({id(s[0]): s[0].size for s in series}.values())
+        return series_rows(series)
 
-    monkeypatch.setattr(specfun, "_Ladder", CountingLadder)
+    monkeypatch.setattr(specfun, "_series_rows", counting_series_rows)
     # an odd channel: there the amplitudes flip sign with cos phi
     for n in (60, 61):
-        ladder_rows.clear()
+        u_rows.clear()
         got = general_channel_dwdo(field, DESK_ATOM, n, theta, phi, rescattering)
-        assert ladder_rows == [alone_theta.size]
+        assert u_rows == [alone_theta.size]
         alone = general_channel_dwdo(field, DESK_ATOM, n, alone_theta, alone_phi, rescattering)
         for arr, want in zip(got, alone):
             assert arr.shape == theta.shape
