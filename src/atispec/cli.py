@@ -53,8 +53,6 @@ from .spectra import channel_spectrum
 __all__ = ["main", "RunConfig", "ConfigError", "run_spectrum", "run_rate", "run_sweep"]
 
 CSV_HEADER = "N,theta_rad,phi_rad,dwdo,kfr_only_dwdo,rescatter_factor,formula_tag"
-# angle-grid rows per kernel call: bounds the Bessel tables whatever the grid size
-SPECTRUM_BLOCK = 2048
 
 
 class ConfigError(ValueError):
@@ -307,22 +305,20 @@ def run_spectrum(cfg: RunConfig) -> int:
             raise ChannelExplosionError(
                 f"{n_hi - n_lo + 1} channels exceed cap {cfg.channel_cap}"
             )
-    # the grid rows, theta major: one kernel call covers a block of them
+    # the rows: channel major, then theta, then phi
     thetas = np.repeat(np.linspace(0.0, math.pi, cfg.theta_points), cfg.phi_points)
     phis = np.tile(2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points, cfg.theta_points)
+    channels = np.arange(n_lo, n_hi + 1)
     angles = [f"{th!r},{ph!r}" for th, ph in zip(thetas.tolist(), phis.tolist())]
     resc = cfg.mode == "on"
     summary = _summary(cfg)
 
     lines = [CSV_HEADER]
     for formula in formulas:
-        for n in range(n_lo, n_hi + 1):
-            for lo in range(0, len(angles), SPECTRUM_BLOCK):
-                block = slice(lo, lo + SPECTRUM_BLOCK)
-                tag, *cols = channel_spectrum(field, atom, n, thetas[block], phis[block],
-                                              formula, resc)
-                lines.extend(f"{n},{a},{d!r},{k!r},{r!r},{tag}" for a, d, k, r in
-                             zip(angles[block], *(c.tolist() for c in cols)))
+        tag, *cols = channel_spectrum(field, atom, channels[:, None], thetas, phis, formula, resc)
+        rows = ((n, a) for n in channels.tolist() for a in angles)
+        lines.extend(f"{n},{a},{d!r},{k!r},{r!r},{tag}" for (n, a), d, k, r in
+                     zip(rows, *(c.tolist() for c in cols)))
     outdir = Path(cfg.output_path)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "spectrum.csv").write_text("\n".join(lines) + "\n", newline="\n")

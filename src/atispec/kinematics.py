@@ -226,15 +226,15 @@ class ChannelKinematics:
 def channel_kinematics(field: LaserField, atom: Atom, n, theta, phi) -> ChannelKinematics:
     """Kinematics of the channel (n, theta, phi), broadcast over the three.
 
-    One numpy arithmetic serves every input type, so a per-channel kernel
-    (scalar n, angle arrays), the Airy-form mesh (n and theta arrays) and a
-    scalar call share this one function; a scalar call gets numpy float64
+    The kernels (rows of n and angles), the Airy-form mesh and scalar calls
+    share it, but a scalar x ** 2 goes through libm pow while an array is
+    squared exactly, so a scalar n can move pi_abs and what depends on it
+    in the last bit against an array n; a scalar call gets numpy float64
     values.  Raises BelowThresholdError when any n is below the threshold
-    photon number; the spectra layer checks the threshold first and reports
-    an explicit zero instead.
+    photon number; the spectra layer reports an explicit zero instead.
     """
     n0 = threshold_n(field, atom)
-    n_min = np.asarray(n).min()
+    n_min = np.min(n, initial=n0)
     if n_min < n0:
         raise BelowThresholdError(n_min, n0)
     cos_t, sin_t, cos_p, sin_p = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)

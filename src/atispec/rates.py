@@ -45,7 +45,7 @@ from .kinematics import (
     threshold_n,
 )
 from .specfun import airy_ai
-from .spectra import _recoil, circular_channel_dwdo, general_channel_dwdo
+from .spectra import SPECTRUM_BLOCK, _recoil, channel_spectrum
 
 __all__ = [
     "DegenerateSaddleError",
@@ -134,8 +134,8 @@ class GridSpec:
     The defaults are for library use on circular fields.  On a
     non-circular field every (theta, azimuth) row runs the general
     amplitude kernel: theta_points=200 (401 Kronrod nodes) with 16 panels
-    (5 folded azimuths) costs ~1 s per channel on the desk fields (omega
-    0.01, xi 1; 2-core VM), several minutes per rate_direct call over a
+    (5 folded azimuths) costs 0.11-0.16 s per channel on the desk fields
+    (omega 0.01, xi 1, zeta 0 and 0.5; 2-core VM), 20-30 s over a
     ~200-channel window.  The CLI's theta_points default is 24.
     """
 
@@ -397,42 +397,31 @@ def _gauss_kronrod(n):
     return nodes, weights
 
 
-def _fsum_rows(terms):
-    """math.fsum of each row of a real 2-D array."""
-    return np.array([math.fsum(row) for row in terms.tolist()])
-
-
-def _direct_once(field, atom, n0, n_cut, theta_points, phi_points, rescattering):
-    """Kronrod sums K and Gauss sums G of every channel of the window over
-    the dwdo column of one kernel call per channel, at theta = arccos of
-    the 2n+1 Gauss-Kronrod nodes (the n Gauss nodes among them)."""
+def _direct_once(field, atom, n0, n_cut, theta_points, panels, rescattering):
+    """Kronrod sums K and Gauss sums G of each channel of the window over the
+    dwdo column of channel_spectrum at theta = arccos of the 2n+1 Kronrod
+    nodes (the n Gauss nodes among them) and the panels 2 pi j / panels."""
     mu, w_k = _gauss_kronrod(theta_points)
     w_g = _gauss_legendre(theta_points)[1]
-    thetas = np.arccos(mu)
-    if abs(field.zeta) == 1.0:
-        # azimuthal symmetry: analytic 2 pi
-        def profile(n):
-            return 2.0 * math.pi * circular_channel_dwdo(field, atom, n, thetas, rescattering)[0]
-    else:
-        # |amp|^2 is even under phi -> -phi (amp -> conj amp) and under
-        # phi -> pi - phi (amp -> (-1)^N conj amp), for every zeta, so panel
-        # j at 2 pi j / P is folded into [0, pi/2]; the fold is integer
-        # arithmetic before the angle, so mirrored panels get bitwise-equal
-        # azimuths, which general_channel_dwdo evaluates once
-        j = np.arange(phi_points)
-        j = np.minimum(j, phi_points - j)
-        phis = math.pi * np.minimum(2 * j, phi_points - 2 * j) / phi_points
-        w_phi = 2.0 * math.pi / phi_points
-        thetas, phis = np.meshgrid(thetas, phis, indexing="ij")
-
-        def profile(n):
-            # the whole (theta, phi) grid of the channel in one call
-            vals = general_channel_dwdo(field, atom, n, thetas, phis, rescattering)[0]
-            return _fsum_rows(vals) * w_phi
-
-    sums = [(np.dot(w_k, p), np.dot(w_g, p[1::2])) for p in map(profile, range(n0, n_cut + 1))]
-    sums = np.array(sums, dtype=float).reshape(-1, 2)
-    return sums[:, 0], sums[:, 1]
+    # |amp|^2 is even under phi -> -phi (amp -> conj amp) and under
+    # phi -> pi - phi (amp -> (-1)^N conj amp), for every zeta, so panel j
+    # is folded into [0, pi/2]; the fold is integer arithmetic before the
+    # angle, so mirrored panels get bitwise-equal azimuths, evaluated once
+    j = np.minimum(np.arange(panels), panels - np.arange(panels))
+    phis, panel = np.unique(math.pi * np.minimum(2 * j, panels - 2 * j) / panels,
+                            return_inverse=True)
+    step = max(SPECTRUM_BLOCK // (mu.size * phis.size), 1)  # whole channels per block
+    sums = []
+    for lo in range(n0, n_cut + 1, step):
+        ns = np.arange(lo, min(lo + step, n_cut + 1))
+        dwdo = channel_spectrum(field, atom, ns[:, None, None], np.arccos(mu)[:, None], phis,
+                                "relativistic", rescattering)[1]
+        # the correctly rounded panel sum of each (channel, theta), which one
+        # addition of at most two panels is too
+        vals = dwdo.reshape(ns.size, mu.size, phis.size)[:, :, panel]
+        p = vals.sum(axis=2) if panels <= 2 else np.apply_along_axis(math.fsum, 2, vals)
+        sums += [(np.dot(w_k, q), np.dot(w_g, q[1::2])) for q in p * (2.0 * math.pi / panels)]
+    return np.array(sums, dtype=float).reshape(-1, 2).T
 
 
 def rate_direct(
@@ -443,14 +432,12 @@ def rate_direct(
 ) -> RateSummary:
     """Total rate by exact channel summation and angular quadrature.
 
-    Circular polarization (|zeta| = 1) integrates the tag-44 closed form
-    circular_channel_dwdo in cos(theta) and takes the azimuth analytically;
-    every other zeta integrates general_channel_dwdo over uniform azimuth
-    panels as well.  Each channel is evaluated once, at theta = arccos of
-    the 2n+1 nodes of the Gauss-Kronrod extension of the
-    n = grid.theta_points Gauss-Legendre rule in cos(theta); the values
-    summed are the kernel's dwdo column, which channel_spectrum writes at
-    the same angles.  w_total is the Kronrod sum K (exact to degree 3n + 1);
+    Integrates the relativistic dwdo column of channel_spectrum (tag 44 at
+    |zeta| = 1, whose azimuth is taken analytically; the general amplitude
+    over uniform azimuth panels otherwise) in cos(theta), each channel
+    evaluated once, at theta = arccos of the 2n+1 nodes of the
+    Gauss-Kronrod extension of the n = grid.theta_points Gauss-Legendre
+    rule.  w_total is the Kronrod sum K (exact to degree 3n + 1);
     quad_error_estimate = |K - G|, with G the n-node Gauss sum over the
     same values (exact to degree 2n - 1), is the error of the n-node rule,
     which makes it a conservative estimate for K.  An estimate above 1% of
@@ -458,14 +445,16 @@ def rate_direct(
     summed are grid.n_lo (clamped up to the threshold) to grid.n_cut.
 
     The default grid suits circular fields; with it a non-circular field
-    takes ~1 s per channel on the desk fields, several minutes per call
+    takes 0.11-0.16 s per channel on the desk fields, 20-30 s per call
     (see GridSpec).  The CLI passes theta_points=24 unless configured.
     """
     grid = grid or GridSpec()
     saddle = _try_saddle(field, atom)
     n0, n_cut = _channel_range(field, atom, saddle, grid.n_cut, grid.channel_cap, grid.n_lo)
-    per_channel, gauss = _direct_once(field, atom, n0, n_cut, grid.theta_points,
-                                      grid.phi_points, rescattering)
+    # the azimuth of a circular field is analytic: one panel carries 2 pi
+    panels = 1 if abs(field.zeta) == 1.0 else grid.phi_points
+    per_channel, gauss = _direct_once(field, atom, n0, n_cut, grid.theta_points, panels,
+                                      rescattering)
     w_total = float(np.sum(per_channel))
     estimate = abs(w_total - float(np.sum(gauss)))
     tail = float(np.sum(per_channel[-2:])) if per_channel.size >= 2 else 0.0
@@ -485,7 +474,7 @@ def rate_direct(
             "n_lo": n0,
             "n_hi": n_cut,
             "theta_points": 2 * grid.theta_points + 1,
-            "phi_points": 1 if abs(field.zeta) == 1.0 else grid.phi_points,
+            "phi_points": panels,
             "quad_error_estimate": estimate,
             "tail_channel_sum": tail,
         },

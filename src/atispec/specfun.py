@@ -4,11 +4,11 @@ Provides the ordinary Bessel function J_n(x), the complex three-argument
 generalized Bessel function J_n(u, v, delta) that arises when a plane-wave
 phase carries both sin(theta) and sin(2*theta) harmonics, the Airy function
 Ai(x), and the large-order Airy approximation of J_N(x).  The series route
-reads every ordinary-Bessel value of a round, J(u) and J(v) alike, from
-one numpy backward recurrence (Miller's algorithm, _JTable), and
-ordinary_bessel reads the same kernel; scipy's jv serves only the batched
-single-order calls of tags 44 and 56 (_jn) and is the only scipy function
-used.  Ai is numpy alone, from the Chebyshev series in _airy_tables.
+reads every ordinary-Bessel value of a chunk of rows from one numpy
+backward recurrence (Miller's algorithm, _JTable), and ordinary_bessel
+reads the same kernel; scipy's jv serves only the batched single-order
+calls of tags 44 and 56 (_jn) and is the only scipy function used.  Ai
+is numpy alone, from the Chebyshev series in _airy_tables.
 
 Two independent evaluation routes are kept for the generalized function:
 a truncated bilinear series over ordinary Bessel factors, and a trapezoid
@@ -50,6 +50,9 @@ MAX_ARGUMENT = 5000.0
 REL_TOL = 1e-12
 ABS_FLOOR = 1e-12
 MAX_TERMS = 40000
+# cells of one _series_rows sweep, arguments x (orders of the table + the 3
+# _MILLER_BLOCK rows a recurrence keeps beside them): a bound on its memory
+_TABLE_CELLS = 2**17
 # quadrature nodes beyond the integrand bandwidth (even)
 QUAD_POINTS = 256
 
@@ -132,7 +135,7 @@ _MILLER_START = 2.0 ** -1000
 # below this |x|, J_0 = 1, J_1 = x/2 and J_m = 0 for m >= 2, correctly rounded
 _MILLER_TINY = 2.0 ** -1000
 # the recurrence coefficients are computed this many steps at a time
-_MILLER_BLOCK = 32
+_MILLER_BLOCK = 16
 
 
 def _start_orders(x):
@@ -153,8 +156,9 @@ def _start_orders(x):
 
 def _miller(x, top: int, out):
     """J_m(x) for m = 0..top at each x of a 1-D array in
-    [2^-1000, MAX_ARGUMENT], written into out of shape (top + 1, x.size),
-    by Miller's algorithm (A&S 9.12, DLMF 10.74(iv), Numerical Recipes 6.5).
+    [2^-1000, MAX_ARGUMENT], written into the zeros of out, of shape
+    (top + 1, x.size), column j for x[order[j]]; returns order.  Miller's
+    algorithm (A&S 9.12, DLMF 10.74(iv), Numerical Recipes 6.5).
 
     Each row runs f_{m} = (2(m+1)/x) f_{m+1} - f_{m+2} from f_{S+1} = 0 and
     f_S = 2^-1000 at its own start order S(x) (_start_orders) down to order
@@ -182,7 +186,7 @@ def _miller(x, top: int, out):
     starts.append((-1, 0, 0))
     los = np.arange(s_top - s_top % block, -1, -block)
     widths = np.searchsorted(-s, -los, side="right").tolist()
-    table = np.zeros((top + 1, rows))
+    table = out
     ring = np.zeros((2 * block, rows))  # order m > top sits in row m % (2 block)
     zero, acc = np.zeros(rows), np.zeros(rows)  # acc: f at the even orders >= 2
 
@@ -209,7 +213,8 @@ def _miller(x, top: int, out):
             if m and not m & 1:
                 acc_w += f0
             f2, f1 = f1, f0
-    out[:, by_start] = table / (table[0] + 2.0 * acc)
+    table /= table[0] + 2.0 * acc
+    return by_start
 
 
 class _JTable:
@@ -236,27 +241,27 @@ class _JTable:
         self.values = np.zeros((top + 1, ax.size))
         self.values[0, :tiny] = 1.0
         self.values[1:2, :tiny] = ax[:tiny] / 2.0
+        self.col = np.arange(ax.size)  # the column of values for each |x|
         if tiny < ax.size:
-            _miller(ax[tiny:], top, self.values[:, tiny:])
+            self.col[tiny + _miller(ax[tiny:], top, self.values[:, tiny:])] = self.col[tiny:].copy()
 
     def __call__(self, orders, x):
-        """J_m(x) at a 1-D integer array of orders m for every entry of a 1-D
-        x, shape (x.size, orders.size); an x whose |x| the table lacks reads
-        NaN."""
+        """J_m(x) at a 2-D integer array of orders m, one row per entry of
+        a 1-D x (or one for all); an x whose |x| the table lacks reads NaN."""
         ax = np.abs(x)
-        col = np.minimum(np.searchsorted(self.x, ax), self.x.size - 1)
-        val = self.values[np.abs(orders)[None, :], col[:, None]]
-        val[self.x[col] != ax] = np.nan
-        flip = ((orders < 0)[None, :] != (x < 0)[:, None]) & (orders % 2 == 1)[None, :]
+        i = np.minimum(np.searchsorted(self.x, ax), self.x.size - 1)
+        val = self.values[np.abs(orders), self.col[i][:, None]]
+        val[self.x[i] != ax] = np.nan
+        flip = ((orders < 0) != (x < 0)[:, None]) & (orders % 2 == 1)
         np.negative(val, out=val, where=flip)
-        return _faulted(orders[None, :], x[:, None], val)
+        return _faulted(orders, x[:, None], val)
 
 
 def _jn_table(orders, x):
     """J_m(x) at a 1-D integer array of orders m for every entry of a 1-D x,
     shape (x.size, orders.size), from a _JTable of its own, injected fault
     included."""
-    return _JTable(x, int(np.max(np.abs(orders), initial=0)))(orders, x)
+    return _JTable(x, int(np.max(np.abs(orders), initial=0)))(orders[None, :], x)
 
 
 def ordinary_bessel(n: int, x: float) -> float:
@@ -301,70 +306,74 @@ def _k_start(v, k_cap: int):
 
 def _series_rows(series):
     """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for each
-    (u, n_lo, n_hi, v, delta) of a list: the orders n = n_lo, n_lo + 2,
-    ..., n_hi at every row of (u, v, delta); a list of (rows, orders)
-    arrays.  delta is one scalar for every row, whose phases come from
-    phase_exp, or (the elliptic rescattering series) a 1-D array of one
-    value per row, whose phases come from np.exp.
+    (u, first, count, v, delta) of a list: the orders first, first + 2,
+    ... (count of them) at every row of (u, first, v, delta), first an
+    integer array; a list of (rows, count) arrays.  delta is one scalar
+    for every row, whose phases come from phase_exp, or (the elliptic
+    rescattering series) a 1-D array of one value per row, whose phases
+    come from np.exp.
 
     Each row has its own truncation |k| <= K: it starts where a one-point
     call in that row's v starts and grows only while the row fails its own
     tail bound.  Every J value of a round, J(u) and J(v) alike, comes from
-    one _JTable over the u and v of the rows still open, so a call runs one
-    backward recurrence plus one per round in which some rows grow, over
-    those rows alone; entries that share one u array sweep it once.  The
-    terms are added one k at a time from k = -K up, and rows with a smaller
-    K than the widest row see zero terms in its place, so every row equals
-    its one-point call bit for bit.  A result is real when its delta is the
-    scalar 0 or +-pi, and complex otherwise.
+    one _JTable per chunk of row positions of every entry, over the u and v
+    of its open rows, with at most _TABLE_CELLS cells (a backward
+    recurrence per chunk and round; entries that share one u array sweep
+    it once).  The terms are added one k at a time from k = -K up, and rows
+    with a smaller K than the widest row of their chunk see zero terms in
+    its place, so every row equals its one-point call bit for bit.  A
+    result is real when its delta is the scalar 0 or +-pi, and complex
+    otherwise.
     """
     k_cap = max((MAX_TERMS - 1) // 2, 1)
     k_row = [_k_start(s[3], k_cap) for s in series]
-    todo = [np.arange(s[3].size) for s in series]
-    out = [None] * len(series)
+    todo = [np.ones(s[3].size, dtype=bool) for s in series]  # the rows still open
+    out = [np.empty((s[3].size, s[2]), complex if np.ndim(s[4]) else phase_exp(2, s[4]).dtype)
+           for s in series]
     while True:
-        live = [i for i in range(len(series)) if todo[i].size]
+        live = [(i, np.flatnonzero(o)) for i, o in enumerate(todo) if o.any()]
         if not live:
             return out
-        k_top = {i: int(k_row[i][todo[i]].max()) for i in live}
-        table = _JTable(
-            np.concatenate([series[i][x][todo[i]] for i in live for x in (0, 3)]),
-            max(max(k + 2, 2 * k - series[i][1], series[i][2] + 2 * k) for i, k in k_top.items()),
-        )
-        for i in live:
-            u, n_lo, n_hi, v, delta = series[i]
-            t = todo[i]
-            K = k_row[i][t]
-            ks = np.arange(-k_top[i], k_top[i] + 3)
-            jk = table(ks, v[t])
-            ju = table(np.arange(n_lo - 2 * k_top[i], n_hi + 2 * k_top[i] + 1, 2), u[t])
-            weights = jk[:, :-2] * (phase_exp(-2 * ks[:-2], delta) if np.ndim(delta) == 0
-                                    else np.exp(-2j * ks[:-2] * delta[t, None]))
-            weights[np.abs(ks[:-2]) > K[:, None]] = 0.0
-            # J_{n_lo + 2j - 2k}(u) for k = l - k_top sits in column base + j - l
-            width = (n_hi - n_lo) // 2 + 1
-            base = 2 * k_top[i]
-            acc = np.zeros((t.size, width), dtype=np.result_type(ju, weights))
-            term = np.empty_like(acc)
-            for l in range(2 * k_top[i] + 1):
-                np.multiply(ju[:, base - l:base - l + width], weights[:, l, None], out=term)
-                acc += term
+        # a bound on the orders of every live row: |first - 2K| and first + 2 (count - 1 + K)
+        top = max(2 * int(k_row[i][t].max()) + int(np.abs(series[i][1][t]).max())
+                  + 2 * series[i][2] for i, t in live)
+        step = max(_TABLE_CELLS // (2 * len(live) * (top + 1 + 3 * _MILLER_BLOCK)), 1)
+        for lo in range(0, max(t.size for _, t in live), step):
+            chunk = [(i, t[lo:lo + step]) for i, t in live if t.size > lo]
+            table = _JTable(np.concatenate([series[i][x][t] for i, t in chunk for x in (0, 3)]),
+                            top)
+            for i, t in chunk:
+                u, first, count, v, delta = series[i]
+                K = k_row[i][t]
+                k_top = int(K.max())
+                ks = np.arange(-k_top, k_top + 3)
+                jk = table(ks[None, :], v[t])
+                ju = table(first[t, None] + np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2),
+                           u[t])
+                weights = jk[:, :-2] * (phase_exp(-2 * ks[:-2], delta) if np.ndim(delta) == 0
+                                        else np.exp(-2j * ks[:-2] * delta[t, None]))
+                weights[np.abs(ks[:-2]) > K[:, None]] = 0.0
+                # J_{first + 2j - 2k}(u) for k = l - k_top sits in column base + j - l
+                base = 2 * k_top
+                acc = np.zeros((t.size, count), dtype=out[i].dtype)
+                term = np.empty_like(acc)
+                for l in range(2 * k_top + 1):
+                    np.multiply(ju[:, base - l:base - l + count], weights[:, l, None], out=term)
+                    acc += term
 
-            rows = np.arange(t.size)
-            tail = 2.0 * (np.abs(jk[rows, K + k_top[i] + 1]) + np.abs(jk[rows, K + k_top[i] + 2]))
-            bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=1), ABS_FLOOR)
-            ok = tail <= bound
-            if out[i] is None:
-                out[i] = np.empty((v.size, width), dtype=acc.dtype)
-            out[i][t[ok]] = acc[ok]
-            stuck = ~ok & (K >= k_cap)
-            if stuck.any():
-                raise SeriesConvergenceError(
-                    f"generalized Bessel series not converged within {MAX_TERMS} terms",
-                    float(np.max(tail[stuck])),
-                )
-            todo[i] = t[~ok]
-            k_row[i][todo[i]] = np.minimum((k_row[i][todo[i]] * 1.5).astype(int) + 8, k_cap)
+                rows = np.arange(t.size)
+                tail = 2.0 * (np.abs(jk[rows, K + k_top + 1]) + np.abs(jk[rows, K + k_top + 2]))
+                bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=1), ABS_FLOOR)
+                ok = tail <= bound
+                out[i][t[ok]] = acc[ok]
+                todo[i][t[ok]] = False
+                stuck = ~ok & (K >= k_cap)
+                if stuck.any():
+                    raise SeriesConvergenceError(
+                        f"generalized Bessel series not converged within {MAX_TERMS} terms",
+                        float(np.max(tail[stuck])),
+                    )
+                k_row[i][t[~ok]] = np.minimum((K[~ok] * 1.5).astype(int) + 8, k_cap)
 
 
 def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
@@ -397,10 +406,10 @@ def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise ValueError("empty order range")
-    series = [(u_arr, first, n_hi - (n_hi - first) % 2, v_arr, delta)
+    series = [(u_arr, np.full(u_arr.size, first), (n_hi - first) // 2 + 1, v_arr, delta)
               for first in range(n_lo, min(n_lo + 1, n_hi) + 1)]
     out = np.empty((u_arr.size, n_hi - n_lo + 1), dtype=complex)
-    for (_, first, *_), rows in zip(series, _series_rows(series)):
+    for first, rows in zip(range(n_lo, n_hi + 1), _series_rows(series)):
         out[:, first - n_lo::2] = rows
     return out[0] if scalar else out
 

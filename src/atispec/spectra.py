@@ -12,8 +12,9 @@ also appears in the CSV output:
   59  nonrelativistic, linear polarization
 
 Three kernels share one contract, (field, atom, n, theta[, phi],
-rescattering) -> (dwdo, prefactor, kfr, resc) over arrays of emission
-angles: general_channel_dwdo serves every zeta (tags 42 and 55),
+rescattering) -> (dwdo, prefactor, kfr, resc) over channels and angles
+broadcast into rows, zero on the rows that the threshold rule (_below)
+closes: general_channel_dwdo serves every zeta (tags 42 and 55),
 circular_channel_dwdo (tag 44) is its fast path at |zeta| = 1, and
 nonrel_channel_dwdo serves tags 56 and 59.  The relativistic two take
 their kinematics from channel_kinematics, and the 1s density a^-5 g^-8
@@ -75,6 +76,9 @@ TAG_LINEAR = 55
 TAG_NONREL_CIRCULAR = 56
 TAG_NONREL_LINEAR = 59
 
+# rows per kernel call of channel_spectrum
+SPECTRUM_BLOCK = 2048
+
 @dataclass(frozen=True)
 class SpectrumPoint:
     """One spectrum sample.
@@ -119,6 +123,36 @@ def _tag(field, formula):
     return TAG_NONREL_CIRCULAR if circular else TAG_NONREL_LINEAR
 
 
+def _nonrel_channel(field, atom, n, tag):
+    """(z, X) of a channel of the nonrelativistic form `tag`: the
+    ponderomotive parameter z = xi^2 / (4 omega) and the kinetic photon
+    number X."""
+    z = field.xi**2 / (4.0 * field.omega)
+    return z, n - (2.0 * z if tag == TAG_NONREL_CIRCULAR else z) - atom.e_b / field.omega
+
+
+def _below(field, atom, n, tag):
+    """The threshold rule of the closed form `tag`, True on the channels n
+    that are closed: n < threshold_n for the relativistic forms, X <= 0 for
+    the nonrelativistic ones."""
+    if tag in (TAG_NONREL_CIRCULAR, TAG_NONREL_LINEAR):
+        return _nonrel_channel(field, atom, n, tag)[1] <= 0.0
+    return n < threshold_n(field, atom)
+
+
+def _on_open_rows(evaluate, field, atom, tag, n, *angles):
+    """evaluate(n, *angles) on the 1-D rows of the broadcast channels and
+    angles that the threshold rule of `tag` leaves open: its columns as
+    arrays of the broadcast shape, zero on the closed rows."""
+    n, *angles = np.broadcast_arrays(n, *angles)
+    keep = ~_below(field, atom, n, tag)
+    columns = evaluate(n[keep], *(x[keep] for x in angles))
+    out = tuple(np.zeros(n.shape, a.dtype) for a in columns)
+    for full, a in zip(out, columns):
+        full[keep] = a
+    return out
+
+
 def _recoil(lead, field, n, ck):
     """The high-momentum 1s density and the rescattering bracket of channel
     n over its kinematics ck: (lead d^2 (k.Pi)^2 |Pi| / g^8,
@@ -137,7 +171,7 @@ def _rescattering_series(u, n, v2, w, delta):
             - omega w conj(exp(-2i delta) c_{s-2} + exp(2i delta) c_{s+2})]
 
     with s = N - 2n' and c_s = J_s(u, v2, delta), in closed form for every
-    row of (u, v2) (one shared delta).  In the integral form of c_s
+    row of (u, n, v2) (one shared delta).  In the integral form of c_s
     the n' sum is a Jacobi-Anger series (DLMF 10.12), and the two sin 2t
     harmonics merge into one, as in Graf's addition theorem (DLMF 10.23(ii)):
     with R exp(i chi) = v2 exp(2i delta) + w exp(-2i delta),
@@ -152,8 +186,8 @@ def _rescattering_series(u, n, v2, w, delta):
     e2 = specfun.phase_exp(2, delta)
     c = v2 * e2 + w * np.conj(e2)
     if np.imag(e2) == 0.0:
-        return u, n - 2, n + 2, np.real(c), 0.0
-    return u, n - 2, n + 2, np.abs(c), -np.angle(c) / 2.0
+        return u, n - 2, 3, np.real(c), 0.0
+    return u, n - 2, 3, np.abs(c), -np.angle(c) / 2.0
 
 
 def _rescattering_sum(j, n, w, delta, eps0, omega):
@@ -168,184 +202,152 @@ def _rescattering_sum(j, n, w, delta, eps0, omega):
 def general_channel_dwdo(
     field: LaserField,
     atom: Atom,
-    n: int,
+    n,
     theta,
     phi,
     rescattering: bool = True,
 ):
-    """Vectorized relativistic dW/dOmega for every zeta (tags 42 and 55) of
-    channel n over arrays of emission angles (theta, phi), broadcast
-    against each other.
+    """Vectorized relativistic dW/dOmega for every zeta (tags 42 and 55)
+    over rows of channels n and emission angles (theta, phi), broadcast
+    against each other: (dwdo, prefactor, kfr, resc) of the broadcast
+    shape, zero below threshold, kfr and resc complex (real at zeta = 0).
 
-    Returns (dwdo, prefactor, kfr, resc) arrays of the broadcast shape, kfr
-    and resc complex (real at zeta = 0); all four are zero below the channel
-    threshold.  The series is pi-periodic in the phase angle delta and
-    delta -> delta - pi multiplies kfr and resc by the same (-1)^N, so
-    delta = pi is folded to 0: at zeta = 0 every row runs at delta = 0 with
-    the coupling |cos phi|.  Each distinct (theta, u, delta) row is
-    evaluated once and scattered back (the truncations are maxima over
-    rows, which duplicates do not move).  The rows are grouped by delta,
-    which one series shares; within a group the rescattering amplitude
+    The series is pi-periodic in the phase angle delta and delta -> delta
+    - pi multiplies kfr and resc by the same (-1)^N, so delta = pi is
+    folded to 0: at zeta = 0 every row runs at delta = 0 with the coupling
+    |cos phi|.  Each distinct (n, theta, u, delta) row is evaluated once
+    and scattered back (the truncations are maxima over rows, which
+    duplicates do not move).  The rows are grouped by delta, which one
+    series shares; within a group the rescattering amplitude
     (_rescattering_series, one series over the orders N-2..N+2) and the
-    direct amplitude pass the same u rows, and the series of every group
-    run in one _series_rows call, so a call runs one backward recurrence
-    over all its distinct Bessel arguments (plus one over the rows whose
-    truncation grows).
+    direct amplitude pass the same u rows, and the series of every group,
+    whatever their channels, run in one _series_rows call.
     """
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    shape = theta.shape
-    if n < threshold_n(field, atom):
-        z = np.zeros(shape)
-        return z, z, z.astype(complex), z.astype(complex)
-    th, ph = theta.ravel(), phi.ravel()
+    def evaluate(n, th, ph):
+        zeta, omega, eps0 = field.zeta, field.omega, atom.epsilon0
+        zf = 1.0 - zeta**2
+        ck = channel_kinematics(field, atom, n, th, ph)
+        dlt = np.where(np.abs(ck.phase_angle) == math.pi, 0.0, ck.phase_angle)
+        _, first, back = np.unique(np.stack([n, th, ck.alpha_amp, dlt], axis=1), axis=0,
+                                   return_index=True, return_inverse=True)
+        n_u, big_z, u, dlt = n[first], ck.big_z[first], ck.alpha_amp[first], dlt[first]
 
-    zeta, omega, eps0 = field.zeta, field.omega, atom.epsilon0
-    zf = 1.0 - zeta**2
-    ck = channel_kinematics(field, atom, n, th, ph)
-    dlt = np.where(np.abs(ck.phase_angle) == math.pi, 0.0, ck.phase_angle)
-    _, first, back = np.unique(np.stack([th, ck.alpha_amp, dlt], axis=1), axis=0,
-                               return_index=True, return_inverse=True)
-    big_z, u, dlt = ck.big_z[first], ck.alpha_amp[first], dlt[first]
+        alpha_prime = field.xi**2 / (4.0 * omega * eps0)
+        w = -alpha_prime * zf / 2.0
+        v_kfr = -big_z * zf / 2.0
+        v2 = (big_z - alpha_prime) * zf / 2.0
+        # every delta is 0 at zeta = 0: real amplitudes keep Re(resc/kfr) a real division
+        kfr = np.empty(first.size, dtype=float if zeta == 0.0 else complex)
+        total = np.empty(first.size, dtype=kfr.dtype)
+        deltas, group = np.unique(dlt, return_inverse=True)
+        groups = [(np.flatnonzero(group == g), delta) for g, delta in enumerate(deltas.tolist())]
+        series = []
+        for rows, delta in groups:
+            u_rows, n_rows = u[rows], n_u[rows]
+            series += [_rescattering_series(u_rows, n_rows, v2[rows], w, delta),
+                       (u_rows, n_rows, 1, v_kfr[rows], delta)]
+        sums = specfun._series_rows(series)
+        for (rows, delta), j, j_kfr in zip(groups, sums[0::2], sums[1::2]):
+            total[rows] = _rescattering_sum(j, n_u[rows], w, delta, eps0, omega)
+            kfr[rows] = specfun.phase_exp(n_u[rows], delta) * j_kfr[:, 0]
 
-    alpha_prime = field.xi**2 / (4.0 * omega * eps0)
-    w = -alpha_prime * zf / 2.0
-    v_kfr = -big_z * zf / 2.0
-    v2 = (big_z - alpha_prime) * zf / 2.0
-    # every delta is 0 at zeta = 0: real amplitudes keep Re(resc/kfr) a real division
-    kfr = np.empty(first.size, dtype=float if zeta == 0.0 else complex)
-    total = np.empty(first.size, dtype=kfr.dtype)
-    deltas, group = np.unique(dlt, return_inverse=True)
-    groups = [(np.flatnonzero(group == g), delta) for g, delta in enumerate(deltas.tolist())]
-    series = []
-    for rows, delta in groups:
-        u_rows = u[rows]
-        series += [_rescattering_series(u_rows, n, v2[rows], w, delta),
-                   (u_rows, n, n, v_kfr[rows], delta)]
-    sums = specfun._series_rows(series)
-    for (rows, delta), j, j_kfr in zip(groups, sums[0::2], sums[1::2]):
-        total[rows] = _rescattering_sum(j, n, w, delta, eps0, omega)
-        kfr[rows] = specfun.phase_exp(n, delta) * j_kfr[:, 0]
+        back = back.ravel()  # the shape of an axis-wise unique's inverse varies across numpy 2.x
+        kfr = kfr[back]
+        prefactor, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
+        resc = r * total[back]
+        dwdo = prefactor * np.abs(kfr + resc if rescattering else kfr) ** 2
+        return dwdo, prefactor, kfr, resc
 
-    back = back.ravel()  # the shape of an axis-wise unique's inverse varies across numpy 2.x
-    kfr = kfr[back]
-    prefactor, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
-    resc = r * total[back]
-    dwdo = prefactor * np.abs(kfr + resc if rescattering else kfr) ** 2
-    return tuple(a.reshape(shape) for a in (dwdo, prefactor, kfr, resc))
+    return _on_open_rows(evaluate, field, atom, TAG_GENERAL, n, theta, phi)
 
 
 def circular_channel_dwdo(
     field: LaserField,
     atom: Atom,
-    n: int,
+    n,
     theta,
     rescattering: bool = True,
 ):
-    """Vectorized circular (tag 44) dW/dOmega of channel n over an array of
-    theta, as general_channel_dwdo returns it; ValueError unless |zeta| = 1.
-    The prefactor holds J_N^2(alpha) and (kfr, resc) = (1, r), so dwdo is
-    prefactor * (1 + r)^2 with rescattering and the prefactor without.
+    """Vectorized circular (tag 44) dW/dOmega over rows of channels n and
+    theta, broadcast against each other, as general_channel_dwdo returns
+    it; ValueError unless |zeta| = 1.  The prefactor holds J_N^2(alpha) and
+    (kfr, resc) = (1, r), so dwdo is prefactor * (1 + r)^2 with
+    rescattering and the prefactor without.
     """
     if abs(field.zeta) != 1.0:
         raise ValueError("circular_channel_dwdo requires circular polarization (|zeta| = 1)")
-    theta = np.asarray(theta, dtype=float)
-    if n < threshold_n(field, atom):
-        z = np.zeros(theta.shape)
-        return z, z, z, z
-    ck = channel_kinematics(field, atom, n, theta, 0.0)
-    pref, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
-    pref = pref * specfun._jn(n, ck.alpha_amp) ** 2
-    dwdo = pref * (1.0 + r) ** 2 if rescattering else pref
-    return dwdo, pref, np.ones(theta.shape), r
+    def evaluate(n, th):
+        ck = channel_kinematics(field, atom, n, th, 0.0)
+        pref, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
+        pref = pref * specfun._jn(n, ck.alpha_amp) ** 2
+        dwdo = pref * (1.0 + r) ** 2 if rescattering else pref
+        return dwdo, pref, np.ones(n.size), r
 
-
-def _nonrel_channel(field, atom, n, tag):
-    """(z, X) of a channel of the nonrelativistic form `tag`: the
-    ponderomotive parameter z = xi^2 / (4 omega) and the kinetic photon
-    number X."""
-    z = field.xi**2 / (4.0 * field.omega)
-    return z, n - (2.0 * z if tag == TAG_NONREL_CIRCULAR else z) - atom.e_b / field.omega
+    return _on_open_rows(evaluate, field, atom, TAG_CIRCULAR, n, theta)
 
 
 def nonrel_channel_dwdo(
     field: LaserField,
     atom: Atom,
-    n: int,
+    n,
     theta,
     rescattering: bool = True,
 ):
-    """Vectorized nonrelativistic dW/dOmega of channel n over an array of
-    theta: tag 56 for |zeta| = 1, tag 59 for zeta = 0, ValueError for an
-    elliptic field.
+    """Vectorized nonrelativistic dW/dOmega over rows of channels n and
+    theta, broadcast against each other: tag 56 for |zeta| = 1, tag 59 for
+    zeta = 0, ValueError for an elliptic field.
 
-    Returns (dwdo, prefactor, kfr, resc) arrays of theta's shape, with the
-    bracket amplitudes (1, rho); all four are zero at and below the
-    threshold X <= 0.
+    Returns (dwdo, prefactor, kfr, resc) arrays of the broadcast shape, with
+    the bracket amplitudes (1, rho); all four are zero on rows at and below
+    the threshold X <= 0.
     """
-    theta = np.asarray(theta, dtype=float)
     tag = _tag(field, "nonrelativistic")
-    z, x_kin = _nonrel_channel(field, atom, n, tag)
-    if x_kin <= 0.0:
-        zero = np.zeros(theta.shape)
-        return zero, zero, zero, zero
-    th = theta.ravel()
-    omega, xi = field.omega, field.xi
-    eb_w = atom.e_b / omega
+    circular, omega, xi = tag == TAG_NONREL_CIRCULAR, field.omega, field.xi
 
-    if tag == TAG_NONREL_CIRCULAR:
-        p = math.sqrt(2.0 * omega * x_kin)
-        j_sq = specfun._jn(n, xi / omega * p * np.sin(th)) ** 2
-        pref = (
-            8.0 * omega / math.pi * eb_w**2.5
-            * math.sqrt(x_kin) / (n - 2.0 * z) ** 2 * j_sq
-        )
-        rho = x_kin / (n - 2.0 * z)
-        dwdo = pref * (abs(1.0 + rho) ** 2 if rescattering else 1.0)
-    else:
-        u = math.sqrt(z) * (math.sqrt(8.0 * x_kin) * np.cos(th))
-        j = specfun.gen_bessel_orders(n, n, u, np.full(th.shape, -z / 2.0), 0.0)[:, 0].real
-        pref = (
-            8.0 * omega / math.pi * eb_w**2.5
-            * math.sqrt(x_kin) / (n - z) ** 2 * j**2
-        )
-        rho = x_kin / (n - z)
-        dwdo = pref * (1.0 + rho) if rescattering else pref
-    rows = (dwdo, pref, np.ones(th.shape), np.full(th.shape, rho))
-    return tuple(a.reshape(theta.shape) for a in rows)
+    def evaluate(n, th):
+        z, x_kin = _nonrel_channel(field, atom, n, tag)
+        d = n - (2.0 * z if circular else z)
+        if circular:
+            j = specfun._jn(n, xi / omega * np.sqrt(2.0 * omega * x_kin) * np.sin(th))
+        else:
+            u = math.sqrt(z) * (np.sqrt(8.0 * x_kin) * np.cos(th))
+            j = specfun._series_rows([(u, n, 1, np.full(th.shape, -z / 2.0), 0.0)])[0][:, 0]
+        pref = 8.0 * omega / math.pi * (atom.e_b / omega) ** 2.5 * np.sqrt(x_kin) / d**2 * j**2
+        rho = x_kin / d
+        # the circular bracket enters squared, the linear one as it stands
+        dwdo = pref * ((1.0 + rho) ** 2 if circular else 1.0 + rho) if rescattering else pref
+        return dwdo, pref, np.ones(n.size), rho
+
+    return _on_open_rows(evaluate, field, atom, tag, n, theta)
 
 
 def _rows(field, atom, n, theta, phi, tag, rescattering):
-    """Channel n by the closed form `tag` over 1-D angle arrays:
-    (dwdo, prefactor, kfr, resc, kfr_only_dwdo, rescatter_factor).  The
-    azimuth-independent tags 44/56/59 are evaluated once per distinct
-    theta."""
+    """The closed form `tag` over 1-D rows (n, theta, phi): (dwdo, prefactor,
+    kfr, resc, kfr_only_dwdo, rescatter_factor, below), below by the tag's
+    threshold rule; tags 44/56/59 run once per distinct (n, theta)."""
     if tag in (TAG_GENERAL, TAG_LINEAR):
         rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering)
     else:
-        thetas, back = np.unique(theta, return_inverse=True)
+        # one complex key per (n, theta) row: a 1-D unique, faster than one by rows
+        _, first, back = np.unique(n + 1j * theta, return_index=True, return_inverse=True)
         kernel = circular_channel_dwdo if tag == TAG_CIRCULAR else nonrel_channel_dwdo
-        rows = tuple(a[back] for a in kernel(field, atom, n, thetas, rescattering))
+        rows = tuple(a[back] for a in kernel(field, atom, n[first], theta[first], rescattering))
     dwdo, pref, kfr, resc = rows
     kfr_only = pref if tag == TAG_NONREL_LINEAR else pref * np.abs(kfr) ** 2
     # a zero direct amplitude gives NaN; one near underflow (at theta = pi,
     # say) gives a ratio past the double range, written as inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rescatter_factor = np.where(kfr == 0, np.nan, (resc / kfr).real)
-    return dwdo, pref, kfr, resc, kfr_only, rescatter_factor
+    return dwdo, pref, kfr, resc, kfr_only, rescatter_factor, _below(field, atom, n, tag)
 
 
 def _point(field, atom, n, theta, phi, tag, rescattering):
     """SpectrumPoint of channel n at one emission direction by the closed
-    form `tag`; the channel is below threshold at n < threshold_n for the
-    relativistic forms and at X <= 0 for the nonrelativistic ones."""
+    form `tag`: the one row of _rows."""
     n = int(n)
-    rows = _rows(field, atom, n, np.array([float(theta)]), np.array([float(phi)]), tag,
-                 rescattering)
-    dwdo, pref, kfr, resc, kfr_only, factor = (a[0] for a in rows)
-    if tag in (TAG_NONREL_CIRCULAR, TAG_NONREL_LINEAR):
-        below = _nonrel_channel(field, atom, n, tag)[1] <= 0.0
-    else:
-        below = n < threshold_n(field, atom)
+    rows = _rows(field, atom, np.array([n]), np.array([float(theta)]), np.array([float(phi)]),
+                 tag, rescattering)
+    dwdo, pref, kfr, resc, kfr_only, factor, below = (a[0] for a in rows)
     return SpectrumPoint(
         n=n, theta=theta, phi=phi, dwdo=float(dwdo), prefactor=float(pref),
         kfr_amplitude=complex(kfr), rescatter_amplitude=complex(resc),
@@ -436,19 +438,23 @@ def dwdo_nonrel(
 def channel_spectrum(
     field: LaserField,
     atom: Atom,
-    n: int,
+    n,
     theta,
     phi,
     formula: str = "relativistic",
     rescattering: bool = True,
 ):
-    """The `ati spectrum` columns of channel n over 1-D arrays of emission
-    angles (theta, phi): (tag, dwdo, kfr_only_dwdo, rescatter_factor), the
-    tag by the rule of the module docstring.  Each row equals the
-    SpectrumPoint of the one-point function at its angles: bit for bit for
-    tags 44/56/59, to roundoff otherwise.
+    """The `ati spectrum` columns over the rows of channels n and emission
+    angles (theta, phi), broadcast against each other and flattened:
+    (tag, dwdo, kfr_only_dwdo, rescatter_factor), the tag by the rule of
+    the module docstring.  The rows are evaluated in blocks of at most
+    SPECTRUM_BLOCK; each row equals, bit for bit, the SpectrumPoint of the
+    one-point function at its channel and angles.
     """
     tag = _tag(field, formula)
-    dwdo, _, _, _, kfr_only, rescatter_factor = _rows(field, atom, n, theta, phi, tag,
-                                                      rescattering)
-    return tag, dwdo, kfr_only, rescatter_factor
+    rows = [a.ravel() for a in np.broadcast_arrays(n, theta, phi)]
+    columns = np.empty((3, rows[0].size))
+    for lo in range(0, rows[0].size, SPECTRUM_BLOCK):
+        block = _rows(field, atom, *(a[lo:lo + SPECTRUM_BLOCK] for a in rows), tag, rescattering)
+        columns[:, lo:lo + SPECTRUM_BLOCK] = block[0], block[4], block[5]
+    return tag, *columns

@@ -127,13 +127,15 @@ def test_spectrum_both_formulas_tagged(tmp_path):
 ])
 def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarization, zeta,
                                                  formula, mode):
-    # a 5-row block makes the 8 x 3 grid span several kernel calls; the
-    # window starts one channel below threshold, and theta runs from 0 to pi
-    from atispec import cli
+    # 7-row blocks hold rows of two channels, and split the 8 x 3 grid of
+    # each channel across kernel calls; the window starts one channel below
+    # threshold, and theta runs from 0 to pi.  Every row has the bits of the
+    # one-point function at its channel and angles.
+    from atispec import cli, spectra
     from atispec.kinematics import threshold_n
     from atispec.spectra import dwdo_circular, dwdo_general, dwdo_linear, dwdo_nonrel
 
-    monkeypatch.setattr(cli, "SPECTRUM_BLOCK", 5)
+    monkeypatch.setattr(spectra, "SPECTRUM_BLOCK", 7)
     extra = {} if zeta is None else {"zeta": zeta}
     rc = cli.RunConfig(photon_energy_ev=5109.9895, intensity_xi=1.0, polarization=polarization,
                        **extra)
@@ -158,13 +160,9 @@ def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarizat
         want = (pt.dwdo, pt.dwdo_kfr_only, pt.rescatter_factor)
         groups.setdefault((tag, n), []).append(([float(v) for v in vals], want))
     assert len(groups) == 3 * (2 if formula == "both" else 1)
-    for (tag, _), rows in groups.items():
+    for rows in groups.values():
         got, want = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        if tag in ("44", "56"):
-            assert np.array_equal(got, want, equal_nan=True)
-        scale = np.nanmax(np.abs(want), axis=0, initial=0.0)
-        assert np.all(np.abs(np.nan_to_num(got - want)) <= 1e-13 * scale)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_config_parse_error_exit_2(tmp_path):

@@ -267,7 +267,8 @@ def test_vectorized_truncation_start_equals_the_scalar_rule(vs, k_cap):
 @pytest.mark.parametrize("fault", [0.0, 1e-6])
 def test_series_rows_entries_sharing_u_equal_each_row_alone(fault, monkeypatch):
     # entries that share one u array, as the rescattering and direct series
-    # of a phase-angle group do, give the bits of each row run alone; every
+    # of a phase-angle group do, with one first order per row, as rows of
+    # several channels have, give the bits of each row run alone; every
     # row starts at K = 2, so the rows close in different later rounds, each
     # of whose tables holds the J(u) orders of the rows still open alone
     monkeypatch.setattr(specfun, "_k_start", lambda v, k_cap: np.full(v.size, 2))
@@ -280,16 +281,17 @@ def test_series_rows_entries_sharing_u_equal_each_row_alone(fault, monkeypatch):
 
     monkeypatch.setattr(specfun, "_JTable", counting_table)
     u = np.array([0.3, 7.5, 60.0, 7.5, 251.0])
-    series = [(u, 58, 62, np.array([0.5, 3.0, 12.0, 30.0, 1.0]), 0.4),
-              (u, 60, 60, np.array([-2.0, 0.0, 25.0, -9.0, 4.0]), 0.4),
-              (u, 59, 63, np.array([6.0, 0.5, 40.0, 3.0, 18.0]), np.array([0.1, -1.2, 0.7, 2.0, 0.0]))]
+    series = [(u, np.array([58, 58, 40, 7, 58]), 3, np.array([0.5, 3.0, 12.0, 30.0, 1.0]), 0.4),
+              (u, np.array([60, -3, 60, 61, 200]), 1, np.array([-2.0, 0.0, 25.0, -9.0, 4.0]), 0.4),
+              (u, np.array([59, 59, 12, 59, 90]), 3, np.array([6.0, 0.5, 40.0, 3.0, 18.0]),
+               np.array([0.1, -1.2, 0.7, 2.0, 0.0]))]
     specfun.set_bessel_fault(fault)
     try:
         together = specfun._series_rows(series)
         rounds = len(tables)
         alone = []
-        for _, n_lo, n_hi, v, delta in series:
-            rows = [(u[[p]], n_lo, n_hi, v[[p]], delta if np.ndim(delta) == 0 else delta[[p]])
+        for _, first, count, v, delta in series:
+            rows = [(u[[p]], first[[p]], count, v[[p]], delta if np.ndim(delta) == 0 else delta[[p]])
                     for p in range(u.size)]
             alone.append(np.vstack([specfun._series_rows([row])[0] for row in rows]))
     finally:

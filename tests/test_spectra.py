@@ -290,6 +290,32 @@ def test_linear_channel_kernel_evaluates_each_abs_cos_phi_once(rescattering, mon
                                   np.repeat(want[:, :, None], 4, axis=2))
 
 
+def test_series_tables_stay_within_the_cell_bound(monkeypatch):
+    # rows of high-order channels of the desk field under linear
+    # polarization: their J values would overflow one table of the bound
+    field = LaserField.linear(0.01, 1.0)
+    n = np.repeat(np.arange(196, 204), 36)
+    theta = np.tile(np.repeat(np.linspace(0.05, 3.1, 12), 3), 8)
+    phi = np.tile([0.0, 0.7, math.pi / 2], 96)
+    cells = []
+    jtable = specfun._JTable
+
+    def spy(x, top):
+        table = jtable(x, top)
+        cells.append(table.values.size)
+        return table
+
+    monkeypatch.setattr(specfun, "_JTable", spy)
+    wide = channel_spectrum(field, DESK_ATOM, n, theta, phi)
+    assert len(cells) > 1 and max(cells) <= specfun._TABLE_CELLS
+    cells.clear()
+    monkeypatch.setattr(specfun, "_TABLE_CELLS", 3000)
+    narrow = channel_spectrum(field, DESK_ATOM, n, theta, phi)
+    assert len(cells) > 50 and max(cells) <= 3000
+    for got, want in zip(narrow[1:], wide[1:]):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_linear_channel_kernel_below_threshold_is_zero():
     field = LaserField.linear(0.01, 1.0)
     n0 = threshold_n(field, DESK_ATOM)
