@@ -48,7 +48,7 @@ from .rates import (
 )
 from .selftest import run_checks
 from .specfun import BesselRangeError, SeriesConvergenceError
-from .spectra import channel_spectrum
+from .spectra import channel_spectrum, check_series_window
 
 __all__ = ["main", "RunConfig", "ConfigError", "run_spectrum", "run_rate", "run_sweep"]
 
@@ -306,16 +306,19 @@ def run_spectrum(cfg: RunConfig) -> int:
                 f"{n_hi - n_lo + 1} channels exceed cap {cfg.channel_cap}"
             )
     # the rows: channel major, then theta, then phi
-    thetas = np.repeat(np.linspace(0.0, math.pi, cfg.theta_points), cfg.phi_points)
-    phis = np.tile(2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points, cfg.theta_points)
+    thetas = np.linspace(0.0, math.pi, cfg.theta_points)
+    phis = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
     channels = np.arange(n_lo, n_hi + 1)
-    angles = [f"{th!r},{ph!r}" for th, ph in zip(thetas.tolist(), phis.tolist())]
+    angles = [f"{th!r},{ph!r}" for th in thetas.tolist() for ph in phis.tolist()]
     resc = cfg.mode == "on"
+    for formula in formulas:
+        check_series_window(field, atom, n_lo, n_hi, thetas, phis, formula)
     summary = _summary(cfg)
 
     lines = [CSV_HEADER]
     for formula in formulas:
-        tag, *cols = channel_spectrum(field, atom, channels[:, None], thetas, phis, formula, resc)
+        tag, *cols = channel_spectrum(field, atom, channels[:, None, None], thetas[:, None], phis,
+                                      formula, resc)
         rows = ((n, a) for n in channels.tolist() for a in angles)
         lines.extend(f"{n},{a},{d!r},{k!r},{r!r},{tag}" for (n, a), d, k, r in
                      zip(rows, *(c.tolist() for c in cols)))

@@ -45,7 +45,7 @@ from .kinematics import (
     threshold_n,
 )
 from .specfun import airy_ai
-from .spectra import SPECTRUM_BLOCK, _recoil, channel_spectrum
+from .spectra import SPECTRUM_BLOCK, _recoil, channel_spectrum, check_series_window
 
 __all__ = [
     "DegenerateSaddleError",
@@ -410,6 +410,7 @@ def _direct_once(field, atom, n0, n_cut, theta_points, panels, rescattering):
     j = np.minimum(np.arange(panels), panels - np.arange(panels))
     phis, panel = np.unique(math.pi * np.minimum(2 * j, panels - 2 * j) / panels,
                             return_inverse=True)
+    check_series_window(field, atom, n0, n_cut, np.arccos(mu), phis)
     step = max(SPECTRUM_BLOCK // (mu.size * phis.size), 1)  # whole channels per block
     sums = []
     for lo in range(n0, n_cut + 1, step):

@@ -3,12 +3,13 @@
 Provides the ordinary Bessel function J_n(x), the complex three-argument
 generalized Bessel function J_n(u, v, delta) that arises when a plane-wave
 phase carries both sin(theta) and sin(2*theta) harmonics, the Airy function
-Ai(x), and the large-order Airy approximation of J_N(x).  The series route
-reads every ordinary-Bessel value of a chunk of rows from one numpy
-backward recurrence (Miller's algorithm, _JTable), and ordinary_bessel
-reads the same kernel; scipy's jv serves only the batched single-order
-calls of tags 44 and 56 (_jn) and is the only scipy function used.  Ai
-is numpy alone, from the Chebyshev series in _airy_tables.
+Ai(x), and the large-order Airy approximation of J_N(x), with numpy alone.
+The series route reads every ordinary-Bessel value of a chunk of rows from
+one backward recurrence (Miller's algorithm, _JTable), and ordinary_bessel
+reads the same kernel.  The batched single-order calls of tags 44 and 56
+(_jn) sum Olver's uniform expansion below the turning point, with a short
+backward recurrence where it does not reach and the leading power-series
+term at tiny arguments.  Ai and the kernel's tables come from _airy_tables.
 
 Two independent evaluation routes are kept for the generalized function:
 a truncated bilinear series over ordinary Bessel factors, and a trapezoid
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from . import _airy_tables as _tab
 
@@ -114,14 +114,6 @@ def _faulted(n, x, val):
     if _FAULT_EPS == 0.0:
         return val
     return val * (1.0 + _FAULT_EPS * np.cos(1.3 * np.asarray(n, dtype=float) + 0.7 * np.asarray(x, dtype=float)))
-
-
-def _jn(n, x):
-    """J_n(x) by scipy's jv, injected fault included: the batched
-    single-order calls of tags 44 and 56, which read J_N at one order per
-    point.  (A Miller recurrence per point costs more there: 185 ms against
-    jv's 120 ms on an n_m ~ 110 circular rate.)"""
-    return _faulted(n, x, sp.jv(n, x))
 
 
 # --------------------------------------------------------------------------
@@ -217,6 +209,26 @@ def _miller(x, top: int, out):
     return by_start
 
 
+def _check_series_box(top: int, largest: float) -> None:
+    """Raise BesselRangeError unless a series table of the orders up to top
+    and arguments up to |x| = largest fits the box |m| <= 2 MAX_ORDER,
+    |x| <= MAX_ARGUMENT (a recurrence takes about |x| steps); a NaN
+    argument fails too."""
+    if top > 2 * MAX_ORDER or not largest <= MAX_ARGUMENT:
+        raise BesselRangeError(
+            f"series requires ordinary-Bessel values beyond the supported box "
+            f"|m|<={2 * MAX_ORDER}, |x|<={MAX_ARGUMENT}"
+        )
+
+
+def _series_order_floor(n, v):
+    """n + 2K + 2 at orders n and a 1-D array of second arguments v: the
+    orders that a one-order series entry (first order n) reads in its
+    first round, K from _k_start as _series_rows starts it, so a lower
+    bound on the top of the table that round builds."""
+    return n + 2 * _k_start(np.asarray(v, dtype=float), _k_cap()) + 2
+
+
 class _JTable:
     """J_m(x) at the orders |m| <= top for a set of arguments x, from one
     backward recurrence (_miller) over their distinct |x|; a |x| below
@@ -231,11 +243,7 @@ class _JTable:
 
     def __init__(self, x, top: int):
         ax = np.unique(np.abs(np.asarray(x, dtype=float)))
-        if top > 2 * MAX_ORDER or (ax.size and not ax[-1] <= MAX_ARGUMENT):
-            raise BesselRangeError(
-                f"series requires ordinary-Bessel values beyond the supported box "
-                f"|m|<={2 * MAX_ORDER}, |x|<={MAX_ARGUMENT}"
-            )
+        _check_series_box(top, ax[-1] if ax.size else 0.0)
         tiny = int(np.searchsorted(ax, _MILLER_TINY))
         self.x = ax
         self.values = np.zeros((top + 1, ax.size))
@@ -291,6 +299,11 @@ def _series_k_start(v: float) -> int:
     return int(math.ceil(av + 10.0 * av ** (1.0 / 3.0) + 10.0))
 
 
+def _k_cap() -> int:
+    """The largest truncation K of a series: MAX_TERMS terms |k| <= K."""
+    return max((MAX_TERMS - 1) // 2, 1)
+
+
 def _k_start(v, k_cap: int):
     """min(_series_k_start(v), k_cap) at every entry of a 1-D v, as one
     numpy expression.  numpy's power can round differently from Python's in
@@ -325,7 +338,7 @@ def _series_rows(series):
     result is real when its delta is the scalar 0 or +-pi, and complex
     otherwise.
     """
-    k_cap = max((MAX_TERMS - 1) // 2, 1)
+    k_cap = _k_cap()
     k_row = [_k_start(s[3], k_cap) for s in series]
     todo = [np.ones(s[3].size, dtype=bool) for s in series]  # the rows still open
     out = [np.empty((s[3].size, s[2]), complex if np.ndim(s[4]) else phase_exp(2, s[4]).dtype)
@@ -622,3 +635,255 @@ def bessel_airy_approx(n: int, x: float) -> float:
         raise ValueError(f"argument {x} outside [0, 1.1*N) for N={n}")
     arg = (n / 2.0) ** (2.0 / 3.0) * (1.0 - (x / n) ** 2)
     return (2.0 / n) ** (1.0 / 3.0) * airy_ai(arg)
+
+
+# --------------------------------------------------------------------------
+# J_N(x) at one order per point: the kernel of tags 44 and 56
+
+# the uniform expansion is summed from this order on, through A_3 and B_3
+# (DLMF 10.20.4; its truncation is below 7e-16 relative where y >= 2 from
+# here, 7e-17 from order 40)
+_N_UNIFORM = 30
+# below this argument J_n(x) = (x/2)^n / n! to the last bit, the next term
+# of the series being x^2 / (4 (n + 1)) < 2^-56 of it
+_X_TINY = 2.0**-27
+# n! up to n = 170 (171! overflows); below _X_TINY, (x/2)^n / 170! underflows
+# for n > 170
+_FACTORIAL = np.array([float(math.factorial(k)) for k in range(171)])
+# a row (n, x) is in the far region y = n^(2/3) zeta >= 2 of the expansion
+# once n >= x + _TURN_WIDTH x^(1/3) (E >= 2.6 there, at n >= _N_UNIFORM)
+_TURN_WIDTH = 2.0
+_LOG_HI = np.array(_tab.LOG_HI)
+_LOG_LO = np.array(_tab.LOG_LO)
+
+
+def _jn(n, x):
+    """J_n(x) at integer orders n and arguments x, broadcast against each
+    other, injected fault included: the single-order calls of tags 44 and
+    56, which read J_N at one order per point.
+
+    A point with n >= 1 and 0 <= x < n, which covers every argument of the
+    two tags, takes the numpy kernel _jn_below; any other point reads the
+    Miller recurrence of _jn_table, so every input within its box is
+    served.  A point's bits depend on its (n, x) alone.
+    """
+    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
+    shape, n, x = x.shape, n.ravel(), x.ravel()
+    below = (n >= 1) & (x >= 0.0) & (x < n)
+    if below.all():
+        return _faulted(n, x, _jn_below(n, x)).reshape(shape)
+    out = np.empty(x.size)
+    out[below] = _faulted(n[below], x[below], _jn_below(n[below], x[below]))
+    rest = ~below
+    n_rest, x_rest = n[rest], x[rest]
+    out[rest] = _JTable(x_rest, int(np.max(np.abs(n_rest))))(n_rest[:, None], x_rest)[:, 0]
+    return out.reshape(shape)
+
+
+def _jn_below(n, x):
+    """J_n(x) at 1-D integer orders n >= 1 and arguments 0 <= x < n.
+
+    Below x = _X_TINY the leading term of the power series; elsewhere
+    Olver's uniform expansion (_uniform) in its far region, at the row's
+    own order where that lies in it and otherwise at the two orders from
+    start = max(_N_UNIFORM, ceil(x + _TURN_WIDTH x^(1/3))) on, from which
+    the row recurs down (_recur_down).  Against mpmath, for 1 <= n <= 2000
+    and 0 < x < n wherever |J| >= 1e-280: see the README's tolerance table.
+    """
+    out = np.empty(x.size)
+    tiny = x < _X_TINY
+    if tiny.any():
+        nt = n[tiny]
+        out[tiny] = np.power(x[tiny] / 2.0, nt) / _FACTORIAL[np.minimum(nt, _FACTORIAL.size - 1)]
+    rows = np.flatnonzero(~tiny)
+    if rows.size:
+        nu, xs = n[rows].astype(float), x[rows]
+        start = np.maximum(np.ceil(xs + _TURN_WIDTH * np.cbrt(xs)), float(_N_UNIFORM))
+        direct = nu >= start
+        back = ~direct
+        # one _uniform call: the direct rows at nu, the others at start + 1 and start
+        xb, sb = xs[back], start[back]
+        vals = _uniform(np.concatenate([nu[direct], sb + 1.0, sb]),
+                        np.concatenate([xs[direct], xb, xb]))
+        k, m = int(np.count_nonzero(direct)), xb.size
+        out[rows[direct]] = vals[:k]
+        if m:
+            out[rows[back]] = _recur_down(nu[back], xb, sb, vals[k:k + m], vals[k + m:])
+    return out
+
+
+def _recur_down(n, x, start, f_up, f_start):
+    """J_n(x) from f_up = J_{start+1}(x) and f_start = J_start(x) by the
+    backward recurrence J_{m-1} = (2m/x) J_m - J_{m+1}, stable for m > x
+    (DLMF 10.74(iv)), each coefficient a correctly rounded quotient.  One
+    sweep runs over the rows sorted by their step count start - n, a row
+    leaving it once its order is reached, so each row sees only its own
+    arithmetic."""
+    steps = (start - n).astype(np.intp)
+    order = np.argsort(-steps, kind="stable")
+    steps, x = steps[order], x[order]
+    twice = 2.0 * start[order] + 2.0  # 2m for the order m of the current step
+    ring = [f_start[order], np.empty(x.size), f_up[order]]  # f_(start - t) in ring[t % 3]
+    live = np.searchsorted(-steps, -np.arange(1, int(steps[0]) + 1), side="right")
+    coef = np.empty(x.size)
+    for t, w in enumerate(live.tolist(), start=1):
+        twice[:w] -= 2.0
+        c = coef[:w]
+        np.divide(twice[:w], x[:w], out=c)
+        c *= ring[(t - 1) % 3][:w]
+        np.subtract(c, ring[(t - 2) % 3][:w], out=ring[t % 3][:w])
+    out = np.empty(x.size)
+    out[order] = np.choose(steps % 3, ring)
+    return out
+
+
+def _uniform(nu, x):
+    """J_nu(x) by Olver's uniform expansion (DLMF 10.20.4) through A_3 and
+    B_3, at integer orders nu >= _N_UNIFORM and arguments _X_TINY <= x < nu
+    in its far region y = nu^(2/3) zeta >= 2 (E >= 4 sqrt(2) / 3):
+
+        J_nu(nu z) = (4 zeta / s^2)^(1/4) [Ai(y) / nu^(1/3) sum_k A_k / nu^(2k)
+                     + Ai'(y) / nu^(5/3) sum_k B_k / nu^(2k)],
+
+    s = sqrt(1 - z^2) and 2/3 zeta^(3/2) = E / nu, E from _debye_exponent.
+    There Ai(y) = exp(-E) y^(-1/4) P(1/E) and Ai'(y) = -exp(-E) y^(1/4)
+    PD(1/E), so J = exp(-E) sqrt(2 / (nu s)) H with
+
+        H = P(sigma) sum_k A_k / nu^(2k) - PD(sigma) sqrt(zeta) sum_k B_k / nu^(2k+1),
+
+    sigma = 1/E, and exp(-E) taken last, from the double-double E.  A_k and
+    B_k are their sums over the Debye polynomials (DLMF 10.20.10-11): with
+    Z_i = U_i(p) / nu^i, p = 1/s,
+
+        sum_k A_k / nu^(2k) = sum over i + j even <= 6 of v_j sigma^j Z_i,
+        sqrt(zeta) sum_k B_k / nu^(2k+1) = -sum over i + j odd <= 7 of u_j sigma^j Z_i,
+
+    whose terms cancel by at most sigma^(i+j) <= 0.53^(i+j) here.
+    """
+    e_hi, e_lo, s = _debye_exponent(nu, x)
+    sigma = 1.0 / e_hi
+    p = 1.0 / s
+    pp = p * p
+    tau = p / nu
+    # even[k] = 1 + Z_2 + .. + Z_2k and odd[k] = Z_1 + .. + Z_(2k+1), with
+    # Z_i = tau^i sum_l DEBYE_U[i][l] pp^l
+    even, odd = [1.0], []
+    tau_i = tau.copy()
+    for i, coef in enumerate(_tab.DEBYE_U[1:], start=1):
+        z = _horner(coef, pp)
+        z *= tau_i
+        tau_i *= tau
+        sums = odd if i % 2 else even
+        if sums:
+            z += sums[-1]
+        sums.append(z)
+    # the Z sums that v_j and u_j multiply, j = 0, 1, ..
+    a_sum = _horner(_tab.AIRY_V[:7], sigma, (even[3] - 1.0, odd[2], even[2], odd[1],
+                                             even[1], odd[0], 1.0))
+    b_sum = _horner(_tab.AIRY_U, sigma, (odd[3], even[3], odd[2], even[2], odd[1],
+                                        even[1], odd[0], 1.0))
+    t = _tab.P_SCALE * sigma + _tab.P_SHIFT
+    a_sum += 1.0
+    a_sum *= _horner(_tab.P_POLY, t)
+    b_sum *= _horner(_tab.PD_POLY, t)
+    a_sum += b_sum
+    out = np.exp(-e_hi)
+    out *= 1.0 - e_lo
+    out *= np.sqrt(2.0 / (nu * s))
+    out *= a_sum
+    return out
+
+
+def _horner(coef, t, terms=None):
+    """sum_k coef[k] t^k by Horner's rule, or sum_k coef[k] terms[k] t^k
+    with each terms[k] an array or a scalar."""
+    terms = (1.0,) * len(coef) if terms is None else terms
+    acc = t * (coef[-1] * terms[-1])
+    tmp = np.empty_like(acc)
+    for k in range(len(coef) - 2, -1, -1):
+        acc += np.multiply(terms[k], coef[k], out=tmp) if np.ndim(terms[k]) else coef[k] * terms[k]
+        if k:
+            acc *= t
+    return acc
+
+
+def _debye_exponent(nu, x):
+    """(E_hi, E_lo, s): E = nu acosh(nu / x) - sqrt(nu^2 - x^2) as the
+    unevaluated sum E_hi + E_lo, and s = sqrt(1 - (x / nu)^2), at integer
+    orders nu and arguments 0 < x < nu.
+
+    J_nu(x) ~ exp(-E), and E reaches 645 at |J| = 1e-280, so a rounded E
+    alone would cost 7e-14 relative there.  Every step is carried in
+    double-double: S^2 = nu^2 - x^2 from Dekker's exact x^2; S and
+    q = (nu + S) / x each with their rounding error; ln q = k ln 2
+    + ln(j / 128) + log1p(d), with hi parts on a 2^-38 grid (from
+    _airy_tables), so that k LN2_HI + LOG_HI is exact and so is nu times it
+    while nu ln q < 2^15 (nu < 2^11 from x = 1 on, nu < 2^10 from
+    x = 2^-27 on; where it is not, E is past 745 and J underflows), and
+    |d| < 1/64; and the last two sums exact (Dekker's and Knuth's
+    two-sums).  What is left is the rounding of nu (lo part of ln q), below
+    2e-15 at nu = 2000.
+    """
+    # in place where a value dies, to spare the allocations
+    x_hi, x_lo = _split(x)
+    xx = x * x
+    # err = x^2 - xx exactly, from products of halves
+    tmp = x_hi * x_lo
+    tmp += tmp
+    err = x_hi * x_hi
+    err -= xx
+    err += tmp
+    err += np.multiply(x_lo, x_lo, out=tmp)
+    nn = nu * nu
+    h = nn - xx
+    low = np.subtract(nn, h, out=nn)  # nu^2 - x^2 = h + low
+    low -= xx
+    low -= err
+    root = np.sqrt(h)
+    r_hi, r_lo = _split(root)
+    # h - root^2: the products of halves are exact and the first difference
+    # is Sterbenz, as in _airy_zeta
+    d = np.subtract(h, r_hi * r_hi, out=h)
+    tmp = np.multiply(r_hi, r_lo, out=tmp)
+    tmp += tmp
+    d -= tmp
+    d -= np.multiply(r_lo, r_lo, out=tmp)
+    d += low
+    root_lo = np.divide(d, np.add(root, root, out=tmp), out=d)  # S = root + root_lo
+    a = nu + root
+    b = nu - a  # nu + S = a + b, nu >= root
+    b += root
+    b += root_lo
+    q = a / x
+    p = q * x
+    q_lo = np.subtract(a, p, out=a)  # (nu + S) / x = q + q_lo
+    q_lo -= _prod_err(q, x_hi, x_lo, p)
+    q_lo += b
+    q_lo /= x
+    m, k = np.frexp(q)  # q >= 1, so m in [1/2, 1) and k >= 1
+    j = np.ceil(m * _tab.LOG_CELLS)
+    c = j / _tab.LOG_CELLS
+    rest = np.subtract(m, c, out=m)  # exact, in (-1/128, 0]
+    rest += np.ldexp(q_lo, -k)
+    rest /= c
+    cell = j.astype(np.intp) - _tab.LOG_CELLS // 2
+    ln_hi = k * _tab.LN2_HI
+    ln_hi += _LOG_HI[cell]
+    ln_lo = k * _tab.LN2_LO
+    ln_lo += _LOG_LO[cell]
+    ln_lo += np.log1p(rest, out=rest)
+    t = np.multiply(ln_hi, nu, out=ln_hi)
+    e = t - root
+    # the error of e is exact: t >= root, or the two are within Sterbenz
+    e_rest = np.subtract(t, e, out=t)
+    e_rest -= root
+    e_rest += np.multiply(ln_lo, nu, out=ln_lo)
+    e_rest -= root_lo
+    e_hi = e + e_rest
+    back = e_hi - e
+    e_lo = np.subtract(e_hi, back, out=tmp)
+    np.subtract(e, e_lo, out=e_lo)
+    e_lo += np.subtract(e_rest, back, out=back)
+    root += root_lo
+    root /= nu
+    return e_hi, e_lo, root

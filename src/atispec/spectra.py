@@ -68,6 +68,7 @@ __all__ = [
     "general_channel_dwdo",
     "nonrel_channel_dwdo",
     "channel_spectrum",
+    "check_series_window",
 ]
 
 TAG_GENERAL = 42
@@ -321,17 +322,41 @@ def nonrel_channel_dwdo(
     return _on_open_rows(evaluate, field, atom, tag, n, theta)
 
 
+def check_series_window(field, atom, n_lo, n_hi, theta, phi, formula="relativistic"):
+    """Raise specfun.BesselRangeError before any channel runs when the
+    window n_lo..n_hi at the 1-D angles theta and phi would take the series
+    of the form `formula` (tags 42/55/59) past its box.  At the angles of
+    the last channel, which every run of the window evaluates if it is
+    open, the direct amplitude reads the orders up to n + 2K + 2
+    (specfun._series_order_floor at its v) and the arguments |u| and |v|;
+    the same check trips there otherwise, after the channels below it ran.
+    """
+    tag = _tag(field, formula)
+    if tag in (TAG_CIRCULAR, TAG_NONREL_CIRCULAR) or n_hi < n_lo or _below(field, atom, n_hi, tag):
+        return
+    theta = np.asarray(theta, dtype=float)[:, None]
+    # u and v of the direct entry, as nonrel_channel_dwdo and general_channel_dwdo pass them
+    if tag == TAG_NONREL_LINEAR:
+        z, x_kin = _nonrel_channel(field, atom, n_hi, tag)
+        u, v = math.sqrt(z) * (math.sqrt(8.0 * x_kin) * np.cos(theta)), np.array([-z / 2.0])
+    else:
+        ck = channel_kinematics(field, atom, n_hi, theta, phi)
+        u, v = ck.alpha_amp, -ck.big_z * (1.0 - field.zeta**2) / 2.0
+    v = np.ravel(v)
+    specfun._check_series_box(int(np.max(specfun._series_order_floor(n_hi, v))),
+                             max(float(np.max(np.abs(u))), float(np.max(np.abs(v)))))
+
+
 def _rows(field, atom, n, theta, phi, tag, rescattering):
     """The closed form `tag` over 1-D rows (n, theta, phi): (dwdo, prefactor,
     kfr, resc, kfr_only_dwdo, rescatter_factor, below), below by the tag's
-    threshold rule; tags 44/56/59 run once per distinct (n, theta)."""
+    threshold rule; tags 44/56/59 do not read phi."""
     if tag in (TAG_GENERAL, TAG_LINEAR):
         rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering)
+    elif tag == TAG_CIRCULAR:
+        rows = circular_channel_dwdo(field, atom, n, theta, rescattering)
     else:
-        # one complex key per (n, theta) row: a 1-D unique, faster than one by rows
-        _, first, back = np.unique(n + 1j * theta, return_index=True, return_inverse=True)
-        kernel = circular_channel_dwdo if tag == TAG_CIRCULAR else nonrel_channel_dwdo
-        rows = tuple(a[back] for a in kernel(field, atom, n[first], theta[first], rescattering))
+        rows = nonrel_channel_dwdo(field, atom, n, theta, rescattering)
     dwdo, pref, kfr, resc = rows
     kfr_only = pref if tag == TAG_NONREL_LINEAR else pref * np.abs(kfr) ** 2
     # a zero direct amplitude gives NaN; one near underflow (at theta = pi,
@@ -449,12 +474,22 @@ def channel_spectrum(
     (tag, dwdo, kfr_only_dwdo, rescatter_factor), the tag by the rule of
     the module docstring.  The rows are evaluated in blocks of at most
     SPECTRUM_BLOCK; each row equals, bit for bit, the SpectrumPoint of the
-    one-point function at its channel and angles.
+    one-point function at its channel and angles.  The forms that do not
+    read phi (tags 44/56/59) run once per row of the broadcast (n, theta),
+    repeated along the axes that phi adds.
     """
     tag = _tag(field, formula)
-    rows = [a.ravel() for a in np.broadcast_arrays(n, theta, phi)]
+    reads_phi = tag in (TAG_GENERAL, TAG_LINEAR)
+    shape = np.broadcast_shapes(np.shape(n), np.shape(theta), np.shape(phi))
+    rows = [a.ravel() for a in np.broadcast_arrays(n, theta, *[phi] * reads_phi)]
+    if not reads_phi:
+        rows.append(np.zeros(rows[0].size))
     columns = np.empty((3, rows[0].size))
     for lo in range(0, rows[0].size, SPECTRUM_BLOCK):
         block = _rows(field, atom, *(a[lo:lo + SPECTRUM_BLOCK] for a in rows), tag, rescattering)
         columns[:, lo:lo + SPECTRUM_BLOCK] = block[0], block[4], block[5]
+    if not reads_phi:
+        nt_shape = np.broadcast_shapes(np.shape(n), np.shape(theta))
+        nt_shape = (1,) * (len(shape) - len(nt_shape)) + nt_shape
+        columns = np.broadcast_to(columns.reshape(3, *nt_shape), (3, *shape)).reshape(3, -1)
     return tag, *columns

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,48 @@ def test_huge_linear_intensity_exit_3_one_line(tmp_path):
     assert cp.returncode == 3
     assert cp.stderr.startswith("resource cap:") and cp.stderr.count("\n") == 1
     assert "Traceback" not in cp.stderr
+
+
+def test_series_window_fails_before_any_channel(tmp_path, capsys):
+    # the direct-amplitude series of linear_small at xi 10 needs orders past
+    # 2 MAX_ORDER; the window check finds it before the first block runs
+    from atispec.cli import main
+
+    cfg = json.loads((REPO / "demos" / "configs" / "linear_small.json").read_text())
+    cfg.update(intensity_xi=10.0, n_range="auto", output_path=str(tmp_path / "out"))
+    path = tmp_path / "xi10.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("spectrum", "rate"):
+        t0 = time.perf_counter()
+        assert main([command, "-c", str(path)]) == 3
+        assert time.perf_counter() - t0 < 1.0, command
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["resource cap: series requires ordinary-Bessel values beyond the supported "
+                   "box |m|<=4000, |x|<=5000.0"] * 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # import atispec and every subcommand, desk config, with no scipy module
+    desk, out = str(DESK_CONFIG), str(tmp_path)
+    script = f"""
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import atispec
+assert not scipy_modules(), scipy_modules()
+from atispec.cli import main
+for argv in (["rate", "-c", {desk!r}, "-o", {out!r} + "/rate"],
+             ["spectrum", "-c", {desk!r}, "-o", {out!r} + "/spectrum"],
+             ["sweep", "-c", {desk!r}, "-o", {out!r} + "/sweep", "--vary", "xi",
+              "--values", "0.9,1.0"],
+             ["selftest"]):
+    assert main(argv) == 0, argv
+print(scipy_modules())
+"""
+    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_import_skips_scipy_optimize():

@@ -429,17 +429,79 @@ def test_airy_scalar_contract_and_special_values():
     assert airy_ai(np.array([])).shape == (0,)
 
 
-def test_airy_and_airy_rate_need_no_scipy_but_jv(monkeypatch):
-    import types
+# orders and arguments of the J_N kernel checks: every path (power series,
+# recurrence from _N_UNIFORM, recurrence across the turning point, the
+# uniform expansion itself) and x/N up to 1 - 1e-7
+JN_ORDERS = [1, 2, 3, 5, 8, 13, 20, 30, 39, 40, 41, 55, 86, 87, 120, 200, 290, 500, 1000, 2000]
+JN_FRACTIONS = [1e-9, 1e-4, 0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99,
+                0.999, 0.9999, 1 - 1e-5, 1 - 1e-7]
 
-    from scipy import special as sp
 
-    from atispec.kinematics import Atom, LaserField
-    from atispec.rates import rate_airy
+def _jn_points():
+    pts = [(n, f * n) for n in JN_ORDERS for f in JN_FRACTIONS]
+    pts += [(n, x) for n in JN_ORDERS for x in (0.5, 0.999, 1.0, 1.001, 3.0) if x < n]
+    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
 
-    monkeypatch.setattr(specfun, "sp", types.SimpleNamespace(jv=sp.jv))
-    assert np.all(np.isfinite(airy_ai(AIRY_POINTS)))
-    assert rate_airy(LaserField.circular(0.01, 1.0), Atom.from_charge(1)).w_total > 0.0
+
+def test_jn_kernel_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    n, x = _jn_points()
+    got = specfun._jn(n, x)
+    with mpmath.workdps(40):
+        for order, arg, value in zip(n.tolist(), x.tolist(), got.tolist()):
+            ref = mpmath.besselj(order, mpmath.mpf(arg))
+            if abs(ref) < mpmath.mpf("1e-280"):
+                continue
+            assert abs(value / ref - 1) <= 2e-13, (order, arg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2000), st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=1, max_size=40))
+def test_jn_row_bits_do_not_depend_on_the_rest_of_the_call(rows):
+    n = np.array([r[0] for r in rows])
+    x = np.array([r[0] * r[1] for r in rows])
+    together = specfun._jn(n, x)
+    alone = np.array([specfun._jn(np.array([a]), np.array([b]))[0] for a, b in zip(n, x)])
+    assert np.array_equal(together, alone)
+    assert np.array_equal(specfun._jn(n[::-1], x[::-1]), together[::-1])
+
+
+def test_jn_outside_the_kernel_reads_the_miller_table():
+    # x >= n, n <= 0 and negative x: the points _jn hands to _jn_table
+    n = np.array([0, 0, 1, 3, 5, 12, 40, -3, -7, 4, 2])
+    x = np.array([0.0, 2.5, 1.0, 3.0, 17.0, 250.0, 40.0, 1.5, 30.0, -2.0, -0.5])
+    want = np.array([specfun._jn_table(np.array([a]), np.array([b]))[0, 0] for a, b in zip(n, x)])
+    assert np.array_equal(specfun._jn(n, x), want)
+    # a mixed call gives every point the bits it gets on its own
+    n2, x2 = np.concatenate([n, [50, 3]]), np.concatenate([x, [20.0, 0.2]])
+    alone = np.array([specfun._jn(np.array([a]), np.array([b]))[0] for a, b in zip(n2, x2)])
+    assert np.array_equal(specfun._jn(n2, x2), alone)
+
+
+def test_jn_special_values_and_shapes():
+    assert np.array_equal(specfun._jn(np.array([1, 7, 300]), np.zeros(3)), np.zeros(3))
+    n, x = np.array([[3, 90], [45, 2000]]), np.array([[2.9, 10.0], [44.0, 1999.0]])
+    got = specfun._jn(n, x)
+    assert got.shape == (2, 2)
+    assert np.array_equal(got.ravel(), specfun._jn(n.ravel(), x.ravel()))
+    # far below the turning point J_N underflows to 0 without a warning
+    with np.errstate(all="raise", under="ignore"):
+        assert specfun._jn(np.array([400]), np.array([1.5]))[0] == 0.0
+
+
+@pytest.mark.parametrize("fault", [1e-6, -3e-4])
+def test_jn_fault_applies_on_every_path(fault):
+    n, x = _jn_points()
+    n, x = np.concatenate([n, [5, 0]]), np.concatenate([x, [9.0, 1.0]])
+    clean = specfun._jn(n, x)
+    specfun.set_bessel_fault(fault)
+    try:
+        faulted = specfun._jn(n, x)
+    finally:
+        specfun.set_bessel_fault(0.0)
+    np.testing.assert_allclose(faulted, clean * (1.0 + fault * np.cos(1.3 * n + 0.7 * x)),
+                               rtol=1e-15, atol=0.0)
 
 
 def test_bessel_airy_direct_substitution():

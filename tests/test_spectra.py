@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atispec import specfun
 from atispec.kinematics import Atom, LaserField, channel_kinematics, threshold_n
@@ -28,6 +29,31 @@ DESK_ATOM = Atom.from_charge(1)
 
 
 # ---------------------------------------------------------------- circular
+
+@settings(max_examples=40, deadline=None)
+@given(omega=st.floats(1e-4, 0.05), xi=st.floats(0.01, 8.0), z_a=st.integers(1, 40),
+       offset=st.integers(0, 300), theta=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=8))
+def test_circular_forms_read_j_n_below_the_turning_point(omega, xi, z_a, offset, theta):
+    # tags 44 and 56 hand specfun._jn only arguments x < N (alpha < N by
+    # Cauchy-Schwarz; x^2 <= 8zX < N^2 for tag 56), the range of its kernel
+    seen = []
+    jn = specfun._jn
+
+    def spy(n, x):
+        seen.append((np.asarray(n), np.asarray(x)))
+        return jn(n, x)
+
+    field, atom = LaserField.circular(omega, xi), Atom.from_charge(z_a)
+    n0 = max(threshold_n(field, atom), 1)
+    n = np.arange(n0, n0 + offset + 3)[:, None]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specfun, "_jn", spy)
+        circular_channel_dwdo(field, atom, n, np.array(theta))
+        nonrel_channel_dwdo(field, atom, n, np.array(theta))
+    assert seen
+    for orders, args in seen:
+        assert np.all((args >= 0.0) & (args < orders))
+
 
 def test_circular_forward_emission_vanishes():
     pt = dwdo_circular(DESK_FIELD, DESK_ATOM, 100, 0.0)
@@ -313,6 +339,24 @@ def test_series_tables_stay_within_the_cell_bound(monkeypatch):
     narrow = channel_spectrum(field, DESK_ATOM, n, theta, phi)
     assert len(cells) > 50 and max(cells) <= 3000
     for got, want in zip(narrow[1:], wide[1:]):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("formula", ["relativistic", "nonrelativistic"])
+def test_phi_free_forms_repeat_one_evaluation_along_phi(monkeypatch, formula):
+    # tags 44 and 56 run once per (n, theta) row; the phi axes only repeat it
+    n, theta, phi = np.arange(98, 104), np.linspace(0.0, math.pi, 7), np.array([0.0, 1.0, 2.5, 4.0])
+    calls = []
+    jn = specfun._jn
+    monkeypatch.setattr(specfun, "_jn", lambda m, x: (calls.append(np.size(x)), jn(m, x))[1])
+    tag, *cols = channel_spectrum(DESK_FIELD, DESK_ATOM, n[:, None, None], theta[:, None], phi,
+                                  formula)
+    assert sum(calls) <= n.size * theta.size
+    rows = [a.ravel() for a in np.broadcast_arrays(n[:, None, None], theta[:, None], phi)]
+    flat = channel_spectrum(DESK_FIELD, DESK_ATOM, *rows, formula)
+    assert tag == flat[0]
+    for got, want in zip(cols, flat[1:]):
+        assert got.shape == (n.size * theta.size * phi.size,)
         assert np.array_equal(got, want, equal_nan=True)
 
 
