@@ -243,6 +243,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _fmt_column(col: np.ndarray) -> list[str]:
+    """`_fmt` of every double of a 1-D float64 column, each distinct bit
+    pattern formatted once.  Distinct means distinct bits, not unequal
+    values: -0.0 == 0.0, but their texts differ."""
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
                     newline="\n")
@@ -309,22 +318,23 @@ def run_spectrum(cfg: RunConfig) -> int:
     thetas = np.linspace(0.0, math.pi, cfg.theta_points)
     phis = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
     channels = np.arange(n_lo, n_hi + 1)
-    angles = [f"{th!r},{ph!r}" for th in thetas.tolist() for ph in phis.tolist()]
     resc = cfg.mode == "on"
     for formula in formulas:
         check_series_window(field, atom, n_lo, n_hi, thetas, phis, formula)
     summary = _summary(cfg)
 
-    lines = [CSV_HEADER]
+    # a row is its "N,theta,phi," head, shared by the formulas, and its
+    # three values; a circular grid repeats each value along phi
+    th_text, ph_text = _fmt_column(thetas), _fmt_column(phis)
+    heads = [f"{n},{th},{ph}," for n in channels.tolist() for th in th_text for ph in ph_text]
+    lines = [CSV_HEADER + "\n"]
     for formula in formulas:
         tag, *cols = channel_spectrum(field, atom, channels[:, None, None], thetas[:, None], phis,
                                       formula, resc)
-        rows = ((n, a) for n in channels.tolist() for a in angles)
-        lines.extend(f"{n},{a},{d!r},{k!r},{r!r},{tag}" for (n, a), d, k, r in
-                     zip(rows, *(c.tolist() for c in cols)))
+        lines.extend(f"{h}{d},{k},{r},{tag}\n" for h, d, k, r in zip(heads, *map(_fmt_column, cols)))
     outdir = Path(cfg.output_path)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "spectrum.csv").write_text("\n".join(lines) + "\n", newline="\n")
+    (outdir / "spectrum.csv").write_text("".join(lines), newline="\n")
     _write_json(outdir / "summary.json", summary)
     return 0
 

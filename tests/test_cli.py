@@ -131,7 +131,8 @@ def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarizat
     # 7-row blocks hold rows of two channels, and split the 8 x 3 grid of
     # each channel across kernel calls; the window starts one channel below
     # threshold, and theta runs from 0 to pi.  Every row has the bits of the
-    # one-point function at its channel and angles.
+    # one-point function at its channel and angles, and their text: -0.0 and
+    # 0.0 are equal values but not equal lines.
     from atispec import cli, spectra
     from atispec.kinematics import threshold_n
     from atispec.spectra import dwdo_circular, dwdo_general, dwdo_linear, dwdo_nonrel
@@ -160,10 +161,70 @@ def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarizat
         pt = one_point[int(tag)](int(n), float(th), float(ph))
         want = (pt.dwdo, pt.dwdo_kfr_only, pt.rescatter_factor)
         groups.setdefault((tag, n), []).append(([float(v) for v in vals], want))
+        d, k, r = want
+        assert line == f"{n},{float(th)!r},{float(ph)!r},{d!r},{k!r},{r!r},{tag}"
     assert len(groups) == 3 * (2 if formula == "both" else 1)
     for rows in groups.values():
         got, want = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def _old_spectrum_csv(cfg):
+    # the per-row writer that formatted every cell: the byte oracle of the
+    # one that formats each distinct double once
+    from atispec.cli import RunConfig
+    from atispec.spectra import channel_spectrum
+
+    rc = RunConfig(**cfg)
+    field, atom = rc.field(), rc.atom()
+    formulas = {"relativistic": ["relativistic"], "nonrelativistic": ["nonrelativistic"],
+                "both": ["relativistic", "nonrelativistic"]}[rc.formula]
+    thetas = np.linspace(0.0, math.pi, rc.theta_points)
+    phis = 2.0 * math.pi * np.arange(rc.phi_points) / rc.phi_points
+    channels = np.arange(rc.n_range[0], rc.n_range[1] + 1)
+    angles = [f"{th!r},{ph!r}" for th in thetas.tolist() for ph in phis.tolist()]
+    lines = ["N,theta_rad,phi_rad,dwdo,kfr_only_dwdo,rescatter_factor,formula_tag"]
+    for formula in formulas:
+        tag, *cols = channel_spectrum(field, atom, channels[:, None, None], thetas[:, None], phis,
+                                      formula, rc.mode == "on")
+        rows = ((n, a) for n in channels.tolist() for a in angles)
+        lines.extend(f"{n},{a},{d!r},{k!r},{r!r},{tag}" for (n, a), d, k, r in
+                     zip(rows, *(c.tolist() for c in cols)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("mode", ["on", "off"])
+def test_spectrum_csv_bytes_match_per_row_writer(tmp_path, mode):
+    # a circular grid repeats each (N, theta) value along all 24 azimuths;
+    # the window starts below threshold (N 42), so 0.0 and nan repeat too
+    from atispec.cli import main
+
+    cfg_path = write_config(tmp_path, formula="both", mode=mode, theta_points=10, phi_points=24,
+                            n_range=[40, 45])
+    cfg = json.loads(cfg_path.read_text())
+    assert main(["spectrum", "-c", str(cfg_path)]) == 0
+    got = (tmp_path / "out" / "spectrum.csv").read_bytes()
+    assert got.count(b"\n") == 1 + 2 * 6 * 10 * 24
+    assert got == _old_spectrum_csv(cfg)
+
+
+_SPECIAL_BITS = np.array([-0.0, 0.0, -0.0, 0.0, math.inf, -math.inf, math.inf, 5e-324,
+                          -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                          5e-324]).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1) | st.sampled_from(_SPECIAL_BITS),
+                min_size=1, max_size=12).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=60)))
+@example(_SPECIAL_BITS)
+@example([0x7FF8000000000001, -0x0007FFFFFFFFFFFF, 0x7FF8000000000001, 1, 1])
+def test_fmt_column_is_repr_of_each_cell(bits):
+    # any bit pattern: NaN payloads, negative NaN, subnormals, signed zeros
+    from atispec.cli import _fmt_column
+
+    col = np.array(bits, dtype=np.int64).view(np.float64)
+    assert _fmt_column(col) == [repr(x) for x in col.tolist()]
 
 
 def test_config_parse_error_exit_2(tmp_path):
