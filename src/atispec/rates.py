@@ -45,7 +45,7 @@ from .kinematics import (
     threshold_n,
 )
 from .specfun import airy_ai
-from .spectra import SPECTRUM_BLOCK, _recoil, channel_spectrum, check_series_window
+from .spectra import _recoil, channel_spectrum, check_series_window
 
 __all__ = [
     "DegenerateSaddleError",
@@ -134,9 +134,9 @@ class GridSpec:
     The defaults are for library use on circular fields.  On a
     non-circular field every (theta, azimuth) row runs the general
     amplitude kernel: theta_points=200 (401 Kronrod nodes) with 16 panels
-    (5 folded azimuths) costs 0.11-0.16 s per channel on the desk fields
-    (omega 0.01, xi 1, zeta 0 and 0.5; 2-core VM), 20-30 s over a
-    ~200-channel window.  The CLI's theta_points default is 24.
+    (5 folded azimuths) costs 0.09-0.14 s per channel on the desk fields
+    (omega 0.01, xi 1, zeta 0 and 0.5; 2-core VM), 17-25 s over their
+    184- and 199-channel windows.  The CLI's theta_points default is 24.
     """
 
     theta_points: int = 200
@@ -400,7 +400,8 @@ def _gauss_kronrod(n):
 def _direct_once(field, atom, n0, n_cut, theta_points, panels, rescattering):
     """Kronrod sums K and Gauss sums G of each channel of the window over the
     dwdo column of channel_spectrum at theta = arccos of the 2n+1 Kronrod
-    nodes (the n Gauss nodes among them) and the panels 2 pi j / panels."""
+    nodes (the n Gauss nodes among them) and the panels 2 pi j / panels,
+    from one channel_spectrum call over the whole window."""
     mu, w_k = _gauss_kronrod(theta_points)
     w_g = _gauss_legendre(theta_points)[1]
     # |amp|^2 is even under phi -> -phi (amp -> conj amp) and under
@@ -411,17 +412,17 @@ def _direct_once(field, atom, n0, n_cut, theta_points, panels, rescattering):
     phis, panel = np.unique(math.pi * np.minimum(2 * j, panels - 2 * j) / panels,
                             return_inverse=True)
     check_series_window(field, atom, n0, n_cut, np.arccos(mu), phis)
-    step = max(SPECTRUM_BLOCK // (mu.size * phis.size), 1)  # whole channels per block
-    sums = []
-    for lo in range(n0, n_cut + 1, step):
-        ns = np.arange(lo, min(lo + step, n_cut + 1))
-        dwdo = channel_spectrum(field, atom, ns[:, None, None], np.arccos(mu)[:, None], phis,
-                                "relativistic", rescattering)[1]
-        # the correctly rounded panel sum of each (channel, theta), which one
-        # addition of at most two panels is too
-        vals = dwdo.reshape(ns.size, mu.size, phis.size)[:, :, panel]
-        p = vals.sum(axis=2) if panels <= 2 else np.apply_along_axis(math.fsum, 2, vals)
-        sums += [(np.dot(w_k, q), np.dot(w_g, q[1::2])) for q in p * (2.0 * math.pi / panels)]
+    ns = np.arange(n0, n_cut + 1)
+    dwdo = channel_spectrum(field, atom, ns[:, None, None], np.arccos(mu)[:, None], phis,
+                            "relativistic", rescattering)[1].reshape(ns.size, mu.size, phis.size)
+    # the correctly rounded panel sum of each (channel, theta), which one
+    # addition of at most two panels is too; above two panels one channel's
+    # panels are spread out at a time
+    if panels <= 2:
+        p = dwdo[:, :, panel].sum(axis=2)
+    else:
+        p = np.array([[math.fsum(r) for r in d[:, panel].tolist()] for d in dwdo])
+    sums = [(np.dot(w_k, q), np.dot(w_g, q[1::2])) for q in p * (2.0 * math.pi / panels)]
     return np.array(sums, dtype=float).reshape(-1, 2).T
 
 
@@ -445,9 +446,12 @@ def rate_direct(
     the total is carried as a warning, never an exception.  The channels
     summed are grid.n_lo (clamped up to the threshold) to grid.n_cut.
 
-    The default grid suits circular fields; with it a non-circular field
-    takes 0.11-0.16 s per channel on the desk fields, 20-30 s per call
-    (see GridSpec).  The CLI passes theta_points=24 unless configured.
+    The window's rows go to channel_spectrum in one call, which blocks
+    them, so a circular window of at most spectra.SPECTRUM_BLOCK rows is
+    one J_N kernel call.  The default grid suits circular fields; with it
+    a non-circular field takes 0.09-0.14 s per channel on the desk fields,
+    17-25 s per call (see GridSpec).  The CLI passes theta_points=24
+    unless configured.
     """
     grid = grid or GridSpec()
     saddle = _try_saddle(field, atom)

@@ -52,7 +52,7 @@ ABS_FLOOR = 1e-12
 MAX_TERMS = 40000
 # cells of one _series_rows sweep, arguments x (orders of the table + the 3
 # _MILLER_BLOCK rows a recurrence keeps beside them): a bound on its memory
-_TABLE_CELLS = 2**17
+_TABLE_CELLS = 2**18
 # quadrature nodes beyond the integrand bandwidth (even)
 QUAD_POINTS = 256
 
@@ -317,6 +317,50 @@ def _k_start(v, k_cap: int):
     return k
 
 
+def _chunks(series, live, width):
+    """The chunks of row positions of a _series_rows round, each a list of
+    (entry, open rows): from position 0 up, the most positions at which the
+    u and v of the live entries take at most width distinct |x| (one
+    position at least), so that the chunk's table has at most width
+    columns."""
+    lo, end = 0, max(t.size for _, t in live)
+    while lo < end:
+        pos = np.concatenate([np.arange(lo, t.size) for _, t in live for _ in (0, 3)])
+        hi = end
+        if pos.size > width:  # else every |x| fits, distinct or not
+            ax = np.abs(np.concatenate([series[i][x][t[lo:]] for i, t in live for x in (0, 3)]))
+            by_pos = np.argsort(pos, kind="stable")
+            # the position at which each distinct |x| first appears, ascending
+            first = np.sort(pos[by_pos][np.unique(ax[by_pos], return_index=True)[1]])
+            if first.size > width:
+                hi = max(int(first[width]), lo + 1)
+        yield [(i, t[lo:hi]) for i, t in live if t.size > lo]
+        lo = hi
+
+
+def _entry_sums(table, entry, t, K, dtype):
+    """The partial sums |k| <= K of a _series_rows entry at its rows t, from
+    one table, and the tail bound of each row: 2 (|J_{K+1}(v)| +
+    |J_{K+2}(v)|).  Its lookups are freed on return, before the next entry's."""
+    u, first, count, v, delta = entry
+    k_top = int(K.max())
+    ks = np.arange(-k_top, k_top + 3)
+    jk = table(ks[None, :], v[t])
+    ju = table(first[t, None] + np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2), u[t])
+    weights = jk[:, :-2] * (phase_exp(-2 * ks[:-2], delta) if np.ndim(delta) == 0
+                            else np.exp(-2j * ks[:-2] * delta[t, None]))
+    weights[np.abs(ks[:-2]) > K[:, None]] = 0.0
+    # J_{first + 2j - 2k}(u) for k = l - k_top sits in column base + j - l
+    base = 2 * k_top
+    acc = np.zeros((t.size, count), dtype=dtype)
+    term = np.empty_like(acc)
+    for l in range(2 * k_top + 1):
+        np.multiply(ju[:, base - l:base - l + count], weights[:, l, None], out=term)
+        acc += term
+    rows = np.arange(t.size)
+    return acc, 2.0 * (np.abs(jk[rows, K + k_top + 1]) + np.abs(jk[rows, K + k_top + 2]))
+
+
 def _series_rows(series):
     """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for each
     (u, first, count, v, delta) of a list: the orders first, first + 2,
@@ -330,9 +374,10 @@ def _series_rows(series):
     call in that row's v starts and grows only while the row fails its own
     tail bound.  Every J value of a round, J(u) and J(v) alike, comes from
     one _JTable per chunk of row positions of every entry, over the u and v
-    of its open rows, with at most _TABLE_CELLS cells (a backward
-    recurrence per chunk and round; entries that share one u array sweep
-    it once).  The terms are added one k at a time from k = -K up, and rows
+    of its open rows, with at most _TABLE_CELLS cells counted over their
+    distinct |x| (_chunks; a backward recurrence per chunk and round, one
+    per round whose table fits; entries that share one u array sweep it
+    once).  The terms are added one k at a time from k = -K up, and rows
     with a smaller K than the widest row of their chunk see zero terms in
     its place, so every row equals its one-point call bit for bit.  A
     result is real when its delta is the scalar 0 or +-pi, and complex
@@ -350,32 +395,12 @@ def _series_rows(series):
         # a bound on the orders of every live row: |first - 2K| and first + 2 (count - 1 + K)
         top = max(2 * int(k_row[i][t].max()) + int(np.abs(series[i][1][t]).max())
                   + 2 * series[i][2] for i, t in live)
-        step = max(_TABLE_CELLS // (2 * len(live) * (top + 1 + 3 * _MILLER_BLOCK)), 1)
-        for lo in range(0, max(t.size for _, t in live), step):
-            chunk = [(i, t[lo:lo + step]) for i, t in live if t.size > lo]
+        for chunk in _chunks(series, live, _TABLE_CELLS // (top + 1 + 3 * _MILLER_BLOCK)):
             table = _JTable(np.concatenate([series[i][x][t] for i, t in chunk for x in (0, 3)]),
                             top)
             for i, t in chunk:
-                u, first, count, v, delta = series[i]
                 K = k_row[i][t]
-                k_top = int(K.max())
-                ks = np.arange(-k_top, k_top + 3)
-                jk = table(ks[None, :], v[t])
-                ju = table(first[t, None] + np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2),
-                           u[t])
-                weights = jk[:, :-2] * (phase_exp(-2 * ks[:-2], delta) if np.ndim(delta) == 0
-                                        else np.exp(-2j * ks[:-2] * delta[t, None]))
-                weights[np.abs(ks[:-2]) > K[:, None]] = 0.0
-                # J_{first + 2j - 2k}(u) for k = l - k_top sits in column base + j - l
-                base = 2 * k_top
-                acc = np.zeros((t.size, count), dtype=out[i].dtype)
-                term = np.empty_like(acc)
-                for l in range(2 * k_top + 1):
-                    np.multiply(ju[:, base - l:base - l + count], weights[:, l, None], out=term)
-                    acc += term
-
-                rows = np.arange(t.size)
-                tail = 2.0 * (np.abs(jk[rows, K + k_top + 1]) + np.abs(jk[rows, K + k_top + 2]))
+                acc, tail = _entry_sums(table, series[i], t, K, out[i].dtype)
                 bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=1), ABS_FLOOR)
                 ok = tail <= bound
                 out[i][t[ok]] = acc[ok]

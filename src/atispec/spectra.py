@@ -77,8 +77,9 @@ TAG_LINEAR = 55
 TAG_NONREL_CIRCULAR = 56
 TAG_NONREL_LINEAR = 59
 
-# rows per kernel call of channel_spectrum
-SPECTRUM_BLOCK = 2048
+# rows per kernel call of channel_spectrum, the one row bound (the README
+# lists the bytes per row of each tag)
+SPECTRUM_BLOCK = 16384
 
 @dataclass(frozen=True)
 class SpectrumPoint:
@@ -481,12 +482,14 @@ def channel_spectrum(
     tag = _tag(field, formula)
     reads_phi = tag in (TAG_GENERAL, TAG_LINEAR)
     shape = np.broadcast_shapes(np.shape(n), np.shape(theta), np.shape(phi))
-    rows = [a.ravel() for a in np.broadcast_arrays(n, theta, *[phi] * reads_phi)]
-    if not reads_phi:
-        rows.append(np.zeros(rows[0].size))
+    # broadcast views, copied one block at a time
+    rows = np.broadcast_arrays(n, theta, *[phi] * reads_phi)
     columns = np.empty((3, rows[0].size))
     for lo in range(0, rows[0].size, SPECTRUM_BLOCK):
-        block = _rows(field, atom, *(a[lo:lo + SPECTRUM_BLOCK] for a in rows), tag, rescattering)
+        block = [a.flat[lo:lo + SPECTRUM_BLOCK] for a in rows]
+        if not reads_phi:
+            block.append(np.zeros(block[0].size))
+        block = _rows(field, atom, *block, tag, rescattering)
         columns[:, lo:lo + SPECTRUM_BLOCK] = block[0], block[4], block[5]
     if not reads_phi:
         nt_shape = np.broadcast_shapes(np.shape(n), np.shape(theta))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from atispec import rates, specfun
+from atispec import rates, specfun, spectra
 from atispec.constants import E_CHARGE, ELECTRON_MASS_EV, GAMMA_TWO_THIRDS
 from atispec.kinematics import (
     Atom,
@@ -341,6 +341,60 @@ def test_rate_direct_linear_integrates_the_spectrum_column():
         column = channel_spectrum(LINEAR_FIELD, DESK_ATOM, n, thetas.ravel(), phis.ravel())[1]
         profile = [math.fsum(row) for row in column.reshape(thetas.shape).tolist()]
         assert w == np.dot(w_k, np.array(profile) * (2.0 * math.pi / grid.phi_points))
+
+
+ELLIPTIC_FIELD = LaserField(0.02, 0.6, 0.5)
+_ONE_CALL_CASES = [
+    (DESK_FIELD, GridSpec(theta_points=12)),
+    (LINEAR_FIELD, GridSpec(theta_points=8, phi_points=8,
+                            n_cut=threshold_n(LINEAR_FIELD, DESK_ATOM) + 6)),
+    (ELLIPTIC_FIELD, GridSpec(theta_points=6, phi_points=5,
+                              n_cut=threshold_n(ELLIPTIC_FIELD, DESK_ATOM) + 4)),
+]
+_ONE_CALL_IDS = ["circular", "linear", "elliptic"]
+
+
+def _rate_bits(rs):
+    report = rs.grid_report
+    return rs.w_total, report["quad_error_estimate"], report["tail_channel_sum"]
+
+
+@pytest.mark.parametrize("field, grid", _ONE_CALL_CASES, ids=_ONE_CALL_IDS)
+def test_rate_direct_is_one_channel_spectrum_call_whatever_the_block(field, grid, monkeypatch):
+    # the whole window goes to channel_spectrum at once, which alone blocks
+    # the rows; the rate's bits do not depend on the block
+    calls = []
+    spectrum = rates.channel_spectrum
+
+    def counting_spectrum(*args):
+        calls.append(np.broadcast_shapes(*map(np.shape, args[2:5])))
+        return spectrum(*args)
+
+    monkeypatch.setattr(rates, "channel_spectrum", counting_spectrum)
+    default = rate_direct(field, DESK_ATOM, grid)
+    channels = default.grid_report["channels_summed"]
+    assert channels > 2 and calls == [(channels, 2 * grid.theta_points + 1, calls[0][2])]
+    for block in (7, 129):
+        monkeypatch.setattr(spectra, "SPECTRUM_BLOCK", block)
+        calls.clear()
+        assert _rate_bits(rate_direct(field, DESK_ATOM, grid)) == _rate_bits(default)
+        assert len(calls) == 1
+
+
+def test_rate_direct_circular_window_is_one_jn_call(monkeypatch):
+    # a circular window within one block of rows pays the J_N kernel's fixed
+    # cost once; a smaller block splits it into one call per block
+    calls = []
+    jn = specfun._jn
+    monkeypatch.setattr(specfun, "_jn", lambda m, x: (calls.append(np.size(x)), jn(m, x))[1])
+    grid = GridSpec(theta_points=24)
+    rs = rate_direct(DESK_FIELD, DESK_ATOM, grid)
+    rows = rs.grid_report["channels_summed"] * (2 * grid.theta_points + 1)
+    assert 2048 < rows <= spectra.SPECTRUM_BLOCK and calls == [rows]
+    calls.clear()
+    monkeypatch.setattr(spectra, "SPECTRUM_BLOCK", 2048)
+    assert rate_direct(DESK_FIELD, DESK_ATOM, grid).w_total == rs.w_total
+    assert len(calls) == -(-rows // 2048) and sum(calls) == rows
 
 
 @pytest.mark.parametrize("kwargs", [{"theta_points": 0}, {"theta_points": -2},

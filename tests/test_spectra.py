@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atispec import specfun
+from atispec import rates, specfun
+from atispec.constants import ELECTRON_MASS_EV
 from atispec.kinematics import Atom, LaserField, channel_kinematics, threshold_n
 from atispec.rates import saddle_point
 from atispec.selftest import dwdo_quadrature_oracle
@@ -339,6 +340,43 @@ def test_series_tables_stay_within_the_cell_bound(monkeypatch):
     narrow = channel_spectrum(field, DESK_ATOM, n, theta, phi)
     assert len(cells) > 50 and max(cells) <= 3000
     for got, want in zip(narrow[1:], wide[1:]):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_series_rounds_of_a_rate_linear_block_build_one_table(monkeypatch):
+    # the rows of one rate_linear op (zeta 0, channels 2-8 at the 57 Kronrod
+    # theta nodes of theta_points 28, the one folded azimuth of 2 panels):
+    # each series round sizes its chunk by the distinct |x| of its table,
+    # so it sweeps one table; a smaller bound splits the rounds, bit for bit
+    field, atom = LaserField.linear(25081.8751 / ELECTRON_MASS_EV, 0.45), Atom.from_charge(2)
+    n = np.arange(2, 9)[:, None, None]
+    theta, phi = np.arccos(rates._gauss_kronrod(28)[0])[:, None], np.zeros(1)
+    assert threshold_n(field, atom) <= 2
+    chunks_per_round, tables = [], []
+    chunks, jtable = specfun._chunks, specfun._JTable
+
+    def spy_chunks(series, live, width):
+        chunks_per_round.append(0)
+        for chunk in chunks(series, live, width):
+            chunks_per_round[-1] += 1
+            yield chunk
+
+    def spy_table(x, top):
+        table = jtable(x, top)
+        tables.append(table.values.size)
+        return table
+
+    monkeypatch.setattr(specfun, "_chunks", spy_chunks)
+    monkeypatch.setattr(specfun, "_JTable", spy_table)
+    one = channel_spectrum(field, atom, n, theta, phi)
+    assert chunks_per_round and set(chunks_per_round) == {1}
+    assert len(tables) == len(chunks_per_round) and max(tables) <= specfun._TABLE_CELLS
+    chunks_per_round.clear()
+    tables.clear()
+    monkeypatch.setattr(specfun, "_TABLE_CELLS", 3000)
+    split = channel_spectrum(field, atom, n, theta, phi)
+    assert max(chunks_per_round) > 1 and max(tables) <= 3000
+    for got, want in zip(split, one):
         assert np.array_equal(got, want, equal_nan=True)
 
 
