@@ -466,43 +466,66 @@ def _add_common(p):
     p.add_argument("--workers", type=int, help="accepted for older configs; has no effect")
 
 
+def _add_options(name, p):
+    if name == "selftest":
+        p.add_argument("--json", action="store_true", help="machine-readable report")
+        p.add_argument("--inject-bessel-error", type=float, default=0.0,
+                       help="testing hook: perturb the Bessel primitive")
+        return
+    _add_common(p)
+    if name == "sweep":
+        p.add_argument("--vary", required=True, help="config key to vary (e.g. xi)")
+        p.add_argument("--values", required=True, help="comma-separated values")
+
+
+# each subcommand and its help text
+_SUBCOMMANDS = {
+    "spectrum": "differential spectrum over an (N, theta, phi) grid",
+    "rate": "total ionization rate by every applicable method",
+    "sweep": "rate sweep over one config key",
+    "selftest": "run the built-in consistency suite",
+}
+
+
 def _overrides(args) -> dict:
     return {k: v for k, v in vars(args).items() if k in RunConfig._ALLOWED and v is not None}
 
 
-def main(argv=None) -> int:
+def _parser(argv: list) -> argparse.ArgumentParser:
+    """The `ati` parser for the tokens argv.  Only the subcommand that
+    argv[0] names gets its options: the top-level usage, help and errors
+    read just the names and help texts of the others.  When argv[0] names
+    no subcommand, all four get their options."""
     parser = argparse.ArgumentParser(
         prog="ati",
         description="Relativistic above-threshold-ionization spectra and rates "
                     "of hydrogen-like atoms in strong laser fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, help_text in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            _add_options(name, p)
+    return parser
 
-    p_spec = sub.add_parser("spectrum", help="differential spectrum over an (N, theta, phi) grid")
-    _add_common(p_spec)
-    p_rate = sub.add_parser("rate", help="total ionization rate by every applicable method")
-    _add_common(p_rate)
-    p_sweep = sub.add_parser("sweep", help="rate sweep over one config key")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--vary", required=True, help="config key to vary (e.g. xi)")
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_self = sub.add_parser("selftest", help="run the built-in consistency suite")
-    p_self.add_argument("--json", action="store_true", help="machine-readable report")
-    p_self.add_argument("--inject-bessel-error", type=float, default=0.0,
-                        help="testing hook: perturb the Bessel primitive")
 
+def main(argv=None) -> int:
     # bind each --values list to its flag, so that argparse does not read a
     # list that starts with "-" (-1,2) as a flag of its own
     tokens = iter(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args([f"--values={next(tokens, '')}" if tok == "--values" else tok
-                              for tok in tokens])
+    argv = [f"--values={next(tokens, '')}" if tok == "--values" else tok for tok in tokens]
+    args = _parser(argv).parse_args(argv)
     try:
         # a numpy division by zero, overflow or NaN means the inputs left the
         # range of the formulas; the few places where such a value is
         # expected ignore it in an errstate of their own
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             if args.command == "selftest":
-                return run_selftest(args.json, args.inject_bessel_error)
+                fault = args.inject_bessel_error
+                if not math.isfinite(fault):
+                    raise ConfigError(f"--inject-bessel-error must be a finite number, got {fault!r}")
+                return run_selftest(args.json, fault)
             cfg = load_config(args.config, _overrides(args))
             if args.command == "spectrum":
                 return run_spectrum(cfg)

@@ -234,9 +234,12 @@ def channel_kinematics(field: LaserField, atom: Atom, n, theta, phi) -> ChannelK
     photon number; the spectra layer reports an explicit zero instead.
     """
     n0 = threshold_n(field, atom)
-    n_min = np.min(n, initial=n0)
-    if n_min < n0:
-        raise BelowThresholdError(n_min, n0)
+    # a numpy bool scalar is its own truth value, without .any()'s reduction
+    below = np.less(n, n0)
+    if below.any() if below.ndim else below:
+        n_min = np.min(n, initial=n0)
+        if n_min < n0:  # a NaN entry makes n_min NaN, and that never raised
+            raise BelowThresholdError(n_min, n0)
     cos_t, sin_t, cos_p, sin_p = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
     omega, xi, zeta = field.omega, field.xi, field.zeta
     pi0 = atom.epsilon0 + n * omega
@@ -250,6 +253,10 @@ def channel_kinematics(field: LaserField, atom: Atom, n, theta, phi) -> ChannelK
     # that of (cos ph, zeta sin ph) for every theta of one phi
     phase_angle = np.atan2(zeta * sin_p, cos_p)
     a = pi_abs * sin_t
-    if not (a > 0.0).all():
-        phase_angle = np.where(a > 0.0, phase_angle, np.atan2(zeta * a * sin_p, a * cos_p))[()]
+    inside = a > 0.0
+    if not inside.ndim:
+        if not inside:
+            phase_angle = np.atan2(zeta * a * sin_p, a * cos_p)
+    elif not inside.all():
+        phase_angle = np.where(inside, phase_angle, np.atan2(zeta * a * sin_p, a * cos_p))
     return ChannelKinematics(pi0, pi_abs, k_dot_pi, big_z, g_sq, alpha_amp, phase_angle)

@@ -9,9 +9,9 @@ y_m = (F_at / 2 F0)^(2/3): small y_m is the multiphoton strong-field
 regime, large y_m the tunneling regime.
 
 All quadratures use fixed node sets and pairwise numpy reductions, so a
-rate is bit-reproducible for a given grid regardless of how the channel
-map is scheduled.  Gauss-Legendre and Gauss-Kronrod node sets are built
-once per size.
+rate is bit-reproducible for a given grid, and its bits do not depend on
+the row block `spectra.SPECTRUM_BLOCK` of the kernel calls.
+Gauss-Legendre and Gauss-Kronrod node sets are built once per size.
 
 The Airy-form rates (rate_airy, rate_laplace) serve circular fields with
 n_m >= 50 and share the kernels' kinematics and 1s density.  rate_laplace

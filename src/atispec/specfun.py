@@ -104,9 +104,13 @@ _FAULT_EPS = 0.0
 def set_bessel_fault(eps: float) -> None:
     """Testing hook: perturb J_n(x) by a relative, order/argument-dependent
     amount ~eps.  Used by the self-test to prove the identity checks trip.
-    Never enable outside of fault-injection tests."""
+    Never enable outside of fault-injection tests.  Raises ValueError on a
+    non-finite eps."""
     global _FAULT_EPS
-    _FAULT_EPS = float(eps)
+    eps = float(eps)
+    if not math.isfinite(eps):
+        raise ValueError(f"Bessel fault must be finite, got {eps!r}")
+    _FAULT_EPS = eps
 
 
 def _faulted(n, x, val):

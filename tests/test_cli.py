@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -44,6 +45,86 @@ def test_help_runs():
     cp = run_cli("--help")
     assert cp.returncode == 0
     assert "spectrum" in cp.stdout and "selftest" in cp.stdout
+
+
+def _fully_filled_parser(argv):
+    """`ati`'s parser as main built it while every call filled all four
+    subparsers, whatever argv named: the oracle for `cli._parser`."""
+    from atispec import cli
+
+    parser = argparse.ArgumentParser(
+        prog="ati",
+        description="Relativistic above-threshold-ionization spectra and rates "
+                    "of hydrogen-like atoms in strong laser fields.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_spec = sub.add_parser("spectrum", help="differential spectrum over an (N, theta, phi) grid")
+    cli._add_common(p_spec)
+    p_rate = sub.add_parser("rate", help="total ionization rate by every applicable method")
+    cli._add_common(p_rate)
+    p_sweep = sub.add_parser("sweep", help="rate sweep over one config key")
+    cli._add_common(p_sweep)
+    p_sweep.add_argument("--vary", required=True, help="config key to vary (e.g. xi)")
+    p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_self = sub.add_parser("selftest", help="run the built-in consistency suite")
+    p_self.add_argument("--json", action="store_true", help="machine-readable report")
+    p_self.add_argument("--inject-bessel-error", type=float, default=0.0,
+                        help="testing hook: perturb the Bessel primitive")
+    return parser
+
+
+def _main_outcome(argv, capsys):
+    from atispec.cli import main
+
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# every argv here stops in the parser or at the missing config file
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["-h", "rate"],
+    ["spectrum", "-h"], ["rate", "-h"], ["sweep", "-h"], ["selftest", "-h"],
+    ["rate", "--help", "-c", "{missing}"],
+    ["bogus"], ["rat"], ["Rate"], ["--bogus"], ["--", "rate", "-c", "{missing}"],
+    ["rate", "-c", "{missing}"], ["rate", "--bogus", "-c", "{missing}"], ["rate", "-c"],
+    ["rate"], ["spectrum"], ["sweep", "-c", "{missing}"],
+    ["rate", "-c", "{missing}", "--polarization", "square"],
+    ["spectrum", "-c", "{missing}", "--mode", "maybe"],
+    ["rate", "-c", "{missing}", "--xi", "abc"],
+    ["rate", "-c", "{missing}", "--vary", "xi"],
+    ["sweep", "-c", "{missing}", "--vary", "xi", "--values", "-1,2"],
+    ["sweep", "-c", "{missing}", "--vary", "xi", "--values"],
+    ["selftest", "--bogus"], ["selftest", "--json", "extra"],
+    ["selftest", "-c", "{missing}"],
+    ["selftest", "--inject-bessel-error", "x"],
+    ["selftest", "--inject-bessel-error", "nan"],
+])
+def test_parser_matches_fully_filled_parser(argv, tmp_path, capsys, monkeypatch):
+    from atispec import cli
+
+    argv = [tok.format(missing=tmp_path / "missing.json") for tok in argv]
+    got = _main_outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_parser", _fully_filled_parser)
+    assert got == _main_outcome(argv, capsys)
+    assert got[0] in (0, 2)
+
+
+def test_parser_fills_only_the_named_subcommand(tmp_path, capsys, monkeypatch):
+    from atispec import cli
+
+    calls = []
+    add_common = cli._add_common
+    monkeypatch.setattr(cli, "_add_common", lambda p: calls.append(p.prog) or add_common(p))
+    assert cli.main(["rate", "-c", str(tmp_path / "missing.json")]) == 2
+    assert calls == ["ati rate"]
+    calls.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["-h"])
+    assert calls == ["ati spectrum", "ati rate", "ati sweep"]
 
 
 def test_spectrum_matches_golden_file():
@@ -618,6 +699,40 @@ def test_selftest_fault_injection_fails():
     # the complex general series trip too
     for name in ("linear_vs_quadrature_oracle", "reduction_linear"):
         assert any(line.startswith(name) and line.endswith("FAIL") for line in cp.stdout.splitlines())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_selftest_rejects_a_non_finite_fault_before_any_check(value, capsys, monkeypatch):
+    from atispec import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda **kw: ran.append(kw) or [])
+    # "-inf" alone would read as a flag
+    assert cli.main(["selftest", f"--inject-bessel-error={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert ran == [] and out == ""
+    assert err.splitlines() == [
+        f"config error: --inject-bessel-error must be a finite number, got {float(value)!r}"]
+
+
+# the 1e-6 case is test_selftest_fault_injection_fails
+@pytest.mark.parametrize("value, code", [("-1", 1), ("0", 0)])
+def test_selftest_finite_fault_exit_codes(value, code, capsys):
+    from atispec.cli import main
+
+    assert main(["selftest", f"--inject-bessel-error={value}"]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-1].startswith(f"selftest: {'PASS' if code == 0 else 'FAIL'}")
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_set_bessel_fault_rejects_non_finite(eps):
+    from atispec import specfun
+
+    with pytest.raises(ValueError):
+        specfun.set_bessel_fault(eps)
+    assert specfun._FAULT_EPS == 0.0
 
 
 def test_unit_round_trip():

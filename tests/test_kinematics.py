@@ -118,6 +118,28 @@ def test_below_threshold_error():
         channel_kinematics(field, atom, np.array([n0, n0 - 1]), np.array([0.5, 0.6]), 0.0)
 
 
+@pytest.mark.parametrize("offsets, lowest", [
+    (-1, -1), (-0.5, -0.5), ([0, -3, -1, 2], -3), ([[1, 0], [-2, 5]], -2)])
+def test_below_threshold_error_carries_the_lowest_n(offsets, lowest):
+    field, atom = LaserField(0.01, 1.0, 0.5), Atom.from_charge(1)
+    n0 = threshold_n(field, atom)
+    with pytest.raises(BelowThresholdError) as info:
+        channel_kinematics(field, atom, n0 + np.asarray(offsets)[()], 0.5, 0.0)
+    assert info.value.n == n0 + lowest and info.value.n_min == n0
+    assert str(info.value) == f"channel N={n0 + lowest} below threshold N0={n0}"
+
+
+@pytest.mark.parametrize("n", [math.nan, [0.0, math.nan], [math.nan, -1.0], []])
+def test_nan_or_empty_n_does_not_raise(n):
+    # np.min puts a NaN entry first, below-threshold entries included, as
+    # it always has; an empty n has no channel to check
+    field, atom = LaserField.circular(0.01, 1.0), Atom.from_charge(1)
+    n0 = threshold_n(field, atom)
+    with np.errstate(invalid="ignore"):
+        ck = channel_kinematics(field, atom, n0 + np.asarray(n)[()], 0.5, 0.0)
+    assert np.shape(ck.pi0) == np.shape(n)
+
+
 def test_threshold_channel_momentum_nonnegative():
     field = LaserField.circular(0.01, 1.0)
     atom = Atom.from_charge(1)
