@@ -510,12 +510,28 @@ def _parser(argv: list) -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_values(parser, argv: list) -> list:
+    """argv with each flag of the subcommand argv[0] that takes a value
+    joined to the token after it (--xi -inf -> --xi=-inf), so that argparse
+    does not read a value that starts with "-" (-inf, -1,2) as a flag of
+    its own.  A flag with no token after it is left to argparse."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction) and argv and argv[0] in action.choices:
+            flags = {s for a in action.choices[argv[0]]._actions if a.nargs != 0
+                     for s in a.option_strings}
+    bound, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in flags else None
+        bound.append(tok if value is None else f"{tok}={value}")
+    return bound
+
+
 def main(argv=None) -> int:
-    # bind each --values list to its flag, so that argparse does not read a
-    # list that starts with "-" (-1,2) as a flag of its own
-    tokens = iter(sys.argv[1:] if argv is None else argv)
-    argv = [f"--values={next(tokens, '')}" if tok == "--values" else tok for tok in tokens]
-    args = _parser(argv).parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _parser(argv)
+    argv = _bind_values(parser, argv)
+    args = parser.parse_args(argv)
     try:
         # a numpy division by zero, overflow or NaN means the inputs left the
         # range of the formulas; the few places where such a value is

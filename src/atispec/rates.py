@@ -24,6 +24,22 @@ With B = prefactor * L^2 * quadrature weights, Lambda = (sum of B over
 y >= 1) / 1.15 is a lower bound on the rate, and a point with y >= 1 and
 B <= 2^-60 Lambda / (mesh points) gets Ai^2 = 0, so the points left out
 carry at most 2^-60 of the rate.
+
+A coarse pass first evaluates B at the end nodes of theta tiles (every
+_TILE = 12th node and the last) and bounds B over each (N row, tile).
+Along a row of a circular field k.Pi, g^2 and h = d k.Pi + g^2/2 rise with
+theta (d = N - 2Z), so prefactor = lead |Pi| h^2 / g^8, and y is smallest
+at the ridge cos(theta) = |Pi|/Pi0.  On a tile [a, b] off the ridge
+
+    B <= L^2(min(y_a, y_b)) w_N max(w_theta sin theta) lead |Pi| max(h_a^2, h_b^2) / g_a^8,
+
+taken with a rounding slack of 2^-20 in y and in the bound.  A tile whose
+bound is at most cut0 = 2^-60 (largest end-node B / 1.15) / (mesh points)
+is never evaluated; a tile that straddles the ridge, reaches y < 1, has d
+change sign, g^2 within 2^-24 (|Pi| + N omega)^2 of the pole or a
+non-finite bound always is.  The end node of the largest B lies in an
+evaluated tile, so cut0 is at most the final cut and the tiles left out
+hold only points that the rule above leaves out.
 """
 
 from __future__ import annotations
@@ -497,6 +513,14 @@ _MESH_BLOCK = 16384
 _SKIP_SHARE = 2.0**-60
 # (L/Ai)^2 <= 1.0706^2 < 1.15 for y >= 1
 _ENVELOPE_SQ_MAX = 1.15
+# theta node intervals per tile of the rate_airy mesh's coarse pass
+_TILE = 12
+# a tile bound takes y at (1 - _TILE_SLACK) of its end-node value and
+# grows by (1 + _TILE_SLACK), for the rounding of the mesh values it
+# bounds; it needs g^2 above _TILE_G_SHARE (|Pi| + N omega)^2 at the
+# tile's first node, where the rounding of g^2 is small against g^2
+_TILE_SLACK = 2.0**-20
+_TILE_G_SHARE = 2.0**-24
 
 
 def _trapezoid_weights(x):
@@ -510,48 +534,111 @@ def _trapezoid_weights(x):
 
 def _mesh_block(field, atom, n_col, theta_row):
     """Airy argument y and the smooth prefactor split around Ai^2 as
-    (pre, post), on the mesh of an N column and a theta row; the
-    per-element operations are those of a full meshgrid."""
+    (pre, post), on the mesh of an N column and a theta row, and the
+    kinematics they came from; the per-element operations are those of a
+    full meshgrid."""
     ck = channel_kinematics(field, atom, n_col, theta_row, 0.0)
     pre, r = _recoil((2.0 / n_col) ** (2.0 / 3.0), field, n_col, ck)
-    return _airy_y(n_col, ck.alpha_amp), pre, (1.0 + r) ** 2
+    return _airy_y(n_col, ck.alpha_amp), pre, (1.0 + r) ** 2, ck
+
+
+def _envelope_sq(y):
+    """L^2(y) = exp(-4/3 y^(3/2)) / (4 pi sqrt(y)) on 1 <= y < inf, NaN
+    elsewhere."""
+    y_env = np.where((y >= 1.0) & (y < math.inf), y, math.nan)
+    root = np.sqrt(y_env)
+    return np.exp(-4.0 / 3.0 * y_env * root) / (4.0 * math.pi * root)
+
+
+def _skip_bound(y, pre, post, weights):
+    """The bound B = L^2(y) * weights * pre * post of the skip rule, NaN off
+    the range 1 <= y < inf of the envelope bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = _envelope_sq(y)
+        b *= weights
+        b *= pre * post
+    return b
+
+
+def _tile_plan(field, atom, n_grid, theta_grid, w_n, w_row):
+    """The coarse pass of _airy_mesh, over the end nodes of its theta tiles
+    (every _TILE-th node and the last), in row blocks.  Returns the end
+    nodes, the bound on B of each (N row, tile) and the cut cut0 it is
+    compared with (module docstring); the bound is NaN on the tiles that
+    are always evaluated."""
+    size = theta_grid.size
+    ends = np.r_[np.arange(0, size - 1, _TILE), size - 1]
+    # the largest w_row of each tile, both end nodes included
+    w_max = np.maximum(np.maximum.reduceat(w_row, ends[:-1]), w_row[ends[1:]])
+    cos_end = np.cos(theta_grid[ends])
+    bound = np.empty((n_grid.size, ends.size - 1))
+    b_max = 0.0
+    rows = max(_MESH_BLOCK // ends.size, 1)
+    for i in range(0, n_grid.size, rows):
+        blk = slice(i, i + rows)
+        n_col = n_grid[blk, None]
+        y, pre, post, ck = _mesh_block(field, atom, n_col, theta_grid[ends])
+        b = _skip_bound(y, pre, post, w_n[blk, None] * w_row[ends])
+        b_max = max(b_max, float(np.max(b, where=np.isfinite(b), initial=0.0)))
+        # along a row k.Pi, g^2, d = N - 2Z and h = d k.Pi + g^2/2 rise with
+        # theta, pre * post = lead |Pi| h^2 / g^8, and y falls to its
+        # minimum at the ridge cos(theta) = |Pi|/Pi0 and rises after it
+        d = n_col - ck.big_z * (1.0 + field.zeta**2)
+        h_sq = (d * ck.k_dot_pi + ck.g_sq / 2.0) ** 2
+        g_sq = ck.g_sq[:, :-1]
+        ridge = ck.pi_abs / ck.pi0
+        bounded = ~((cos_end[1:] <= ridge) & (ridge <= cos_end[:-1]))
+        bounded &= d[:, :-1] * d[:, 1:] > 0.0
+        bounded &= g_sq > _TILE_G_SHARE * (ck.pi_abs + n_col * field.omega) ** 2
+        y_near = np.minimum(y[:, :-1], y[:, 1:]) * (1.0 - _TILE_SLACK)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            tile = _envelope_sq(y_near) * (w_n[blk, None] * w_max)
+            tile *= (2.0 / n_col) ** (2.0 / 3.0) * ck.pi_abs \
+                * np.maximum(h_sq[:, :-1], h_sq[:, 1:]) / g_sq**4
+            bound[blk] = np.where(bounded, tile * (1.0 + _TILE_SLACK), math.nan)
+    cut0 = _SKIP_SHARE * (b_max / _ENVELOPE_SQ_MAX) / (n_grid.size * size)
+    return ends, bound, cut0
 
 
 def _airy_mesh(field, atom, n_grid, theta_grid, w_theta):
     """The rate_airy integrand prefactor(N, theta) * Ai^2(y) * sin(theta)
     on the (N, theta) mesh, in row blocks.  The bound B of the skip rule
     (module docstring) takes trapezoid weights in N and w_theta in theta;
-    a point whose y or B is NaN or infinite always gets its Ai.  Returns
-    (integrand, Lambda).
+    a point whose y or B is NaN or infinite always gets its Ai.  A tile
+    whose bound from _tile_plan is at most cut0 is 0 and is not
+    evaluated; each row block evaluates the theta span of its other
+    tiles.  Returns (integrand, Lambda), Lambda summed over the evaluated
+    points.
     """
     w_n = _trapezoid_weights(n_grid)
-    w_row = w_theta * np.sin(theta_grid)
+    sin_t = np.sin(theta_grid)
+    w_row = w_theta * sin_t
+    ends, bound, cut0 = _tile_plan(field, atom, n_grid, theta_grid, w_n, w_row)
+    evaluated = ~(bound <= cut0)
     rows = max(_MESH_BLOCK // theta_grid.size, 1)
-    out = np.empty((n_grid.size, theta_grid.size))
+    out = np.zeros((n_grid.size, theta_grid.size))
     blocks = []
     lam = 0.0
     for i in range(0, n_grid.size, rows):
         blk = slice(i, i + rows)
-        y, pre, post = _mesh_block(field, atom, n_grid[blk, None], theta_grid)
-        # B, NaN off the range 1 <= y < inf of the envelope bound
-        y_env = np.where((y >= 1.0) & (y < math.inf), y, math.nan)
-        root = np.sqrt(y_env)
-        with np.errstate(over="ignore", invalid="ignore"):
-            b = np.exp(-4.0 / 3.0 * y_env * root) / (4.0 * math.pi * root)  # L^2
-            b *= w_n[blk, None] * w_row
-            b *= pre * post
+        tiles = np.flatnonzero(evaluated[blk].any(axis=0))
+        if tiles.size == 0:
+            continue
+        cols = slice(ends[tiles[0]], ends[tiles[-1] + 1] + 1)
+        y, pre, post, _ = _mesh_block(field, atom, n_grid[blk, None], theta_grid[cols])
+        b = _skip_bound(y, pre, post, w_n[blk, None] * w_row[cols])
         lam += float(np.sum(b, where=np.isfinite(b)))
-        out[blk] = b
-        blocks.append((blk, y, pre, post))
+        out[blk, cols] = b
+        blocks.append((blk, cols, y, pre, post))
     lam /= _ENVELOPE_SQ_MAX
     cut = _SKIP_SHARE * lam / out.size
     if not 0.0 < cut < math.inf:
-        cut = -1.0  # no bound to go by: every point gets its Ai
-    for blk, y, pre, post in blocks:
-        need = ~(out[blk] <= cut)
+        cut = -1.0  # no bound to go by: every evaluated point gets its Ai
+    for blk, cols, y, pre, post in blocks:
+        need = ~(out[blk, cols] <= cut)
         ai2 = np.zeros(y.shape)
         ai2[need] = airy_ai(y[need]) ** 2
-        out[blk] = pre * ai2 * post * np.sin(theta_grid)
+        out[blk, cols] = pre * ai2 * post * sin_t[cols]
     return out, lam
 
 
@@ -615,7 +702,7 @@ def rate_laplace(field: LaserField, atom: Atom) -> RateSummary:
     saddle = _asymptotic_saddle(field, atom, "rate_laplace")
     n_m, th_m = saddle.n_m, saddle.theta_m
     theta_m = np.array([th_m])
-    _, pre, post = _mesh_block(field, atom, np.array([[n_m]]), theta_m)
+    _, pre, post, _ = _mesh_block(field, atom, np.array([[n_m]]), theta_m)
     prefactor = float((pre * post * np.sin(theta_m))[0, 0])
 
     half_n, half_t = LAPLACE_WIDTHS * saddle.delta_n, LAPLACE_WIDTHS * saddle.delta_theta

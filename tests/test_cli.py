@@ -102,6 +102,9 @@ def _main_outcome(argv, capsys):
     ["selftest", "-c", "{missing}"],
     ["selftest", "--inject-bessel-error", "x"],
     ["selftest", "--inject-bessel-error", "nan"],
+    ["selftest", "--inject-bessel-error", "-inf"], ["selftest", "--inject-bessel-error"],
+    ["rate", "-c", "{missing}", "--xi", "-inf"], ["rate", "--config", "-c", "{missing}"],
+    ["spectrum", "-c", "{missing}", "-o", "-out", "--zeta", "-0.5"],
 ])
 def test_parser_matches_fully_filled_parser(argv, tmp_path, capsys, monkeypatch):
     from atispec import cli
@@ -713,6 +716,23 @@ def test_selftest_rejects_a_non_finite_fault_before_any_check(value, capsys, mon
     assert ran == [] and out == ""
     assert err.splitlines() == [
         f"config error: --inject-bessel-error must be a finite number, got {float(value)!r}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["selftest", "--inject-bessel-error", "-inf"],
+     "config error: --inject-bessel-error must be a finite number, got -inf"),
+    (["rate", "-c", str(DESK_CONFIG), "-o", "{out}", "--xi", "-inf"],
+     "config error: field 'intensity_xi' must be a finite number, got -inf"),
+])
+def test_flag_value_starting_with_minus_exit_2_one_line(argv, message, tmp_path, capsys):
+    # a value that starts with "-" but is not a plain number is the flag's
+    # value, as with --flag=value, not a flag of its own
+    from atispec.cli import main
+
+    assert main([tok.format(out=tmp_path / "out") for tok in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [message]
+    assert not (tmp_path / "out").exists()
 
 
 # the 1e-6 case is test_selftest_fault_injection_fails

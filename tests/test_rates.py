@@ -516,6 +516,64 @@ def test_airy_mesh_skip_matches_full_mesh(monkeypatch, method, field, atom):
         assert sum(np.size(a[0]) for a, _ in ai_args) < 0.1 * integrand.size
 
 
+# the benchmark pool's n_m ~ 70 field (s3v0: 7205.419 eV, xi 0.99277, Z 2),
+# whose mesh comes within g^2 = 1.8e-8 of the g -> 0 pole, and its
+# n_m ~ 110 field (s4v0: 4678.7253 eV, xi 1.016, Z 2)
+POLE_FIELD = LaserField.circular(7205.419 / ELECTRON_MASS_EV, 0.99277), Atom.from_charge(2)
+NM110_FIELD = LaserField.circular(4678.7253 / ELECTRON_MASS_EV, 1.016), Atom.from_charge(2)
+TILE_FIELDS = SKIP_FIELDS + [POLE_FIELD, NM110_FIELD]
+
+
+def _rate_airy_mesh_args(field, atom, monkeypatch):
+    # the (n_grid, theta_grid, w_theta) that rate_airy hands its mesh
+    meshes, mesh = [], rates._airy_mesh
+    monkeypatch.setattr(rates, "_airy_mesh", lambda *args: meshes.append(args) or mesh(*args))
+    rate_airy(field, atom)
+    monkeypatch.undo()
+    return meshes[-1][2:]
+
+
+@pytest.mark.parametrize("field, atom", TILE_FIELDS)
+def test_airy_tiles_left_out_hold_only_points_below_the_cut(monkeypatch, field, atom):
+    n_grid, theta_grid, w_theta = _rate_airy_mesh_args(field, atom, monkeypatch)
+    w_n, w_row = rates._trapezoid_weights(n_grid), w_theta * np.sin(theta_grid)
+    ends, bound, cut0 = rates._tile_plan(field, atom, n_grid, theta_grid, w_n, w_row)
+    assert ends[0] == 0 and ends[-1] == theta_grid.size - 1
+    assert np.all(np.diff(ends) <= rates._TILE)
+    # the untiled rule on the full mesh
+    y, pre, post, ck = rates._mesh_block(field, atom, n_grid[:, None], theta_grid)
+    b = rates._skip_bound(y, pre, post, w_n[:, None] * w_row)
+    cut = rates._SKIP_SHARE * np.sum(b, where=np.isfinite(b)) / rates._ENVELOPE_SQ_MAX / b.size
+    assert 0.0 < cut0 <= cut
+    ai_points, ck_points = [], []
+    airy, kinematics = rates.airy_ai, rates.channel_kinematics
+    monkeypatch.setattr(rates, "airy_ai", lambda x: ai_points.append(x.size) or airy(x))
+    monkeypatch.setattr(rates, "channel_kinematics", lambda f, a, n, t, p: ck_points.append(
+        np.broadcast(n, t).size) or kinematics(f, a, n, t, p))
+    integrand, _ = rates._airy_mesh(field, atom, n_grid, theta_grid, w_theta)
+    # airy_ai sees the points of the untiled rule, and the kinematics on
+    # the pool fields at most 0.7 of the mesh
+    assert sum(ai_points) == np.count_nonzero(~(b <= cut))
+    if (field, atom) in (POLE_FIELD, NM110_FIELD):
+        assert sum(ck_points) <= 0.7 * integrand.size
+
+    ridge = np.arccos(ck.pi_abs / ck.pi0)[:, 0]
+    left_out = bound <= cut0
+    assert left_out.any()
+    for k in range(ends.size - 1):
+        a, z = ends[k], ends[k + 1]
+        # a finite bound bounds B at every point of its tile
+        bounded = np.isfinite(bound[:, k])
+        assert np.all(b[bounded, a:z + 1] <= bound[bounded, k, None])
+        rows = left_out[:, k]
+        assert np.all(b[rows, a:z + 1] <= cut) and np.all(integrand[rows, a:z + 1] == 0.0)
+        # no tile that straddles the ridge, reaches y < 1 or has a
+        # non-finite bound is left out
+        straddles = (theta_grid[a] <= ridge) & (ridge <= theta_grid[z])
+        reaches = np.any(~(y[:, a:z + 1] >= 1.0), axis=1)
+        assert not np.any(rows & (straddles | reaches | ~np.isfinite(bound[:, k])))
+
+
 def test_rate_airy_theta_rule_is_the_mapped_gauss_legendre_rule(monkeypatch):
     # the [0, pi] window rule of rate_airy, bit for bit the
     # (x + 1) pi / 2, w pi / 2 of the Gauss-Legendre rule on [-1, 1]
@@ -531,6 +589,22 @@ def test_rate_airy_theta_rule_is_the_mapped_gauss_legendre_rule(monkeypatch):
     x, w = np.polynomial.legendre.leggauss(rates.AIRY_THETA_POINTS)
     assert np.array_equal(theta_grid, (x + 1.0) * math.pi / 2.0)
     assert np.array_equal(w_theta, w * math.pi / 2.0)
+
+
+# rate_airy w_total of the mesh that took the kinematics at every point;
+# integrand @ w_theta is a BLAS product, whose last bit can differ between
+# CPUs, so the values are checked at 1e-12 rather than bit for bit
+AIRY_PINNED = [
+    (DESK_FIELD, DESK_ATOM, 8.286872015458698e-11),
+    (*POLE_FIELD, 4.338334363420246e-07),
+    (*NM110_FIELD, 2.4003419129136106e-09),
+    (TUNNELING_FIELD, TUNNELING_ATOM, 3.154066510717678e-38),
+]
+
+
+@pytest.mark.parametrize("field, atom, want", AIRY_PINNED)
+def test_rate_airy_matches_untiled_mesh(field, atom, want):
+    assert abs(rate_airy(field, atom).w_total / want - 1.0) <= 1e-12
 
 
 # rate_laplace w_total of the 3000 x 800 trapezoid mesh it replaced
