@@ -16,30 +16,33 @@ Gauss-Legendre and Gauss-Kronrod node sets are built once per size.
 The Airy-form rates (rate_airy, rate_laplace) serve circular fields with
 n_m >= 50 and share the kernels' kinematics and 1s density.  rate_laplace
 integrates the smooth Ai^2 alone, on a tensor Gauss-Legendre rule over
-its peak window.  The rate_airy mesh is evaluated in blocks of rows and
-calls Ai only where a point can count: for y > 0,
-Ai(y) <= L(y) = exp(-2/3 y^(3/2)) / (2 sqrt(pi) y^(1/4)) (the asymptotic
-expansion envelopes Ai, DLMF 9.7(iv)), with L/Ai <= 1.0706 for y >= 1.
-With B = prefactor * L^2 * quadrature weights, Lambda = (sum of B over
-y >= 1) / 1.15 is a lower bound on the rate, and a point with y >= 1 and
-B <= 2^-60 Lambda / (mesh points) gets Ai^2 = 0, so the points left out
-carry at most 2^-60 of the rate.
+its peak window.  The rate_airy mesh is evaluated in row blocks of at
+most spectra.SPECTRUM_BLOCK points and calls Ai only where a point can
+count: for y > 0, Ai(y) <= L(y) = exp(-2/3 y^(3/2)) / (2 sqrt(pi) y^(1/4))
+(the asymptotic expansion envelopes Ai, DLMF 9.7(iv)), with
+L/Ai <= 1.0706 for y >= 1.  So with B = prefactor * L^2 * quadrature
+weights, a point carries at most B of the rate, and at least B / 1.15
+where y >= 1 (B is NaN where y < 1).
 
-A coarse pass first evaluates B at the end nodes of theta tiles (every
-_TILE = 12th node and the last) and bounds B over each (N row, tile).
-Along a row of a circular field k.Pi, g^2 and h = d k.Pi + g^2/2 rise with
-theta (d = N - 2Z), so prefactor = lead |Pi| h^2 / g^8, and y is smallest
-at the ridge cos(theta) = |Pi|/Pi0.  On a tile [a, b] off the ridge
+One cut decides which points count.  A coarse pass evaluates B at the
+end nodes of theta tiles (every _TILE = 12th node and the last).  The
+end nodes are mesh points, so (sum of their finite B) / 1.15 is a lower
+bound on the rate, and a point with B <= cut = 2^-60 (that sum / 1.15) /
+(mesh points) gets Ai^2 = 0: the points left out carry at most 2^-60 of
+the rate.  A zero cut leaves out only points whose B is exactly 0.
+
+The coarse pass also bounds B over each (N row, tile).  Along a row of a
+circular field k.Pi, g^2 and h = d k.Pi + g^2/2 rise with theta
+(d = N - 2Z), so prefactor = lead |Pi| h^2 / g^8, and y is smallest at
+the ridge cos(theta) = |Pi|/Pi0.  On a tile [a, b] off the ridge
 
     B <= L^2(min(y_a, y_b)) w_N max(w_theta sin theta) lead |Pi| max(h_a^2, h_b^2) / g_a^8,
 
 taken with a rounding slack of 2^-20 in y and in the bound.  A tile whose
-bound is at most cut0 = 2^-60 (largest end-node B / 1.15) / (mesh points)
+bound is at most the cut holds only points that the cut leaves out and
 is never evaluated; a tile that straddles the ridge, reaches y < 1, has d
 change sign, g^2 within 2^-24 (|Pi| + N omega)^2 of the pole or a
-non-finite bound always is.  The end node of the largest B lies in an
-evaluated tile, so cut0 is at most the final cut and the tiles left out
-hold only points that the rule above leaves out.
+non-finite bound always is.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .kinematics import (
     threshold_n,
 )
 from .specfun import airy_ai
-from .spectra import _recoil, channel_spectrum, check_series_window
+from .spectra import SPECTRUM_BLOCK, _recoil, channel_spectrum, check_series_window
 
 __all__ = [
     "DegenerateSaddleError",
@@ -506,10 +509,8 @@ def rate_direct(
 # the rate_airy mesh: N points (trapezoid) by theta points (Gauss-Legendre)
 AIRY_N_POINTS = 2000
 AIRY_THETA_POINTS = 300
-# points per row block of the rate_airy mesh (two airy_ai blocks)
-_MESH_BLOCK = 16384
-# a point is left out when its bound B is at most this share of the lower
-# bound Lambda averaged over the mesh points
+# a point is left out when its bound B is at most this share of the
+# end-node lower bound averaged over the mesh points
 _SKIP_SHARE = 2.0**-60
 # (L/Ai)^2 <= 1.0706^2 < 1.15 for y >= 1
 _ENVELOPE_SQ_MAX = 1.15
@@ -563,23 +564,24 @@ def _skip_bound(y, pre, post, weights):
 def _tile_plan(field, atom, n_grid, theta_grid, w_n, w_row):
     """The coarse pass of _airy_mesh, over the end nodes of its theta tiles
     (every _TILE-th node and the last), in row blocks.  Returns the end
-    nodes, the bound on B of each (N row, tile) and the cut cut0 it is
-    compared with (module docstring); the bound is NaN on the tiles that
-    are always evaluated."""
+    nodes, the bound on B of each (N row, tile) and the cut (module
+    docstring); the bound is NaN on the tiles that are always
+    evaluated."""
     size = theta_grid.size
     ends = np.r_[np.arange(0, size - 1, _TILE), size - 1]
     # the largest w_row of each tile, both end nodes included
     w_max = np.maximum(np.maximum.reduceat(w_row, ends[:-1]), w_row[ends[1:]])
     cos_end = np.cos(theta_grid[ends])
     bound = np.empty((n_grid.size, ends.size - 1))
-    b_max = 0.0
-    rows = max(_MESH_BLOCK // ends.size, 1)
+    share = 0.0
+    rows = max(SPECTRUM_BLOCK // ends.size, 1)
     for i in range(0, n_grid.size, rows):
         blk = slice(i, i + rows)
         n_col = n_grid[blk, None]
         y, pre, post, ck = _mesh_block(field, atom, n_col, theta_grid[ends])
-        b = _skip_bound(y, pre, post, w_n[blk, None] * w_row[ends])
-        b_max = max(b_max, float(np.max(b, where=np.isfinite(b), initial=0.0)))
+        # 2^-60 B, which sums to a finite share however large B gets
+        b = _skip_bound(y, pre, post, _SKIP_SHARE * w_n[blk, None] * w_row[ends])
+        share += float(np.sum(b, where=np.isfinite(b)))
         # along a row k.Pi, g^2, d = N - 2Z and h = d k.Pi + g^2/2 rise with
         # theta, pre * post = lead |Pi| h^2 / g^8, and y falls to its
         # minimum at the ridge cos(theta) = |Pi|/Pi0 and rises after it
@@ -596,29 +598,25 @@ def _tile_plan(field, atom, n_grid, theta_grid, w_n, w_row):
             tile *= (2.0 / n_col) ** (2.0 / 3.0) * ck.pi_abs \
                 * np.maximum(h_sq[:, :-1], h_sq[:, 1:]) / g_sq**4
             bound[blk] = np.where(bounded, tile * (1.0 + _TILE_SLACK), math.nan)
-    cut0 = _SKIP_SHARE * (b_max / _ENVELOPE_SQ_MAX) / (n_grid.size * size)
-    return ends, bound, cut0
+    return ends, bound, share / _ENVELOPE_SQ_MAX / (n_grid.size * size)
 
 
 def _airy_mesh(field, atom, n_grid, theta_grid, w_theta):
     """The rate_airy integrand prefactor(N, theta) * Ai^2(y) * sin(theta)
-    on the (N, theta) mesh, in row blocks.  The bound B of the skip rule
-    (module docstring) takes trapezoid weights in N and w_theta in theta;
-    a point whose y or B is NaN or infinite always gets its Ai.  A tile
-    whose bound from _tile_plan is at most cut0 is 0 and is not
-    evaluated; each row block evaluates the theta span of its other
-    tiles.  Returns (integrand, Lambda), Lambda summed over the evaluated
-    points.
+    on the (N, theta) mesh, in one pass over row blocks.  The bound B of
+    the skip rule (module docstring) takes trapezoid weights in N and
+    w_theta in theta.  A tile whose bound from _tile_plan is at most the
+    cut is 0 and is not evaluated; each row block takes B on the theta
+    span of its other tiles and Ai where B is not at most the cut, so a
+    point whose y or B is NaN or infinite always gets its Ai.
     """
     w_n = _trapezoid_weights(n_grid)
     sin_t = np.sin(theta_grid)
     w_row = w_theta * sin_t
-    ends, bound, cut0 = _tile_plan(field, atom, n_grid, theta_grid, w_n, w_row)
-    evaluated = ~(bound <= cut0)
-    rows = max(_MESH_BLOCK // theta_grid.size, 1)
+    ends, bound, cut = _tile_plan(field, atom, n_grid, theta_grid, w_n, w_row)
+    evaluated = ~(bound <= cut)
+    rows = max(SPECTRUM_BLOCK // theta_grid.size, 1)
     out = np.zeros((n_grid.size, theta_grid.size))
-    blocks = []
-    lam = 0.0
     for i in range(0, n_grid.size, rows):
         blk = slice(i, i + rows)
         tiles = np.flatnonzero(evaluated[blk].any(axis=0))
@@ -626,20 +624,11 @@ def _airy_mesh(field, atom, n_grid, theta_grid, w_theta):
             continue
         cols = slice(ends[tiles[0]], ends[tiles[-1] + 1] + 1)
         y, pre, post, _ = _mesh_block(field, atom, n_grid[blk, None], theta_grid[cols])
-        b = _skip_bound(y, pre, post, w_n[blk, None] * w_row[cols])
-        lam += float(np.sum(b, where=np.isfinite(b)))
-        out[blk, cols] = b
-        blocks.append((blk, cols, y, pre, post))
-    lam /= _ENVELOPE_SQ_MAX
-    cut = _SKIP_SHARE * lam / out.size
-    if not 0.0 < cut < math.inf:
-        cut = -1.0  # no bound to go by: every evaluated point gets its Ai
-    for blk, cols, y, pre, post in blocks:
-        need = ~(out[blk, cols] <= cut)
+        need = ~(_skip_bound(y, pre, post, w_n[blk, None] * w_row[cols]) <= cut)
         ai2 = np.zeros(y.shape)
         ai2[need] = airy_ai(y[need]) ** 2
         out[blk, cols] = pre * ai2 * post * sin_t[cols]
-    return out, lam
+    return out
 
 
 def _asymptotic_saddle(field, atom, method):
@@ -669,7 +658,7 @@ def rate_airy(field: LaserField, atom: Atom) -> RateSummary:
     n_hi = saddle.n_m + WINDOW_WIDTHS * saddle.delta_n
     n_grid = np.linspace(float(n0), n_hi, AIRY_N_POINTS)
     theta_grid, w_theta = _window_rule(0.0, math.pi, AIRY_THETA_POINTS)
-    integrand, _ = _airy_mesh(field, atom, n_grid, theta_grid, w_theta)
+    integrand = _airy_mesh(field, atom, n_grid, theta_grid, w_theta)
     inner = integrand @ w_theta
     w_total = 2.0**5 / atom.a**5 * float(np.trapezoid(inner, n_grid))
     # peak location of the sampled integrand, for diagnostics

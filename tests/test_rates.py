@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,7 +459,7 @@ def test_airy_envelope_bounds_ai():
 
 def _full_airy_mesh(field, atom, n_grid, theta_grid, w_theta):
     # the rate_airy integrand from a full meshgrid, every point through
-    # airy_ai; returns (integrand, y) in place of (integrand, Lambda)
+    # airy_ai
     m_star = effective_mass(field)
     nn, tt = np.meshgrid(n_grid, theta_grid, indexing="ij")
     pi0 = atom.epsilon0 + nn * field.omega
@@ -474,7 +475,7 @@ def _full_airy_mesh(field, atom, n_grid, theta_grid, w_theta):
         (2.0 / nn) ** (2.0 / 3.0)
         * (nn - 2.0 * big_z) ** 2 * k_pi**2 * pi_abs / g_sq**4
         * ai2 * (1.0 + r) ** 2 * np.sin(tt)
-    ), y
+    )
 
 
 SKIP_FIELDS = [
@@ -503,13 +504,10 @@ def test_airy_mesh_skip_matches_full_mesh(monkeypatch, method, field, atom):
     assert abs(rs.w_total / full.w_total - 1.0) <= 2.0**-50
 
     # the last mesh of a run is its rate mesh
-    (args, (skipped, lam)), (_, (integrand, y)) = skipping[-1], full_mesh[-1]
+    (args, skipped), (_, integrand) = skipping[-1], full_mesh[-1]
     _, _, n_grid, _, w_theta = args
     weighted = integrand * np.outer(rates._trapezoid_weights(n_grid), w_theta)
     total = np.sum(weighted)
-    # Lambda bounds the weighted sum from below and is at least its part
-    # at y >= 1 over 1.15
-    assert np.sum(weighted[y >= 1.0]) / 1.15 <= lam <= total
     left_out = (skipped == 0.0) & (integrand > 0.0)
     assert np.sum(weighted[left_out]) <= 2.0**-60 * total
     if field is TUNNELING_FIELD:
@@ -537,28 +535,29 @@ def _rate_airy_mesh_args(field, atom, monkeypatch):
 def test_airy_tiles_left_out_hold_only_points_below_the_cut(monkeypatch, field, atom):
     n_grid, theta_grid, w_theta = _rate_airy_mesh_args(field, atom, monkeypatch)
     w_n, w_row = rates._trapezoid_weights(n_grid), w_theta * np.sin(theta_grid)
-    ends, bound, cut0 = rates._tile_plan(field, atom, n_grid, theta_grid, w_n, w_row)
+    ends, bound, cut = rates._tile_plan(field, atom, n_grid, theta_grid, w_n, w_row)
     assert ends[0] == 0 and ends[-1] == theta_grid.size - 1
     assert np.all(np.diff(ends) <= rates._TILE)
-    # the untiled rule on the full mesh
+    # B on the full mesh; the cut is at most 2^-60 of the full mesh's
+    # weighted integrand averaged over the mesh points
     y, pre, post, ck = rates._mesh_block(field, atom, n_grid[:, None], theta_grid)
     b = rates._skip_bound(y, pre, post, w_n[:, None] * w_row)
-    cut = rates._SKIP_SHARE * np.sum(b, where=np.isfinite(b)) / rates._ENVELOPE_SQ_MAX / b.size
-    assert 0.0 < cut0 <= cut
+    total = np.sum(_full_airy_mesh(field, atom, n_grid, theta_grid, w_theta) * np.outer(w_n, w_theta))
+    assert 0.0 < cut <= 2.0**-60 * total / b.size
     ai_points, ck_points = [], []
     airy, kinematics = rates.airy_ai, rates.channel_kinematics
     monkeypatch.setattr(rates, "airy_ai", lambda x: ai_points.append(x.size) or airy(x))
     monkeypatch.setattr(rates, "channel_kinematics", lambda f, a, n, t, p: ck_points.append(
         np.broadcast(n, t).size) or kinematics(f, a, n, t, p))
-    integrand, _ = rates._airy_mesh(field, atom, n_grid, theta_grid, w_theta)
-    # airy_ai sees the points of the untiled rule, and the kinematics on
-    # the pool fields at most 0.7 of the mesh
+    integrand = rates._airy_mesh(field, atom, n_grid, theta_grid, w_theta)
+    # airy_ai sees exactly the full-mesh points above the cut, and the
+    # kinematics on the pool fields at most 0.7 of the mesh
     assert sum(ai_points) == np.count_nonzero(~(b <= cut))
     if (field, atom) in (POLE_FIELD, NM110_FIELD):
         assert sum(ck_points) <= 0.7 * integrand.size
 
     ridge = np.arccos(ck.pi_abs / ck.pi0)[:, 0]
-    left_out = bound <= cut0
+    left_out = bound <= cut
     assert left_out.any()
     for k in range(ends.size - 1):
         a, z = ends[k], ends[k + 1]
@@ -605,6 +604,20 @@ AIRY_PINNED = [
 @pytest.mark.parametrize("field, atom, want", AIRY_PINNED)
 def test_rate_airy_matches_untiled_mesh(field, atom, want):
     assert abs(rate_airy(field, atom).w_total / want - 1.0) <= 1e-12
+
+
+def test_rate_airy_peak_memory_below_two_integrands():
+    # one pass over the row blocks keeps no block past its own step, so
+    # the traced peak is the integrand plus a few blocks and the tile plan
+    field, atom = NM110_FIELD
+    rate_airy(field, atom)
+    tracemalloc.start()
+    try:
+        rate_airy(field, atom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * rates.AIRY_N_POINTS * rates.AIRY_THETA_POINTS * 8
 
 
 # rate_laplace w_total of the 3000 x 800 trapezoid mesh it replaced
