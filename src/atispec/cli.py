@@ -323,15 +323,25 @@ def run_spectrum(cfg: RunConfig) -> int:
         check_series_window(field, atom, n_lo, n_hi, thetas, phis, formula)
     summary = _summary(cfg)
 
-    # a row is its "N,theta,phi," head, shared by the formulas, and its
-    # three values; a circular grid repeats each value along phi
+    # a row is its "N,theta," head, its phi and its three values.  Where a
+    # formula's values have the same bits at every phi of an (N, theta)
+    # (tags 44, 56 and 59 always), its block of rows is one join over the
+    # phi texts; any other formula writes row by row
     th_text, ph_text = _fmt_column(thetas), _fmt_column(phis)
-    heads = [f"{n},{th},{ph}," for n in channels.tolist() for th in th_text for ph in ph_text]
+    nt_heads = [f"{n},{th}," for n in channels.tolist() for th in th_text]
     lines = [CSV_HEADER + "\n"]
     for formula in formulas:
         tag, *cols = channel_spectrum(field, atom, channels[:, None, None], thetas[:, None], phis,
                                       formula, resc)
-        lines.extend(f"{h}{d},{k},{r},{tag}\n" for h, d, k, r in zip(heads, *map(_fmt_column, cols)))
+        cols = [c.reshape(len(nt_heads), len(ph_text)) for c in cols]
+        if all((c.view(np.int64) == c[:, :1].view(np.int64)).all() for c in cols):
+            for head, d, k, r in zip(nt_heads, *(_fmt_column(c[:, 0]) for c in cols)):
+                suffix = f",{d},{k},{r},{tag}\n"
+                lines.append(head + (suffix + head).join(ph_text) + suffix)
+        else:
+            rows = ((h, ph) for h in nt_heads for ph in ph_text)
+            lines.extend(f"{h}{ph},{d},{k},{r},{tag}\n"
+                         for (h, ph), d, k, r in zip(rows, *(_fmt_column(c.ravel()) for c in cols)))
     outdir = Path(cfg.output_path)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "spectrum.csv").write_text("".join(lines), newline="\n")

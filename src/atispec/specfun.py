@@ -326,18 +326,32 @@ def _chunks(series, live, width):
     (entry, open rows): from position 0 up, the most positions at which the
     u and v of the live entries take at most width distinct |x| (one
     position at least), so that the chunk's table has at most width
-    columns."""
+    columns.
+
+    Each chunk looks ahead through a window of positions from its start,
+    doubled until it holds width + 1 distinct |x| or reaches the end: the
+    first appearances inside the window are those of the whole suffix, so
+    the chunk ends where a scan of the suffix would end it, and planning
+    costs about the rows of the chunks, not chunks x rows."""
     lo, end = 0, max(t.size for _, t in live)
     while lo < end:
-        pos = np.concatenate([np.arange(lo, t.size) for _, t in live for _ in (0, 3)])
-        hi = end
-        if pos.size > width:  # else every |x| fits, distinct or not
-            ax = np.abs(np.concatenate([series[i][x][t[lo:]] for i, t in live for x in (0, 3)]))
-            by_pos = np.argsort(pos, kind="stable")
-            # the position at which each distinct |x| first appears, ascending
-            first = np.sort(pos[by_pos][np.unique(ax[by_pos], return_index=True)[1]])
-            if first.size > width:
-                hi = max(int(first[width]), lo + 1)
+        # the first window: about the fewest positions that can hold width + 1 |x|
+        hi, span = end, width // (2 * len(live)) + 1
+        while True:
+            stop = min(lo + span, end)
+            pos = np.concatenate([np.arange(lo, min(stop, t.size)) for _, t in live for _ in (0, 3)])
+            if pos.size > width:  # else every |x| fits, distinct or not
+                ax = np.abs(np.concatenate([series[i][x][t[lo:stop]]
+                                            for i, t in live for x in (0, 3)]))
+                by_pos = np.argsort(pos, kind="stable")
+                # the position at which each distinct |x| first appears, ascending
+                first = np.sort(pos[by_pos][np.unique(ax[by_pos], return_index=True)[1]])
+                if first.size > width:
+                    hi = max(int(first[width]), lo + 1)
+                    break
+            if stop == end:
+                break
+            span *= 2
         yield [(i, t[lo:hi]) for i, t in live if t.size > lo]
         lo = hi
 

@@ -219,7 +219,12 @@ def general_channel_dwdo(
     folded to 0: at zeta = 0 every row runs at delta = 0 with the coupling
     |cos phi|.  Each distinct (n, theta, u, delta) row is evaluated once
     and scattered back (the truncations are maxima over rows, which
-    duplicates do not move).  The rows are grouped by delta, which one
+    duplicates do not move): one stable lexsort of the keys, a comparison
+    of neighbours and a cumulative sum give the first occurrence of each
+    and the inverse map.  Keys that compare equal merge, so delta = -0.0
+    and 0.0 are one row, as they are one delta group; a row's bits depend
+    only on its own keys, so the order of the distinct rows moves no
+    value.  The rows are grouped by delta, which one
     series shares; within a group the rescattering amplitude
     (_rescattering_series, one series over the orders N-2..N+2) and the
     direct amplitude pass the same u rows, and the series of every group,
@@ -230,8 +235,16 @@ def general_channel_dwdo(
         zf = 1.0 - zeta**2
         ck = channel_kinematics(field, atom, n, th, ph)
         dlt = np.where(np.abs(ck.phase_angle) == math.pi, 0.0, ck.phase_angle)
-        _, first, back = np.unique(np.stack([n, th, ck.alpha_amp, dlt], axis=1), axis=0,
-                                   return_index=True, return_inverse=True)
+        keys = (dlt, ck.alpha_amp, th, n)
+        order = np.lexsort(keys)  # stable: each run of equal rows starts at its first
+        new = np.zeros(order.size, dtype=bool)
+        new[:1] = True
+        for key in keys:
+            s = key[order]
+            new[1:] |= s[1:] != s[:-1]
+        first = order[new]
+        back = np.empty(order.size, dtype=np.intp)
+        back[order] = np.cumsum(new) - 1
         n_u, big_z, u, dlt = n[first], ck.big_z[first], ck.alpha_amp[first], dlt[first]
 
         alpha_prime = field.xi**2 / (4.0 * omega * eps0)
@@ -253,7 +266,6 @@ def general_channel_dwdo(
             total[rows] = _rescattering_sum(j, n_u[rows], w, delta, eps0, omega)
             kfr[rows] = specfun.phase_exp(n_u[rows], delta) * j_kfr[:, 0]
 
-        back = back.ravel()  # the shape of an axis-wise unique's inverse varies across numpy 2.x
         kfr = kfr[back]
         prefactor, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
         resc = r * total[back]

@@ -205,20 +205,25 @@ def test_spectrum_both_formulas_tagged(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["on", "off"])
-@pytest.mark.parametrize("polarization, zeta, formula", [
-    ("circular", None, "both"),          # tags 44 and 56
-    ("linear", None, "both"),            # tags 55 and 59
-    ("elliptic", 0.5, "relativistic"),   # tag 42
-])
+@pytest.mark.parametrize("polarization, zeta, formula, phi_points", [
+    ("circular", None, "both", 3),          # tags 44 and 56
+    ("linear", None, "both", 3),            # tags 55 and 59
+    ("elliptic", 0.5, "relativistic", 3),   # tag 42
+    # tag 55 at the 8 panels: phase angle -0.0 where sin phi < 0 < cos phi
+    # and 0.0 elsewhere, and mirrored panels of equal |cos phi|, so equal
+    # rows of both signs of zero merge in the kernel's row dedup
+    ("linear", None, "relativistic", 8),
+], ids=["circular-None-both", "linear-None-both", "elliptic-0.5-relativistic",
+        "linear-None-relativistic-8"])
 def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarization, zeta,
-                                                 formula, mode):
-    # 7-row blocks hold rows of two channels, and split the 8 x 3 grid of
-    # each channel across kernel calls; the window starts one channel below
-    # threshold, and theta runs from 0 to pi.  Every row has the bits of the
-    # one-point function at its channel and angles, and their text: -0.0 and
-    # 0.0 are equal values but not equal lines.
+                                                 formula, phi_points, mode):
+    # 7-row blocks hold rows of two channels, and split the 8 x phi_points
+    # grid of each channel across kernel calls; the window starts one
+    # channel below threshold, and theta runs from 0 to pi.  Every row has
+    # the bits of the one-point function at its channel and angles, and
+    # their text: -0.0 and 0.0 are equal values but not equal lines.
     from atispec import cli, spectra
-    from atispec.kinematics import threshold_n
+    from atispec.kinematics import channel_kinematics, threshold_n
     from atispec.spectra import dwdo_circular, dwdo_general, dwdo_linear, dwdo_nonrel
 
     monkeypatch.setattr(spectra, "SPECTRUM_BLOCK", 7)
@@ -228,7 +233,13 @@ def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarizat
     field, atom = rc.field(), rc.atom()
     n0 = threshold_n(field, atom)
     cfg = write_config(tmp_path, polarization=polarization, formula=formula, mode=mode,
-                       theta_points=8, phi_points=3, n_range=[n0 - 1, n0 + 1], **extra)
+                       theta_points=8, phi_points=phi_points, n_range=[n0 - 1, n0 + 1], **extra)
+    if phi_points == 8:
+        phis = 2.0 * math.pi * np.arange(8) / 8
+        delta = channel_kinematics(field, atom, n0, np.linspace(0.0, math.pi, 8)[:, None],
+                                   phis).phase_angle
+        assert {repr(x) for x in delta[delta == 0.0].tolist()} == {"0.0", "-0.0"}
+        assert np.unique(np.abs(np.cos(phis))).size < phis.size
     out = tmp_path / "rows"
     assert cli.main(["spectrum", "-c", str(cfg), "-o", str(out)]) == 0
     resc = mode == "on"
@@ -277,19 +288,42 @@ def _old_spectrum_csv(cfg):
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("mode", ["on", "off"])
-def test_spectrum_csv_bytes_match_per_row_writer(tmp_path, mode):
-    # a circular grid repeats each (N, theta) value along all 24 azimuths;
-    # the window starts below threshold (N 42), so 0.0 and nan repeat too
-    from atispec.cli import main
+_CSV_CASES = {
+    # tags 44 and 56 repeat each (N, theta) value along all 24 azimuths
+    "": ({}, 24, {"44": False, "56": False}),
+    # tag 59 repeats along phi, tag 55 does not; the panels 0, pi/2, pi and
+    # 3pi/2 mirror each other, with |cos phi| apart in the last bit
+    "linear-": ({"polarization": "linear"}, 4, {"55": True, "59": False}),
+    "elliptic-": ({"polarization": "elliptic", "zeta": 0.5, "formula": "relativistic"}, 4,
+                  {"42": True}),
+}
 
-    cfg_path = write_config(tmp_path, formula="both", mode=mode, theta_points=10, phi_points=24,
-                            n_range=[40, 45])
-    cfg = json.loads(cfg_path.read_text())
+
+@pytest.mark.parametrize("mode, extra, phi_points, varies", [
+    pytest.param(mode, *case, id=name + mode)
+    for name, case in _CSV_CASES.items() for mode in ("on", "off")])
+def test_spectrum_csv_bytes_match_per_row_writer(tmp_path, mode, extra, phi_points, varies):
+    # a formula whose values repeat along phi is written one (N, theta)
+    # block at a time, any other row by row; each window starts below
+    # threshold (N 42, 23 and 28), so 0.0 and nan repeat too
+    from atispec.cli import main, RunConfig
+    from atispec.kinematics import threshold_n
+
+    cfg = {"formula": "both", **extra}
+    rc = RunConfig(photon_energy_ev=5109.9895, intensity_xi=1.0, **cfg)
+    n0 = threshold_n(rc.field(), rc.atom())
+    cfg_path = write_config(tmp_path, mode=mode, theta_points=10, phi_points=phi_points,
+                            n_range=[n0 - 2, n0 + 3], **cfg)
     assert main(["spectrum", "-c", str(cfg_path)]) == 0
     got = (tmp_path / "out" / "spectrum.csv").read_bytes()
-    assert got.count(b"\n") == 1 + 2 * 6 * 10 * 24
-    assert got == _old_spectrum_csv(cfg)
+    assert got.count(b"\n") == 1 + len(varies) * 6 * 10 * phi_points
+    assert got == _old_spectrum_csv(json.loads(cfg_path.read_text()))
+    blocks = {}
+    for line in got.decode().splitlines()[1:]:
+        n, th, _, *vals, tag = line.split(",")
+        blocks.setdefault((tag, n, th), set()).add(tuple(vals))
+    assert {tag: any(len(v) > 1 for (t, *_), v in blocks.items() if t == tag)
+            for tag in varies} == varies
 
 
 _SPECIAL_BITS = np.array([-0.0, 0.0, -0.0, 0.0, math.inf, -math.inf, math.inf, 5e-324,

@@ -301,6 +301,43 @@ def test_series_rows_entries_sharing_u_equal_each_row_alone(fault, monkeypatch):
         assert np.array_equal(got, want)
 
 
+def _suffix_scan_chunks(series, live, width):
+    # the planner that scanned the whole suffix of positions for every
+    # chunk: the reference for the look-ahead window of specfun._chunks
+    lo, end = 0, max(t.size for _, t in live)
+    while lo < end:
+        pos = np.concatenate([np.arange(lo, t.size) for _, t in live for _ in (0, 3)])
+        hi = end
+        if pos.size > width:
+            ax = np.abs(np.concatenate([series[i][x][t[lo:]] for i, t in live for x in (0, 3)]))
+            by_pos = np.argsort(pos, kind="stable")
+            first = np.sort(pos[by_pos][np.unique(ax[by_pos], return_index=True)[1]])
+            if first.size > width:
+                hi = max(int(first[width]), lo + 1)
+        yield [(i, t[lo:hi]) for i, t in live if t.size > lo]
+        lo = hi
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_chunks_end_where_a_suffix_scan_ends_them(seed):
+    # entries of unequal lengths over a few |x| of either sign (signed zeros
+    # too), so most positions repeat values, and small tables
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([[0.0, -0.0], rng.uniform(-40.0, 40.0, int(rng.integers(1, 12)))])
+    series, live = [], []
+    for i in range(int(rng.integers(1, 5))):
+        size = int(rng.integers(1, 80))
+        u, v = rng.choice(pool, size), rng.choice(pool, size)
+        series.append((u, np.zeros(size, dtype=int), 1, v, 0.0))
+        t = np.flatnonzero(rng.random(size) < rng.uniform(0.2, 1.0))
+        live.append((i, t if t.size else np.arange(size)))
+    width = int(rng.integers(1, 10))
+    got = [[(i, t.tolist()) for i, t in chunk] for chunk in specfun._chunks(series, live, width)]
+    want = [[(i, t.tolist()) for i, t in chunk]
+            for chunk in _suffix_scan_chunks(series, live, width)]
+    assert got == want
+
+
 def test_batched_gen_bessel_orders_checks(monkeypatch):
     with pytest.raises(ValueError):
         gen_bessel_orders(0, 2, np.array([1.0, 2.0]), np.array([1.0]), 0.0)
