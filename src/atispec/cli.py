@@ -344,7 +344,8 @@ def run_spectrum(cfg: RunConfig) -> int:
                          for (h, ph), d, k, r in zip(rows, *(_fmt_column(c.ravel()) for c in cols)))
     outdir = Path(cfg.output_path)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "spectrum.csv").write_text("".join(lines), newline="\n")
+    with open(outdir / "spectrum.csv", "w", newline="\n") as f:
+        f.writelines(lines)
     _write_json(outdir / "summary.json", summary)
     return 0
 

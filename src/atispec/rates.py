@@ -153,8 +153,8 @@ class GridSpec:
     The defaults are for library use on circular fields.  On a
     non-circular field every (theta, azimuth) row runs the general
     amplitude kernel: theta_points=200 (401 Kronrod nodes) with 16 panels
-    (5 folded azimuths) costs 0.09-0.14 s per channel on the desk fields
-    (omega 0.01, xi 1, zeta 0 and 0.5; 2-core VM), 17-25 s over their
+    (5 folded azimuths) costs 0.08-0.10 s per channel on the desk fields
+    (omega 0.01, xi 1, zeta 0 and 0.5; 2-core VM), 15-20 s over their
     184- and 199-channel windows.  The CLI's theta_points default is 24.
     """
 
@@ -468,8 +468,8 @@ def rate_direct(
     The window's rows go to channel_spectrum in one call, which blocks
     them, so a circular window of at most spectra.SPECTRUM_BLOCK rows is
     one J_N kernel call.  The default grid suits circular fields; with it
-    a non-circular field takes 0.09-0.14 s per channel on the desk fields,
-    17-25 s per call (see GridSpec).  The CLI passes theta_points=24
+    a non-circular field takes 0.08-0.10 s per channel on the desk fields,
+    15-20 s per call (see GridSpec).  The CLI passes theta_points=24
     unless configured.
     """
     grid = grid or GridSpec()

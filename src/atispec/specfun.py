@@ -53,6 +53,9 @@ MAX_TERMS = 40000
 # cells of one _series_rows sweep, arguments x (orders of the table + the 3
 # _MILLER_BLOCK rows a recurrence keeps beside them): a bound on its memory
 _TABLE_CELLS = 2**18
+# cells of one slab of _entry_sums' windowed product, terms x orders x rows
+# (one term at least): a bound on its memory
+_SLAB_CELLS = 2**14
 # quadrature nodes beyond the integrand bandwidth (even)
 QUAD_POINTS = 256
 
@@ -242,7 +245,13 @@ class _JTable:
 
     table(orders, x) reads J at signed orders for signed arguments through
     J_{-m}(x) = J_m(-x) = (-1)^m J_m(x), with the injected fault applied at
-    the signed order.
+    the signed order, in the layout (orders, rows): orders on axis 0 and
+    one row per entry of x on the contiguous last axis, the layout of the
+    series contraction (_entry_sums).  A read is one np.take on the flat
+    table at |m| ncols + col, with no masked ufunc: the sign flips where
+    m is odd (m & 1) and exactly one of m and x is negative, and is applied
+    as a multiply by -1 or 1 over the span of orders in which some row
+    flips.  _jn_table and _jn read through it too.
     """
 
     def __init__(self, x, top: int):
@@ -258,22 +267,30 @@ class _JTable:
             self.col[tiny + _miller(ax[tiny:], top, self.values[:, tiny:])] = self.col[tiny:].copy()
 
     def __call__(self, orders, x):
-        """J_m(x) at a 2-D integer array of orders m, one row per entry of
-        a 1-D x (or one for all); an x whose |x| the table lacks reads NaN."""
+        """J_m(x) at a 2-D integer array of orders m, (orders, 1) for the
+        orders of every entry of a 1-D x or (orders, x.size) for orders of
+        each entry's own, shape (orders, x.size); an x whose |x| the table
+        lacks reads NaN."""
         ax = np.abs(x)
         i = np.minimum(np.searchsorted(self.x, ax), self.x.size - 1)
-        val = self.values[np.abs(orders), self.col[i][:, None]]
-        val[self.x[i] != ax] = np.nan
-        flip = ((orders < 0) != (x < 0)[:, None]) & (orders % 2 == 1)
-        np.negative(val, out=val, where=flip)
-        return _faulted(orders, x[:, None], val)
+        val = np.take(self.values, np.abs(orders) * self.x.size + self.col[i])
+        lost = self.x[i] != ax
+        if lost.any():
+            val[:, lost] = np.nan
+        flip = (orders < 0) != (x < 0)
+        flip &= (orders & 1).astype(bool)
+        hit = np.flatnonzero(flip.any(axis=1))
+        if hit.size:
+            span = slice(hit[0], hit[-1] + 1)
+            val[span] *= np.where(flip[span], -1.0, 1.0)
+        return _faulted(orders, x, val)
 
 
 def _jn_table(orders, x):
     """J_m(x) at a 1-D integer array of orders m for every entry of a 1-D x,
     shape (x.size, orders.size), from a _JTable of its own, injected fault
     included."""
-    return _JTable(x, int(np.max(np.abs(orders), initial=0)))(orders[None, :], x)
+    return _JTable(x, int(np.max(np.abs(orders), initial=0)))(orders[:, None], x).T
 
 
 def ordinary_bessel(n: int, x: float) -> float:
@@ -358,25 +375,47 @@ def _chunks(series, live, width):
 
 def _entry_sums(table, entry, t, K, dtype):
     """The partial sums |k| <= K of a _series_rows entry at its rows t, from
-    one table, and the tail bound of each row: 2 (|J_{K+1}(v)| +
-    |J_{K+2}(v)|).  Its lookups are freed on return, before the next entry's."""
+    one table, shape (count, rows), and the tail bound of each row:
+    2 (|J_{K+1}(v)| + |J_{K+2}(v)|).
+
+    The lookups are laid out (orders, rows), rows on the contiguous axis:
+    ju holds J_{first + 2i}(u) for i = -k_top .. count - 1 + k_top, and
+    J_{first + 2j - 2k}(u) over every term k and order j is one as_strided
+    window of it, with a negative stride over the terms.  The terms run in
+    slabs of at most _SLAB_CELLS cells (terms x orders x rows; one term at
+    least): a slab is one product of the window by its weights
+    exp(-2ik delta) J_k(v) (0 where |k| > K of the row), the running sum
+    so far added into its first plane, and one np.add.accumulate over its
+    terms.  Every row and order so sees the additions of one term at a
+    time from k = -k_top up, starting from +0.0, whatever the slab bound
+    and the row count.  np.add.reduce over the terms would not: where the
+    kept axes hold one element (a one-row entry of one order) it sums
+    pairwise, and the last bits move.  Lookups and slabs are freed on
+    return, before the next entry's."""
     u, first, count, v, delta = entry
     k_top = int(K.max())
-    ks = np.arange(-k_top, k_top + 3)
-    jk = table(ks[None, :], v[t])
-    ju = table(first[t, None] + np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2), u[t])
-    weights = jk[:, :-2] * (phase_exp(-2 * ks[:-2], delta) if np.ndim(delta) == 0
-                            else np.exp(-2j * ks[:-2] * delta[t, None]))
-    weights[np.abs(ks[:-2]) > K[:, None]] = 0.0
-    # J_{first + 2j - 2k}(u) for k = l - k_top sits in column base + j - l
-    base = 2 * k_top
-    acc = np.zeros((t.size, count), dtype=dtype)
-    term = np.empty_like(acc)
-    for l in range(2 * k_top + 1):
-        np.multiply(ju[:, base - l:base - l + count], weights[:, l, None], out=term)
-        acc += term
+    terms = 2 * k_top + 1
+    ju = table(np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2)[:, None] + first[t], u[t])
+    jk = table(np.arange(-k_top, k_top + 3)[:, None], v[t])
     rows = np.arange(t.size)
-    return acc, 2.0 * (np.abs(jk[rows, K + k_top + 1]) + np.abs(jk[rows, K + k_top + 2]))
+    tail = 2.0 * (np.abs(jk[K + k_top + 1, rows]) + np.abs(jk[K + k_top + 2, rows]))
+    # J_{first + 2j - 2k}(u) for k = l - k_top is the plane 2 k_top + j - l of ju
+    window = np.lib.stride_tricks.as_strided(
+        ju[2 * k_top:], (terms, count, t.size), (-ju.strides[0], *ju.strides), writeable=False)
+    step = max(_SLAB_CELLS // (count * t.size), 1)
+    slab = np.empty((min(step, terms), count, t.size), dtype=dtype)
+    acc = np.zeros((count, t.size), dtype=dtype)
+    for lo in range(0, terms, step):
+        ks = np.arange(lo - k_top, min(lo + step, terms) - k_top)[:, None]
+        weights = jk[lo:lo + ks.size] * (phase_exp(-2 * ks, delta) if np.ndim(delta) == 0
+                                         else np.exp(-2j * ks * delta[t]))
+        weights[np.abs(ks) > K] = 0.0
+        s = slab[:ks.size]
+        np.multiply(window[lo:lo + ks.size], weights[:, None], out=s)
+        s[0] += acc
+        np.add.accumulate(s, axis=0, out=s)
+        acc[...] = s[-1]
+    return acc, tail
 
 
 def _series_rows(series):
@@ -395,11 +434,12 @@ def _series_rows(series):
     of its open rows, with at most _TABLE_CELLS cells counted over their
     distinct |x| (_chunks; a backward recurrence per chunk and round, one
     per round whose table fits; entries that share one u array sweep it
-    once).  The terms are added one k at a time from k = -K up, and rows
-    with a smaller K than the widest row of their chunk see zero terms in
-    its place, so every row equals its one-point call bit for bit.  A
-    result is real when its delta is the scalar 0 or +-pi, and complex
-    otherwise.
+    once; a chunk's table is freed before the next is built).  The terms
+    are added one k at a time from k = -K up (_entry_sums, rows on the
+    contiguous axis), and rows with a smaller K than the widest row of
+    their chunk see zero terms in its place, so every row equals its
+    one-point call bit for bit.  A result is real when its delta is the
+    scalar 0 or +-pi, and complex otherwise.
     """
     k_cap = _k_cap()
     k_row = [_k_start(s[3], k_cap) for s in series]
@@ -419,9 +459,9 @@ def _series_rows(series):
             for i, t in chunk:
                 K = k_row[i][t]
                 acc, tail = _entry_sums(table, series[i], t, K, out[i].dtype)
-                bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=1), ABS_FLOOR)
+                bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=0), ABS_FLOOR)
                 ok = tail <= bound
-                out[i][t[ok]] = acc[ok]
+                out[i][t[ok]] = acc[:, ok].T
                 todo[i][t[ok]] = False
                 stuck = ~ok & (K >= k_cap)
                 if stuck.any():
@@ -430,6 +470,7 @@ def _series_rows(series):
                         float(np.max(tail[stuck])),
                     )
                 k_row[i][t[~ok]] = np.minimum((K[~ok] * 1.5).astype(int) + 8, k_cap)
+            del table  # before the next chunk's table is built
 
 
 def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
@@ -719,7 +760,7 @@ def _jn(n, x):
     out[below] = _faulted(n[below], x[below], _jn_below(n[below], x[below]))
     rest = ~below
     n_rest, x_rest = n[rest], x[rest]
-    out[rest] = _JTable(x_rest, int(np.max(np.abs(n_rest))))(n_rest[:, None], x_rest)[:, 0]
+    out[rest] = _JTable(x_rest, int(np.max(np.abs(n_rest))))(n_rest[None, :], x_rest)[0]
     return out.reshape(shape)
 
 

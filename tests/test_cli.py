@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 
 REPO = Path(__file__).resolve().parents[1]
 DESK_CONFIG = REPO / "demos" / "configs" / "desk_circular.json"
+LINEAR_CONFIG = REPO / "demos" / "configs" / "linear_small.json"
 GOLDEN = Path(__file__).parent / "data" / "golden_desk_circular_spectrum.csv"
+# the elliptic (tag 42) spectrum of linear_small.json at zeta 0.5: every row
+# runs the generalized-Bessel series, which the circular golden file never does
+GOLDEN_ELLIPTIC = Path(__file__).parent / "data" / "golden_linear_small_elliptic_spectrum.csv"
 
 
 def run_cli(*args):
@@ -139,6 +144,32 @@ def test_spectrum_matches_golden_file():
     finally:
         import shutil
         shutil.rmtree(REPO / ".pytest_golden_check", ignore_errors=True)
+
+
+def test_elliptic_spectrum_matches_golden_file(tmp_path):
+    cp = run_cli("spectrum", "-c", str(LINEAR_CONFIG), "-o", str(tmp_path),
+                 "--polarization", "elliptic", "--zeta", "0.5")
+    assert cp.returncode == 0, cp.stderr
+    assert (tmp_path / "spectrum.csv").read_bytes() == GOLDEN_ELLIPTIC.read_bytes()
+
+
+def test_spectrum_csv_written_without_a_second_copy_of_its_text(tmp_path):
+    # 78,721 lines of tags 44 and 56: the text is held once, as the lines
+    # the file is written from, not also as their join and its encoding
+    from atispec import cli
+
+    out = tmp_path / "out"
+    argv = ["spectrum", "-c", str(DESK_CONFIG), "-o", str(out), "--phi-points", "40",
+            "--formula", "both"]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (out / "spectrum.csv").stat().st_size
+    assert size > 7_000_000
+    assert peak < 1.5 * size
 
 
 def test_spectrum_rerun_byte_identical(tmp_path):

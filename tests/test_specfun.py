@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,69 @@ def test_series_rows_entries_sharing_u_equal_each_row_alone(fault, monkeypatch):
     assert rounds >= 4
     for got, want in zip(together, alone):
         assert np.array_equal(got, want)
+
+
+def _one_term_at_a_time(entry, t, K):
+    # the reference for _entry_sums: each row alone, its terms added in a
+    # loop over k from k = -k_top up, where k_top is the largest K of the
+    # rows and a row's terms with |k| > K are products with a zero weight
+    u, first, count, v, delta = entry
+    k_top = int(K.max())
+    ks = np.arange(-k_top, k_top + 1)
+    rows = []
+    for r, p in enumerate(t.tolist()):
+        ju = specfun._jn_table(first[p] + 2 * np.arange(-k_top, count + k_top), u[[p]])[0]
+        phase = specfun.phase_exp(-2 * ks, delta) if np.ndim(delta) == 0 \
+            else np.exp(-2j * ks * delta[p])
+        weights = specfun._jn_table(ks, v[[p]])[0] * phase
+        weights[np.abs(ks) > K[r]] = 0.0
+        acc = np.zeros(count, dtype=weights.dtype)
+        for l in range(ks.size):
+            acc = acc + ju[2 * k_top - l:2 * k_top - l + count] * weights[l]
+        rows.append(acc)
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("delta", [0.0, math.pi / 2, 0.4, "rows"])
+@pytest.mark.parametrize("count, size", [(3, 7), (1, 7), (3, 1), (1, 1)])
+def test_entry_sums_add_one_term_at_a_time_from_minus_k(delta, count, size, monkeypatch):
+    # the windowed product and the running sum over slabs of terms give the
+    # bits of a sum of one term at a time, for one-row entries too (where a
+    # pairwise reduce over k would round differently), with rows of unequal
+    # K and arguments of either sign; a small slab bound makes many slabs
+    rng = np.random.default_rng(count * 10 + size)
+    u = rng.uniform(-40.0, 40.0, 9)
+    v = rng.uniform(-20.0, 20.0, 9)
+    first = rng.integers(-30, 60, 9)
+    t = np.sort(rng.choice(9, size, replace=False))
+    K = rng.integers(3, 30, size)
+    delta = rng.uniform(-3.0, 3.0, 9) if delta == "rows" else delta
+    entry = (u, first, count, v, delta)
+    want = _one_term_at_a_time(entry, t, K)
+    top = int(2 * K.max() + np.abs(first).max() + 2 * count)
+    table = specfun._JTable(np.concatenate([u[t], v[t]]), top)
+    for cells in (specfun._SLAB_CELLS, 5):
+        monkeypatch.setattr(specfun, "_SLAB_CELLS", cells)
+        acc, _ = specfun._entry_sums(table, entry, t, K, want.dtype)
+        # bytes, so signed zeros as well: the first term is added to a +0.0 sum
+        assert acc.shape == want.shape
+        assert np.ascontiguousarray(acc).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_gen_bessel_orders_peak_memory():
+    # 4096 rows in chunks of one 2 MB table: the traced peak holds one table
+    # (the last chunk's is freed before the next is built), one entry's two
+    # lookups and one slab of the windowed product; 5.18 MB is the peak of the
+    # contraction that built each lookup whole and summed one numpy call per term
+    u, v = np.linspace(1.0, 150.0, 4096), np.linspace(1.0, 60.0, 4096)
+    gen_bessel_orders(100, 102, u[:8], v[:8], 0.3)
+    tracemalloc.start()
+    try:
+        gen_bessel_orders(100, 102, u, v, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_180_000
 
 
 def _suffix_scan_chunks(series, live, width):
