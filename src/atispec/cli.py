@@ -6,8 +6,8 @@ Inputs are in eV (converted with the fixed electron rest energy
 510998.95 eV); all outputs are in natural units (m = 1).
 
 Outputs are deterministic: identical configuration produces byte-identical
-CSV/JSON regardless of worker count or repetition.  Exit codes: 0 ok,
-1 selftest failure, 2 configuration error, 3 resource cap exceeded.
+CSV/JSON on every run.  Exit codes: 0 ok, 1 selftest failure,
+2 configuration error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .rates import (
 )
 from .selftest import run_checks
 from .specfun import BesselRangeError, SeriesConvergenceError
-from .spectra import channel_spectrum, check_series_window
+from .spectra import channel_spectrum
 
 __all__ = ["main", "RunConfig", "ConfigError", "run_spectrum", "run_rate", "run_sweep"]
 
@@ -64,7 +64,7 @@ MAX_THRESHOLD_N = 2.0**53
 
 _REAL_FIELDS = ("photon_energy_ev", "intensity_xi", "peak_field_v_per_cm", "zeta",
                 "binding_energy_ev")
-_INT_FIELDS = ("z_a", "theta_points", "phi_points", "workers", "channel_cap")
+_INT_FIELDS = ("z_a", "theta_points", "phi_points", "channel_cap")
 
 
 def _is_finite_real(value) -> bool:
@@ -89,17 +89,21 @@ class RunConfig:
     mode: str = "on"
     output_path: str = "ati_out"
     formula: str = "relativistic"
-    workers: int = 1  # accepted for older configs; has no effect
     channel_cap: int = DEFAULT_RATE_CHANNEL_CAP
+    # the keys of older configs that have no effect, as the file named them:
+    # not a config field; dropped on load and noted in summary.json
+    retired: tuple = ()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        retired = ("workers",) if "workers" in raw else ()
+        raw = {k: v for k, v in raw.items() if k not in retired}
         for key in raw:
             if key not in cls._ALLOWED:
                 raise ConfigError(f"unknown config field '{key}'")
         if "photon_energy_ev" not in raw:
             raise ConfigError("missing required field 'photon_energy_ev'")
-        cfg = cls(**raw)
+        cfg = cls(**raw, retired=retired)
         cfg.validate()
         return cfg
 
@@ -152,8 +156,6 @@ class RunConfig:
                   and self.n_range[0] <= self.n_range[1])
             if not ok:
                 raise ConfigError("field 'n_range' must be 'auto' or [n_lo, n_hi]")
-        if self.workers < 1:
-            raise ConfigError("field 'workers' must be >= 1")
         if self.channel_cap < 1:
             raise ConfigError("field 'channel_cap' must be >= 1")
         if not isinstance(self.output_path, str) or not self.output_path:
@@ -215,7 +217,7 @@ class RunConfig:
         return Atom.with_binding(int(self.z_a), self.binding_energy_ev / ELECTRON_MASS_EV)
 
 
-RunConfig._ALLOWED = frozenset(f.name for f in fields(RunConfig))
+RunConfig._ALLOWED = frozenset(f.name for f in fields(RunConfig)) - {"retired"}
 
 
 def load_config(path: str, overrides: dict) -> RunConfig:
@@ -319,9 +321,8 @@ def run_spectrum(cfg: RunConfig) -> int:
     phis = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
     channels = np.arange(n_lo, n_hi + 1)
     resc = cfg.mode == "on"
-    for formula in formulas:
-        check_series_window(field, atom, n_lo, n_hi, thetas, phis, formula)
     summary = _summary(cfg)
+    summary["warnings"] += [f"config field '{key}' has no effect" for key in cfg.retired]
 
     # a row is its "N,theta," head, its phi and its three values.  Where a
     # formula's values have the same bits at every phi of an (N, theta)
@@ -474,7 +475,6 @@ def _add_common(p):
     p.add_argument("--phi-points", type=int)
     p.add_argument("--mode", choices=["on", "off"])
     p.add_argument("--formula", choices=["relativistic", "nonrelativistic", "both"])
-    p.add_argument("--workers", type=int, help="accepted for older configs; has no effect")
 
 
 def _add_options(name, p):

@@ -64,7 +64,7 @@ from .kinematics import (
     threshold_n,
 )
 from .specfun import airy_ai
-from .spectra import SPECTRUM_BLOCK, _recoil, channel_spectrum, check_series_window
+from .spectra import SPECTRUM_BLOCK, _recoil, channel_spectrum
 
 __all__ = [
     "DegenerateSaddleError",
@@ -430,7 +430,6 @@ def _direct_once(field, atom, n0, n_cut, theta_points, panels, rescattering):
     j = np.minimum(np.arange(panels), panels - np.arange(panels))
     phis, panel = np.unique(math.pi * np.minimum(2 * j, panels - 2 * j) / panels,
                             return_inverse=True)
-    check_series_window(field, atom, n0, n_cut, np.arccos(mu), phis)
     ns = np.arange(n0, n_cut + 1)
     dwdo = channel_spectrum(field, atom, ns[:, None, None], np.arccos(mu)[:, None], phis,
                             "relativistic", rescattering)[1].reshape(ns.size, mu.size, phis.size)

@@ -228,55 +228,46 @@ def _check_series_box(top: int, largest: float) -> None:
         )
 
 
-def _series_order_floor(n, v):
-    """n + 2K + 2 at orders n and a 1-D array of second arguments v: the
-    orders that a one-order series entry (first order n) reads in its
-    first round, K from _k_start as _series_rows starts it, so a lower
-    bound on the top of the table that round builds."""
-    return n + 2 * _k_start(np.asarray(v, dtype=float), _k_cap()) + 2
-
-
 class _JTable:
-    """J_m(x) at the orders |m| <= top for a set of arguments x, from one
-    backward recurrence (_miller) over their distinct |x|; a |x| below
+    """J_m(x) at the orders |m| <= top for a 1-D array of arguments x, from
+    one backward recurrence (_miller) over their distinct |x|; a |x| below
     2^-1000 (0 included) takes J_0 = 1, J_1 = |x|/2 and 0 beyond, correctly
     rounded.  Orders past 2 MAX_ORDER and arguments past MAX_ARGUMENT (a
     recurrence takes about |x| steps) raise BesselRangeError.
 
-    table(orders, x) reads J at signed orders for signed arguments through
+    The table keeps, for each position of x, the column of its |x|
+    (np.unique's inverse) and its signed value, so a read names the
+    positions it wants and never searches.  table(orders, at) reads J at
+    signed orders for the arguments x[at] through
     J_{-m}(x) = J_m(-x) = (-1)^m J_m(x), with the injected fault applied at
     the signed order, in the layout (orders, rows): orders on axis 0 and
-    one row per entry of x on the contiguous last axis, the layout of the
+    one row per position on the contiguous last axis, the layout of the
     series contraction (_entry_sums).  A read is one np.take on the flat
     table at |m| ncols + col, with no masked ufunc: the sign flips where
     m is odd (m & 1) and exactly one of m and x is negative, and is applied
     as a multiply by -1 or 1 over the span of orders in which some row
-    flips.  _jn_table and _jn read through it too.
+    flips.  _jn_table and _jn read through it too, at every position.
     """
 
     def __init__(self, x, top: int):
-        ax = np.unique(np.abs(np.asarray(x, dtype=float)))
+        self.x = np.asarray(x, dtype=float)
+        ax, inverse = np.unique(np.abs(self.x), return_inverse=True)
         _check_series_box(top, ax[-1] if ax.size else 0.0)
         tiny = int(np.searchsorted(ax, _MILLER_TINY))
-        self.x = ax
         self.values = np.zeros((top + 1, ax.size))
         self.values[0, :tiny] = 1.0
         self.values[1:2, :tiny] = ax[:tiny] / 2.0
-        self.col = np.arange(ax.size)  # the column of values for each |x|
+        col = np.arange(ax.size)  # the column of values for each |x|
         if tiny < ax.size:
-            self.col[tiny + _miller(ax[tiny:], top, self.values[:, tiny:])] = self.col[tiny:].copy()
+            col[tiny + _miller(ax[tiny:], top, self.values[:, tiny:])] = col[tiny:].copy()
+        self.col = col[inverse]
 
-    def __call__(self, orders, x):
-        """J_m(x) at a 2-D integer array of orders m, (orders, 1) for the
-        orders of every entry of a 1-D x or (orders, x.size) for orders of
-        each entry's own, shape (orders, x.size); an x whose |x| the table
-        lacks reads NaN."""
-        ax = np.abs(x)
-        i = np.minimum(np.searchsorted(self.x, ax), self.x.size - 1)
-        val = np.take(self.values, np.abs(orders) * self.x.size + self.col[i])
-        lost = self.x[i] != ax
-        if lost.any():
-            val[:, lost] = np.nan
+    def __call__(self, orders, at):
+        """J_m(x[at]) at a 2-D integer array of orders m, (orders, 1) for the
+        orders of every position of the slice at or (orders, positions) for
+        orders of each position's own, shape (orders, positions)."""
+        x = self.x[at]
+        val = np.take(self.values, np.abs(orders) * self.values.shape[1] + self.col[at])
         flip = (orders < 0) != (x < 0)
         flip &= (orders & 1).astype(bool)
         hit = np.flatnonzero(flip.any(axis=1))
@@ -290,7 +281,7 @@ def _jn_table(orders, x):
     """J_m(x) at a 1-D integer array of orders m for every entry of a 1-D x,
     shape (x.size, orders.size), from a _JTable of its own, injected fault
     included."""
-    return _JTable(x, int(np.max(np.abs(orders), initial=0)))(orders[:, None], x).T
+    return _JTable(x, int(np.max(np.abs(orders), initial=0)))(orders[:, None], slice(None)).T
 
 
 def ordinary_bessel(n: int, x: float) -> float:
@@ -373,9 +364,10 @@ def _chunks(series, live, width):
         lo = hi
 
 
-def _entry_sums(table, entry, t, K, dtype):
+def _entry_sums(table, at, entry, t, K, dtype):
     """The partial sums |k| <= K of a _series_rows entry at its rows t, from
-    one table, shape (count, rows), and the tail bound of each row:
+    one table whose arguments hold u[t] from position at and v[t] right
+    after it, shape (count, rows), and the tail bound of each row:
     2 (|J_{K+1}(v)| + |J_{K+2}(v)|).
 
     The lookups are laid out (orders, rows), rows on the contiguous axis:
@@ -392,11 +384,12 @@ def _entry_sums(table, entry, t, K, dtype):
     kept axes hold one element (a one-row entry of one order) it sums
     pairwise, and the last bits move.  Lookups and slabs are freed on
     return, before the next entry's."""
-    u, first, count, v, delta = entry
+    _, first, count, _, delta = entry
     k_top = int(K.max())
     terms = 2 * k_top + 1
-    ju = table(np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2)[:, None] + first[t], u[t])
-    jk = table(np.arange(-k_top, k_top + 3)[:, None], v[t])
+    ju = table(np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2)[:, None] + first[t],
+               slice(at, at + t.size))
+    jk = table(np.arange(-k_top, k_top + 3)[:, None], slice(at + t.size, at + 2 * t.size))
     rows = np.arange(t.size)
     tail = 2.0 * (np.abs(jk[K + k_top + 1, rows]) + np.abs(jk[K + k_top + 2, rows]))
     # J_{first + 2j - 2k}(u) for k = l - k_top is the plane 2 k_top + j - l of ju
@@ -434,7 +427,8 @@ def _series_rows(series):
     of its open rows, with at most _TABLE_CELLS cells counted over their
     distinct |x| (_chunks; a backward recurrence per chunk and round, one
     per round whose table fits; entries that share one u array sweep it
-    once; a chunk's table is freed before the next is built).  The terms
+    once; a chunk's table is freed before the next is built).  An entry
+    reads its u and v by their positions in the table's arguments.  The terms
     are added one k at a time from k = -K up (_entry_sums, rows on the
     contiguous axis), and rows with a smaller K than the widest row of
     their chunk see zero terms in its place, so every row equals its
@@ -456,9 +450,11 @@ def _series_rows(series):
         for chunk in _chunks(series, live, _TABLE_CELLS // (top + 1 + 3 * _MILLER_BLOCK)):
             table = _JTable(np.concatenate([series[i][x][t] for i, t in chunk for x in (0, 3)]),
                             top)
+            at = 0  # the position of the entry's u[t] among the table's arguments
             for i, t in chunk:
                 K = k_row[i][t]
-                acc, tail = _entry_sums(table, series[i], t, K, out[i].dtype)
+                acc, tail = _entry_sums(table, at, series[i], t, K, out[i].dtype)
+                at += 2 * t.size
                 bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=0), ABS_FLOOR)
                 ok = tail <= bound
                 out[i][t[ok]] = acc[:, ok].T
@@ -760,7 +756,7 @@ def _jn(n, x):
     out[below] = _faulted(n[below], x[below], _jn_below(n[below], x[below]))
     rest = ~below
     n_rest, x_rest = n[rest], x[rest]
-    out[rest] = _JTable(x_rest, int(np.max(np.abs(n_rest))))(n_rest[None, :], x_rest)[0]
+    out[rest] = _JTable(x_rest, int(np.max(np.abs(n_rest))))(n_rest[None, :], slice(None))[0]
     return out.reshape(shape)
 
 

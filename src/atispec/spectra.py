@@ -68,7 +68,6 @@ __all__ = [
     "general_channel_dwdo",
     "nonrel_channel_dwdo",
     "channel_spectrum",
-    "check_series_window",
 ]
 
 TAG_GENERAL = 42
@@ -335,31 +334,6 @@ def nonrel_channel_dwdo(
     return _on_open_rows(evaluate, field, atom, tag, n, theta)
 
 
-def check_series_window(field, atom, n_lo, n_hi, theta, phi, formula="relativistic"):
-    """Raise specfun.BesselRangeError before any channel runs when the
-    window n_lo..n_hi at the 1-D angles theta and phi would take the series
-    of the form `formula` (tags 42/55/59) past its box.  At the angles of
-    the last channel, which every run of the window evaluates if it is
-    open, the direct amplitude reads the orders up to n + 2K + 2
-    (specfun._series_order_floor at its v) and the arguments |u| and |v|;
-    the same check trips there otherwise, after the channels below it ran.
-    """
-    tag = _tag(field, formula)
-    if tag in (TAG_CIRCULAR, TAG_NONREL_CIRCULAR) or n_hi < n_lo or _below(field, atom, n_hi, tag):
-        return
-    theta = np.asarray(theta, dtype=float)[:, None]
-    # u and v of the direct entry, as nonrel_channel_dwdo and general_channel_dwdo pass them
-    if tag == TAG_NONREL_LINEAR:
-        z, x_kin = _nonrel_channel(field, atom, n_hi, tag)
-        u, v = math.sqrt(z) * (math.sqrt(8.0 * x_kin) * np.cos(theta)), np.array([-z / 2.0])
-    else:
-        ck = channel_kinematics(field, atom, n_hi, theta, phi)
-        u, v = ck.alpha_amp, -ck.big_z * (1.0 - field.zeta**2) / 2.0
-    v = np.ravel(v)
-    specfun._check_series_box(int(np.max(specfun._series_order_floor(n_hi, v))),
-                             max(float(np.max(np.abs(u))), float(np.max(np.abs(v)))))
-
-
 def _rows(field, atom, n, theta, phi, tag, rescattering):
     """The closed form `tag` over 1-D rows (n, theta, phi): (dwdo, prefactor,
     kfr, resc, kfr_only_dwdo, rescatter_factor, below), below by the tag's
@@ -486,10 +460,17 @@ def channel_spectrum(
     angles (theta, phi), broadcast against each other and flattened:
     (tag, dwdo, kfr_only_dwdo, rescatter_factor), the tag by the rule of
     the module docstring.  The rows are evaluated in blocks of at most
-    SPECTRUM_BLOCK; each row equals, bit for bit, the SpectrumPoint of the
-    one-point function at its channel and angles.  The forms that do not
+    SPECTRUM_BLOCK, cut from the first row and run last block first; each
+    row equals, bit for bit, the SpectrumPoint of the one-point function
+    at its channel and angles, whatever its block.  The forms that do not
     read phi (tags 44/56/59) run once per row of the broadcast (n, theta),
     repeated along the axes that phi adds.
+
+    With channel-major rows the first block run holds the window's highest
+    channel, whose series (tags 42/55/59) reads the highest Bessel orders:
+    a window that this channel takes past the series box raises
+    specfun.BesselRangeError in that block's first series round, before
+    the lower channels cost anything.
     """
     tag = _tag(field, formula)
     reads_phi = tag in (TAG_GENERAL, TAG_LINEAR)
@@ -497,7 +478,7 @@ def channel_spectrum(
     # broadcast views, copied one block at a time
     rows = np.broadcast_arrays(n, theta, *[phi] * reads_phi)
     columns = np.empty((3, rows[0].size))
-    for lo in range(0, rows[0].size, SPECTRUM_BLOCK):
+    for lo in reversed(range(0, rows[0].size, SPECTRUM_BLOCK)):
         block = [a.flat[lo:lo + SPECTRUM_BLOCK] for a in rows]
         if not reads_phi:
             block.append(np.zeros(block[0].size))

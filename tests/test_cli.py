@@ -182,12 +182,19 @@ def test_spectrum_rerun_byte_identical(tmp_path):
 
 
 def test_spectrum_worker_count_invariant(tmp_path):
-    cfg = write_config(tmp_path, polarization="linear", theta_points=8,
-                       phi_points=2, n_range=[30, 34])
+    # `workers` of an older config loads, has no effect on the spectrum and
+    # is noted in summary.json; the --workers flag is gone
+    kwargs = dict(polarization="linear", theta_points=8, phi_points=2, n_range=[30, 34])
     out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    assert run_cli("spectrum", "-c", str(cfg), "-o", str(out1), "--workers", "1").returncode == 0
-    assert run_cli("spectrum", "-c", str(cfg), "-o", str(out2), "--workers", "4").returncode == 0
+    cfg = write_config(tmp_path, **kwargs)
+    assert run_cli("spectrum", "-c", str(cfg), "-o", str(out1)).returncode == 0
+    cfg = write_config(tmp_path, **kwargs, workers=4)
+    assert run_cli("spectrum", "-c", str(cfg), "-o", str(out2)).returncode == 0
     assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+    warnings = [json.loads((out / "summary.json").read_text())["warnings"] for out in (out1, out2)]
+    assert warnings == [[], ["config field 'workers' has no effect"]]
+    cp = run_cli("spectrum", "-c", str(cfg), "-o", str(tmp_path / "flag"), "--workers", "4")
+    assert cp.returncode == 2 and not (tmp_path / "flag").exists()
 
 
 def test_spectrum_field_off_all_zeros(tmp_path):
@@ -659,19 +666,28 @@ def test_huge_linear_intensity_exit_3_one_line(tmp_path):
     assert "Traceback" not in cp.stderr
 
 
-def test_series_window_fails_before_any_channel(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [{}, {"polarization": "elliptic", "zeta": 0.5}],
+                         ids=["linear", "elliptic"])
+def test_series_window_fails_in_its_first_block(tmp_path, capsys, monkeypatch, extra):
     # the direct-amplitude series of linear_small at xi 10 needs orders past
-    # 2 MAX_ORDER; the window check finds it before the first block runs
+    # 2 MAX_ORDER; the window's last block, which holds its highest channel,
+    # runs first and fails, so no other block runs
+    from atispec import spectra
     from atispec.cli import main
 
+    blocks = []
+    rows = spectra._rows
+    monkeypatch.setattr(spectra, "_rows", lambda *a: (blocks.append(a[2].size), rows(*a))[1])
     cfg = json.loads((REPO / "demos" / "configs" / "linear_small.json").read_text())
-    cfg.update(intensity_xi=10.0, n_range="auto", output_path=str(tmp_path / "out"))
+    cfg.update(intensity_xi=10.0, n_range="auto", output_path=str(tmp_path / "out"), **extra)
     path = tmp_path / "xi10.json"
     path.write_text(json.dumps(cfg))
     for command in ("spectrum", "rate"):
+        blocks.clear()
         t0 = time.perf_counter()
         assert main([command, "-c", str(path)]) == 3
         assert time.perf_counter() - t0 < 1.0, command
+        assert len(blocks) == 1, command
     err = capsys.readouterr().err.splitlines()
     assert err == ["resource cap: series requires ordinary-Bessel values beyond the supported "
                    "box |m|<=4000, |x|<=5000.0"] * 2

@@ -343,7 +343,7 @@ def test_entry_sums_add_one_term_at_a_time_from_minus_k(delta, count, size, monk
     table = specfun._JTable(np.concatenate([u[t], v[t]]), top)
     for cells in (specfun._SLAB_CELLS, 5):
         monkeypatch.setattr(specfun, "_SLAB_CELLS", cells)
-        acc, _ = specfun._entry_sums(table, entry, t, K, want.dtype)
+        acc, _ = specfun._entry_sums(table, 0, entry, t, K, want.dtype)
         # bytes, so signed zeros as well: the first term is added to a +0.0 sum
         assert acc.shape == want.shape
         assert np.ascontiguousarray(acc).tobytes() == np.ascontiguousarray(want).tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atispec import rates, specfun
+from atispec import rates, specfun, spectra
 from atispec.constants import ELECTRON_MASS_EV
 from atispec.kinematics import Atom, LaserField, channel_kinematics, threshold_n
 from atispec.rates import saddle_point
@@ -396,6 +396,30 @@ def test_phi_free_forms_repeat_one_evaluation_along_phi(monkeypatch, formula):
     for got, want in zip(cols, flat[1:]):
         assert got.shape == (n.size * theta.size * phi.size,)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("zeta, formula", [(0.0, "relativistic"), (0.5, "relativistic"),
+                                           (0.0, "nonrelativistic"), (1.0, "relativistic")])
+def test_last_block_runs_first(monkeypatch, zeta, formula):
+    # the blocks are cut from the first row and run last first, so the first
+    # kernel call holds the window's highest channel; the columns keep the
+    # bits of one call over all rows
+    field = LaserField(0.01, 1.0, zeta)
+    n, theta, phi = np.arange(98, 103), np.linspace(0.1, 3.0, 4), np.array([0.0, 0.7, 2.0])
+    args = (field, DESK_ATOM, n[:, None, None], theta[:, None], phi, formula)
+    whole = channel_spectrum(*args)
+    blocks = []
+    rows = spectra._rows
+    monkeypatch.setattr(spectra, "_rows", lambda *a: (blocks.append(a[2].copy()), rows(*a))[1])
+    monkeypatch.setattr(spectra, "SPECTRUM_BLOCK", 7)
+    blocked = channel_spectrum(*args)
+    size = n.size * theta.size * (phi.size if whole[0] in (TAG_GENERAL, TAG_LINEAR) else 1)
+    assert [b.size for b in blocks] == [size % 7] + [7] * (size // 7)
+    assert blocks[0].max() == n.max()
+    assert np.array_equal(np.concatenate(blocks[::-1]), np.repeat(n, size // n.size))
+    assert blocked[0] == whole[0]
+    for got, want in zip(blocked[1:], whole[1:]):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_linear_channel_kernel_below_threshold_is_zero():
