@@ -164,7 +164,11 @@ def _miller(x, top: int, out):
     0, keeps the orders <= top, and divides by f_0 + 2 sum f_2k, because
     J_0 + 2 sum J_2k = 1.  J_S(x) is about 2^-1000, so f stays near the
     scale of J (below 2^1004 even at x = 2^-1000) and is never rescaled;
-    the orders above S read 0.
+    the orders above S read 0.  The orders above top run through a ring of
+    2 _MILLER_BLOCK rows with the same arithmetic, so top decides only which
+    orders are kept: a taller table holds the same bits at every order of
+    a shorter one, and _series_rows builds its tables up to the orders of
+    a row's next truncation on that account.
 
     A row's bits depend on its x alone.  The rows are sorted by S and the
     orders run in blocks of _MILLER_BLOCK; a block runs on the prefix of
@@ -330,11 +334,13 @@ def _k_start(v, k_cap: int):
 
 
 def _chunks(series, live, width):
-    """The chunks of row positions of a _series_rows round, each a list of
+    """The chunks of row positions of a _series_rows pass, each a list of
     (entry, open rows): from position 0 up, the most positions at which the
     u and v of the live entries take at most width distinct |x| (one
     position at least), so that the chunk's table has at most width
-    columns.
+    columns.  _series_rows takes width from the pass's table top, the
+    orders of its rows' next truncation, so a chunk's table holds every
+    round that its rows run on it within _TABLE_CELLS.
 
     Each chunk looks ahead through a window of positions from its start,
     doubled until it holds width + 1 distinct |x| or reaches the end: the
@@ -366,8 +372,8 @@ def _chunks(series, live, width):
 
 def _entry_sums(table, at, entry, t, K, dtype):
     """The partial sums |k| <= K of a _series_rows entry at its rows t, from
-    one table whose arguments hold u[t] from position at and v[t] right
-    after it, shape (count, rows), and the tail bound of each row:
+    one table whose arguments hold u[t] at the positions at[0] and v[t] at
+    at[1], shape (count, rows), and the tail bound of each row:
     2 (|J_{K+1}(v)| + |J_{K+2}(v)|).
 
     The lookups are laid out (orders, rows), rows on the contiguous axis:
@@ -387,9 +393,8 @@ def _entry_sums(table, at, entry, t, K, dtype):
     _, first, count, _, delta = entry
     k_top = int(K.max())
     terms = 2 * k_top + 1
-    ju = table(np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2)[:, None] + first[t],
-               slice(at, at + t.size))
-    jk = table(np.arange(-k_top, k_top + 3)[:, None], slice(at + t.size, at + 2 * t.size))
+    ju = table(np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2)[:, None] + first[t], at[0])
+    jk = table(np.arange(-k_top, k_top + 3)[:, None], at[1])
     rows = np.arange(t.size)
     tail = 2.0 * (np.abs(jk[K + k_top + 1, rows]) + np.abs(jk[K + k_top + 2, rows]))
     # J_{first + 2j - 2k}(u) for k = l - k_top is the plane 2 k_top + j - l of ju
@@ -411,6 +416,17 @@ def _entry_sums(table, at, entry, t, K, dtype):
     return acc, tail
 
 
+def _reach(entry, t, K):
+    """A bound on the orders that _entry_sums reads for the rows t of an
+    entry at truncations K: |first - 2K| and first + 2 (count - 1 + K)."""
+    return 2 * int(K.max()) + int(np.abs(entry[1][t]).max()) + 2 * entry[2]
+
+
+def _grow(K, k_cap):
+    """The truncation after K of a row that fails its tail bound."""
+    return np.minimum((K * 1.5).astype(int) + 8, k_cap)
+
+
 def _series_rows(series):
     """Bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v) for each
     (u, first, count, v, delta) of a list: the orders first, first + 2,
@@ -421,52 +437,64 @@ def _series_rows(series):
     come from np.exp.
 
     Each row has its own truncation |k| <= K: it starts where a one-point
-    call in that row's v starts and grows only while the row fails its own
-    tail bound.  Every J value of a round, J(u) and J(v) alike, comes from
-    one _JTable per chunk of row positions of every entry, over the u and v
-    of its open rows, with at most _TABLE_CELLS cells counted over their
-    distinct |x| (_chunks; a backward recurrence per chunk and round, one
-    per round whose table fits; entries that share one u array sweep it
-    once; a chunk's table is freed before the next is built).  An entry
-    reads its u and v by their positions in the table's arguments.  The terms
-    are added one k at a time from k = -K up (_entry_sums, rows on the
+    call in that row's v starts and grows to K' = min(1.5 K + 8, k_cap)
+    (_grow) only while the row fails its own tail bound.  Every J value,
+    J(u) and J(v) alike, comes from one _JTable per chunk of row positions
+    of every entry, over the u and v of its open rows, with at most
+    _TABLE_CELLS cells counted over their distinct |x| (_chunks; entries
+    that share one u array sweep it once; a chunk's table is freed before
+    the next is built).  A chunk's table holds the orders that its rows
+    read at K and at K' (_reach), the latter up to the box
+    |m| <= 2 MAX_ORDER, so the rows that the first truncation leaves open
+    finish on it, and so do later rounds while an entry's orders stay
+    within its top.  Only the rows whose orders pass it go on to a new
+    table, planned by the same rule at their own K.  A table's top decides
+    which orders a sweep keeps, never a value's bits.  An entry reads its u
+    and v by their positions in the table's arguments.  The terms are
+    added one k at a time from k = -K up (_entry_sums, rows on the
     contiguous axis), and rows with a smaller K than the widest row of
-    their chunk see zero terms in its place, so every row equals its
+    their entry see zero terms in its place, so every row equals its
     one-point call bit for bit.  A result is real when its delta is the
     scalar 0 or +-pi, and complex otherwise.
     """
     k_cap = _k_cap()
     k_row = [_k_start(s[3], k_cap) for s in series]
-    todo = [np.ones(s[3].size, dtype=bool) for s in series]  # the rows still open
     out = [np.empty((s[3].size, s[2]), complex if np.ndim(s[4]) else phase_exp(2, s[4]).dtype)
            for s in series]
-    while True:
-        live = [(i, np.flatnonzero(o)) for i, o in enumerate(todo) if o.any()]
-        if not live:
-            return out
-        # a bound on the orders of every live row: |first - 2K| and first + 2 (count - 1 + K)
-        top = max(2 * int(k_row[i][t].max()) + int(np.abs(series[i][1][t]).max())
-                  + 2 * series[i][2] for i, t in live)
+    live = [(i, np.arange(s[3].size)) for i, s in enumerate(series) if s[3].size]
+    while live:
+        # the orders of every live row at its K, and at its K' within the box
+        top = max(max(_reach(series[i], t, k_row[i][t]) for i, t in live),
+                  min(max(_reach(series[i], t, _grow(k_row[i][t], k_cap)) for i, t in live),
+                      2 * MAX_ORDER))
+        later = {}  # the open rows of each entry whose orders pass their table's top
         for chunk in _chunks(series, live, _TABLE_CELLS // (top + 1 + 3 * _MILLER_BLOCK)):
             table = _JTable(np.concatenate([series[i][x][t] for i, t in chunk for x in (0, 3)]),
                             top)
-            at = 0  # the position of the entry's u[t] among the table's arguments
+            at = 0
             for i, t in chunk:
-                K = k_row[i][t]
-                acc, tail = _entry_sums(table, at, series[i], t, K, out[i].dtype)
+                # the positions of u[t] (row 0) and v[t] (row 1) among the table's arguments
+                pos = np.arange(at, at + 2 * t.size).reshape(2, t.size)
                 at += 2 * t.size
-                bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=0), ABS_FLOOR)
-                ok = tail <= bound
-                out[i][t[ok]] = acc[:, ok].T
-                todo[i][t[ok]] = False
-                stuck = ~ok & (K >= k_cap)
-                if stuck.any():
-                    raise SeriesConvergenceError(
-                        f"generalized Bessel series not converged within {MAX_TERMS} terms",
-                        float(np.max(tail[stuck])),
-                    )
-                k_row[i][t[~ok]] = np.minimum((K[~ok] * 1.5).astype(int) + 8, k_cap)
+                K = k_row[i][t]
+                while t.size and _reach(series[i], t, K) <= top:
+                    acc, tail = _entry_sums(table, pos, series[i], t, K, out[i].dtype)
+                    bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=0), ABS_FLOOR)
+                    ok = tail <= bound
+                    out[i][t[ok]] = acc[:, ok].T
+                    stuck = ~ok & (K >= k_cap)
+                    if stuck.any():
+                        raise SeriesConvergenceError(
+                            f"generalized Bessel series not converged within {MAX_TERMS} terms",
+                            float(np.max(tail[stuck])),
+                        )
+                    t, pos, K = t[~ok], pos[:, ~ok], _grow(K[~ok], k_cap)
+                if t.size:
+                    k_row[i][t] = K
+                    later.setdefault(i, []).append(t)
             del table  # before the next chunk's table is built
+        live = [(i, np.concatenate(later[i])) for i in sorted(later)]
+    return out
 
 
 def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
@@ -483,7 +511,7 @@ def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
 
     Scalar u and v give a 1-D array over the orders.  Equal-length 1-D
     arrays u and v (one shared delta) give one row per point, every J(u)
-    and J_k(v) value of a round read from one table for all rows.  K is
+    and J_k(v) value read from one table per chunk of rows.  K is
     kept per row: each row starts at its own K and grows only while it
     fails its own tail bound, so every row equals the scalar call at its
     (u, v) exactly.

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from atispec import specfun
-from atispec.constants import E_CHARGE
+from atispec.constants import E_CHARGE, ELECTRON_MASS_EV, FINE_STRUCTURE
 from atispec.kinematics import (
     Atom,
     LaserField,
@@ -32,7 +32,13 @@ from atispec.rates import (
     rate_laplace,
     saddle_point,
 )
-from atispec.spectra import dwdo_circular, dwdo_general, dwdo_linear, dwdo_nonrel
+from atispec.spectra import (
+    channel_spectrum,
+    dwdo_circular,
+    dwdo_general,
+    dwdo_linear,
+    dwdo_nonrel,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -241,6 +247,40 @@ def test_a07_nonrelativistic_limit():
         nr = dwdo_nonrel(field, atom, n, theta).dwdo
         worst = max(worst, abs(val / nr - 1.0))
     _report("07 nonrelativistic-limit", worst, 0.10, extra=f"(peak N={n_peak}) ")
+
+
+def _kfr_rate(field, atom, formula, channels):
+    # the KFR-only rate (rescattering off) of a formula over the channels,
+    # 48 Gauss-Legendre nodes in cos theta and 16 azimuth panels
+    mu, w = np.polynomial.legendre.leggauss(48)
+    phi = 2.0 * math.pi * np.arange(16) / 16
+    dwdo = channel_spectrum(field, atom, channels[:, None, None], np.arccos(mu)[:, None], phi,
+                            formula, False)[1].reshape(channels.size, mu.size, phi.size)
+    return 2.0 * math.pi * float(np.sum(dwdo.mean(axis=2) @ w))
+
+
+def test_a07b_nonrelativistic_rate_limit():
+    # the field of linear_small.json (25 keV, Z = 2) at small xi: the
+    # relativistic KFR rate over the nonrelativistic one, linear (55 / 59)
+    # and circular (44 / 56), summed over the first 12 open channels.  The
+    # nonrelativistic forms drop terms of first order in the photoelectron's
+    # beta^2 = 2 N0 omega / m at the threshold channel N0, which carries the
+    # rate here, in xi^2 and in (Z alpha)^2; the bound is their sum with
+    # unit coefficients
+    atom = Atom.from_charge(2)
+    omega = 25081.8751 / ELECTRON_MASS_EV
+    worst, line = 0.0, []
+    for make, tags in ((LaserField.linear, "55/59"), (LaserField.circular, "44/56")):
+        for xi in (0.05, 0.2):
+            field = make(omega, xi)
+            n0 = threshold_n(field, atom)
+            channels = np.arange(n0, n0 + 12)
+            ratio = (_kfr_rate(field, atom, "relativistic", channels)
+                     / _kfr_rate(field, atom, "nonrelativistic", channels))
+            bound = 2.0 * n0 * omega + xi**2 + (atom.z_a * FINE_STRUCTURE) ** 2
+            worst = max(worst, abs(ratio - 1.0) / bound)
+            line.append(f"{tags} xi {xi}: {ratio:.4f}")
+    _report("07b nonrelativistic-rate-limit", worst, 1.0, extra=f"({', '.join(line)}) ")
 
 
 def test_a08_rate_consistency():

@@ -694,6 +694,67 @@ def test_series_window_fails_in_its_first_block(tmp_path, capsys, monkeypatch, e
     assert not (tmp_path / "out").exists()
 
 
+def _count_sweeps(monkeypatch):
+    # the top of each Miller sweep that the run makes
+    from atispec import specfun
+
+    sweeps = []
+    miller = specfun._miller
+    monkeypatch.setattr(specfun, "_miller",
+                        lambda x, top, out: (sweeps.append(top), miller(x, top, out))[1])
+    return sweeps
+
+
+def test_desk_linear_rate_pinned(tmp_path, monkeypatch):
+    # the desk config under linear polarization (auto window, 24 theta
+    # points, 8 azimuths): a series call of many chunks whose rows run more
+    # than one round.  Its direct rate bit for bit, in fewer sweeps than the
+    # 136 of one sweep per chunk and round
+    from atispec.cli import main
+
+    sweeps = _count_sweeps(monkeypatch)
+    cfg = json.loads(DESK_CONFIG.read_text())
+    cfg.update(polarization="linear", n_range="auto", theta_points=24, phi_points=8)
+    path = tmp_path / "desk_linear.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["rate", "-c", str(path), "-o", str(tmp_path / "out")]) == 0
+    rate = json.loads((tmp_path / "out" / "rate.json").read_text())
+    assert rate["methods"]["direct"]["w_total"] == 9.459635899040433e-07
+    assert len(sweeps) < 136
+
+
+# variant 0 of the benchmark's series slots: spectrum_scan's linear_55,
+# elliptic_42 and linear_both (tags 55 and 59), and rate_linear's xi 0.45
+SERIES_SLOTS = {
+    "linear_55": ("spectrum", 1, {
+        "photon_energy_ev": 5189.9721, "intensity_xi": 0.99362, "polarization": "linear",
+        "z_a": 2, "n_range": [70, 72], "theta_points": 20, "phi_points": 4}),
+    "elliptic_42": ("spectrum", 1, {
+        "photon_energy_ev": 5132.2486, "intensity_xi": 1.01544, "polarization": "elliptic",
+        "zeta": 0.4812, "z_a": 2, "n_range": [83, 85], "theta_points": 16, "phi_points": 4}),
+    "linear_both": ("spectrum", 2, {
+        "photon_energy_ev": 5197.4536, "intensity_xi": 1.016, "polarization": "linear",
+        "z_a": 2, "n_range": [74, 76], "theta_points": 16, "phi_points": 4, "formula": "both"}),
+    "rate_linear": ("rate", 1, {
+        "photon_energy_ev": 25081.8751, "intensity_xi": 0.44946, "polarization": "linear",
+        "z_a": 2, "n_range": [2, 8], "theta_points": 28, "phi_points": 2}),
+}
+
+
+@pytest.mark.parametrize("slot", SERIES_SLOTS)
+def test_series_slots_sweep_once_per_series_call(slot, tmp_path, monkeypatch):
+    # each series call of these ops fits one table, and the rows that its
+    # first truncation leaves open finish on it: one sweep per formula
+    from atispec.cli import main
+
+    command, want, cfg = SERIES_SLOTS[slot]
+    sweeps = _count_sweeps(monkeypatch)
+    path = tmp_path / "slot.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "-c", str(path), "-o", str(tmp_path / "out")]) == 0
+    assert len(sweeps) == want
+
+
 def test_runtime_loads_no_scipy(tmp_path):
     # import atispec and every subcommand, desk config, with no scipy module
     desk, out = str(DESK_CONFIG), str(tmp_path)

@@ -270,17 +270,25 @@ def test_series_rows_entries_sharing_u_equal_each_row_alone(fault, monkeypatch):
     # entries that share one u array, as the rescattering and direct series
     # of a phase-angle group do, with one first order per row, as rows of
     # several channels have, give the bits of each row run alone; every
-    # row starts at K = 2, so the rows close in different later rounds, each
-    # of whose tables holds the J(u) orders of the rows still open alone
+    # row starts at K = 2, so the rows close in different later rounds.  The
+    # first table reaches the orders of K' = 11 of the entry of first order
+    # 200, so the other two entries run their five rounds on it; that
+    # entry's rows pass its top at K = 24 and run three more rounds on a
+    # second table
     monkeypatch.setattr(specfun, "_k_start", lambda v, k_cap: np.full(v.size, 2))
-    tables = []
-    jtable = specfun._JTable
+    tables, rounds = [], []
+    jtable, entry_sums = specfun._JTable, specfun._entry_sums
 
     def counting_table(x, top):
         tables.append(top)
         return jtable(x, top)
 
+    def counting_sums(table, at, entry, t, K, dtype):
+        rounds.append(id(entry[1]))
+        return entry_sums(table, at, entry, t, K, dtype)
+
     monkeypatch.setattr(specfun, "_JTable", counting_table)
+    monkeypatch.setattr(specfun, "_entry_sums", counting_sums)
     u = np.array([0.3, 7.5, 60.0, 7.5, 251.0])
     series = [(u, np.array([58, 58, 40, 7, 58]), 3, np.array([0.5, 3.0, 12.0, 30.0, 1.0]), 0.4),
               (u, np.array([60, -3, 60, 61, 200]), 1, np.array([-2.0, 0.0, 25.0, -9.0, 4.0]), 0.4),
@@ -289,7 +297,7 @@ def test_series_rows_entries_sharing_u_equal_each_row_alone(fault, monkeypatch):
     specfun.set_bessel_fault(fault)
     try:
         together = specfun._series_rows(series)
-        rounds = len(tables)
+        tops, per_entry = list(tables), [rounds.count(id(first)) for _, first, *_ in series]
         alone = []
         for _, first, count, v, delta in series:
             rows = [(u[[p]], first[[p]], count, v[[p]], delta if np.ndim(delta) == 0 else delta[[p]])
@@ -297,7 +305,7 @@ def test_series_rows_entries_sharing_u_equal_each_row_alone(fault, monkeypatch):
             alone.append(np.vstack([specfun._series_rows([row])[0] for row in rows]))
     finally:
         specfun.set_bessel_fault(0.0)
-    assert rounds >= 4
+    assert tops == [224, 290] and per_entry == [5, 5, 5]
     for got, want in zip(together, alone):
         assert np.array_equal(got, want)
 
@@ -343,10 +351,98 @@ def test_entry_sums_add_one_term_at_a_time_from_minus_k(delta, count, size, monk
     table = specfun._JTable(np.concatenate([u[t], v[t]]), top)
     for cells in (specfun._SLAB_CELLS, 5):
         monkeypatch.setattr(specfun, "_SLAB_CELLS", cells)
-        acc, _ = specfun._entry_sums(table, 0, entry, t, K, want.dtype)
+        acc, _ = specfun._entry_sums(table, np.arange(2 * t.size).reshape(2, -1), entry, t, K,
+                                     want.dtype)
         # bytes, so signed zeros as well: the first term is added to a +0.0 sum
         assert acc.shape == want.shape
         assert np.ascontiguousarray(acc).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _spy_series_tables(monkeypatch):
+    # the chunks that _series_rows plans, pass by pass, and the _miller
+    # sweeps it runs
+    passes, sweeps = [], []
+    chunks, miller = specfun._chunks, specfun._miller
+
+    def spy_chunks(series, live, width):
+        passes.append(0)
+        for chunk in chunks(series, live, width):
+            passes[-1] += 1
+            yield chunk
+
+    def spy_miller(x, top, out):
+        sweeps.append(top)
+        return miller(x, top, out)
+
+    monkeypatch.setattr(specfun, "_chunks", spy_chunks)
+    monkeypatch.setattr(specfun, "_miller", spy_miller)
+    return passes, sweeps
+
+
+@pytest.mark.parametrize("fault", [0.0, 1e-6])
+@pytest.mark.parametrize("k_start", [None, 2])
+def test_series_rows_chunks_and_later_rounds_equal_one_point_calls(fault, k_start, monkeypatch):
+    # a small cell bound splits 60 rows into chunks, each of whose rows
+    # finish on their own table; with every row starting at K = 2 the
+    # rows pass their table's top in round 3 or later and go on to later
+    # tables.  Each row equals its one-point call bit for bit
+    rng = np.random.default_rng(27)
+    u, v = rng.uniform(-80.0, 80.0, 60), rng.uniform(-30.0, 30.0, 60)
+    monkeypatch.setattr(specfun, "_TABLE_CELLS", 3000)
+    if k_start:
+        monkeypatch.setattr(specfun, "_k_start", lambda v, k_cap: np.full(v.size, k_start))
+    passes, sweeps = _spy_series_tables(monkeypatch)
+    specfun.set_bessel_fault(fault)
+    try:
+        together = gen_bessel_orders(5, 9, u, v, 0.4)
+        planned, swept = list(passes), len(sweeps)
+        alone = np.array([gen_bessel_orders(5, 9, a, b, 0.4) for a, b in zip(u, v)])
+    finally:
+        specfun.set_bessel_fault(0.0)
+    assert planned[0] > 1 and swept == sum(planned)
+    assert (len(planned) > 1) == bool(k_start)
+    assert together.tobytes() == alone.tobytes()
+
+
+def test_series_rows_round_two_reads_the_round_one_table(monkeypatch):
+    # order 60 at |u| <= 6, whose sums are small, so that the first
+    # truncation leaves six rows open: their second round runs on the first
+    # round's tables, one sweep per chunk, whatever the chunk count
+    u, v = np.linspace(-6.0, 6.0, 40), np.linspace(30.0, 0.5, 40)
+    passes, sweeps = _spy_series_tables(monkeypatch)
+    rounds = []  # (the sweep of the table read, the smallest K) of each entry sum
+    entry_sums = specfun._entry_sums
+
+    def spy_sums(table, at, entry, t, K, dtype):
+        rounds.append((len(sweeps), int(K.min())))
+        return entry_sums(table, at, entry, t, K, dtype)
+
+    monkeypatch.setattr(specfun, "_entry_sums", spy_sums)
+    for cells in (specfun._TABLE_CELLS, 3000):
+        monkeypatch.setattr(specfun, "_TABLE_CELLS", cells)
+        for spied in (rounds, passes, sweeps):
+            spied.clear()
+        gen_bessel_orders(60, 60, u, v, 0.0)
+        assert len(passes) == 1 and len(sweeps) == passes[0]
+        assert len({k for _, k in rounds}) > 1
+        assert len(rounds) > len({table for table, _ in rounds})
+
+
+def test_series_box_edge_converged_in_round_one_keeps_its_bits(monkeypatch):
+    # orders 3948 and 3950 at v = 1: round 1 (K = 21) reads orders up to
+    # 3994 and converges, while K' = 39 would read past the box |m| <= 4000,
+    # so the table stops at the box, raises nothing and gives the bits of
+    # a table that stopped at 3994
+    tops = []
+    jtable = specfun._JTable
+    monkeypatch.setattr(specfun, "_JTable", lambda x, top: (tops.append(top), jtable(x, top))[1])
+    got = gen_bessel_orders(3948, 3950, np.array([3900.0, 1200.0]), np.array([1.0, -1.0]), 0.3)
+    assert tops == [2 * specfun.MAX_ORDER]
+    want = [complex(float.fromhex(a), float.fromhex(b)) for a, b in [
+        ("0x1.df5b5bd7a74b8p-14", "-0x1.4208c4e5416f7p-14"),
+        ("0x1.9871ed98c9181p-14", "-0x1.12bdf53de89dfp-14"),
+        ("0x1.5b7c4a08e0de8p-14", "-0x1.d410b4a5041f5p-15")]]
+    assert got[0].tolist() == want and not got[1].any()
 
 
 def test_gen_bessel_orders_peak_memory():

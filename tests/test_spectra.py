@@ -346,8 +346,10 @@ def test_series_tables_stay_within_the_cell_bound(monkeypatch):
 def test_series_rounds_of_a_rate_linear_block_build_one_table(monkeypatch):
     # the rows of one rate_linear op (zeta 0, channels 2-8 at the 57 Kronrod
     # theta nodes of theta_points 28, the one folded azimuth of 2 panels):
-    # each series round sizes its chunk by the distinct |x| of its table,
-    # so it sweeps one table; a smaller bound splits the rounds, bit for bit
+    # a pass sizes its chunk by the distinct |x| of its table, so the op
+    # sweeps one table, tall enough for every round its rows run; a smaller
+    # bound splits the pass into chunks whose rows each finish on their own
+    # table, bit for bit
     field, atom = LaserField.linear(25081.8751 / ELECTRON_MASS_EV, 0.45), Atom.from_charge(2)
     n = np.arange(2, 9)[:, None, None]
     theta, phi = np.arccos(rates._gauss_kronrod(28)[0])[:, None], np.zeros(1)
@@ -369,13 +371,14 @@ def test_series_rounds_of_a_rate_linear_block_build_one_table(monkeypatch):
     monkeypatch.setattr(specfun, "_chunks", spy_chunks)
     monkeypatch.setattr(specfun, "_JTable", spy_table)
     one = channel_spectrum(field, atom, n, theta, phi)
-    assert chunks_per_round and set(chunks_per_round) == {1}
-    assert len(tables) == len(chunks_per_round) and max(tables) <= specfun._TABLE_CELLS
+    assert chunks_per_round == [1]
+    assert len(tables) == 1 and max(tables) <= specfun._TABLE_CELLS
     chunks_per_round.clear()
     tables.clear()
     monkeypatch.setattr(specfun, "_TABLE_CELLS", 3000)
     split = channel_spectrum(field, atom, n, theta, phi)
-    assert max(chunks_per_round) > 1 and max(tables) <= 3000
+    assert len(chunks_per_round) == 1 and chunks_per_round[0] > 1
+    assert len(tables) == chunks_per_round[0] and max(tables) <= 3000
     for got, want in zip(split, one):
         assert np.array_equal(got, want, equal_nan=True)
 
