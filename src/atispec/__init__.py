@@ -37,7 +37,6 @@ from .rates import (
 )
 from .specfun import (
     BesselRangeError,
-    SeriesConvergenceError,
     airy_ai,
     airy_ai_asymptotic,
     bessel_airy_approx,

@@ -47,7 +47,7 @@ from .rates import (
     _try_saddle,
 )
 from .selftest import run_checks
-from .specfun import BesselRangeError, SeriesConvergenceError
+from .specfun import BesselRangeError
 from .spectra import channel_spectrum
 
 __all__ = ["main", "RunConfig", "ConfigError", "run_spectrum", "run_rate", "run_sweep"]
@@ -354,9 +354,9 @@ def run_spectrum(cfg: RunConfig) -> int:
 # --------------------------------------------------------------------------
 # rate
 
-def _rate_entry(rs: RateSummary) -> dict:
+def _rate_entry(rs: RateSummary, notes=()) -> dict:
     return {"w_total": rs.w_total, "grid_report": rs.grid_report,
-            "warnings": list(rs.warnings)}
+            "warnings": list(rs.warnings) + list(notes)}
 
 
 def collect_rates(cfg: RunConfig) -> dict:
@@ -367,19 +367,21 @@ def collect_rates(cfg: RunConfig) -> dict:
                     n_cut=None if cfg.n_range == "auto" else int(cfg.n_range[1]),
                     channel_cap=cfg.channel_cap)
     resc = cfg.mode == "on"
+    # the methods other than direct do not read mode: each says so under mode off
+    ignored = () if resc else ("mode 'off' has no effect on this method, which does not read it",)
     methods: dict = {}
     direct = rate_direct(field, atom, grid, rescattering=resc)
     methods["direct"] = _rate_entry(direct)
     regime = direct.regime
     if abs(field.zeta) == 1.0:
         try:
-            methods["airy_numeric"] = _rate_entry(rate_airy(field, atom))
+            methods["airy_numeric"] = _rate_entry(rate_airy(field, atom), ignored)
         except AsymptoticsError:
             pass
     if regime == REGIME_MULTIPHOTON:
-        methods["strongfield_closed"] = _rate_entry(rate_closed(field, atom))
+        methods["strongfield_closed"] = _rate_entry(rate_closed(field, atom), ignored)
     elif regime == REGIME_TUNNELING:
-        methods["tunneling_closed"] = _rate_entry(rate_closed(field, atom))
+        methods["tunneling_closed"] = _rate_entry(rate_closed(field, atom), ignored)
     saddle = asdict(direct.saddle) if direct.saddle else None
     return {"regime": regime, "saddle": saddle, "methods": methods}
 
@@ -571,7 +573,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ChannelExplosionError, BesselRangeError, SeriesConvergenceError, MemoryError) as exc:
+    except (ChannelExplosionError, BesselRangeError, MemoryError) as exc:
         # MemoryError: a grid too large to allocate
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

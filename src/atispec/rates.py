@@ -715,11 +715,7 @@ def strongfield_closed_prefactor() -> float:
     return 2.0 ** (7.0 / 3.0) / (3.0 ** (4.0 / 3.0) * GAMMA_TWO_THIRDS**2) * math.pi
 
 
-def rate_closed(
-    field: LaserField,
-    atom: Atom,
-    branch: str | None = None,
-) -> RateSummary:
+def rate_closed(field: LaserField, atom: Atom) -> RateSummary:
     """Closed-form rate in the regime found by saddle_point.
 
     multiphoton_strongfield:
@@ -728,25 +724,22 @@ def rate_closed(
     tunneling:
         W = 2 omega (omega/E_B)^3 (F_at/F0)^3 exp(-2 F_at / (3 F0))
 
-    The intermediate regime raises RegimeError unless a branch is forced.
+    The intermediate regime raises RegimeError.
     """
     saddle = saddle_point(field, atom)
     dp = derive_params(field, atom)
-    regime = branch or saddle.regime
     ratio = dp.f_at / dp.f0
-    if regime == REGIME_MULTIPHOTON:
+    if saddle.regime == REGIME_MULTIPHOTON:
         w = strongfield_closed_prefactor() * field.omega * (field.omega / atom.e_b) ** 3 * ratio ** (11.0 / 3.0)
         method = "strongfield_closed"
-    elif regime == REGIME_TUNNELING:
+    elif saddle.regime == REGIME_TUNNELING:
         decay = math.exp(-2.0 * ratio / 3.0)
         # ratio^3 overflows only far past the underflow of the exponential
         w = 0.0 if decay == 0.0 else \
             2.0 * field.omega * (field.omega / atom.e_b) ** 3 * ratio**3 * decay
         method = "tunneling_closed"
     else:
-        raise RegimeError(
-            f"y_m = {saddle.y_m:.3g} is intermediate; force a branch to proceed"
-        )
+        raise RegimeError(f"y_m = {saddle.y_m:.3g} is intermediate; no closed form applies")
     return RateSummary(
         w_total=w,
         method=method,

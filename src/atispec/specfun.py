@@ -28,7 +28,6 @@ from . import _airy_tables as _tab
 
 __all__ = [
     "BesselRangeError",
-    "SeriesConvergenceError",
     "ordinary_bessel",
     "gen_bessel",
     "gen_bessel_orders",
@@ -44,12 +43,10 @@ MAX_ORDER = 2000
 MAX_ARGUMENT = 5000.0
 
 # series truncation: a series stops once its tail bound is below REL_TOL of
-# the largest partial sum, magnitudes below ABS_FLOOR counting as zero; one
-# series may not grow past MAX_TERMS terms.  Read at call time, so that a
-# test can patch them.
+# the largest partial sum, magnitudes below ABS_FLOOR counting as zero; its
+# orders may not pass the box |m| <= 2 MAX_ORDER (BesselRangeError)
 REL_TOL = 1e-12
 ABS_FLOOR = 1e-12
-MAX_TERMS = 40000
 # cells of one _series_rows sweep, arguments x (orders of the table + the 3
 # _MILLER_BLOCK rows a recurrence keeps beside them): a bound on its memory
 _TABLE_CELLS = 2**18
@@ -62,14 +59,6 @@ QUAD_POINTS = 256
 
 class BesselRangeError(ValueError):
     """Order or argument outside the supported evaluation box."""
-
-
-class SeriesConvergenceError(RuntimeError):
-    """Series truncation failed to converge; carries the residual estimate."""
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual estimate {residual:.3e})")
-        self.residual = residual
 
 
 def _reduce_angle(delta: float) -> float:
@@ -315,21 +304,19 @@ def _series_k_start(v: float) -> int:
     return int(math.ceil(av + 10.0 * av ** (1.0 / 3.0) + 10.0))
 
 
-def _k_cap() -> int:
-    """The largest truncation K of a series: MAX_TERMS terms |k| <= K."""
-    return max((MAX_TERMS - 1) // 2, 1)
-
-
-def _k_start(v, k_cap: int):
-    """min(_series_k_start(v), k_cap) at every entry of a 1-D v, as one
-    numpy expression.  numpy's power can round differently from Python's in
-    the last bit, so an entry whose pre-ceil value lies within 1e-9 of an
-    integer takes the scalar rule."""
+def _k_start(v):
+    """min(_series_k_start(v), MAX_ORDER + 1) at every entry of a 1-D v, as
+    one numpy expression.  A row at the clamp reads orders past the box
+    |m| <= 2 MAX_ORDER and raises BesselRangeError, as it would at its
+    unclamped K; the clamp keeps the int cast finite for |v| up to 1e300.
+    numpy's power can round differently from Python's in the last bit, so
+    an entry whose pre-ceil value lies within 1e-9 of an integer takes the
+    scalar rule."""
     av = np.abs(v)
     pre = av + 10.0 * av ** (1.0 / 3.0) + 10.0
-    k = np.ceil(np.minimum(pre, k_cap)).astype(np.int64)
+    k = np.ceil(np.minimum(pre, MAX_ORDER + 1)).astype(np.int64)
     for i in np.flatnonzero(np.abs(pre - np.rint(pre)) <= 1e-9).tolist():
-        k[i] = min(_series_k_start(float(v[i])), k_cap)
+        k[i] = min(_series_k_start(float(v[i])), MAX_ORDER + 1)
     return k
 
 
@@ -422,9 +409,9 @@ def _reach(entry, t, K):
     return 2 * int(K.max()) + int(np.abs(entry[1][t]).max()) + 2 * entry[2]
 
 
-def _grow(K, k_cap):
+def _grow(K):
     """The truncation after K of a row that fails its tail bound."""
-    return np.minimum((K * 1.5).astype(int) + 8, k_cap)
+    return (K * 1.5).astype(int) + 8
 
 
 def _series_rows(series):
@@ -437,8 +424,10 @@ def _series_rows(series):
     come from np.exp.
 
     Each row has its own truncation |k| <= K: it starts where a one-point
-    call in that row's v starts and grows to K' = min(1.5 K + 8, k_cap)
-    (_grow) only while the row fails its own tail bound.  Every J value,
+    call in that row's v starts and grows to K' = 1.5 K + 8 (_grow) only
+    while the row fails its own tail bound.  A row whose orders pass the
+    box |m| <= 2 MAX_ORDER raises BesselRangeError (_JTable), which is the
+    series' one limit: every row it sums has K < MAX_ORDER.  Every J value,
     J(u) and J(v) alike, comes from one _JTable per chunk of row positions
     of every entry, over the u and v of its open rows, with at most
     _TABLE_CELLS cells counted over their distinct |x| (_chunks; entries
@@ -457,15 +446,14 @@ def _series_rows(series):
     one-point call bit for bit.  A result is real when its delta is the
     scalar 0 or +-pi, and complex otherwise.
     """
-    k_cap = _k_cap()
-    k_row = [_k_start(s[3], k_cap) for s in series]
+    k_row = [_k_start(s[3]) for s in series]
     out = [np.empty((s[3].size, s[2]), complex if np.ndim(s[4]) else phase_exp(2, s[4]).dtype)
            for s in series]
     live = [(i, np.arange(s[3].size)) for i, s in enumerate(series) if s[3].size]
     while live:
         # the orders of every live row at its K, and at its K' within the box
         top = max(max(_reach(series[i], t, k_row[i][t]) for i, t in live),
-                  min(max(_reach(series[i], t, _grow(k_row[i][t], k_cap)) for i, t in live),
+                  min(max(_reach(series[i], t, _grow(k_row[i][t])) for i, t in live),
                       2 * MAX_ORDER))
         later = {}  # the open rows of each entry whose orders pass their table's top
         for chunk in _chunks(series, live, _TABLE_CELLS // (top + 1 + 3 * _MILLER_BLOCK)):
@@ -482,13 +470,7 @@ def _series_rows(series):
                     bound = REL_TOL * np.maximum(np.max(np.abs(acc), axis=0), ABS_FLOOR)
                     ok = tail <= bound
                     out[i][t[ok]] = acc[:, ok].T
-                    stuck = ~ok & (K >= k_cap)
-                    if stuck.any():
-                        raise SeriesConvergenceError(
-                            f"generalized Bessel series not converged within {MAX_TERMS} terms",
-                            float(np.max(tail[stuck])),
-                        )
-                    t, pos, K = t[~ok], pos[:, ~ok], _grow(K[~ok], k_cap)
+                    t, pos, K = t[~ok], pos[:, ~ok], _grow(K[~ok])
                 if t.size:
                     k_row[i][t] = K
                     later.setdefault(i, []).append(t)
@@ -503,9 +485,10 @@ def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
     Evaluates the bilinear series sum_k exp(-2ik delta) J_{n-2k}(u) J_k(v),
     truncated at |k| <= K.  K starts at ceil(|v| + 10|v|^(1/3) + 10) and is
     enlarged until the tail bound drops below REL_TOL of the running sums
-    (with ABS_FLOOR as the small-value cutoff).  The even and the odd
-    orders of the range are two series, each with one truncation index for
-    all its orders; the tail bound max_n |J_{n-2k}(u)| <= 1 makes it
+    (with ABS_FLOOR as the small-value cutoff); a series whose orders pass
+    the box |m| <= 2 MAX_ORDER raises BesselRangeError.  The even and the
+    odd orders of the range are two series, each with one truncation index
+    for all its orders; the tail bound max_n |J_{n-2k}(u)| <= 1 makes it
     independent of n and u.  Both series read their J values from one
     backward recurrence (_series_rows).
 
@@ -770,10 +753,18 @@ def _jn(n, x):
     other, injected fault included: the single-order calls of tags 44 and
     56, which read J_N at one order per point.
 
-    A point with n >= 1 and 0 <= x < n, which covers every argument of the
-    two tags, takes the numpy kernel _jn_below; any other point reads the
-    Miller recurrence of _jn_table, so every input within its box is
-    served.  A point's bits depend on its (n, x) alone.
+    A point with n >= 1 and 0 <= x < n takes the numpy kernel _jn_below;
+    any other point reads the Miller recurrence of _jn_table, so every
+    input within its box is served.  A point's bits depend on its (n, x)
+    alone.
+
+    On open channels N and theta in [0, pi] both tags keep x at least
+    E_B/omega below N, so they never reach the recurrence (public calls at
+    theta outside [0, pi] give x < 0 and do).  Tag 44: x = alpha <=
+    xi |Pi| / (omega m*), since Pi0 - |Pi| cos theta >= m* sin theta, so
+    N - x >= [(Pi0 - eps0) m* - xi |Pi|] / (omega m*) >= E_B/omega, with
+    equality at Pi0 = m*^2.  Tag 56: x = sqrt(8 z X) sin theta <= X + 2z =
+    N - E_B/omega by AM-GM.
     """
     n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
     shape, n, x = x.shape, n.ravel(), x.ravel()

@@ -228,6 +228,24 @@ def test_a06_polarization_reductions():
     _report("06b linear-reduction", worst_l, 1.0)
 
 
+def test_a06c_zeta_continuity_at_rate_level():
+    # the general kernel (tag 42) meets the circular fast path (tag 44) at
+    # rate level: W(zeta) / W(1) - 1 on the direct rate, auto window.  zeta
+    # enters only through zeta^2, in m*, in the coupling and in the second
+    # argument Z (1 - zeta^2) / 2; the bound takes each at first order in
+    # 1 - zeta^2 with a unit coefficient, 3 (1 - zeta^2) ~ 6 (1 - zeta)
+    atom = Atom.from_charge(1)
+    grid = GridSpec(theta_points=24, phi_points=16)
+    worst, line = 0.0, []
+    for xi in (0.45, 1.0):
+        w1 = rate_direct(LaserField.circular(0.01, xi), atom, grid).w_total
+        for zeta in (0.9999, 0.999, 0.99):
+            dev = rate_direct(LaserField(0.01, xi, zeta), atom, grid).w_total / w1 - 1.0
+            worst = max(worst, abs(dev) / (3.0 * (1.0 - zeta**2)))
+            line.append(f"xi {xi} zeta {zeta}: {dev:.3e}")
+    _report("06c zeta-continuity", worst, 1.0, extra=f"({', '.join(line)}) ")
+
+
 def test_a07_nonrelativistic_limit():
     # few-photon configuration: v_mean = 0.05 <= 0.1, Born window satisfied
     field = LaserField.circular(5e-3, 0.05)

@@ -807,6 +807,33 @@ def test_rate_regime_gating_keys(tmp_path):
     assert "strongfield_closed" not in data2["methods"]
 
 
+def test_mode_off_notes_each_method_that_does_not_read_it(tmp_path, capsys):
+    # under mode off, airy_numeric and the closed forms carry one warning
+    # each, in rate.json and sweep.json, and no w_total moves; direct reads
+    # mode and carries no such note
+    from atispec.cli import main
+
+    cfg = write_config(tmp_path, theta_points=16, n_range=[95, 100])
+    data = {}
+    for mode in ("on", "off"):
+        out = tmp_path / mode
+        assert main(["rate", "-c", str(cfg), "-o", str(out), "--mode", mode]) == 0
+        assert main(["sweep", "-c", str(cfg), "-o", str(out), "--mode", mode,
+                     "--vary", "xi", "--values", "1"]) == 0
+        data[mode] = [json.loads((out / "rate.json").read_text())["methods"],
+                      json.loads((out / "sweep.json").read_text())["rows"][0]["methods"]]
+    assert capsys.readouterr().err == ""
+    for on, off in zip(data["on"], data["off"]):
+        assert set(on) == set(off) == {"direct", "airy_numeric", "strongfield_closed"}
+        assert not any("mode" in w for w in off["direct"]["warnings"])
+        assert off["direct"]["w_total"] < on["direct"]["w_total"]
+        for name in ("airy_numeric", "strongfield_closed"):
+            assert on[name]["warnings"] == []
+            assert off[name]["warnings"] == ["mode 'off' has no effect on this method, "
+                                             "which does not read it"]
+            assert off[name]["w_total"] == on[name]["w_total"]
+
+
 def test_sweep_monotone_peak_channel(tmp_path):
     cfg = write_config(tmp_path, theta_points=16, n_range="auto")
     out = tmp_path / "sw"

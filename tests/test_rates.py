@@ -714,11 +714,12 @@ def test_tunneling_closed_exponent_derivative():
     f_at = atom.z_a**3 * E_CHARGE**5
 
     def lnw(xi):
-        return math.log(rate_closed(LaserField.circular(omega, xi), atom,
-                                    branch="tunneling").w_total)
+        return math.log(rate_closed(LaserField.circular(omega, xi), atom).w_total)
 
     xi0 = 0.0168  # F_at/F0 ~ 500: deep tunneling, W still representable
     xi1, xi2 = xi0 * 0.999, xi0 * 1.001
+    for xi in (xi1, xi2):
+        assert saddle_point(LaserField.circular(omega, xi), atom).y_m >= 10.0
     inv1 = E_CHARGE / (omega * xi1)
     inv2 = E_CHARGE / (omega * xi2)
     slope = (lnw(xi2) - lnw(xi1)) / (inv2 - inv1)
@@ -733,11 +734,8 @@ def test_rate_closed_regime_gating():
     assert rate_closed(DESK_FIELD, DESK_ATOM).method == "strongfield_closed"
     tun = rate_closed(LaserField.circular(2e-6, 0.4), Atom.from_charge(6))
     assert tun.method == "tunneling_closed"
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match="intermediate"):
         rate_closed(LaserField.circular(1e-4, 0.1), Atom.with_binding(1, 6e-4))
-    forced = rate_closed(LaserField.circular(1e-4, 0.1), Atom.with_binding(1, 6e-4),
-                         branch="tunneling")
-    assert forced.method == "tunneling_closed"
 
 
 def test_laplace_estimate_matches_strongfield_closed():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from atispec import specfun
 from atispec.specfun import (
     BesselRangeError,
-    SeriesConvergenceError,
     airy_ai,
     airy_ai_asymptotic,
     bessel_airy_approx,
@@ -258,11 +257,11 @@ def test_series_route_range_guard():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.floats(-3e4, 3e4, allow_nan=False),
                           st.integers(0, 20000).map(float),
-                          st.floats(-1e300, 1e300, allow_nan=False)), min_size=1, max_size=20),
-       st.sampled_from([1, 31, 19999]))
-def test_vectorized_truncation_start_equals_the_scalar_rule(vs, k_cap):
-    got = specfun._k_start(np.array(vs), k_cap)
-    assert got.tolist() == [min(specfun._series_k_start(v), k_cap) for v in vs]
+                          st.floats(-1e300, 1e300, allow_nan=False)), min_size=1, max_size=20))
+def test_vectorized_truncation_start_equals_the_scalar_rule(vs):
+    # clamped at MAX_ORDER + 1, past the box, so the int cast stays finite
+    got = specfun._k_start(np.array(vs))
+    assert got.tolist() == [min(specfun._series_k_start(v), specfun.MAX_ORDER + 1) for v in vs]
 
 
 @pytest.mark.parametrize("fault", [0.0, 1e-6])
@@ -275,7 +274,7 @@ def test_series_rows_entries_sharing_u_equal_each_row_alone(fault, monkeypatch):
     # 200, so the other two entries run their five rounds on it; that
     # entry's rows pass its top at K = 24 and run three more rounds on a
     # second table
-    monkeypatch.setattr(specfun, "_k_start", lambda v, k_cap: np.full(v.size, 2))
+    monkeypatch.setattr(specfun, "_k_start", lambda v: np.full(v.size, 2))
     tables, rounds = [], []
     jtable, entry_sums = specfun._JTable, specfun._entry_sums
 
@@ -390,7 +389,7 @@ def test_series_rows_chunks_and_later_rounds_equal_one_point_calls(fault, k_star
     u, v = rng.uniform(-80.0, 80.0, 60), rng.uniform(-30.0, 30.0, 60)
     monkeypatch.setattr(specfun, "_TABLE_CELLS", 3000)
     if k_start:
-        monkeypatch.setattr(specfun, "_k_start", lambda v, k_cap: np.full(v.size, k_start))
+        monkeypatch.setattr(specfun, "_k_start", lambda v: np.full(v.size, k_start))
     passes, sweeps = _spy_series_tables(monkeypatch)
     specfun.set_bessel_fault(fault)
     try:
@@ -498,24 +497,34 @@ def test_chunks_end_where_a_suffix_scan_ends_them(seed):
     assert got == want
 
 
-def test_batched_gen_bessel_orders_checks(monkeypatch):
+def test_batched_gen_bessel_orders_checks():
     with pytest.raises(ValueError):
         gen_bessel_orders(0, 2, np.array([1.0, 2.0]), np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         gen_bessel_orders(0, 2, np.array([1.0, np.nan]), np.array([1.0, 2.0]), 0.0)
     with pytest.raises(BesselRangeError):
         gen_bessel_orders(3990, 3990, np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.0)
-    monkeypatch.setattr(specfun, "MAX_TERMS", 64)
-    with pytest.raises(SeriesConvergenceError) as err:
-        gen_bessel_orders(0, 0, np.array([1.0, 1.0]), np.array([0.5, 400.0]), 0.0)
-    assert err.value.residual > 0.0
+    # v = 1900 starts at K = 2034, clamped to MAX_ORDER + 1: its orders pass
+    # the box, beside a row that converges at once
+    with pytest.raises(BesselRangeError, match="beyond the supported box"):
+        gen_bessel_orders(0, 0, np.array([1.0, 1.0]), np.array([0.5, 1900.0]), 0.0)
 
 
-def test_gen_bessel_convergence_error_carries_residual(monkeypatch):
-    monkeypatch.setattr(specfun, "MAX_TERMS", 64)
-    with pytest.raises(SeriesConvergenceError) as err:
-        gen_bessel(0, 1.0, 400.0, 0.0)
-    assert err.value.residual > 0.0
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-4100, 4100), st.integers(0, 3),
+       st.lists(st.tuples(st.floats(-6000.0, 6000.0), st.floats(-6000.0, 6000.0)),
+                min_size=1, max_size=3),
+       st.floats(-10.0, 10.0))
+def test_gen_bessel_orders_gives_finite_values_or_the_box_error(n_lo, width, uv, delta):
+    # the box |m| <= 2 MAX_ORDER, |x| <= MAX_ARGUMENT is a series' one limit:
+    # inside it every series converges to finite values, past it it raises
+    # BesselRangeError, and nothing else comes out
+    u, v = (np.array(x) for x in zip(*uv))
+    try:
+        got = gen_bessel_orders(n_lo, n_lo + width, u, v, delta)
+    except BesselRangeError:
+        return
+    assert got.shape == (len(uv), width + 1) and np.all(np.isfinite(got))
 
 
 def test_quadrature_trivial_values():

@@ -31,29 +31,59 @@ DESK_ATOM = Atom.from_charge(1)
 
 # ---------------------------------------------------------------- circular
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(omega=st.floats(1e-4, 0.05), xi=st.floats(0.01, 8.0), z_a=st.integers(1, 40),
        offset=st.integers(0, 300), theta=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=8))
 def test_circular_forms_read_j_n_below_the_turning_point(omega, xi, z_a, offset, theta):
-    # tags 44 and 56 hand specfun._jn only arguments x < N (alpha < N by
-    # Cauchy-Schwarz; x^2 <= 8zX < N^2 for tag 56), the range of its kernel
+    # tags 44 and 56 hand specfun._jn only arguments 0 <= x <= N - E_B/omega
+    # (specfun._jn's docstring), the range of its kernel.  Equality holds at
+    # Pi0 = m*^2, cos theta = |Pi|/Pi0 for tag 44 and at X = 2z, theta = pi/2
+    # for tag 56: those channels and angles are evaluated too, and x may
+    # pass the bound only by rounding
     seen = []
     jn = specfun._jn
 
     def spy(n, x):
-        seen.append((np.asarray(n), np.asarray(x)))
+        seen.append(np.broadcast_arrays(np.asarray(n), np.asarray(x)))
         return jn(n, x)
 
     field, atom = LaserField.circular(omega, xi), Atom.from_charge(z_a)
     n0 = max(threshold_n(field, atom), 1)
     n = np.arange(n0, n0 + offset + 3)[:, None]
+    m_sq = 1.0 + xi**2  # m*^2 of a circular field
+    tight = [(m_sq - atom.epsilon0) / omega, xi**2 / omega + atom.e_b / omega]
+    n_tight = np.array([max(n0, math.floor(t) + d) for t in tight for d in (0, 1)])
+    pi0 = atom.epsilon0 + n_tight * omega
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(specfun, "_jn", spy)
         circular_channel_dwdo(field, atom, n, np.array(theta))
         nonrel_channel_dwdo(field, atom, n, np.array(theta))
+        circular_channel_dwdo(field, atom, n_tight, np.arccos(np.sqrt(pi0**2 - m_sq) / pi0))
+        nonrel_channel_dwdo(field, atom, n_tight, np.full(n_tight.size, math.pi / 2))
     assert seen
     for orders, args in seen:
-        assert np.all((args >= 0.0) & (args < orders))
+        assert np.all(args >= 0.0)
+        assert np.all(orders - args >= atom.e_b / omega - 1e-12 * orders)
+
+
+@pytest.mark.parametrize("formula", ["relativistic", "nonrelativistic"])
+@pytest.mark.parametrize("omega, xi, z_a", [(0.01, 1.0, 1), (0.0141, 0.99277, 2), (2e-4, 0.3, 6)])
+def test_circular_channel_spectrum_never_takes_the_miller_branch(formula, omega, xi, z_a,
+                                                                 monkeypatch):
+    # over theta in [0, pi], ends included, tags 44 and 56 read J_N from
+    # _jn's kernel alone: no _JTable is built.  The branch stays for public
+    # calls at theta outside [0, pi], whose argument is negative
+    built = []
+    jtable = specfun._JTable
+    monkeypatch.setattr(specfun, "_JTable", lambda x, top: (built.append(top), jtable(x, top))[1])
+    field, atom = LaserField.circular(omega, xi), Atom.from_charge(z_a)
+    n0 = threshold_n(field, atom)
+    tag = channel_spectrum(field, atom, np.arange(n0, n0 + 40)[:, None, None],
+                           np.linspace(0.0, math.pi, 33)[:, None], np.zeros(2), formula)[0]
+    assert set(np.unique(tag)) == {TAG_CIRCULAR if formula == "relativistic" else TAG_NONREL_CIRCULAR}
+    assert built == []
+    dwdo_circular(field, atom, n0 + 5, -0.5)
+    assert len(built) == 1
 
 
 def test_circular_forward_emission_vanishes():
