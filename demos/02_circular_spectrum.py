@@ -8,7 +8,7 @@ channel.  Run: python3 demos/02_circular_spectrum.py
 
 import math
 
-from atispec import Atom, LaserField, derive_params, dwdo_circular, saddle_point, threshold_n
+from atispec import Atom, LaserField, derive_params, saddle_point, spectrum_point, threshold_n
 
 field = LaserField.circular(omega=0.01, xi=1.0)
 atom = Atom.from_charge(1)
@@ -27,8 +27,8 @@ n0 = threshold_n(field, atom)
 for n in range(int(s.n_m - 2 * s.delta_n), int(s.n_m + 2 * s.delta_n) + 1, 9):
     if n < n0:
         continue
-    on = dwdo_circular(field, atom, n, s.theta_m)
-    off = dwdo_circular(field, atom, n, s.theta_m, rescattering=False)
+    on = spectrum_point(field, atom, n, s.theta_m, 0.0)
+    off = spectrum_point(field, atom, n, s.theta_m, 0.0, rescattering=False)
     ratio = on.dwdo / off.dwdo if off.dwdo else float("nan")
     print(f"{n:>5} {on.dwdo:>14.4e} {off.dwdo:>14.4e} {ratio:>15.4f}")
 
@@ -38,6 +38,6 @@ for k in range(-3, 4):
     theta = s.theta_m + k * s.delta_theta
     if not 0.0 <= theta <= math.pi:
         continue
-    pt = dwdo_circular(field, atom, n_pk, theta)
-    bar = "#" * int(60 * pt.dwdo / dwdo_circular(field, atom, n_pk, s.theta_m).dwdo)
+    pt = spectrum_point(field, atom, n_pk, theta, 0.0)
+    bar = "#" * int(60 * pt.dwdo / spectrum_point(field, atom, n_pk, s.theta_m, 0.0).dwdo)
     print(f"  theta = {math.degrees(theta):6.2f} deg  {pt.dwdo:.3e}  {bar}")

@@ -52,10 +52,7 @@ from .spectra import (
     TAG_NONREL_CIRCULAR,
     TAG_NONREL_LINEAR,
     SpectrumPoint,
-    dwdo_circular,
-    dwdo_general,
-    dwdo_linear,
-    dwdo_nonrel,
+    spectrum_point,
 )
 
 __version__ = "0.1.0"

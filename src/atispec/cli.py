@@ -48,7 +48,7 @@ from .rates import (
 )
 from .selftest import run_checks
 from .specfun import BesselRangeError
-from .spectra import channel_spectrum
+from .spectra import _tag, channel_spectrum
 
 __all__ = ["main", "RunConfig", "ConfigError", "run_spectrum", "run_rate", "run_sweep"]
 
@@ -305,8 +305,12 @@ def run_spectrum(cfg: RunConfig) -> int:
     formulas = {"relativistic": ["relativistic"],
                 "nonrelativistic": ["nonrelativistic"],
                 "both": ["relativistic", "nonrelativistic"]}[cfg.formula]
-    if "nonrelativistic" in formulas and cfg.polarization == "elliptic":
-        raise ConfigError("nonrelativistic formulas support circular or linear polarization only")
+    # the tag rule reads zeta, so an elliptic field at |zeta| = 1 or 0 has nonrelativistic forms
+    try:
+        for formula in formulas:
+            _tag(field, formula)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.n_range == "auto":
         n_lo, n_hi = _channel_range(field, atom, _try_saddle(field, atom), None,
                                     cfg.channel_cap)
@@ -367,11 +371,15 @@ def collect_rates(cfg: RunConfig) -> dict:
                     n_cut=None if cfg.n_range == "auto" else int(cfg.n_range[1]),
                     channel_cap=cfg.channel_cap)
     resc = cfg.mode == "on"
-    # the methods other than direct do not read mode: each says so under mode off
-    ignored = () if resc else ("mode 'off' has no effect on this method, which does not read it",)
+    # no method reads formula, and only direct reads mode: each says what it ignores
+    unread = () if cfg.formula == "relativistic" else (
+        f"formula '{cfg.formula}' has no effect on this method: every rate uses the "
+        "relativistic forms",)
+    ignored = unread + (() if resc else (
+        "mode 'off' has no effect on this method, which does not read it",))
     methods: dict = {}
     direct = rate_direct(field, atom, grid, rescattering=resc)
-    methods["direct"] = _rate_entry(direct)
+    methods["direct"] = _rate_entry(direct, unread)
     regime = direct.regime
     if abs(field.zeta) == 1.0:
         try:

@@ -299,25 +299,14 @@ def ordinary_bessel(n: int, x: float) -> float:
 # --------------------------------------------------------------------------
 # generalized Bessel function: series route
 
-def _series_k_start(v: float) -> int:
-    av = abs(v)
-    return int(math.ceil(av + 10.0 * av ** (1.0 / 3.0) + 10.0))
-
-
 def _k_start(v):
-    """min(_series_k_start(v), MAX_ORDER + 1) at every entry of a 1-D v, as
-    one numpy expression.  A row at the clamp reads orders past the box
+    """The first truncation of a series row, ceil(|v| + 10|v|^(1/3) + 10)
+    clamped at MAX_ORDER + 1, at every entry of a 1-D v, as one numpy
+    expression.  A row at the clamp reads orders past the box
     |m| <= 2 MAX_ORDER and raises BesselRangeError, as it would at its
-    unclamped K; the clamp keeps the int cast finite for |v| up to 1e300.
-    numpy's power can round differently from Python's in the last bit, so
-    an entry whose pre-ceil value lies within 1e-9 of an integer takes the
-    scalar rule."""
+    unclamped K; the clamp keeps the int cast finite for |v| up to 1e300."""
     av = np.abs(v)
-    pre = av + 10.0 * av ** (1.0 / 3.0) + 10.0
-    k = np.ceil(np.minimum(pre, MAX_ORDER + 1)).astype(np.int64)
-    for i in np.flatnonzero(np.abs(pre - np.rint(pre)) <= 1e-9).tolist():
-        k[i] = min(_series_k_start(float(v[i])), MAX_ORDER + 1)
-    return k
+    return np.ceil(np.minimum(av + 10.0 * av ** (1.0 / 3.0) + 10.0, MAX_ORDER + 1)).astype(np.int64)
 
 
 def _chunks(series, live, width):

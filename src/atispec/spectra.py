@@ -31,9 +31,9 @@ instead; the CLI documents both.
 Which form serves a field follows from one rule on its zeta: "relativistic"
 takes 44 for |zeta| = 1, 55 for zeta = 0 and 42 otherwise; "nonrelativistic"
 takes 56 for |zeta| = 1 and 59 for zeta = 0, and has no elliptic form.
-channel_spectrum and dwdo_nonrel take their tag from it, dwdo_circular and
-dwdo_linear check the field against it, and dwdo_general takes tag 42 at
-every zeta; all of them go through one row dispatcher.
+channel_spectrum and spectrum_point take their tag from it, and both go
+through one row dispatcher; tag 42 at zeta = 0 or |zeta| = 1 is a call of
+general_channel_dwdo itself.
 
 Each result carries the direct (KFR) and rescattering amplitudes
 separately.  For tags 44/56/59 the squared Bessel factor is absorbed into
@@ -60,10 +60,7 @@ __all__ = [
     "TAG_NONREL_CIRCULAR",
     "TAG_NONREL_LINEAR",
     "SpectrumPoint",
-    "dwdo_general",
-    "dwdo_circular",
-    "dwdo_linear",
-    "dwdo_nonrel",
+    "spectrum_point",
     "circular_channel_dwdo",
     "general_channel_dwdo",
     "nonrel_channel_dwdo",
@@ -213,6 +210,17 @@ def general_channel_dwdo(
     against each other: (dwdo, prefactor, kfr, resc) of the broadcast
     shape, zero below threshold, kfr and resc complex (real at zeta = 0).
 
+    The direct amplitude is exp(i N delta) J_N(alpha, -Z(1-zeta^2)/2, delta)
+    with delta the polarization phase angle of the emission direction.  The
+    rescattering amplitude is the weight r = g^2 / (2 (N - Z(1+zeta^2)) k.Pi)
+    times the paper's sum over photon exchanges n' (ordinary-Bessel factors
+    J_n'(-alpha'(1-zeta^2)/2) and conjugated generalized-Bessel brackets),
+    taken in closed form: eps0 J_N and a sin 2delta term in
+    J_{N-2} - J_{N+2}, all at one merged second argument
+    (_rescattering_sum).  At zeta = 0 (tag 55) the azimuth enters only
+    through |cos phi| in the coupling, so the spectrum is even under
+    phi -> -phi and phi -> pi - phi.
+
     The series is pi-periodic in the phase angle delta and delta -> delta
     - pi multiplies kfr and resc by the same (-1)^N, so delta = pi is
     folded to 0: at zeta = 0 every row runs at delta = 0 with the coupling
@@ -284,8 +292,8 @@ def circular_channel_dwdo(
     """Vectorized circular (tag 44) dW/dOmega over rows of channels n and
     theta, broadcast against each other, as general_channel_dwdo returns
     it; ValueError unless |zeta| = 1.  The prefactor holds J_N^2(alpha) and
-    (kfr, resc) = (1, r), so dwdo is prefactor * (1 + r)^2 with
-    rescattering and the prefactor without.
+    (kfr, resc) = (1, r) with r = g^2 / (2 (N - 2Z) k.Pi), so dwdo is
+    prefactor * (1 + r)^2 with rescattering and the prefactor without.
     """
     if abs(field.zeta) != 1.0:
         raise ValueError("circular_channel_dwdo requires circular polarization (|zeta| = 1)")
@@ -309,6 +317,12 @@ def nonrel_channel_dwdo(
     """Vectorized nonrelativistic dW/dOmega over rows of channels n and
     theta, broadcast against each other: tag 56 for |zeta| = 1, tag 59 for
     zeta = 0, ValueError for an elliptic field.
+
+    The ponderomotive parameter is z = xi^2 / (4 omega) and the channel
+    kinetic energy is omega X with X = N - 2z - E_B/omega (circular) or
+    X = N - z - E_B/omega (linear).  For the linear form theta is measured
+    from the polarization vector and the rescattering brace enters
+    unsquared, exactly as the closed form states it.
 
     Returns (dwdo, prefactor, kfr, resc) arrays of the broadcast shape, with
     the bracket amplitudes (1, rho); all four are zero on rows at and below
@@ -353,9 +367,21 @@ def _rows(field, atom, n, theta, phi, tag, rescattering):
     return dwdo, pref, kfr, resc, kfr_only, rescatter_factor, _below(field, atom, n, tag)
 
 
-def _point(field, atom, n, theta, phi, tag, rescattering):
-    """SpectrumPoint of channel n at one emission direction by the closed
-    form `tag`: the one row of _rows."""
+def spectrum_point(
+    field: LaserField,
+    atom: Atom,
+    n: int,
+    theta: float,
+    phi: float,
+    formula: str = "relativistic",
+    rescattering: bool = True,
+) -> SpectrumPoint:
+    """SpectrumPoint of channel n at one emission direction (theta, phi) by
+    the closed form that the tag rule of the module docstring gives the
+    field and formula: the one row of _rows, so it equals, bit for bit, the
+    channel_spectrum row at its channel and angles.  Tags 44/56/59 do not
+    read phi."""
+    tag = _tag(field, formula)
     n = int(n)
     rows = _rows(field, atom, np.array([n]), np.array([float(theta)]), np.array([float(phi)]),
                  tag, rescattering)
@@ -366,85 +392,6 @@ def _point(field, atom, n, theta, phi, tag, rescattering):
         dwdo_kfr_only=float(kfr_only), rescatter_factor=float(factor),
         formula_tag=tag, below_threshold=bool(below),
     )
-
-
-def dwdo_general(
-    field: LaserField,
-    atom: Atom,
-    n: int,
-    theta: float,
-    phi: float,
-    rescattering: bool = True,
-) -> SpectrumPoint:
-    """Relativistic dW/dOmega for arbitrary polarization (tag 42).
-
-    The direct amplitude is exp(i N th_p) J_N(alpha, -Z(1-zeta^2)/2, th_p)
-    with th_p the polarization phase angle of the emission direction.  The
-    rescattering amplitude is the weight g^2 / (2 m (N - Z(1+zeta^2)) k.Pi)
-    times the paper's sum over photon exchanges n' (ordinary-Bessel factors
-    J_n'(-alpha'(1-zeta^2)/2) and conjugated generalized-Bessel brackets),
-    taken in closed form: eps0 J_N and a sin 2th_p term in J_{N-2} - J_{N+2},
-    all at one merged second argument (_rescattering_sum).  One-point form
-    of general_channel_dwdo, at every zeta.
-    """
-    return _point(field, atom, n, theta, phi, TAG_GENERAL, rescattering)
-
-
-def dwdo_circular(
-    field: LaserField,
-    atom: Atom,
-    n: int,
-    theta: float,
-    rescattering: bool = True,
-) -> SpectrumPoint:
-    """Relativistic circular-polarization dW/dOmega (tag 44).
-
-    Requires |zeta| = 1; azimuth-independent.  The squared ordinary Bessel
-    J_N^2(alpha) sits in the prefactor and the bracket amplitudes are
-    (1, r) with r = g^2 / (2 (N - 2Z) k.Pi), so dwdo(on)/dwdo(off)
-    equals (1 + r)^2.
-    """
-    if _tag(field, "relativistic") != TAG_CIRCULAR:
-        raise ValueError("dwdo_circular requires circular polarization (|zeta| = 1)")
-    return _point(field, atom, n, theta, 0.0, TAG_CIRCULAR, rescattering)
-
-
-def dwdo_linear(
-    field: LaserField,
-    atom: Atom,
-    n: int,
-    theta: float,
-    phi: float,
-    rescattering: bool = True,
-) -> SpectrumPoint:
-    """Relativistic linear-polarization dW/dOmega (tag 55).
-
-    Tag 42 at zeta = 0: the generalized Bessel functions are real and the
-    azimuth enters through |cos phi| in the coupling amplitude, which makes
-    the spectrum even under phi -> -phi and phi -> pi - phi.
-    """
-    if _tag(field, "relativistic") != TAG_LINEAR:
-        raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
-    return _point(field, atom, n, theta, phi, TAG_LINEAR, rescattering)
-
-
-def dwdo_nonrel(
-    field: LaserField,
-    atom: Atom,
-    n: int,
-    theta: float,
-    rescattering: bool = True,
-) -> SpectrumPoint:
-    """Nonrelativistic dW/dOmega: tag 56 for a circular field, tag 59 for a
-    linear one; an elliptic field raises ValueError.
-
-    The ponderomotive parameter is z = xi^2 / (4 omega) and the channel
-    kinetic energy is omega * X with X = N - 2z - E_B/omega (circular) or
-    X = N - z - E_B/omega (linear).  For the linear case theta is measured
-    from the polarization vector and the rescattering brace enters
-    unsquared, exactly as the closed form states it.
-    """
-    return _point(field, atom, n, theta, 0.0, _tag(field, "nonrelativistic"), rescattering)
 
 
 def channel_spectrum(
@@ -461,10 +408,10 @@ def channel_spectrum(
     (tag, dwdo, kfr_only_dwdo, rescatter_factor), the tag by the rule of
     the module docstring.  The rows are evaluated in blocks of at most
     SPECTRUM_BLOCK, cut from the first row and run last block first; each
-    row equals, bit for bit, the SpectrumPoint of the one-point function
-    at its channel and angles, whatever its block.  The forms that do not
-    read phi (tags 44/56/59) run once per row of the broadcast (n, theta),
-    repeated along the axes that phi adds.
+    row equals, bit for bit, the spectrum_point at its channel and angles,
+    whatever its block.  The forms that do not read phi (tags 44/56/59) run
+    once per row of the broadcast (n, theta), repeated along the axes that
+    phi adds.
 
     With channel-major rows the first block run holds the window's highest
     channel, whose series (tags 42/55/59) reads the highest Bessel orders:

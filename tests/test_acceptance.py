@@ -32,13 +32,7 @@ from atispec.rates import (
     rate_laplace,
     saddle_point,
 )
-from atispec.spectra import (
-    channel_spectrum,
-    dwdo_circular,
-    dwdo_general,
-    dwdo_linear,
-    dwdo_nonrel,
-)
+from atispec.spectra import channel_spectrum, general_channel_dwdo, spectrum_point
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -46,6 +40,13 @@ GRID_N = range(-40, 41)
 GRID_U = (0.0, 0.5, 2.0, 8.0, 25.0)
 GRID_V = (0.0, 0.3, 2.0, 10.0)
 GRID_D = (0.0, 0.3, math.pi / 2)
+
+
+def _general_dwdo(field, atom, n, theta, phi):
+    """dW/dOmega of the general amplitude (tag 42) at one point, whatever
+    the field's zeta."""
+    return general_channel_dwdo(field, atom, np.array([n]), np.array([theta]),
+                                np.array([phi]))[0][0]
 
 
 def _report(name, worst, tol, extra=""):
@@ -185,7 +186,7 @@ def test_a05_rescattering_order_unity():
         field = LaserField.circular(0.01, float(xi))
         s = saddle_point(field, atom)
         n = max(int(round(s.n_m)), threshold_n(field, atom))
-        r = dwdo_circular(field, atom, n, s.theta_m).rescatter_factor
+        r = spectrum_point(field, atom, n, s.theta_m, 0.0).rescatter_factor
         lo, hi = min(lo, r), max(hi, r)
     print(f"acceptance 05 rescattering-factor range: [{lo:.4f}, {hi:.4f}] "
           f"(required within [0.3, 3]) {'PASS' if 0.3 <= lo and hi <= 3.0 else 'FAIL'}")
@@ -205,8 +206,8 @@ def test_a06_polarization_reductions():
         theta = float(rng.uniform(max(0.05, s.theta_m - 3 * s.delta_theta),
                                   min(math.pi - 0.05, s.theta_m + 3 * s.delta_theta)))
         phi = float(rng.uniform(0, 2 * math.pi))
-        g = dwdo_general(field, atom, n, theta, phi).dwdo
-        c = dwdo_circular(field, atom, n, theta).dwdo
+        g = _general_dwdo(field, atom, n, theta, phi)
+        c = spectrum_point(field, atom, n, theta, phi).dwdo
         worst_c = max(worst_c, abs(g - c) / max(g, c))
     bound_c = atom.e_b / atom.epsilon0 + 1e-9
 
@@ -220,8 +221,8 @@ def test_a06_polarization_reductions():
         n = int(n0_l + rng.integers(0, 100))
         theta = float(rng.uniform(0.05, math.pi - 0.05))
         phi = float(rng.uniform(0, 2 * math.pi))
-        lin.append(dwdo_linear(field_l, atom, n, theta, phi).dwdo)
-        gen.append(dwdo_general(field_g, atom, n, theta, phi).dwdo)
+        lin.append(spectrum_point(field_l, atom, n, theta, phi).dwdo)
+        gen.append(_general_dwdo(field_g, atom, n, theta, phi))
     lin, gen = np.array(lin), np.array(gen)
     worst_l = np.max(np.abs(lin - gen) / (1e-9 * (np.abs(gen) + np.max(np.abs(gen)))))
     _report("06a circular-reduction", worst_c, bound_c)
@@ -257,12 +258,12 @@ def test_a07_nonrelativistic_limit():
     for n in range(n0, n0 + 6):
         ck = channel_kinematics(field, atom, n, 0.0, 0.0)
         theta = math.acos(ck.pi_abs / ck.pi0)
-        ridge[n] = (dwdo_circular(field, atom, n, theta).dwdo, theta)
+        ridge[n] = (spectrum_point(field, atom, n, theta, 0.0).dwdo, theta)
     n_peak = max(ridge, key=lambda k: ridge[k][0])
     worst = 0.0
     for n in (n_peak, n_peak + 1):
         val, theta = ridge[n]
-        nr = dwdo_nonrel(field, atom, n, theta).dwdo
+        nr = spectrum_point(field, atom, n, theta, 0.0, "nonrelativistic").dwdo
         worst = max(worst, abs(val / nr - 1.0))
     _report("07 nonrelativistic-limit", worst, 0.10, extra=f"(peak N={n_peak}) ")
 

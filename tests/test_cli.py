@@ -251,8 +251,10 @@ def test_spectrum_both_formulas_tagged(tmp_path):
     # and 0.0 elsewhere, and mirrored panels of equal |cos phi|, so equal
     # rows of both signs of zero merge in the kernel's row dedup
     ("linear", None, "relativistic", 8),
+    # an elliptic label at zeta = -1: the tag rule reads zeta, so tags 44 and 56
+    ("elliptic", -1.0, "both", 4),
 ], ids=["circular-None-both", "linear-None-both", "elliptic-0.5-relativistic",
-        "linear-None-relativistic-8"])
+        "linear-None-relativistic-8", "elliptic--1.0-both-4"])
 def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarization, zeta,
                                                  formula, phi_points, mode):
     # 7-row blocks hold rows of two channels, and split the 8 x phi_points
@@ -262,7 +264,7 @@ def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarizat
     # their text: -0.0 and 0.0 are equal values but not equal lines.
     from atispec import cli, spectra
     from atispec.kinematics import channel_kinematics, threshold_n
-    from atispec.spectra import dwdo_circular, dwdo_general, dwdo_linear, dwdo_nonrel
+    from atispec.spectra import spectrum_point
 
     monkeypatch.setattr(spectra, "SPECTRUM_BLOCK", 7)
     extra = {} if zeta is None else {"zeta": zeta}
@@ -281,17 +283,13 @@ def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarizat
     out = tmp_path / "rows"
     assert cli.main(["spectrum", "-c", str(cfg), "-o", str(out)]) == 0
     resc = mode == "on"
-    one_point = {
-        44: lambda n, th, ph: dwdo_circular(field, atom, n, th, resc),
-        55: lambda n, th, ph: dwdo_linear(field, atom, n, th, ph, resc),
-        42: lambda n, th, ph: dwdo_general(field, atom, n, th, ph, resc),
-        56: lambda n, th, ph: dwdo_nonrel(field, atom, n, th, resc),
-        59: lambda n, th, ph: dwdo_nonrel(field, atom, n, th, resc),
-    }
     groups = {}
     for line in (out / "spectrum.csv").read_text().splitlines()[1:]:
         n, th, ph, *vals, tag = line.split(",")
-        pt = one_point[int(tag)](int(n), float(th), float(ph))
+        form = "nonrelativistic" if int(tag) in (56, 59) else "relativistic"
+        pt = spectrum_point(field, atom, int(n), float(th), float(ph), formula=form,
+                            rescattering=resc)
+        assert pt.formula_tag == int(tag)
         want = (pt.dwdo, pt.dwdo_kfr_only, pt.rescatter_factor)
         groups.setdefault((tag, n), []).append(([float(v) for v in vals], want))
         d, k, r = want
@@ -832,6 +830,38 @@ def test_mode_off_notes_each_method_that_does_not_read_it(tmp_path, capsys):
             assert off[name]["warnings"] == ["mode 'off' has no effect on this method, "
                                              "which does not read it"]
             assert off[name]["w_total"] == on[name]["w_total"]
+
+
+def test_formula_other_than_relativistic_notes_every_rate_method(tmp_path, capsys):
+    # no rate method reads formula: under nonrelativistic or both every
+    # method, direct included, carries one warning in rate.json and
+    # sweep.json and keeps its relativistic values; an elliptic field,
+    # which has no nonrelativistic form, gets the same note
+    from atispec.cli import main
+
+    cfg = write_config(tmp_path, theta_points=16, n_range=[95, 100])
+    data = {}
+    for formula in ("relativistic", "nonrelativistic", "both"):
+        out = tmp_path / formula
+        assert main(["rate", "-c", str(cfg), "-o", str(out), "--formula", formula]) == 0
+        assert main(["sweep", "-c", str(cfg), "-o", str(out), "--formula", formula,
+                     "--vary", "xi", "--values", "1"]) == 0
+        data[formula] = [json.loads((out / "rate.json").read_text())["methods"],
+                         json.loads((out / "sweep.json").read_text())["rows"][0]["methods"]]
+    out = tmp_path / "elliptic"
+    assert main(["rate", "-c", str(cfg), "-o", str(out), "--formula", "nonrelativistic",
+                 "--polarization", "elliptic", "--zeta", "0.5"]) == 0
+    elliptic = json.loads((out / "rate.json").read_text())["methods"]
+    assert capsys.readouterr().err == ""
+    note = "formula '{}' has no effect on this method: every rate uses the relativistic forms"
+    assert elliptic["direct"]["warnings"][-1] == note.format("nonrelativistic")
+    for formula in ("nonrelativistic", "both"):
+        for rel, other in zip(data["relativistic"], data[formula]):
+            assert set(rel) == set(other) == {"direct", "airy_numeric", "strongfield_closed"}
+            for name, entry in rel.items():
+                assert not any("formula" in w for w in entry["warnings"])
+                assert other[name]["warnings"] == entry["warnings"] + [note.format(formula)]
+                assert {**other[name], "warnings": []} == {**entry, "warnings": []}
 
 
 def test_sweep_monotone_peak_channel(tmp_path):

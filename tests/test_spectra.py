@@ -17,16 +17,21 @@ from atispec.spectra import (
     TAG_NONREL_LINEAR,
     channel_spectrum,
     circular_channel_dwdo,
-    dwdo_circular,
-    dwdo_general,
-    dwdo_linear,
-    dwdo_nonrel,
     general_channel_dwdo,
     nonrel_channel_dwdo,
+    spectrum_point,
 )
 
 DESK_FIELD = LaserField.circular(0.01, 1.0)
 DESK_ATOM = Atom.from_charge(1)
+
+
+def _general_point(field, n, theta, phi, rescattering=True):
+    """The general kernel (tag 42) at one point, whatever the field's zeta:
+    (dwdo, prefactor, kfr, resc)."""
+    rows = general_channel_dwdo(field, DESK_ATOM, np.array([n]), np.array([theta]),
+                                np.array([phi]), rescattering)
+    return tuple(a[0] for a in rows)
 
 
 # ---------------------------------------------------------------- circular
@@ -82,19 +87,19 @@ def test_circular_channel_spectrum_never_takes_the_miller_branch(formula, omega,
                            np.linspace(0.0, math.pi, 33)[:, None], np.zeros(2), formula)[0]
     assert set(np.unique(tag)) == {TAG_CIRCULAR if formula == "relativistic" else TAG_NONREL_CIRCULAR}
     assert built == []
-    dwdo_circular(field, atom, n0 + 5, -0.5)
+    spectrum_point(field, atom, n0 + 5, -0.5, 0.0)
     assert len(built) == 1
 
 
 def test_circular_forward_emission_vanishes():
-    pt = dwdo_circular(DESK_FIELD, DESK_ATOM, 100, 0.0)
+    pt = spectrum_point(DESK_FIELD, DESK_ATOM, 100, 0.0, 0.0)
     assert pt.dwdo == 0.0
     assert pt.formula_tag == TAG_CIRCULAR
 
 
 def test_circular_below_threshold_flagged_zero():
     n0 = threshold_n(DESK_FIELD, DESK_ATOM)
-    pt = dwdo_circular(DESK_FIELD, DESK_ATOM, n0 - 1, 0.7)
+    pt = spectrum_point(DESK_FIELD, DESK_ATOM, n0 - 1, 0.7, 0.0)
     assert pt.below_threshold and pt.dwdo == 0.0
 
 
@@ -102,8 +107,8 @@ def test_circular_rescattering_bracket_ratio():
     # dwdo(on)/dwdo(off) == (1 + r)^2 with r the reported factor
     for n in (60, 100, 140):
         for theta in (0.5, 0.785, 1.2):
-            on = dwdo_circular(DESK_FIELD, DESK_ATOM, n, theta, rescattering=True)
-            off = dwdo_circular(DESK_FIELD, DESK_ATOM, n, theta, rescattering=False)
+            on = spectrum_point(DESK_FIELD, DESK_ATOM, n, theta, 0.0, rescattering=True)
+            off = spectrum_point(DESK_FIELD, DESK_ATOM, n, theta, 0.0, rescattering=False)
             r = on.rescatter_factor
             np.testing.assert_allclose(on.dwdo / off.dwdo, (1 + r) ** 2, rtol=1e-12)
 
@@ -114,19 +119,18 @@ def test_circular_rescattering_factor_order_unity_at_peak():
         field = LaserField.circular(0.01, xi)
         s = saddle_point(field, DESK_ATOM)
         n = max(int(round(s.n_m)), threshold_n(field, DESK_ATOM))
-        pt = dwdo_circular(field, DESK_ATOM, n, s.theta_m)
+        pt = spectrum_point(field, DESK_ATOM, n, s.theta_m, 0.0)
         assert 0.3 <= pt.rescatter_factor <= 3.0
 
 
 def test_circular_accepts_both_helicities():
     left = LaserField(0.01, 1.0, -1.0)
-    a = dwdo_circular(left, DESK_ATOM, 100, 0.8).dwdo
-    b = dwdo_circular(DESK_FIELD, DESK_ATOM, 100, 0.8).dwdo
-    np.testing.assert_allclose(a, b, rtol=1e-14)
+    a = spectrum_point(left, DESK_ATOM, 100, 0.8, 0.0)
+    b = spectrum_point(DESK_FIELD, DESK_ATOM, 100, 0.8, 0.0)
+    assert a.formula_tag == b.formula_tag == TAG_CIRCULAR
+    np.testing.assert_allclose(a.dwdo, b.dwdo, rtol=1e-14)
     for zeta in (0.0, 0.5):
-        with pytest.raises(ValueError):
-            dwdo_circular(LaserField(0.01, 1.0, zeta), DESK_ATOM, 100, 0.8)
-        # the closed form itself refuses a linear or elliptic field too
+        # the closed form refuses a linear or elliptic field
         with pytest.raises(ValueError):
             circular_channel_dwdo(LaserField(0.01, 1.0, zeta), DESK_ATOM, 100, np.array([0.5]))
 
@@ -135,7 +139,7 @@ def test_circular_vector_helper_matches_scalar():
     thetas = np.array([0.6, 1.1])
     vals = circular_channel_dwdo(DESK_FIELD, DESK_ATOM, 100, thetas)[0]
     for th, v in zip(thetas, vals):
-        assert v == dwdo_circular(DESK_FIELD, DESK_ATOM, 100, th).dwdo
+        assert v == spectrum_point(DESK_FIELD, DESK_ATOM, 100, th, 0.0).dwdo
 
 
 # ----------------------------------------------------------------- general
@@ -145,7 +149,7 @@ def test_general_desk_pin_against_quadrature_path():
     # evaluation that used only the quadrature oracle for every Bessel factor
     field = LaserField(0.01, 1.0, 0.5)
     s = saddle_point(field, DESK_ATOM)
-    pt = dwdo_general(field, DESK_ATOM, int(round(s.n_m)), s.theta_m, 0.3)
+    pt = spectrum_point(field, DESK_ATOM, int(round(s.n_m)), s.theta_m, 0.3)
     np.testing.assert_allclose(pt.dwdo, 2.9590874786574116e-12, rtol=1e-9)
 
     # live re-derivation along the independent path
@@ -192,8 +196,8 @@ def test_general_reduces_to_circular_within_binding_correction():
         theta = float(rng.uniform(max(0.05, s.theta_m - 3 * s.delta_theta),
                                   min(math.pi - 0.05, s.theta_m + 3 * s.delta_theta)))
         phi = float(rng.uniform(0, 2 * math.pi))
-        g = dwdo_general(DESK_FIELD, DESK_ATOM, n, theta, phi).dwdo
-        c = dwdo_circular(DESK_FIELD, DESK_ATOM, n, theta).dwdo
+        g = _general_point(DESK_FIELD, n, theta, phi)[0]
+        c = spectrum_point(DESK_FIELD, DESK_ATOM, n, theta, phi).dwdo
         worst = max(worst, abs(g - c) / max(g, c))
     assert worst <= bound
 
@@ -206,8 +210,8 @@ def test_general_reduces_to_linear_exactly():
         n = int(n0 + rng.integers(0, 100))
         theta = float(rng.uniform(0.05, math.pi - 0.05))
         phi = float(rng.uniform(0, 2 * math.pi))
-        g = dwdo_general(field, DESK_ATOM, n, theta, phi).dwdo
-        ll = dwdo_linear(field, DESK_ATOM, n, theta, phi).dwdo
+        g = _general_point(field, n, theta, phi)[0]
+        ll = spectrum_point(field, DESK_ATOM, n, theta, phi).dwdo
         np.testing.assert_allclose(g, ll, rtol=1e-9, atol=1e-300)
 
 
@@ -229,15 +233,15 @@ def test_general_kernel_matches_quadrature_oracle(zeta, count):
     # the scalar reference shares no code with the kernel; 1e-9 relative
     # with a floor of 1e-9 of the largest value, the benchmark gate's form
     field = LaserField(0.01, 1.0, zeta)
-    dwdo = dwdo_linear if zeta == 0.0 else dwdo_general
     cases = _quadrature_oracle_cases(field, np.random.default_rng(55), count)
-    got = np.array([dwdo(field, DESK_ATOM, *case).dwdo for case in cases])
+    got = np.array([spectrum_point(field, DESK_ATOM, n, th, ph, rescattering=resc).dwdo
+                    for n, th, ph, resc in cases])
     want = np.array([dwdo_quadrature_oracle(field, DESK_ATOM, *case) for case in cases])
     assert np.all(np.abs(got - want) <= 1e-9 * (np.abs(want) + np.max(np.abs(want))))
 
 
 def test_general_azimuth_independent_for_circular():
-    vals = [dwdo_general(DESK_FIELD, DESK_ATOM, 100, 0.7, phi).dwdo
+    vals = [_general_point(DESK_FIELD, 100, 0.7, phi)[0]
             for phi in np.linspace(0, 2 * math.pi, 9)]
     spread = (max(vals) - min(vals)) / max(vals)
     assert spread < 1e-9
@@ -245,8 +249,8 @@ def test_general_azimuth_independent_for_circular():
 
 def test_general_mode_off_equals_kfr_only():
     field = LaserField(0.01, 1.0, 0.5)
-    on = dwdo_general(field, DESK_ATOM, 70, 0.8, 0.4, rescattering=True)
-    off = dwdo_general(field, DESK_ATOM, 70, 0.8, 0.4, rescattering=False)
+    on = spectrum_point(field, DESK_ATOM, 70, 0.8, 0.4, rescattering=True)
+    off = spectrum_point(field, DESK_ATOM, 70, 0.8, 0.4, rescattering=False)
     # zeroing the stored rescattering amplitude reproduces mode=off bit-for-bit
     assert off.dwdo == on.prefactor * abs(on.kfr_amplitude + 0j) ** 2
     assert off.dwdo == on.dwdo_kfr_only
@@ -261,8 +265,8 @@ def test_linear_perpendicular_emission_parity_zeros():
     n0 = threshold_n(field, DESK_ATOM)
     n_odd = n0 if n0 % 2 else n0 + 1
     n_even = n_odd + 1
-    odd = dwdo_linear(field, DESK_ATOM, n_odd, math.pi / 2, math.pi / 2, rescattering=False)
-    even = dwdo_linear(field, DESK_ATOM, n_even, math.pi / 2, math.pi / 2, rescattering=False)
+    odd = spectrum_point(field, DESK_ATOM, n_odd, math.pi / 2, math.pi / 2, rescattering=False)
+    even = spectrum_point(field, DESK_ATOM, n_even, math.pi / 2, math.pi / 2, rescattering=False)
     assert even.dwdo > 0.0
     assert odd.dwdo < 1e-30 * even.dwdo
 
@@ -272,22 +276,17 @@ def test_linear_azimuth_parity():
     # one rounding of cos() that large Bessel orders amplify to ~N*eps
     field = LaserField.linear(0.01, 1.0)
     for (theta, phi) in [(0.7, 0.5), (1.3, 1.1)]:
-        base = dwdo_linear(field, DESK_ATOM, 60, theta, phi).dwdo
+        base = spectrum_point(field, DESK_ATOM, 60, theta, phi).dwdo
         np.testing.assert_allclose(
-            dwdo_linear(field, DESK_ATOM, 60, theta, math.pi - phi).dwdo, base, rtol=1e-9)
-        assert dwdo_linear(field, DESK_ATOM, 60, theta, -phi).dwdo == base
+            spectrum_point(field, DESK_ATOM, 60, theta, math.pi - phi).dwdo, base, rtol=1e-9)
+        assert spectrum_point(field, DESK_ATOM, 60, theta, -phi).dwdo == base
 
 
 def test_linear_mode_off_is_pure_direct_term():
     field = LaserField.linear(0.01, 1.0)
-    off = dwdo_linear(field, DESK_ATOM, 60, 0.9, 0.2, rescattering=False)
+    off = spectrum_point(field, DESK_ATOM, 60, 0.9, 0.2, rescattering=False)
     np.testing.assert_allclose(
         off.dwdo, off.prefactor * abs(off.kfr_amplitude) ** 2, rtol=0)
-
-
-def test_linear_requires_linear_polarization():
-    with pytest.raises(ValueError):
-        dwdo_linear(DESK_FIELD, DESK_ATOM, 60, 0.9, 0.2)
 
 
 @pytest.mark.parametrize("rescattering", [True, False])
@@ -299,7 +298,7 @@ def test_linear_channel_kernel_matches_one_point_wrapper(rescattering):
         got = general_channel_dwdo(field, DESK_ATOM, n, theta, phi, rescattering)
         assert all(a.shape == theta.shape for a in got)
         for (i, j), th in np.ndenumerate(theta):
-            pt = dwdo_linear(field, DESK_ATOM, n, th, phi[i, j], rescattering)
+            pt = spectrum_point(field, DESK_ATOM, n, th, phi[i, j], rescattering=rescattering)
             want = (pt.dwdo, pt.prefactor, pt.kfr_amplitude.real, pt.rescatter_amplitude.real)
             for arr, w in zip(got, want):
                 # the batch shares one series truncation: roundoff-level differences
@@ -460,7 +459,7 @@ def test_linear_channel_kernel_below_threshold_is_zero():
     n0 = threshold_n(field, DESK_ATOM)
     vals = general_channel_dwdo(field, DESK_ATOM, n0 - 1, np.array([0.5, 1.0]), 0.3)
     assert all(np.array_equal(a, [0.0, 0.0]) for a in vals)
-    assert dwdo_linear(field, DESK_ATOM, n0 - 1, 0.5, 0.3).below_threshold
+    assert spectrum_point(field, DESK_ATOM, n0 - 1, 0.5, 0.3).below_threshold
 
 
 # ---------------------------------------------------------------- nonrel
@@ -472,14 +471,14 @@ NR_LINEAR = LaserField.linear(5e-3, 0.05)
 def test_nonrel_threshold_zero():
     z = NR_FIELD.xi**2 / (4 * NR_FIELD.omega)
     n_below = int(math.floor(2 * z + DESK_ATOM.e_b / NR_FIELD.omega))
-    pt = dwdo_nonrel(NR_FIELD, DESK_ATOM, n_below, 0.9)
+    pt = spectrum_point(NR_FIELD, DESK_ATOM, n_below, 0.9, 0.0, "nonrelativistic")
     assert pt.below_threshold and pt.dwdo == 0.0
 
 
 def test_nonrel_circular_bracket_structure():
-    pt = dwdo_nonrel(NR_FIELD, DESK_ATOM, 2, 0.9)
+    pt = spectrum_point(NR_FIELD, DESK_ATOM, 2, 0.9, 0.0, "nonrelativistic")
     rho = pt.rescatter_factor
-    off = dwdo_nonrel(NR_FIELD, DESK_ATOM, 2, 0.9, rescattering=False)
+    off = spectrum_point(NR_FIELD, DESK_ATOM, 2, 0.9, 0.0, "nonrelativistic", rescattering=False)
     np.testing.assert_allclose(pt.dwdo / off.dwdo, (1 + rho) ** 2, rtol=1e-12)
     assert pt.formula_tag == TAG_NONREL_CIRCULAR
 
@@ -492,17 +491,18 @@ def test_nonrel_matches_relativistic_circular_at_peak():
     for n in range(n0, n0 + 6):
         ck = channel_kinematics(NR_FIELD, DESK_ATOM, n, 0.0, 0.0)
         th = math.acos(ck.pi_abs / ck.pi0)
-        ridge[n] = (dwdo_circular(NR_FIELD, DESK_ATOM, n, th).dwdo, th)
+        ridge[n] = (spectrum_point(NR_FIELD, DESK_ATOM, n, th, 0.0).dwdo, th)
     n_peak = max(ridge, key=lambda k: ridge[k][0])
     for n in (n_peak, n_peak + 1):
         val, th = ridge[n]
-        nr = dwdo_nonrel(NR_FIELD, DESK_ATOM, n, th).dwdo
+        nr = spectrum_point(NR_FIELD, DESK_ATOM, n, th, 0.0, "nonrelativistic").dwdo
         assert abs(val / nr - 1.0) < 0.10
 
 
 def test_nonrel_linear_brace_enters_unsquared():
-    pt_on = dwdo_nonrel(NR_LINEAR, DESK_ATOM, 2, 0.4)
-    pt_off = dwdo_nonrel(NR_LINEAR, DESK_ATOM, 2, 0.4, rescattering=False)
+    pt_on = spectrum_point(NR_LINEAR, DESK_ATOM, 2, 0.4, 0.0, "nonrelativistic")
+    pt_off = spectrum_point(NR_LINEAR, DESK_ATOM, 2, 0.4, 0.0, "nonrelativistic",
+                            rescattering=False)
     rho = pt_on.rescatter_factor
     np.testing.assert_allclose(pt_on.dwdo / pt_off.dwdo, 1 + rho, rtol=1e-12)
     assert pt_on.formula_tag == TAG_NONREL_LINEAR
@@ -520,9 +520,10 @@ def test_nonrel_linear_joint_limit():
     ratios = []
     for omega in (5e-4, 5e-5, 5e-6):
         field = LaserField.linear(omega, math.sqrt(2.0 * omega))  # fixed z = 1/2
-        rel = dwdo_linear(field, atom, 2, math.pi / 2 - th_pol, 0.0,
-                          rescattering=False).dwdo
-        nr = dwdo_nonrel(field, atom, 2, th_pol, rescattering=False).dwdo
+        rel = spectrum_point(field, atom, 2, math.pi / 2 - th_pol, 0.0,
+                             rescattering=False).dwdo
+        nr = spectrum_point(field, atom, 2, th_pol, 0.0, "nonrelativistic",
+                            rescattering=False).dwdo
         ratios.append(rel / nr)
     devs = [abs(r - 1.0) for r in ratios]
     assert devs[0] > devs[1] > devs[2]
@@ -535,7 +536,7 @@ def test_nonrel_entry_points_reject_elliptic_field():
     with pytest.raises(ValueError):
         nonrel_channel_dwdo(field, DESK_ATOM, 3, np.array([0.4]))
     with pytest.raises(ValueError):
-        dwdo_nonrel(field, DESK_ATOM, 3, 0.4)
+        spectrum_point(field, DESK_ATOM, 3, 0.4, 0.0, "nonrelativistic")
     with pytest.raises(ValueError):
         channel_spectrum(field, DESK_ATOM, 3, np.array([0.4]), np.array([0.0]), "nonrelativistic")
 
@@ -549,14 +550,14 @@ def _nonrel_first_open(field, c):
 
 @pytest.mark.parametrize("tag, field, point, first_open", [
     (TAG_GENERAL, LaserField(0.01, 1.0, 0.5),
-     lambda f, n: dwdo_general(f, DESK_ATOM, n, 0.7, 0.3), None),
-    (TAG_CIRCULAR, DESK_FIELD, lambda f, n: dwdo_circular(f, DESK_ATOM, n, 0.7), None),
+     lambda f, n: spectrum_point(f, DESK_ATOM, n, 0.7, 0.3), None),
+    (TAG_CIRCULAR, DESK_FIELD, lambda f, n: spectrum_point(f, DESK_ATOM, n, 0.7, 0.0), None),
     (TAG_LINEAR, LaserField.linear(0.01, 1.0),
-     lambda f, n: dwdo_linear(f, DESK_ATOM, n, 0.7, 0.3), None),
+     lambda f, n: spectrum_point(f, DESK_ATOM, n, 0.7, 0.3), None),
     (TAG_NONREL_CIRCULAR, LaserField.circular(5e-3, 0.2),
-     lambda f, n: dwdo_nonrel(f, DESK_ATOM, n, 0.7), 2.0),
+     lambda f, n: spectrum_point(f, DESK_ATOM, n, 0.7, 0.0, "nonrelativistic"), 2.0),
     (TAG_NONREL_LINEAR, LaserField.linear(5e-3, 0.2),
-     lambda f, n: dwdo_nonrel(f, DESK_ATOM, n, 0.7), 1.0),
+     lambda f, n: spectrum_point(f, DESK_ATOM, n, 0.7, 0.0, "nonrelativistic"), 1.0),
 ])
 def test_below_threshold_flag_at_last_closed_and_first_open_channel(tag, field, point, first_open):
     n_open = threshold_n(field, DESK_ATOM) if first_open is None \
@@ -581,20 +582,22 @@ def test_every_formula_nonnegative_over_random_scan():
         th = float(rng.uniform(0, math.pi))
         ph = float(rng.uniform(0, 2 * math.pi))
         resc = bool(rng.integers(0, 2))
-        assert dwdo_circular(DESK_FIELD, DESK_ATOM, int(n0_c + rng.integers(0, 150)), th, resc).dwdo >= 0
-        assert dwdo_general(field_e, DESK_ATOM, int(n0_e + rng.integers(0, 80)), th, ph, resc).dwdo >= 0
-        assert dwdo_linear(field_l, DESK_ATOM, int(n0_l + rng.integers(0, 80)), th, ph, resc).dwdo >= 0
-        assert dwdo_nonrel(NR_FIELD, DESK_ATOM, int(rng.integers(1, 12)), th, resc).dwdo >= 0
-        assert dwdo_nonrel(NR_LINEAR, DESK_ATOM, int(rng.integers(1, 12)), th, resc).dwdo >= 0
+        for field, n, formula in [
+                (DESK_FIELD, int(n0_c + rng.integers(0, 150)), "relativistic"),
+                (field_e, int(n0_e + rng.integers(0, 80)), "relativistic"),
+                (field_l, int(n0_l + rng.integers(0, 80)), "relativistic"),
+                (NR_FIELD, int(rng.integers(1, 12)), "nonrelativistic"),
+                (NR_LINEAR, int(rng.integers(1, 12)), "nonrelativistic")]:
+            assert spectrum_point(field, DESK_ATOM, n, th, ph, formula, resc).dwdo >= 0
 
 
 def test_general_collapses_to_single_exchange_for_circular():
     # at |zeta| = 1 the photon-exchange ladder collapses to one term whose
     # weight carries the bound-state energy; KFR term is the plain Bessel
-    pt = dwdo_general(DESK_FIELD, DESK_ATOM, 100, 0.8, 0.0)
+    _, _, kfr, resc = _general_point(DESK_FIELD, 100, 0.8, 0.0)
     ck = channel_kinematics(DESK_FIELD, DESK_ATOM, 100, 0.8, 0.0)
     jn = specfun.ordinary_bessel(100, ck.alpha_amp)
-    np.testing.assert_allclose(abs(pt.kfr_amplitude), abs(jn), rtol=1e-12)
-    r_gen = (pt.rescatter_amplitude / pt.kfr_amplitude).real
-    r_circ = dwdo_circular(DESK_FIELD, DESK_ATOM, 100, 0.8).rescatter_factor
+    np.testing.assert_allclose(abs(kfr), abs(jn), rtol=1e-12)
+    r_gen = (resc / kfr).real
+    r_circ = spectrum_point(DESK_FIELD, DESK_ATOM, 100, 0.8, 0.0).rescatter_factor
     np.testing.assert_allclose(r_gen, r_circ * DESK_ATOM.epsilon0, rtol=1e-10)
