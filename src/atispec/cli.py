@@ -48,7 +48,7 @@ from .rates import (
 )
 from .selftest import run_checks
 from .specfun import BesselRangeError
-from .spectra import _tag, channel_spectrum
+from .spectra import channel_spectrum, formula_tag
 
 __all__ = ["main", "RunConfig", "ConfigError", "run_spectrum", "run_rate", "run_sweep"]
 
@@ -308,7 +308,7 @@ def run_spectrum(cfg: RunConfig) -> int:
     # the tag rule reads zeta, so an elliptic field at |zeta| = 1 or 0 has nonrelativistic forms
     try:
         for formula in formulas:
-            _tag(field, formula)
+            formula_tag(field, formula)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if cfg.n_range == "auto":

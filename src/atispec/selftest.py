@@ -18,7 +18,7 @@ import numpy as np
 from . import specfun
 from .constants import E_CHARGE
 from .kinematics import Atom, LaserField, channel_kinematics, derive_params, threshold_n
-from .spectra import general_channel_dwdo, spectrum_point
+from .spectra import dwdo_general, spectrum_point
 
 __all__ = ["run_checks", "Check", "dwdo_quadrature_oracle"]
 
@@ -191,13 +191,6 @@ def _check_peak_identity():
     return Check.make("peak_parameter_identity", worst, 1e-10)
 
 
-def _general_dwdo(field, atom, n, theta, phi, rescattering=True):
-    """dW/dOmega of the general amplitude (tag 42) at one point, whatever
-    the field's zeta."""
-    return float(general_channel_dwdo(field, atom, np.array([n]), np.array([float(theta)]),
-                                      np.array([float(phi)]), rescattering)[0][0])
-
-
 def _check_polarization_reduction():
     """reduction_circular: the general amplitude at |zeta| = 1 against tag
     44.  reduction_linear: tag 55 against the general amplitude at
@@ -209,7 +202,7 @@ def _check_polarization_reduction():
     worst_c = 0.0
     for n in (95, 100, 110):
         for th in (0.6, 0.785, 1.0):
-            g = _general_dwdo(field_c, atom, n, th, 0.4)
+            g = dwdo_general(field_c, atom, n, th, 0.4).dwdo
             c = spectrum_point(field_c, atom, n, th, 0.0).dwdo
             worst_c = max(worst_c, abs(g - c) / max(g, c))
     bound_c = atom.e_b / atom.epsilon0 + 1e-9
@@ -217,7 +210,7 @@ def _check_polarization_reduction():
     field_l, field_g = LaserField.linear(0.01, 1.0), LaserField(0.01, 1.0, 1e-8)
     got = np.array([spectrum_point(field_l, atom, n, th, ph, rescattering=resc).dwdo
                     for n, th, ph, resc in _LINEAR_CASES])
-    want = np.array([_general_dwdo(field_g, atom, *case) for case in _LINEAR_CASES])
+    want = np.array([dwdo_general(field_g, atom, *case).dwdo for case in _LINEAR_CASES])
     worst_l = np.max(np.abs(got - want) / (1e-9 * (np.abs(want) + np.max(np.abs(want)))))
     return [
         Check.make("reduction_circular", worst_c / bound_c, 1.0),

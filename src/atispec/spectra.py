@@ -31,9 +31,10 @@ instead; the CLI documents both.
 Which form serves a field follows from one rule on its zeta: "relativistic"
 takes 44 for |zeta| = 1, 55 for zeta = 0 and 42 otherwise; "nonrelativistic"
 takes 56 for |zeta| = 1 and 59 for zeta = 0, and has no elliptic form.
-channel_spectrum and spectrum_point take their tag from it, and both go
-through one row dispatcher; tag 42 at zeta = 0 or |zeta| = 1 is a call of
-general_channel_dwdo itself.
+formula_tag states it; channel_spectrum and spectrum_point take their tag
+from it, and both go through one row dispatcher.  Tag 42 at zeta = 0 or
+|zeta| = 1, which the rule never picks, is the reference that tags 55 and
+44 reduce from (dwdo_general at one point).
 
 Each result carries the direct (KFR) and rescattering amplitudes
 separately.  For tags 44/56/59 the squared Bessel factor is absorbed into
@@ -60,6 +61,7 @@ __all__ = [
     "TAG_NONREL_CIRCULAR",
     "TAG_NONREL_LINEAR",
     "SpectrumPoint",
+    "formula_tag",
     "spectrum_point",
     "circular_channel_dwdo",
     "general_channel_dwdo",
@@ -109,8 +111,10 @@ class SpectrumPoint:
     below_threshold: bool
 
 
-def _tag(field, formula):
-    """The closed form that serves a field: formula x zeta -> tag."""
+def formula_tag(field: LaserField, formula: str) -> int:
+    """The closed form that serves a field: formula x zeta -> tag, by the
+    rule of the module docstring; ValueError for an unknown formula or a
+    nonrelativistic elliptic field."""
     circular, linear = abs(field.zeta) == 1.0, field.zeta == 0.0
     if formula == "relativistic":
         return TAG_CIRCULAR if circular else TAG_LINEAR if linear else TAG_GENERAL
@@ -328,7 +332,7 @@ def nonrel_channel_dwdo(
     the bracket amplitudes (1, rho); all four are zero on rows at and below
     the threshold X <= 0.
     """
-    tag = _tag(field, "nonrelativistic")
+    tag = formula_tag(field, "nonrelativistic")
     circular, omega, xi = tag == TAG_NONREL_CIRCULAR, field.omega, field.xi
 
     def evaluate(n, th):
@@ -381,7 +385,12 @@ def spectrum_point(
     field and formula: the one row of _rows, so it equals, bit for bit, the
     channel_spectrum row at its channel and angles.  Tags 44/56/59 do not
     read phi."""
-    tag = _tag(field, formula)
+    return _point(field, atom, n, theta, phi, formula_tag(field, formula), rescattering)
+
+
+def _point(field, atom, n, theta, phi, tag, rescattering):
+    """SpectrumPoint of channel n at one emission direction by the closed
+    form `tag`: the one row of _rows."""
     n = int(n)
     rows = _rows(field, atom, np.array([n]), np.array([float(theta)]), np.array([float(phi)]),
                  tag, rescattering)
@@ -392,6 +401,37 @@ def spectrum_point(
         dwdo_kfr_only=float(kfr_only), rescatter_factor=float(factor),
         formula_tag=tag, below_threshold=bool(below),
     )
+
+
+# The four one-point functions that spectrum_point replaced stay, outside
+# __all__, while the benchmark's tracer (bench/tracer.py) still names them
+# as targets: its tests count a missing target as a fault.  They go with
+# the benchmark change of ROADMAP item 3(a).  dwdo_general is also the
+# tag-42 reference at zeta = 0 and |zeta| = 1 that tags 44 and 55 reduce
+# from.
+
+def dwdo_general(field, atom, n, theta, phi, rescattering=True) -> SpectrumPoint:
+    """spectrum_point by the general amplitude (tag 42), at every zeta."""
+    return _point(field, atom, n, theta, phi, TAG_GENERAL, rescattering)
+
+
+def dwdo_circular(field, atom, n, theta, rescattering=True) -> SpectrumPoint:
+    """spectrum_point of a circular field (tag 44); ValueError otherwise."""
+    if formula_tag(field, "relativistic") != TAG_CIRCULAR:
+        raise ValueError("dwdo_circular requires circular polarization (|zeta| = 1)")
+    return _point(field, atom, n, theta, 0.0, TAG_CIRCULAR, rescattering)
+
+
+def dwdo_linear(field, atom, n, theta, phi, rescattering=True) -> SpectrumPoint:
+    """spectrum_point of a linear field (tag 55); ValueError otherwise."""
+    if formula_tag(field, "relativistic") != TAG_LINEAR:
+        raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
+    return _point(field, atom, n, theta, phi, TAG_LINEAR, rescattering)
+
+
+def dwdo_nonrel(field, atom, n, theta, rescattering=True) -> SpectrumPoint:
+    """spectrum_point by the nonrelativistic forms (tags 56/59)."""
+    return spectrum_point(field, atom, n, theta, 0.0, "nonrelativistic", rescattering)
 
 
 def channel_spectrum(
@@ -419,7 +459,7 @@ def channel_spectrum(
     specfun.BesselRangeError in that block's first series round, before
     the lower channels cost anything.
     """
-    tag = _tag(field, formula)
+    tag = formula_tag(field, formula)
     reads_phi = tag in (TAG_GENERAL, TAG_LINEAR)
     shape = np.broadcast_shapes(np.shape(n), np.shape(theta), np.shape(phi))
     # broadcast views, copied one block at a time

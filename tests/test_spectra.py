@@ -17,6 +17,10 @@ from atispec.spectra import (
     TAG_NONREL_LINEAR,
     channel_spectrum,
     circular_channel_dwdo,
+    dwdo_circular,
+    dwdo_general,
+    dwdo_linear,
+    dwdo_nonrel,
     general_channel_dwdo,
     nonrel_channel_dwdo,
     spectrum_point,
@@ -24,14 +28,6 @@ from atispec.spectra import (
 
 DESK_FIELD = LaserField.circular(0.01, 1.0)
 DESK_ATOM = Atom.from_charge(1)
-
-
-def _general_point(field, n, theta, phi, rescattering=True):
-    """The general kernel (tag 42) at one point, whatever the field's zeta:
-    (dwdo, prefactor, kfr, resc)."""
-    rows = general_channel_dwdo(field, DESK_ATOM, np.array([n]), np.array([theta]),
-                                np.array([phi]), rescattering)
-    return tuple(a[0] for a in rows)
 
 
 # ---------------------------------------------------------------- circular
@@ -130,7 +126,9 @@ def test_circular_accepts_both_helicities():
     assert a.formula_tag == b.formula_tag == TAG_CIRCULAR
     np.testing.assert_allclose(a.dwdo, b.dwdo, rtol=1e-14)
     for zeta in (0.0, 0.5):
-        # the closed form refuses a linear or elliptic field
+        with pytest.raises(ValueError):
+            dwdo_circular(LaserField(0.01, 1.0, zeta), DESK_ATOM, 100, 0.8)
+        # the closed form itself refuses a linear or elliptic field too
         with pytest.raises(ValueError):
             circular_channel_dwdo(LaserField(0.01, 1.0, zeta), DESK_ATOM, 100, np.array([0.5]))
 
@@ -196,7 +194,7 @@ def test_general_reduces_to_circular_within_binding_correction():
         theta = float(rng.uniform(max(0.05, s.theta_m - 3 * s.delta_theta),
                                   min(math.pi - 0.05, s.theta_m + 3 * s.delta_theta)))
         phi = float(rng.uniform(0, 2 * math.pi))
-        g = _general_point(DESK_FIELD, n, theta, phi)[0]
+        g = dwdo_general(DESK_FIELD, DESK_ATOM, n, theta, phi).dwdo
         c = spectrum_point(DESK_FIELD, DESK_ATOM, n, theta, phi).dwdo
         worst = max(worst, abs(g - c) / max(g, c))
     assert worst <= bound
@@ -210,7 +208,7 @@ def test_general_reduces_to_linear_exactly():
         n = int(n0 + rng.integers(0, 100))
         theta = float(rng.uniform(0.05, math.pi - 0.05))
         phi = float(rng.uniform(0, 2 * math.pi))
-        g = _general_point(field, n, theta, phi)[0]
+        g = dwdo_general(field, DESK_ATOM, n, theta, phi).dwdo
         ll = spectrum_point(field, DESK_ATOM, n, theta, phi).dwdo
         np.testing.assert_allclose(g, ll, rtol=1e-9, atol=1e-300)
 
@@ -241,7 +239,7 @@ def test_general_kernel_matches_quadrature_oracle(zeta, count):
 
 
 def test_general_azimuth_independent_for_circular():
-    vals = [_general_point(DESK_FIELD, 100, 0.7, phi)[0]
+    vals = [dwdo_general(DESK_FIELD, DESK_ATOM, 100, 0.7, phi).dwdo
             for phi in np.linspace(0, 2 * math.pi, 9)]
     spread = (max(vals) - min(vals)) / max(vals)
     assert spread < 1e-9
@@ -287,6 +285,24 @@ def test_linear_mode_off_is_pure_direct_term():
     off = spectrum_point(field, DESK_ATOM, 60, 0.9, 0.2, rescattering=False)
     np.testing.assert_allclose(
         off.dwdo, off.prefactor * abs(off.kfr_amplitude) ** 2, rtol=0)
+
+
+def test_linear_requires_linear_polarization():
+    with pytest.raises(ValueError):
+        dwdo_linear(DESK_FIELD, DESK_ATOM, 60, 0.9, 0.2)
+
+
+def test_retained_one_point_functions_equal_spectrum_point():
+    # the former one-point API, kept while the benchmark traces its names
+    for field in (DESK_FIELD, LaserField.linear(0.01, 1.0), LaserField(0.01, 1.0, 0.5)):
+        assert dwdo_general(field, DESK_ATOM, 80, 0.7, 0.3).formula_tag == TAG_GENERAL
+    assert dwdo_circular(DESK_FIELD, DESK_ATOM, 80, 0.7, False) == spectrum_point(
+        DESK_FIELD, DESK_ATOM, 80, 0.7, 0.0, rescattering=False)
+    field = LaserField.linear(0.01, 1.0)
+    assert dwdo_linear(field, DESK_ATOM, 80, 0.7, 0.3) == spectrum_point(
+        field, DESK_ATOM, 80, 0.7, 0.3)
+    assert dwdo_nonrel(NR_LINEAR, DESK_ATOM, 2, 0.4, False) == spectrum_point(
+        NR_LINEAR, DESK_ATOM, 2, 0.4, 0.0, "nonrelativistic", rescattering=False)
 
 
 @pytest.mark.parametrize("rescattering", [True, False])
@@ -538,6 +554,8 @@ def test_nonrel_entry_points_reject_elliptic_field():
     with pytest.raises(ValueError):
         spectrum_point(field, DESK_ATOM, 3, 0.4, 0.0, "nonrelativistic")
     with pytest.raises(ValueError):
+        dwdo_nonrel(field, DESK_ATOM, 3, 0.4)
+    with pytest.raises(ValueError):
         channel_spectrum(field, DESK_ATOM, 3, np.array([0.4]), np.array([0.0]), "nonrelativistic")
 
 
@@ -594,7 +612,8 @@ def test_every_formula_nonnegative_over_random_scan():
 def test_general_collapses_to_single_exchange_for_circular():
     # at |zeta| = 1 the photon-exchange ladder collapses to one term whose
     # weight carries the bound-state energy; KFR term is the plain Bessel
-    _, _, kfr, resc = _general_point(DESK_FIELD, 100, 0.8, 0.0)
+    pt = dwdo_general(DESK_FIELD, DESK_ATOM, 100, 0.8, 0.0)
+    kfr, resc = pt.kfr_amplitude, pt.rescatter_amplitude
     ck = channel_kinematics(DESK_FIELD, DESK_ATOM, 100, 0.8, 0.0)
     jn = specfun.ordinary_bessel(100, ck.alpha_amp)
     np.testing.assert_allclose(abs(kfr), abs(jn), rtol=1e-12)
