@@ -27,10 +27,9 @@ n0 = threshold_n(field, atom)
 for n in range(int(s.n_m - 2 * s.delta_n), int(s.n_m + 2 * s.delta_n) + 1, 9):
     if n < n0:
         continue
-    on = spectrum_point(field, atom, n, s.theta_m, 0.0)
-    off = spectrum_point(field, atom, n, s.theta_m, 0.0, rescattering=False)
-    ratio = on.dwdo / off.dwdo if off.dwdo else float("nan")
-    print(f"{n:>5} {on.dwdo:>14.4e} {off.dwdo:>14.4e} {ratio:>15.4f}")
+    pt = spectrum_point(field, atom, n, s.theta_m, 0.0)
+    ratio = pt.dwdo / pt.dwdo_kfr_only if pt.dwdo_kfr_only else float("nan")
+    print(f"{n:>5} {pt.dwdo:>14.4e} {pt.dwdo_kfr_only:>14.4e} {ratio:>15.4f}")
 
 print("\nangular profile of the peak channel:")
 n_pk = int(round(s.n_m))

@@ -151,11 +151,14 @@ class RunConfig:
         if self.formula not in ("relativistic", "nonrelativistic", "both"):
             raise ConfigError("field 'formula' must be relativistic | nonrelativistic | both")
         if self.n_range != "auto":
+            # channels stay exact in floating point, as the threshold does
             ok = (isinstance(self.n_range, (list, tuple)) and len(self.n_range) == 2
-                  and all(isinstance(v, int) and not isinstance(v, bool) for v in self.n_range)
+                  and all(isinstance(v, int) and not isinstance(v, bool)
+                          and abs(v) <= MAX_THRESHOLD_N for v in self.n_range)
                   and self.n_range[0] <= self.n_range[1])
             if not ok:
-                raise ConfigError("field 'n_range' must be 'auto' or [n_lo, n_hi]")
+                raise ConfigError("field 'n_range' must be 'auto' or [n_lo, n_hi] "
+                                  f"with |n| <= {MAX_THRESHOLD_N:.3g}")
         if self.channel_cap < 1:
             raise ConfigError("field 'channel_cap' must be >= 1")
         if not isinstance(self.output_path, str) or not self.output_path:
@@ -324,7 +327,6 @@ def run_spectrum(cfg: RunConfig) -> int:
     thetas = np.linspace(0.0, math.pi, cfg.theta_points)
     phis = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
     channels = np.arange(n_lo, n_hi + 1)
-    resc = cfg.mode == "on"
     summary = _summary(cfg)
     summary["warnings"] += [f"config field '{key}' has no effect" for key in cfg.retired]
 
@@ -337,7 +339,9 @@ def run_spectrum(cfg: RunConfig) -> int:
     lines = [CSV_HEADER + "\n"]
     for formula in formulas:
         tag, *cols = channel_spectrum(field, atom, channels[:, None, None], thetas[:, None], phis,
-                                      formula, resc)
+                                      formula)
+        if cfg.mode == "off":
+            cols[0] = cols[1]  # the direct term alone, kfr_only_dwdo
         cols = [c.reshape(len(nt_heads), len(ph_text)) for c in cols]
         if all((c.view(np.int64) == c[:, :1].view(np.int64)).all() for c in cols):
             for head, d, k, r in zip(nt_heads, *(_fmt_column(c[:, 0]) for c in cols)):

@@ -418,9 +418,9 @@ def _gauss_kronrod(n):
 
 def _direct_once(field, atom, n0, n_cut, theta_points, panels, rescattering):
     """Kronrod sums K and Gauss sums G of each channel of the window over the
-    dwdo column of channel_spectrum at theta = arccos of the 2n+1 Kronrod
-    nodes (the n Gauss nodes among them) and the panels 2 pi j / panels,
-    from one channel_spectrum call over the whole window."""
+    dwdo column of channel_spectrum (kfr_only_dwdo without rescattering) at
+    theta = arccos of the 2n+1 Kronrod nodes (the n Gauss nodes among them)
+    and the panels 2 pi j / panels, all from one channel_spectrum call."""
     mu, w_k = _gauss_kronrod(theta_points)
     w_g = _gauss_legendre(theta_points)[1]
     # |amp|^2 is even under phi -> -phi (amp -> conj amp) and under
@@ -431,8 +431,8 @@ def _direct_once(field, atom, n0, n_cut, theta_points, panels, rescattering):
     phis, panel = np.unique(math.pi * np.minimum(2 * j, panels - 2 * j) / panels,
                             return_inverse=True)
     ns = np.arange(n0, n_cut + 1)
-    dwdo = channel_spectrum(field, atom, ns[:, None, None], np.arccos(mu)[:, None], phis,
-                            "relativistic", rescattering)[1].reshape(ns.size, mu.size, phis.size)
+    cols = channel_spectrum(field, atom, ns[:, None, None], np.arccos(mu)[:, None], phis)
+    dwdo = cols[1 if rescattering else 2].reshape(ns.size, mu.size, phis.size)
     # the correctly rounded panel sum of each (channel, theta), which one
     # addition of at most two panels is too; above two panels one channel's
     # panels are spread out at a time
@@ -452,9 +452,9 @@ def rate_direct(
 ) -> RateSummary:
     """Total rate by exact channel summation and angular quadrature.
 
-    Integrates the relativistic dwdo column of channel_spectrum (tag 44 at
-    |zeta| = 1, whose azimuth is taken analytically; the general amplitude
-    over uniform azimuth panels otherwise) in cos(theta), each channel
+    Integrates the relativistic dwdo column of channel_spectrum, kfr_only_dwdo
+    without rescattering (tag 44 at |zeta| = 1, azimuth analytic; the general
+    amplitude over uniform azimuth panels otherwise) in cos(theta), each channel
     evaluated once, at theta = arccos of the 2n+1 nodes of the
     Gauss-Kronrod extension of the n = grid.theta_points Gauss-Legendre
     rule.  w_total is the Kronrod sum K (exact to degree 3n + 1);

@@ -46,6 +46,11 @@ _LINEAR_CASES = [(n, th, ph, resc) for n in (45, 60) for resc in (True, False)
                  for th, ph in [(0.7, 0.3), (1.2, 2.0), (2.1, 3.6), (0.9, 5.5)]]
 
 
+def _dwdo_of(point, rescattering):
+    """A SpectrumPoint's dwdo with rescattering on, dwdo_kfr_only off."""
+    return point.dwdo if rescattering else point.dwdo_kfr_only
+
+
 def _check_oracle():
     worst = 0.0
     for u in _US:
@@ -208,9 +213,10 @@ def _check_polarization_reduction():
     bound_c = atom.e_b / atom.epsilon0 + 1e-9
 
     field_l, field_g = LaserField.linear(0.01, 1.0), LaserField(0.01, 1.0, 1e-8)
-    got = np.array([spectrum_point(field_l, atom, n, th, ph, rescattering=resc).dwdo
+    got = np.array([_dwdo_of(spectrum_point(field_l, atom, n, th, ph), resc)
                     for n, th, ph, resc in _LINEAR_CASES])
-    want = np.array([dwdo_general(field_g, atom, *case).dwdo for case in _LINEAR_CASES])
+    want = np.array([_dwdo_of(dwdo_general(field_g, atom, n, th, ph), resc)
+                     for n, th, ph, resc in _LINEAR_CASES])
     worst_l = np.max(np.abs(got - want) / (1e-9 * (np.abs(want) + np.max(np.abs(want)))))
     return [
         Check.make("reduction_circular", worst_c / bound_c, 1.0),
@@ -255,7 +261,7 @@ def _check_linear_oracle():
     all four quadrants, rescattering on and off: 1e-9 relative with a floor
     of 1e-9 of the largest value (the benchmark gate's form)."""
     atom, field = Atom.from_charge(1), LaserField.linear(0.01, 1.0)
-    got = np.array([spectrum_point(field, atom, n, th, ph, rescattering=resc).dwdo
+    got = np.array([_dwdo_of(spectrum_point(field, atom, n, th, ph), resc)
                     for n, th, ph, resc in _LINEAR_CASES])
     want = np.array([dwdo_quadrature_oracle(field, atom, *case) for case in _LINEAR_CASES])
     worst = np.max(np.abs(got - want) / (1e-9 * (np.abs(want) + np.max(np.abs(want)))))

@@ -11,17 +11,16 @@ also appears in the CSV output:
   56  nonrelativistic, circular polarization
   59  nonrelativistic, linear polarization
 
-Three kernels share one contract, (field, atom, n, theta[, phi],
-rescattering) -> (dwdo, prefactor, kfr, resc) over channels and angles
-broadcast into rows, zero on the rows that the threshold rule (_below)
-closes: general_channel_dwdo serves every zeta (tags 42 and 55),
-circular_channel_dwdo (tag 44) is its fast path at |zeta| = 1, and
-nonrel_channel_dwdo serves tags 56 and 59.  The relativistic two take
-their kinematics from channel_kinematics, and the 1s density a^-5 g^-8
-and the bracket r from _recoil, which the Airy-form rate mesh shares.
-The rescattering amplitude of tags 42/55 is the paper's photon-exchange
-sum in closed form (_rescattering_series and _rescattering_sum): one
-generalized-Bessel series over the orders N-2..N+2.
+Three kernels share one contract, (field, atom, n, theta[, phi]) -> (dwdo,
+prefactor, kfr, resc) over channels and angles broadcast into rows, zero
+on the rows that the threshold rule (_below) closes: general_channel_dwdo
+serves every zeta (tags 42 and 55), circular_channel_dwdo (tag 44) is its
+fast path at |zeta| = 1, and nonrel_channel_dwdo serves tags 56 and 59.
+The relativistic two take their kinematics from channel_kinematics, and
+the 1s density a^-5 g^-8 and the bracket r from _recoil, which the
+Airy-form rate mesh shares.  The rescattering amplitude of tags 42/55 is
+the paper's photon-exchange sum in closed form (_rescattering_series and
+_rescattering_sum): one generalized-Bessel series over the orders N-2..N+2.
 
 Angle conventions: the relativistic formulas measure theta from the wave
 vector and phi from the major polarization axis e1.  The nonrelativistic
@@ -39,9 +38,9 @@ from it, and both go through one row dispatcher.  Tag 42 at zeta = 0 or
 Each result carries the direct (KFR) and rescattering amplitudes
 separately.  For tags 44/56/59 the squared Bessel factor is absorbed into
 the prefactor and the amplitudes are the dimensionless bracket entries
-(1, r); dwdo = prefactor * |kfr + resc|^2 holds for tags 42/44/55/56,
-while tag 59 carries its bracket unsquared, exactly as the closed form
-states it.
+(1, r).  _on_open_rows forms dwdo = prefactor |kfr + resc|^2 (tag 59, whose
+closed form carries its bracket unsquared: prefactor (1 + resc)), and the
+direct term alone is kfr_only_dwdo = prefactor |kfr|^2 at every tag.
 """
 
 from __future__ import annotations
@@ -88,8 +87,8 @@ class SpectrumPoint:
     prefactor           everything outside the squared amplitude bracket
     kfr_amplitude       direct-transition amplitude entry
     rescatter_amplitude rescattering amplitude entry
-    dwdo_kfr_only       dwdo with the rescattering amplitude zeroed before
-                        squaring
+    dwdo_kfr_only       the direct term alone, prefactor |kfr|^2: dwdo
+                        with rescattering off
     rescatter_factor    Re(resc/kfr); for the circular bracket this is the
                         plain factor g^2 / (2 (N - 2Z) k.Pi).  NaN when the
                         direct amplitude vanishes
@@ -143,12 +142,15 @@ def _below(field, atom, n, tag):
 
 
 def _on_open_rows(evaluate, field, atom, tag, n, *angles):
-    """evaluate(n, *angles) on the 1-D rows of the broadcast channels and
-    angles that the threshold rule of `tag` leaves open: its columns as
-    arrays of the broadcast shape, zero on the closed rows."""
+    """(dwdo, prefactor, kfr, resc) over the broadcast channels and angles,
+    zero on the rows that the threshold rule of `tag` closes, from
+    evaluate(n, *angles) -> (prefactor, kfr, resc) on the open 1-D rows."""
     n, *angles = np.broadcast_arrays(n, *angles)
     keep = ~_below(field, atom, n, tag)
-    columns = evaluate(n[keep], *(x[keep] for x in angles))
+    pref, kfr, resc = evaluate(n[keep], *(x[keep] for x in angles))
+    bracket = kfr + resc
+    columns = (pref * (bracket if tag == TAG_NONREL_LINEAR else np.abs(bracket) ** 2),
+               pref, kfr, resc)
     out = tuple(np.zeros(n.shape, a.dtype) for a in columns)
     for full, a in zip(out, columns):
         full[keep] = a
@@ -207,7 +209,6 @@ def general_channel_dwdo(
     n,
     theta,
     phi,
-    rescattering: bool = True,
 ):
     """Vectorized relativistic dW/dOmega for every zeta (tags 42 and 55)
     over rows of channels n and emission angles (theta, phi), broadcast
@@ -277,11 +278,8 @@ def general_channel_dwdo(
             total[rows] = _rescattering_sum(j, n_u[rows], w, delta, eps0, omega)
             kfr[rows] = specfun.phase_exp(n_u[rows], delta) * j_kfr[:, 0]
 
-        kfr = kfr[back]
         prefactor, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
-        resc = r * total[back]
-        dwdo = prefactor * np.abs(kfr + resc if rescattering else kfr) ** 2
-        return dwdo, prefactor, kfr, resc
+        return prefactor, kfr[back], r * total[back]
 
     return _on_open_rows(evaluate, field, atom, TAG_GENERAL, n, theta, phi)
 
@@ -291,22 +289,18 @@ def circular_channel_dwdo(
     atom: Atom,
     n,
     theta,
-    rescattering: bool = True,
 ):
     """Vectorized circular (tag 44) dW/dOmega over rows of channels n and
     theta, broadcast against each other, as general_channel_dwdo returns
-    it; ValueError unless |zeta| = 1.  The prefactor holds J_N^2(alpha) and
-    (kfr, resc) = (1, r) with r = g^2 / (2 (N - 2Z) k.Pi), so dwdo is
-    prefactor * (1 + r)^2 with rescattering and the prefactor without.
+    it; ValueError unless |zeta| = 1.  The prefactor holds J_N^2(alpha),
+    and (kfr, resc) = (1, r) with r = g^2 / (2 (N - 2Z) k.Pi).
     """
     if abs(field.zeta) != 1.0:
         raise ValueError("circular_channel_dwdo requires circular polarization (|zeta| = 1)")
     def evaluate(n, th):
         ck = channel_kinematics(field, atom, n, th, 0.0)
         pref, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
-        pref = pref * specfun._jn(n, ck.alpha_amp) ** 2
-        dwdo = pref * (1.0 + r) ** 2 if rescattering else pref
-        return dwdo, pref, np.ones(n.size), r
+        return pref * specfun._jn(n, ck.alpha_amp) ** 2, np.ones(n.size), r
 
     return _on_open_rows(evaluate, field, atom, TAG_CIRCULAR, n, theta)
 
@@ -316,7 +310,6 @@ def nonrel_channel_dwdo(
     atom: Atom,
     n,
     theta,
-    rescattering: bool = True,
 ):
     """Vectorized nonrelativistic dW/dOmega over rows of channels n and
     theta, broadcast against each other: tag 56 for |zeta| = 1, tag 59 for
@@ -326,7 +319,7 @@ def nonrel_channel_dwdo(
     kinetic energy is omega X with X = N - 2z - E_B/omega (circular) or
     X = N - z - E_B/omega (linear).  For the linear form theta is measured
     from the polarization vector and the rescattering brace enters
-    unsquared, exactly as the closed form states it.
+    unsquared (the bracket rule of the module docstring).
 
     Returns (dwdo, prefactor, kfr, resc) arrays of the broadcast shape, with
     the bracket amplitudes (1, rho); all four are zero on rows at and below
@@ -344,26 +337,23 @@ def nonrel_channel_dwdo(
             u = math.sqrt(z) * (np.sqrt(8.0 * x_kin) * np.cos(th))
             j = specfun._series_rows([(u, n, 1, np.full(th.shape, -z / 2.0), 0.0)])[0][:, 0]
         pref = 8.0 * omega / math.pi * (atom.e_b / omega) ** 2.5 * np.sqrt(x_kin) / d**2 * j**2
-        rho = x_kin / d
-        # the circular bracket enters squared, the linear one as it stands
-        dwdo = pref * ((1.0 + rho) ** 2 if circular else 1.0 + rho) if rescattering else pref
-        return dwdo, pref, np.ones(n.size), rho
+        return pref, np.ones(n.size), x_kin / d
 
     return _on_open_rows(evaluate, field, atom, tag, n, theta)
 
 
-def _rows(field, atom, n, theta, phi, tag, rescattering):
+def _rows(field, atom, n, theta, phi, tag):
     """The closed form `tag` over 1-D rows (n, theta, phi): (dwdo, prefactor,
     kfr, resc, kfr_only_dwdo, rescatter_factor, below), below by the tag's
     threshold rule; tags 44/56/59 do not read phi."""
     if tag in (TAG_GENERAL, TAG_LINEAR):
-        rows = general_channel_dwdo(field, atom, n, theta, phi, rescattering)
+        rows = general_channel_dwdo(field, atom, n, theta, phi)
     elif tag == TAG_CIRCULAR:
-        rows = circular_channel_dwdo(field, atom, n, theta, rescattering)
+        rows = circular_channel_dwdo(field, atom, n, theta)
     else:
-        rows = nonrel_channel_dwdo(field, atom, n, theta, rescattering)
+        rows = nonrel_channel_dwdo(field, atom, n, theta)
     dwdo, pref, kfr, resc = rows
-    kfr_only = pref if tag == TAG_NONREL_LINEAR else pref * np.abs(kfr) ** 2
+    kfr_only = pref * np.abs(kfr) ** 2
     # a zero direct amplitude gives NaN; one near underflow (at theta = pi,
     # say) gives a ratio past the double range, written as inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -378,22 +368,21 @@ def spectrum_point(
     theta: float,
     phi: float,
     formula: str = "relativistic",
-    rescattering: bool = True,
 ) -> SpectrumPoint:
     """SpectrumPoint of channel n at one emission direction (theta, phi) by
     the closed form that the tag rule of the module docstring gives the
     field and formula: the one row of _rows, so it equals, bit for bit, the
     channel_spectrum row at its channel and angles.  Tags 44/56/59 do not
     read phi."""
-    return _point(field, atom, n, theta, phi, formula_tag(field, formula), rescattering)
+    return _point(field, atom, n, theta, phi, formula_tag(field, formula))
 
 
-def _point(field, atom, n, theta, phi, tag, rescattering):
+def _point(field, atom, n, theta, phi, tag):
     """SpectrumPoint of channel n at one emission direction by the closed
     form `tag`: the one row of _rows."""
     n = int(n)
     rows = _rows(field, atom, np.array([n]), np.array([float(theta)]), np.array([float(phi)]),
-                 tag, rescattering)
+                 tag)
     dwdo, pref, kfr, resc, kfr_only, factor, below = (a[0] for a in rows)
     return SpectrumPoint(
         n=n, theta=theta, phi=phi, dwdo=float(dwdo), prefactor=float(pref),
@@ -410,28 +399,28 @@ def _point(field, atom, n, theta, phi, tag, rescattering):
 # tag-42 reference at zeta = 0 and |zeta| = 1 that tags 44 and 55 reduce
 # from.
 
-def dwdo_general(field, atom, n, theta, phi, rescattering=True) -> SpectrumPoint:
+def dwdo_general(field, atom, n, theta, phi) -> SpectrumPoint:
     """spectrum_point by the general amplitude (tag 42), at every zeta."""
-    return _point(field, atom, n, theta, phi, TAG_GENERAL, rescattering)
+    return _point(field, atom, n, theta, phi, TAG_GENERAL)
 
 
-def dwdo_circular(field, atom, n, theta, rescattering=True) -> SpectrumPoint:
+def dwdo_circular(field, atom, n, theta) -> SpectrumPoint:
     """spectrum_point of a circular field (tag 44); ValueError otherwise."""
     if formula_tag(field, "relativistic") != TAG_CIRCULAR:
         raise ValueError("dwdo_circular requires circular polarization (|zeta| = 1)")
-    return _point(field, atom, n, theta, 0.0, TAG_CIRCULAR, rescattering)
+    return _point(field, atom, n, theta, 0.0, TAG_CIRCULAR)
 
 
-def dwdo_linear(field, atom, n, theta, phi, rescattering=True) -> SpectrumPoint:
+def dwdo_linear(field, atom, n, theta, phi) -> SpectrumPoint:
     """spectrum_point of a linear field (tag 55); ValueError otherwise."""
     if formula_tag(field, "relativistic") != TAG_LINEAR:
         raise ValueError("dwdo_linear requires linear polarization (zeta = 0)")
-    return _point(field, atom, n, theta, phi, TAG_LINEAR, rescattering)
+    return _point(field, atom, n, theta, phi, TAG_LINEAR)
 
 
-def dwdo_nonrel(field, atom, n, theta, rescattering=True) -> SpectrumPoint:
+def dwdo_nonrel(field, atom, n, theta) -> SpectrumPoint:
     """spectrum_point by the nonrelativistic forms (tags 56/59)."""
-    return spectrum_point(field, atom, n, theta, 0.0, "nonrelativistic", rescattering)
+    return spectrum_point(field, atom, n, theta, 0.0, "nonrelativistic")
 
 
 def channel_spectrum(
@@ -441,7 +430,6 @@ def channel_spectrum(
     theta,
     phi,
     formula: str = "relativistic",
-    rescattering: bool = True,
 ):
     """The `ati spectrum` columns over the rows of channels n and emission
     angles (theta, phi), broadcast against each other and flattened:
@@ -469,7 +457,7 @@ def channel_spectrum(
         block = [a.flat[lo:lo + SPECTRUM_BLOCK] for a in rows]
         if not reads_phi:
             block.append(np.zeros(block[0].size))
-        block = _rows(field, atom, *block, tag, rescattering)
+        block = _rows(field, atom, *block, tag)
         columns[:, lo:lo + SPECTRUM_BLOCK] = block[0], block[4], block[5]
     if not reads_phi:
         nt_shape = np.broadcast_shapes(np.shape(n), np.shape(theta))

@@ -267,7 +267,7 @@ def _kfr_rate(field, atom, formula, channels):
     mu, w = np.polynomial.legendre.leggauss(48)
     phi = 2.0 * math.pi * np.arange(16) / 16
     dwdo = channel_spectrum(field, atom, channels[:, None, None], np.arccos(mu)[:, None], phi,
-                            formula, False)[1].reshape(channels.size, mu.size, phi.size)
+                            formula)[2].reshape(channels.size, mu.size, phi.size)
     return 2.0 * math.pi * float(np.sum(dwdo.mean(axis=2) @ w))
 
 

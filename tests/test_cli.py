@@ -264,6 +264,7 @@ def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarizat
     # their text: -0.0 and 0.0 are equal values but not equal lines.
     from atispec import cli, spectra
     from atispec.kinematics import channel_kinematics, threshold_n
+    from atispec.selftest import _dwdo_of
     from atispec.spectra import spectrum_point
 
     monkeypatch.setattr(spectra, "SPECTRUM_BLOCK", 7)
@@ -287,10 +288,9 @@ def test_spectrum_rows_match_one_point_wrappers(tmp_path, monkeypatch, polarizat
     for line in (out / "spectrum.csv").read_text().splitlines()[1:]:
         n, th, ph, *vals, tag = line.split(",")
         form = "nonrelativistic" if int(tag) in (56, 59) else "relativistic"
-        pt = spectrum_point(field, atom, int(n), float(th), float(ph), formula=form,
-                            rescattering=resc)
+        pt = spectrum_point(field, atom, int(n), float(th), float(ph), formula=form)
         assert pt.formula_tag == int(tag)
-        want = (pt.dwdo, pt.dwdo_kfr_only, pt.rescatter_factor)
+        want = (_dwdo_of(pt, resc), pt.dwdo_kfr_only, pt.rescatter_factor)
         groups.setdefault((tag, n), []).append(([float(v) for v in vals], want))
         d, k, r = want
         assert line == f"{n},{float(th)!r},{float(ph)!r},{d!r},{k!r},{r!r},{tag}"
@@ -316,8 +316,10 @@ def _old_spectrum_csv(cfg):
     angles = [f"{th!r},{ph!r}" for th in thetas.tolist() for ph in phis.tolist()]
     lines = ["N,theta_rad,phi_rad,dwdo,kfr_only_dwdo,rescatter_factor,formula_tag"]
     for formula in formulas:
-        tag, *cols = channel_spectrum(field, atom, channels[:, None, None], thetas[:, None], phis,
-                                      formula, rc.mode == "on")
+        tag, dwdo, kfr_only, factor = channel_spectrum(
+            field, atom, channels[:, None, None], thetas[:, None], phis, formula)
+        # mode off writes the direct term alone as dwdo
+        cols = (dwdo if rc.mode == "on" else kfr_only, kfr_only, factor)
         rows = ((n, a) for n in channels.tolist() for a in angles)
         lines.extend(f"{n},{a},{d!r},{k!r},{r!r},{tag}" for (n, a), d, k, r in
                      zip(rows, *(c.tolist() for c in cols)))
@@ -354,6 +356,13 @@ def test_spectrum_csv_bytes_match_per_row_writer(tmp_path, mode, extra, phi_poin
     got = (tmp_path / "out" / "spectrum.csv").read_bytes()
     assert got.count(b"\n") == 1 + len(varies) * 6 * 10 * phi_points
     assert got == _old_spectrum_csv(json.loads(cfg_path.read_text()))
+    if mode == "off":
+        # the mode-on file with its dwdo column replaced by kfr_only_dwdo
+        on_dir = tmp_path / "on"
+        assert main(["spectrum", "-c", str(cfg_path), "--mode", "on", "-o", str(on_dir)]) == 0
+        head, *on = (on_dir / "spectrum.csv").read_text().splitlines(keepends=True)
+        swapped = [",".join(c[:3] + c[4:5] + c[4:]) for c in (line.split(",") for line in on)]
+        assert got == (head + "".join(swapped)).encode()
     blocks = {}
     for line in got.decode().splitlines()[1:]:
         n, th, _, *vals, tag = line.split(",")
@@ -515,7 +524,7 @@ _EXTREMES = {
     # 10**15 points fail at their first allocation; n = 10**15 takes k.Pi to 0
     "theta_points": [7, 10**15],
     "phi_points": [0, -1, 10**15],
-    "n_range": ["auto", [3, 2], [-3, 1], [10**15, 10**15]],
+    "n_range": ["auto", [3, 2], [-3, 1], [10**15, 10**15], [10**20, 10**20 + 1]],
     "mode": ["both"],
     "formula": ["exact"],
     "channel_cap": [-1, 0, 2],
@@ -566,6 +575,10 @@ _SWEEP = st.tuples(
               "phi_points": 10**15}, command="spectrum", sweep=("xi", "1"), joined=False)
 @example(raw={"photon_energy_ev": 5e3, "intensity_xi": 1.0, "output_path": "OUT", "theta_points": 8,
               "n_range": [10**15, 10**15]}, command="spectrum", sweep=("xi", "1"), joined=False)
+@example(raw={"photon_energy_ev": 5e3, "intensity_xi": 1.0, "output_path": "OUT",
+              "n_range": [10**20, 10**20 + 1]}, command="spectrum", sweep=("xi", "1"), joined=False)
+@example(raw={"photon_energy_ev": 5e3, "intensity_xi": 1.0, "output_path": "OUT",
+              "n_range": [10**20, 10**20 + 1]}, command="rate", sweep=("xi", "1"), joined=False)
 def test_any_config_exits_0_2_or_3_with_one_stderr_line(raw, command, sweep, joined):
     from atispec.cli import main
 
@@ -703,22 +716,80 @@ def _count_sweeps(monkeypatch):
     return sweeps
 
 
-def test_desk_linear_rate_pinned(tmp_path, monkeypatch):
-    # the desk config under linear polarization (auto window, 24 theta
-    # points, 8 azimuths): a series call of many chunks whose rows run more
-    # than one round.  Its direct rate bit for bit, in fewer sweeps than the
-    # 136 of one sweep per chunk and round
-    from atispec.cli import main
+# the direct rate of the desk config under linear polarization, bit for bit
+DESK_LINEAR_W_TOTAL = 9.459635899040433e-07
 
-    sweeps = _count_sweeps(monkeypatch)
+
+def _desk_linear_config(tmp_path):
+    # the desk config under linear polarization: auto window, 24 theta
+    # points, 8 azimuths
     cfg = json.loads(DESK_CONFIG.read_text())
     cfg.update(polarization="linear", n_range="auto", theta_points=24, phi_points=8)
     path = tmp_path / "desk_linear.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_desk_linear_rate_pinned(tmp_path, monkeypatch):
+    # a series call of many chunks whose rows run more than one round.  Its
+    # direct rate bit for bit, in fewer sweeps than the 136 of one sweep per
+    # chunk and round
+    from atispec.cli import main
+
+    sweeps = _count_sweeps(monkeypatch)
+    path = _desk_linear_config(tmp_path)
     assert main(["rate", "-c", str(path), "-o", str(tmp_path / "out")]) == 0
     rate = json.loads((tmp_path / "out" / "rate.json").read_text())
-    assert rate["methods"]["direct"]["w_total"] == 9.459635899040433e-07
+    assert rate["methods"]["direct"]["w_total"] == DESK_LINEAR_W_TOTAL
     assert len(sweeps) < 136
+
+
+def _within_64_ulp(got, want):
+    # equal (zeros, infinities and nans too) or within 2^-46 relative
+    return got == want or (math.isnan(got) and math.isnan(want)) \
+        or abs(got - want) <= 2.0**-46 * abs(want)
+
+
+def test_golden_outputs_hold_without_avx512_kernels(tmp_path):
+    # outputs are byte-identical per host class: numpy's AVX-512 kernels
+    # round exp, log, power, arccos and others differently from the rest of
+    # x86-64.  One child process with those kernels switched off stands for
+    # the other class: its golden spectra and desk linear rate hold to 64
+    # ulp, and the rows whose bytes differ are counted
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    targets = [t for t in __cpu_dispatch__ if t.startswith("AVX512") or t == "X86_V4"]
+    if not targets:
+        pytest.skip("this numpy build dispatches no AVX-512 kernels")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+
+    def child(*args):
+        cp = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+        assert cp.returncode == 0, cp.stderr
+        return cp.stdout
+
+    enabled = child("-c", "from numpy._core._multiarray_umath import __cpu_features__ as f; "
+                          f"print([t for t in {targets!r} if f.get(t)])")
+    assert enabled.strip() == "[]"
+    runs = [("desk", GOLDEN, [str(DESK_CONFIG)]),
+            ("elliptic", GOLDEN_ELLIPTIC, [str(LINEAR_CONFIG), "--polarization", "elliptic",
+                                           "--zeta", "0.5"])]
+    for name, golden, args in runs:
+        out = tmp_path / name
+        child("-m", "atispec", "spectrum", "-c", *args, "-o", str(out))
+        got = (out / "spectrum.csv").read_text().splitlines()
+        want = golden.read_text().splitlines()
+        assert len(got) == len(want) and got[0] == want[0]
+        differ = [(g, w) for g, w in zip(got[1:], want[1:]) if g != w]
+        for g, w in differ:
+            assert all(_within_64_ulp(float(a), float(b))
+                       for a, b in zip(g.split(","), w.split(","), strict=True)), (g, w)
+        print(f"{name} spectrum: {len(differ)} of {len(want) - 1} rows differ in bytes")
+    child("-m", "atispec", "rate", "-c", str(_desk_linear_config(tmp_path)),
+          "-o", str(tmp_path / "rate"))
+    w = json.loads((tmp_path / "rate" / "rate.json").read_text())["methods"]["direct"]["w_total"]
+    assert _within_64_ulp(w, DESK_LINEAR_W_TOTAL)
+    print(f"desk linear w_total: {w!r} against the pin {DESK_LINEAR_W_TOTAL!r}")
 
 
 # variant 0 of the benchmark's series slots: spectrum_scan's linear_55,

@@ -312,7 +312,8 @@ def test_rate_direct_folded_panels_equal_unfolded_sum(zeta, phi_points):
 @pytest.mark.parametrize("theta_points", [8, 24, 48])
 def test_rate_direct_circular_integrates_the_spectrum_column(field, theta_points):
     # a one-channel direct rate is the Kronrod sum of the dwdo column that
-    # `ati spectrum` writes at theta = arccos of the nodes, bit for bit
+    # `ati spectrum` writes at theta = arccos of the nodes, bit for bit, and
+    # without rescattering that of its kfr_only_dwdo column
     mu, w_k = rates._gauss_kronrod(theta_points)
     thetas = np.arccos(mu)
     n_m = int(round(saddle_point(field, DESK_ATOM).n_m))
@@ -320,10 +321,11 @@ def test_rate_direct_circular_integrates_the_spectrum_column(field, theta_points
     mismatched = []
     for n in channels:
         grid = GridSpec(theta_points=theta_points, n_lo=n, n_cut=n)
-        w = rate_direct(field, DESK_ATOM, grid).w_total
-        column = channel_spectrum(field, DESK_ATOM, n, thetas, np.zeros(thetas.size))[1]
-        if w != np.dot(w_k, 2.0 * math.pi * column):
-            mismatched.append(n)
+        columns = channel_spectrum(field, DESK_ATOM, n, thetas, np.zeros(thetas.size))
+        for resc, column in ((True, columns[1]), (False, columns[2])):
+            w = rate_direct(field, DESK_ATOM, grid, rescattering=resc).w_total
+            if w != np.dot(w_k, 2.0 * math.pi * column):
+                mismatched.append((n, resc))
     assert len(channels) == 20 and mismatched == []
 
 
@@ -338,10 +340,12 @@ def test_rate_direct_linear_integrates_the_spectrum_column():
     thetas, phis = np.meshgrid(np.arccos(mu), phis, indexing="ij")
     n0 = threshold_n(LINEAR_FIELD, DESK_ATOM)
     for n in range(n0, n0 + 3):
-        w = rate_direct(LINEAR_FIELD, DESK_ATOM, GridSpec(8, 8, n_lo=n, n_cut=n)).w_total
-        column = channel_spectrum(LINEAR_FIELD, DESK_ATOM, n, thetas.ravel(), phis.ravel())[1]
-        profile = [math.fsum(row) for row in column.reshape(thetas.shape).tolist()]
-        assert w == np.dot(w_k, np.array(profile) * (2.0 * math.pi / grid.phi_points))
+        columns = channel_spectrum(LINEAR_FIELD, DESK_ATOM, n, thetas.ravel(), phis.ravel())
+        for resc, column in ((True, columns[1]), (False, columns[2])):
+            w = rate_direct(LINEAR_FIELD, DESK_ATOM, GridSpec(8, 8, n_lo=n, n_cut=n),
+                            rescattering=resc).w_total
+            profile = [math.fsum(row) for row in column.reshape(thetas.shape).tolist()]
+            assert w == np.dot(w_k, np.array(profile) * (2.0 * math.pi / grid.phi_points))
 
 
 ELLIPTIC_FIELD = LaserField(0.02, 0.6, 0.5)

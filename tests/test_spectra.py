@@ -8,7 +8,7 @@ from atispec import rates, specfun, spectra
 from atispec.constants import ELECTRON_MASS_EV
 from atispec.kinematics import Atom, LaserField, channel_kinematics, threshold_n
 from atispec.rates import saddle_point
-from atispec.selftest import dwdo_quadrature_oracle
+from atispec.selftest import _dwdo_of, dwdo_quadrature_oracle
 from atispec.spectra import (
     TAG_CIRCULAR,
     TAG_GENERAL,
@@ -103,10 +103,9 @@ def test_circular_rescattering_bracket_ratio():
     # dwdo(on)/dwdo(off) == (1 + r)^2 with r the reported factor
     for n in (60, 100, 140):
         for theta in (0.5, 0.785, 1.2):
-            on = spectrum_point(DESK_FIELD, DESK_ATOM, n, theta, 0.0, rescattering=True)
-            off = spectrum_point(DESK_FIELD, DESK_ATOM, n, theta, 0.0, rescattering=False)
+            on = spectrum_point(DESK_FIELD, DESK_ATOM, n, theta, 0.0)
             r = on.rescatter_factor
-            np.testing.assert_allclose(on.dwdo / off.dwdo, (1 + r) ** 2, rtol=1e-12)
+            np.testing.assert_allclose(on.dwdo / on.dwdo_kfr_only, (1 + r) ** 2, rtol=1e-12)
 
 
 def test_circular_rescattering_factor_order_unity_at_peak():
@@ -232,7 +231,7 @@ def test_general_kernel_matches_quadrature_oracle(zeta, count):
     # with a floor of 1e-9 of the largest value, the benchmark gate's form
     field = LaserField(0.01, 1.0, zeta)
     cases = _quadrature_oracle_cases(field, np.random.default_rng(55), count)
-    got = np.array([spectrum_point(field, DESK_ATOM, n, th, ph, rescattering=resc).dwdo
+    got = np.array([_dwdo_of(spectrum_point(field, DESK_ATOM, n, th, ph), resc)
                     for n, th, ph, resc in cases])
     want = np.array([dwdo_quadrature_oracle(field, DESK_ATOM, *case) for case in cases])
     assert np.all(np.abs(got - want) <= 1e-9 * (np.abs(want) + np.max(np.abs(want))))
@@ -246,12 +245,24 @@ def test_general_azimuth_independent_for_circular():
 
 
 def test_general_mode_off_equals_kfr_only():
-    field = LaserField(0.01, 1.0, 0.5)
-    on = spectrum_point(field, DESK_ATOM, 70, 0.8, 0.4, rescattering=True)
-    off = spectrum_point(field, DESK_ATOM, 70, 0.8, 0.4, rescattering=False)
-    # zeroing the stored rescattering amplitude reproduces mode=off bit-for-bit
-    assert off.dwdo == on.prefactor * abs(on.kfr_amplitude + 0j) ** 2
-    assert off.dwdo == on.dwdo_kfr_only
+    # at every tag, bit for bit from the stored amplitudes: zeroing the
+    # rescattering amplitude gives the mode-off (kfr_only_dwdo) column of
+    # the point's channel_spectrum row, and the bracket rule (unsquared at
+    # tag 59) gives dwdo
+    for field, n, formula, tag in [
+            (LaserField(0.01, 1.0, 0.5), 70, "relativistic", TAG_GENERAL),
+            (DESK_FIELD, 100, "relativistic", TAG_CIRCULAR),
+            (LaserField.linear(0.01, 1.0), 70, "relativistic", TAG_LINEAR),
+            (NR_FIELD, 2, "nonrelativistic", TAG_NONREL_CIRCULAR),
+            (NR_LINEAR, 2, "nonrelativistic", TAG_NONREL_LINEAR)]:
+        on = spectrum_point(field, DESK_ATOM, n, 0.8, 0.4, formula)
+        off = channel_spectrum(field, DESK_ATOM, n, np.array([0.8]), np.array([0.4]), formula)[2][0]
+        assert on.formula_tag == tag and off > 0.0
+        assert off == on.prefactor * abs(on.kfr_amplitude + 0j) ** 2
+        assert off == on.dwdo_kfr_only
+        bracket = on.kfr_amplitude + on.rescatter_amplitude
+        assert on.dwdo == (on.prefactor * bracket.real if tag == TAG_NONREL_LINEAR
+                           else on.prefactor * abs(bracket) ** 2)
 
 
 # ------------------------------------------------------------------ linear
@@ -263,10 +274,10 @@ def test_linear_perpendicular_emission_parity_zeros():
     n0 = threshold_n(field, DESK_ATOM)
     n_odd = n0 if n0 % 2 else n0 + 1
     n_even = n_odd + 1
-    odd = spectrum_point(field, DESK_ATOM, n_odd, math.pi / 2, math.pi / 2, rescattering=False)
-    even = spectrum_point(field, DESK_ATOM, n_even, math.pi / 2, math.pi / 2, rescattering=False)
-    assert even.dwdo > 0.0
-    assert odd.dwdo < 1e-30 * even.dwdo
+    odd = spectrum_point(field, DESK_ATOM, n_odd, math.pi / 2, math.pi / 2)
+    even = spectrum_point(field, DESK_ATOM, n_even, math.pi / 2, math.pi / 2)
+    assert even.dwdo_kfr_only > 0.0
+    assert odd.dwdo_kfr_only < 1e-30 * even.dwdo_kfr_only
 
 
 def test_linear_azimuth_parity():
@@ -282,9 +293,9 @@ def test_linear_azimuth_parity():
 
 def test_linear_mode_off_is_pure_direct_term():
     field = LaserField.linear(0.01, 1.0)
-    off = spectrum_point(field, DESK_ATOM, 60, 0.9, 0.2, rescattering=False)
+    off = spectrum_point(field, DESK_ATOM, 60, 0.9, 0.2)
     np.testing.assert_allclose(
-        off.dwdo, off.prefactor * abs(off.kfr_amplitude) ** 2, rtol=0)
+        off.dwdo_kfr_only, off.prefactor * abs(off.kfr_amplitude) ** 2, rtol=0)
 
 
 def test_linear_requires_linear_polarization():
@@ -296,13 +307,20 @@ def test_retained_one_point_functions_equal_spectrum_point():
     # the former one-point API, kept while the benchmark traces its names
     for field in (DESK_FIELD, LaserField.linear(0.01, 1.0), LaserField(0.01, 1.0, 0.5)):
         assert dwdo_general(field, DESK_ATOM, 80, 0.7, 0.3).formula_tag == TAG_GENERAL
-    assert dwdo_circular(DESK_FIELD, DESK_ATOM, 80, 0.7, False) == spectrum_point(
-        DESK_FIELD, DESK_ATOM, 80, 0.7, 0.0, rescattering=False)
+    assert dwdo_circular(DESK_FIELD, DESK_ATOM, 80, 0.7) == spectrum_point(
+        DESK_FIELD, DESK_ATOM, 80, 0.7, 0.0)
     field = LaserField.linear(0.01, 1.0)
     assert dwdo_linear(field, DESK_ATOM, 80, 0.7, 0.3) == spectrum_point(
         field, DESK_ATOM, 80, 0.7, 0.3)
-    assert dwdo_nonrel(NR_LINEAR, DESK_ATOM, 2, 0.4, False) == spectrum_point(
-        NR_LINEAR, DESK_ATOM, 2, 0.4, 0.0, "nonrelativistic", rescattering=False)
+    assert dwdo_nonrel(NR_LINEAR, DESK_ATOM, 2, 0.4) == spectrum_point(
+        NR_LINEAR, DESK_ATOM, 2, 0.4, 0.0, "nonrelativistic")
+
+
+def _general_rows(field, n, theta, phi, rescattering):
+    """general_channel_dwdo's (dwdo, prefactor, kfr, resc), with dwdo the
+    direct term alone, prefactor |kfr|^2, without rescattering."""
+    dwdo, pref, kfr, resc = general_channel_dwdo(field, DESK_ATOM, n, theta, phi)
+    return dwdo if rescattering else pref * np.abs(kfr) ** 2, pref, kfr, resc
 
 
 @pytest.mark.parametrize("rescattering", [True, False])
@@ -311,11 +329,12 @@ def test_linear_channel_kernel_matches_one_point_wrapper(rescattering):
     angles = (0.0, math.pi / 2, math.pi)
     theta, phi = np.meshgrid(angles, angles, indexing="ij")
     for n in (60, 61):
-        got = general_channel_dwdo(field, DESK_ATOM, n, theta, phi, rescattering)
+        got = _general_rows(field, n, theta, phi, rescattering)
         assert all(a.shape == theta.shape for a in got)
         for (i, j), th in np.ndenumerate(theta):
-            pt = spectrum_point(field, DESK_ATOM, n, th, phi[i, j], rescattering=rescattering)
-            want = (pt.dwdo, pt.prefactor, pt.kfr_amplitude.real, pt.rescatter_amplitude.real)
+            pt = spectrum_point(field, DESK_ATOM, n, th, phi[i, j])
+            want = (_dwdo_of(pt, rescattering), pt.prefactor, pt.kfr_amplitude.real,
+                    pt.rescatter_amplitude.real)
             for arr, w in zip(got, want):
                 # the batch shares one series truncation: roundoff-level differences
                 assert abs(arr[i, j] - w) <= 1e-12 * np.max(np.abs(arr))
@@ -352,9 +371,9 @@ def test_linear_channel_kernel_evaluates_each_abs_cos_phi_once(rescattering, mon
     # an odd channel: there the amplitudes flip sign with cos phi
     for n in (60, 61):
         u_rows.clear()
-        got = general_channel_dwdo(field, DESK_ATOM, n, theta, phi, rescattering)
+        got = _general_rows(field, n, theta, phi, rescattering)
         assert u_rows == [alone_theta.size]
-        alone = general_channel_dwdo(field, DESK_ATOM, n, alone_theta, alone_phi, rescattering)
+        alone = _general_rows(field, n, alone_theta, alone_phi, rescattering)
         for arr, want in zip(got, alone):
             assert arr.shape == theta.shape
             # every member of a mirrored group equals the distinct row, bit for bit
@@ -494,8 +513,7 @@ def test_nonrel_threshold_zero():
 def test_nonrel_circular_bracket_structure():
     pt = spectrum_point(NR_FIELD, DESK_ATOM, 2, 0.9, 0.0, "nonrelativistic")
     rho = pt.rescatter_factor
-    off = spectrum_point(NR_FIELD, DESK_ATOM, 2, 0.9, 0.0, "nonrelativistic", rescattering=False)
-    np.testing.assert_allclose(pt.dwdo / off.dwdo, (1 + rho) ** 2, rtol=1e-12)
+    np.testing.assert_allclose(pt.dwdo / pt.dwdo_kfr_only, (1 + rho) ** 2, rtol=1e-12)
     assert pt.formula_tag == TAG_NONREL_CIRCULAR
 
 
@@ -517,10 +535,8 @@ def test_nonrel_matches_relativistic_circular_at_peak():
 
 def test_nonrel_linear_brace_enters_unsquared():
     pt_on = spectrum_point(NR_LINEAR, DESK_ATOM, 2, 0.4, 0.0, "nonrelativistic")
-    pt_off = spectrum_point(NR_LINEAR, DESK_ATOM, 2, 0.4, 0.0, "nonrelativistic",
-                            rescattering=False)
     rho = pt_on.rescatter_factor
-    np.testing.assert_allclose(pt_on.dwdo / pt_off.dwdo, 1 + rho, rtol=1e-12)
+    np.testing.assert_allclose(pt_on.dwdo / pt_on.dwdo_kfr_only, 1 + rho, rtol=1e-12)
     assert pt_on.formula_tag == TAG_NONREL_LINEAR
 
 
@@ -536,10 +552,8 @@ def test_nonrel_linear_joint_limit():
     ratios = []
     for omega in (5e-4, 5e-5, 5e-6):
         field = LaserField.linear(omega, math.sqrt(2.0 * omega))  # fixed z = 1/2
-        rel = spectrum_point(field, atom, 2, math.pi / 2 - th_pol, 0.0,
-                             rescattering=False).dwdo
-        nr = spectrum_point(field, atom, 2, th_pol, 0.0, "nonrelativistic",
-                            rescattering=False).dwdo
+        rel = spectrum_point(field, atom, 2, math.pi / 2 - th_pol, 0.0).dwdo_kfr_only
+        nr = spectrum_point(field, atom, 2, th_pol, 0.0, "nonrelativistic").dwdo_kfr_only
         ratios.append(rel / nr)
     devs = [abs(r - 1.0) for r in ratios]
     assert devs[0] > devs[1] > devs[2]
@@ -606,7 +620,7 @@ def test_every_formula_nonnegative_over_random_scan():
                 (field_l, int(n0_l + rng.integers(0, 80)), "relativistic"),
                 (NR_FIELD, int(rng.integers(1, 12)), "nonrelativistic"),
                 (NR_LINEAR, int(rng.integers(1, 12)), "nonrelativistic")]:
-            assert spectrum_point(field, DESK_ATOM, n, th, ph, formula, resc).dwdo >= 0
+            assert _dwdo_of(spectrum_point(field, DESK_ATOM, n, th, ph, formula), resc) >= 0
 
 
 def test_general_collapses_to_single_exchange_for_circular():
