@@ -230,16 +230,17 @@ class _JTable:
 
     The table keeps, for each position of x, the column of its |x|
     (np.unique's inverse) and its signed value, so a read names the
-    positions it wants and never searches.  table(orders, at) reads J at
-    signed orders for the arguments x[at] through
-    J_{-m}(x) = J_m(-x) = (-1)^m J_m(x), with the injected fault applied at
-    the signed order, in the layout (orders, rows): orders on axis 0 and
-    one row per position on the contiguous last axis, the layout of the
-    series contraction (_entry_sums).  A read is one np.take on the flat
-    table at |m| ncols + col, with no masked ufunc: the sign flips where
-    m is odd (m & 1) and exactly one of m and x is negative, and is applied
-    as a multiply by -1 or 1 over the span of orders in which some row
-    flips.  _jn_table and _jn read through it too, at every position.
+    positions it wants and never searches.  table(offsets, at, first)
+    reads J at the signed orders offsets[i] + first[r] for the arguments
+    x[at] through J_{-m}(x) = J_m(-x) = (-1)^m J_m(x), with the injected
+    fault applied at the signed order, in the layout (orders, rows): orders
+    on axis 0 and one row per position on the contiguous last axis, the
+    layout of the series contraction (_entry_sums).  A read is one np.take
+    on the flat table at |m| ncols + col, whose index is one outer sum of
+    the 1-D offsets and each position's first order and column; the
+    absolute order and the sign are worked out only where a sign can flip,
+    that is where m is odd and exactly one of m and x is negative.
+    _jn_table and _jn read through it too, at every position.
     """
 
     def __init__(self, x, top: int):
@@ -255,26 +256,61 @@ class _JTable:
             col[tiny + _miller(ax[tiny:], top, self.values[:, tiny:])] = col[tiny:].copy()
         self.col = col[inverse]
 
-    def __call__(self, orders, at):
-        """J_m(x[at]) at a 2-D integer array of orders m, (orders, 1) for the
-        orders of every position of the slice at or (orders, positions) for
-        orders of each position's own, shape (orders, positions)."""
-        x = self.x[at]
-        val = np.take(self.values, np.abs(orders) * self.values.shape[1] + self.col[at])
-        flip = (orders < 0) != (x < 0)
-        flip &= (orders & 1).astype(bool)
-        hit = np.flatnonzero(flip.any(axis=1))
-        if hit.size:
-            span = slice(hit[0], hit[-1] + 1)
-            val[span] *= np.where(flip[span], -1.0, 1.0)
-        return _faulted(orders, x, val)
+    def __call__(self, offsets, at, first=0):
+        """J_m(x[at]) at the orders m = offsets[i] + first[r], shape
+        (offsets.size, positions), for a 1-D integer array of offsets.
+
+        first 0 reads one column of orders at every position: |m| is taken
+        on the 1-D offsets, and the sign is (-1)^m where exactly one of m
+        and x is negative, a column-sign product on the odd orders (one
+        sign per order, times one per position where the positions' x
+        have both signs).  first a 1-D integer array of one order per
+        position (a J(u) lookup of _entry_sums, or _jn's one order per
+        point) reads |m| and applies the sign on the leading offsets whose
+        orders go negative at some position when no x is negative, and on
+        every offset otherwise.
+        """
+        x, col = self.x[at], self.col[at]
+        ncols = self.values.shape[1]
+        neg = x < 0
+        if np.ndim(first) == 0:
+            m = offsets + first
+            val = np.take(self.values, np.add.outer(np.abs(m) * ncols, col))
+            # J_m(x) = s_m s_x J_|m|(|x|) at odd m, with s_m = -1 where m < 0 and
+            # s_x = -1 where x < 0: a column-sign product on the odd orders
+            odd = np.flatnonzero(m & 1 if neg.any() else (m & 1) & (m < 0))
+            if odd.size:
+                rows = slice(odd[0], odd[-1] + 1, 2) if (np.diff(odd) == 2).all() else odd
+                sx = -1.0 if neg.all() else np.where(neg, -1.0, 1.0) if neg.any() else 1.0
+                val[rows] *= np.where(m[rows] < 0, -1.0, 1.0)[:, None] * sx
+            return _faulted(m[:, None], x, val)
+        idx = np.add.outer(offsets * ncols, first * ncols + col)
+        # the offsets at which some order is negative; where no x is, the
+        # only ones at which a sign can flip
+        low = np.flatnonzero(offsets < -first.min())
+        span = slice(None) if neg.any() else slice(low[0], low[-1] + 1) if low.size else slice(0)
+        m = np.add.outer(offsets[span], first)
+        if low.size:
+            idx[span] = np.abs(m) * ncols + col
+        val = np.take(self.values, idx)
+        flip = (m < 0) != neg
+        flip &= (m & 1).astype(bool)
+        if flip.any():
+            # -1.0 where the sign flips, 1.0 elsewhere (np.where of two scalars is slower)
+            sign = flip.astype(float)
+            sign *= -2.0
+            sign += 1.0
+            val[span] *= sign
+        if _FAULT_EPS:  # the one full mesh of signed orders, under the fault only
+            val = _faulted(np.add.outer(offsets, first), x, val)
+        return val
 
 
 def _jn_table(orders, x):
     """J_m(x) at a 1-D integer array of orders m for every entry of a 1-D x,
     shape (x.size, orders.size), from a _JTable of its own, injected fault
     included."""
-    return _JTable(x, int(np.max(np.abs(orders), initial=0)))(orders[:, None], slice(None)).T
+    return _JTable(x, int(np.max(np.abs(orders), initial=0)))(orders, slice(None)).T
 
 
 def ordinary_bessel(n: int, x: float) -> float:
@@ -359,18 +395,23 @@ def _entry_sums(table, at, entry, t, K, dtype):
     slabs of at most _SLAB_CELLS cells (terms x orders x rows; one term at
     least): a slab is one product of the window by its weights
     exp(-2ik delta) J_k(v) (0 where |k| > K of the row), the running sum
-    so far added into its first plane, and one np.add.accumulate over its
-    terms.  Every row and order so sees the additions of one term at a
-    time from k = -k_top up, starting from +0.0, whatever the slab bound
-    and the row count.  np.add.reduce over the terms would not: where the
-    kept axes hold one element (a one-row entry of one order) it sums
-    pairwise, and the last bits move.  Lookups and slabs are freed on
-    return, before the next entry's."""
+    so far added into its first plane, and one sum over its terms into
+    the running sum.  Every row and order so sees the additions of one
+    term at a time from k = -k_top up, starting from +0.0, whatever the
+    slab bound and the row count.  The sum is np.add.reduce over the terms
+    where the kept axes (orders x rows) hold more than one element: its
+    inner loop runs over them, so it adds the terms in sequence.  Where
+    they hold one element (a one-row entry of one order) np.add.reduce
+    would sum pairwise and move the last bits, so the sum is
+    np.add.accumulate there.  The weights skip the phase at the scalar
+    delta 0, where it is 1, and the |k| > K mask where every row has
+    K = k_top.  Lookups and slabs are freed on return, before the next
+    entry's."""
     _, first, count, _, delta = entry
     k_top = int(K.max())
     terms = 2 * k_top + 1
-    ju = table(np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2)[:, None] + first[t], at[0])
-    jk = table(np.arange(-k_top, k_top + 3)[:, None], at[1])
+    ju = table(np.arange(-2 * k_top, 2 * (count - 1 + k_top) + 1, 2), at[0], first[t])
+    jk = table(np.arange(-k_top, k_top + 3), at[1])
     rows = np.arange(t.size)
     tail = 2.0 * (np.abs(jk[K + k_top + 1, rows]) + np.abs(jk[K + k_top + 2, rows]))
     # J_{first + 2j - 2k}(u) for k = l - k_top is the plane 2 k_top + j - l of ju
@@ -379,16 +420,24 @@ def _entry_sums(table, at, entry, t, K, dtype):
     step = max(_SLAB_CELLS // (count * t.size), 1)
     slab = np.empty((min(step, terms), count, t.size), dtype=dtype)
     acc = np.zeros((count, t.size), dtype=dtype)
+    clip = bool((K < k_top).any())
     for lo in range(0, terms, step):
         ks = np.arange(lo - k_top, min(lo + step, terms) - k_top)[:, None]
-        weights = jk[lo:lo + ks.size] * (phase_exp(-2 * ks, delta) if np.ndim(delta) == 0
-                                         else np.exp(-2j * ks * delta[t]))
-        weights[np.abs(ks) > K] = 0.0
+        weights = jk[lo:lo + ks.size]  # a view: the mask below zeros cells no later read needs
+        if np.ndim(delta):
+            weights = weights * np.exp(-2j * ks * delta[t])
+        elif delta != 0.0:
+            weights = weights * phase_exp(-2 * ks, delta)
+        if clip:
+            weights[np.abs(ks) > K] = 0.0
         s = slab[:ks.size]
         np.multiply(window[lo:lo + ks.size], weights[:, None], out=s)
         s[0] += acc
-        np.add.accumulate(s, axis=0, out=s)
-        acc[...] = s[-1]
+        if acc.size > 1:
+            np.add.reduce(s, axis=0, out=acc)
+        else:
+            np.add.accumulate(s, axis=0, out=s)
+            acc[...] = s[-1]
     return acc, tail
 
 
@@ -764,7 +813,8 @@ def _jn(n, x):
     out[below] = _faulted(n[below], x[below], _jn_below(n[below], x[below]))
     rest = ~below
     n_rest, x_rest = n[rest], x[rest]
-    out[rest] = _JTable(x_rest, int(np.max(np.abs(n_rest))))(n_rest[None, :], slice(None))[0]
+    table = _JTable(x_rest, int(np.max(np.abs(n_rest))))
+    out[rest] = table(np.zeros(1, dtype=int), slice(None), n_rest)[0]
     return out.reshape(shape)
 
 

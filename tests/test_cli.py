@@ -716,18 +716,25 @@ def _count_sweeps(monkeypatch):
     return sweeps
 
 
-# the direct rate of the desk config under linear polarization, bit for bit
+# the direct rate of the desk config under linear polarization, and at
+# zeta 0.5, bit for bit
 DESK_LINEAR_W_TOTAL = 9.459635899040433e-07
+DESK_ELLIPTIC_W_TOTAL = 7.343169220023215e-10
 
 
-def _desk_linear_config(tmp_path):
-    # the desk config under linear polarization: auto window, 24 theta
-    # points, 8 azimuths
+def _desk_linear_config(tmp_path, **changes):
+    # the desk config under linear polarization (or as changes say): auto
+    # window, 24 theta points, 8 azimuths
     cfg = json.loads(DESK_CONFIG.read_text())
-    cfg.update(polarization="linear", n_range="auto", theta_points=24, phi_points=8)
-    path = tmp_path / "desk_linear.json"
+    cfg.update({"polarization": "linear", "n_range": "auto", "theta_points": 24, "phi_points": 8,
+                **changes})
+    path = tmp_path / f"desk_{cfg['polarization']}.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _desk_elliptic_config(tmp_path):
+    return _desk_linear_config(tmp_path, polarization="elliptic", zeta=0.5)
 
 
 def test_desk_linear_rate_pinned(tmp_path, monkeypatch):
@@ -744,6 +751,18 @@ def test_desk_linear_rate_pinned(tmp_path, monkeypatch):
     assert len(sweeps) < 136
 
 
+def test_desk_elliptic_rate_pinned(tmp_path):
+    # the complex-weight series at the rate level: tag 42 at zeta 0.5, one
+    # series per phase-angle group and a delta per row in the rescattering
+    # series.  Its direct rate bit for bit
+    from atispec.cli import main
+
+    path = _desk_elliptic_config(tmp_path)
+    assert main(["rate", "-c", str(path), "-o", str(tmp_path / "out")]) == 0
+    rate = json.loads((tmp_path / "out" / "rate.json").read_text())
+    assert rate["methods"]["direct"]["w_total"] == DESK_ELLIPTIC_W_TOTAL
+
+
 def _within_64_ulp(got, want):
     # equal (zeros, infinities and nans too) or within 2^-46 relative
     return got == want or (math.isnan(got) and math.isnan(want)) \
@@ -754,8 +773,8 @@ def test_golden_outputs_hold_without_avx512_kernels(tmp_path):
     # outputs are byte-identical per host class: numpy's AVX-512 kernels
     # round exp, log, power, arccos and others differently from the rest of
     # x86-64.  One child process with those kernels switched off stands for
-    # the other class: its golden spectra and desk linear rate hold to 64
-    # ulp, and the rows whose bytes differ are counted
+    # the other class: its golden spectra and desk linear and elliptic rates
+    # hold to 64 ulp, and the rows whose bytes differ are counted
     from numpy._core._multiarray_umath import __cpu_dispatch__
 
     targets = [t for t in __cpu_dispatch__ if t.startswith("AVX512") or t == "X86_V4"]
@@ -785,11 +804,12 @@ def test_golden_outputs_hold_without_avx512_kernels(tmp_path):
             assert all(_within_64_ulp(float(a), float(b))
                        for a, b in zip(g.split(","), w.split(","), strict=True)), (g, w)
         print(f"{name} spectrum: {len(differ)} of {len(want) - 1} rows differ in bytes")
-    child("-m", "atispec", "rate", "-c", str(_desk_linear_config(tmp_path)),
-          "-o", str(tmp_path / "rate"))
-    w = json.loads((tmp_path / "rate" / "rate.json").read_text())["methods"]["direct"]["w_total"]
-    assert _within_64_ulp(w, DESK_LINEAR_W_TOTAL)
-    print(f"desk linear w_total: {w!r} against the pin {DESK_LINEAR_W_TOTAL!r}")
+    for name, config, pin in [("linear", _desk_linear_config, DESK_LINEAR_W_TOTAL),
+                              ("elliptic", _desk_elliptic_config, DESK_ELLIPTIC_W_TOTAL)]:
+        child("-m", "atispec", "rate", "-c", str(config(tmp_path)), "-o", str(tmp_path / name))
+        w = json.loads((tmp_path / name / "rate.json").read_text())["methods"]["direct"]["w_total"]
+        assert _within_64_ulp(w, pin)
+        print(f"desk {name} w_total: {w!r} against the pin {pin!r}")
 
 
 # variant 0 of the benchmark's series slots: spectrum_scan's linear_55,

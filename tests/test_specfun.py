@@ -349,25 +349,79 @@ def test_entry_sums_add_one_term_at_a_time_from_minus_k(delta, count, size, monk
     # the windowed product and the running sum over slabs of terms give the
     # bits of a sum of one term at a time, for one-row entries too (where a
     # pairwise reduce over k would round differently), with rows of unequal
-    # K and arguments of either sign; a small slab bound makes many slabs
+    # K and arguments of either sign; a small slab bound makes many slabs.
+    # Then the kernels' case, u >= 0 (u = alpha_amp), with first orders odd
+    # and even and low enough that some orders are negative, with and
+    # without the injected fault
     rng = np.random.default_rng(count * 10 + size)
-    u = rng.uniform(-40.0, 40.0, 9)
-    v = rng.uniform(-20.0, 20.0, 9)
-    first = rng.integers(-30, 60, 9)
-    t = np.sort(rng.choice(9, size, replace=False))
-    K = rng.integers(3, 30, size)
-    delta = rng.uniform(-3.0, 3.0, 9) if delta == "rows" else delta
-    entry = (u, first, count, v, delta)
-    want = _one_term_at_a_time(entry, t, K)
-    top = int(2 * K.max() + np.abs(first).max() + 2 * count)
-    table = specfun._JTable(np.concatenate([u[t], v[t]]), top)
-    for cells in (specfun._SLAB_CELLS, 5):
-        monkeypatch.setattr(specfun, "_SLAB_CELLS", cells)
-        acc, _ = specfun._entry_sums(table, np.arange(2 * t.size).reshape(2, -1), entry, t, K,
-                                     want.dtype)
-        # bytes, so signed zeros as well: the first term is added to a +0.0 sum
-        assert acc.shape == want.shape
-        assert np.ascontiguousarray(acc).tobytes() == np.ascontiguousarray(want).tobytes()
+    for signed, fault in [(True, 0.0), (False, 0.0), (False, 1e-6)]:
+        u = rng.uniform(-40.0 if signed else 0.0, 40.0, 9)
+        v = rng.uniform(-20.0, 20.0, 9)
+        first = rng.integers(-30, 60, 9) if signed \
+            else rng.integers(-4, 3, 9) * 2 + np.arange(9) % 2
+        t = np.sort(rng.choice(9, size, replace=False))
+        K = rng.integers(3, 30, size)
+        entry = (u, first, count, v, rng.uniform(-3.0, 3.0, 9) if delta == "rows" else delta)
+        specfun.set_bessel_fault(fault)
+        try:
+            want = _one_term_at_a_time(entry, t, K)
+            top = int(2 * K.max() + np.abs(first).max() + 2 * count)
+            table = specfun._JTable(np.concatenate([u[t], v[t]]), top)
+            for cells in (specfun._SLAB_CELLS, 5):
+                monkeypatch.setattr(specfun, "_SLAB_CELLS", cells)
+                acc, _ = specfun._entry_sums(table, np.arange(2 * t.size).reshape(2, -1), entry,
+                                             t, K, want.dtype)
+                # bytes, so signed zeros as well: the first term is added to a +0.0 sum
+                assert acc.shape == want.shape
+                assert np.ascontiguousarray(acc).tobytes() == np.ascontiguousarray(want).tobytes()
+        finally:
+            specfun.set_bessel_fault(0.0)
+
+
+@pytest.mark.parametrize("fault", [0.0, 1e-6])
+def test_jtable_reads_apply_the_reflections_at_the_signed_order(fault, monkeypatch):
+    # a read of a column of orders, or of offsets plus one first order per
+    # position, equals the table's value at (|m|, |x|), negated exactly
+    # where m is odd and one of m and x is negative (x = -0.0 is not), the
+    # fault applied at the signed order and argument; for positions whose
+    # x are all >= 0, all < 0 or mixed.  _jn_table and _jn's points outside
+    # its kernel read through the same method
+    rng = np.random.default_rng(53)
+    x = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3], rng.uniform(-30.0, 30.0, 10)])
+    table = specfun._JTable(x, 60)
+
+    def want(m, at):
+        xs = x[at]
+        val = table.values[np.abs(m), table.col[at]]
+        val = np.where((m % 2 == 1) & ((m < 0) != (xs < 0)), -val, val)
+        return val * (1.0 + fault * np.cos(1.3 * m + 0.7 * xs)) if fault else val
+
+    columns = [np.arange(-20, 23), np.concatenate([[0], rng.integers(-60, 61, 24)])]
+    bases = [np.arange(-12, 13, 2), rng.integers(-20, 21, 9)]
+    positions = [slice(None), np.flatnonzero(x >= 0), np.flatnonzero(x < 0), np.array([3])]
+    specfun.set_bessel_fault(fault)
+    try:
+        for at in positions:
+            size = x[at].size
+            for offsets in columns:
+                got = table(offsets, at)
+                assert got.tobytes() == want(offsets[:, None], at).tobytes()
+                assert specfun._jn_table(offsets, x[at]).T.tobytes() == got.tobytes()
+            for offsets in bases:
+                first = rng.integers(-40, 41, size)
+                got = table(offsets, at, first)
+                assert got.tobytes() == want(offsets[:, None] + first, at).tobytes()
+        reads = []
+        call = specfun._JTable.__call__
+        monkeypatch.setattr(specfun._JTable, "__call__",
+                            lambda self, *args: (reads.append(args), call(self, *args))[1])
+        n = rng.integers(-40, 41, x.size)
+        n[(n >= 1) & (x >= 0) & (x < n)] *= -1  # no point in _jn's kernel
+        got = specfun._jn(n, x)
+        assert len(reads) == 1
+        assert got.tobytes() == want(n[None, :], slice(None))[0].tobytes()
+    finally:
+        specfun.set_bessel_fault(0.0)
 
 
 def _spy_series_tables(monkeypatch):
