@@ -8,16 +8,24 @@ turns the peak height into Ai^2(y_m) with the regime parameter
 y_m = (F_at / 2 F0)^(2/3): small y_m is the multiphoton strong-field
 regime, large y_m the tunneling regime.
 
-All quadratures use fixed node sets and pairwise numpy reductions, so a
-rate is bit-reproducible for a given grid, and its bits do not depend on
-the row block `spectra.SPECTRUM_BLOCK` of the kernel calls.
-Gauss-Legendre and Gauss-Kronrod node sets are built once per size.
+All quadratures use fixed node sets, so a rate is bit-reproducible for a
+given grid on one host class, and its bits do not depend on the row block
+`spectra.SPECTRUM_BLOCK` of the kernel calls.  The channel and N sums are
+pairwise numpy reductions (np.sum, np.trapezoid); the angular sums are
+BLAS products (np.dot in rate_direct, one `integrand @ w_theta` in
+rate_airy, `@` in rate_laplace), whose bits depend on the BLAS kernel
+picked for the CPU and so hold per host class, as numpy's AVX-512
+kernels' do (README).  Gauss-Legendre and Gauss-Kronrod
+node sets are built once per size.
 
 The Airy-form rates (rate_airy, rate_laplace) serve circular fields with
 n_m >= 50 and share the kernels' kinematics and 1s density.  rate_laplace
 integrates the smooth Ai^2 alone, on a tensor Gauss-Legendre rule over
-its peak window.  The rate_airy mesh is evaluated in row blocks of at
-most spectra.SPECTRUM_BLOCK points and calls Ai only where a point can
+its peak window.  The rate_airy mesh is evaluated in row blocks, each a
+run of consecutive N rows as long as rows x (the theta span of their
+evaluated tiles, below) stays within spectra.SPECTRUM_BLOCK points, with
+one airy_ai call per block; the blocks move no bit, since every value
+depends only on its own (N, theta).  It calls Ai only where a point can
 count: for y > 0, Ai(y) <= L(y) = exp(-2/3 y^(3/2)) / (2 sqrt(pi) y^(1/4))
 (the asymptotic expansion envelopes Ai, DLMF 9.7(iv)), with
 L/Ai <= 1.0706 for y >= 1.  So with B = prefactor * L^2 * quadrature
@@ -600,28 +608,50 @@ def _tile_plan(field, atom, n_grid, theta_grid, w_n, w_row):
     return ends, bound, share / _ENVELOPE_SQ_MAX / (n_grid.size * size)
 
 
+def _row_blocks(evaluated, ends):
+    """The row blocks of the _airy_mesh main pass as (rows, columns) slices.
+    A block is a run of consecutive rows that have an evaluated tile, as
+    many as keep rows x (the columns of the union of their evaluated
+    tiles) within SPECTRUM_BLOCK points, one row at least; its columns are
+    that union's.  A row with no evaluated tile is in no block."""
+    has = evaluated.any(axis=1)
+    # each row's first column and one past its last (unused where no tile)
+    lo = ends[np.argmax(evaluated, axis=1)]
+    hi = ends[evaluated.shape[1] - np.argmax(evaluated[:, ::-1], axis=1)] + 1
+    starts = np.flatnonzero(has)
+    stops = np.r_[np.flatnonzero(~has), has.size]
+    j = 0
+    while j < starts.size:
+        i = starts[j]
+        # the union only widens, so no block holds more rows than its first
+        # row's width allows, nor runs past the next row with no tile
+        stop = min(stops[np.searchsorted(stops, i)],
+                   i + max(SPECTRUM_BLOCK // (hi[i] - lo[i]), 1))
+        a, b = np.minimum.accumulate(lo[i:stop]), np.maximum.accumulate(hi[i:stop])
+        points = (b - a) * np.arange(1, stop - i + 1)
+        count = max(int(np.searchsorted(points, SPECTRUM_BLOCK, side="right")), 1)
+        yield slice(i, i + count), slice(a[count - 1], b[count - 1])
+        j = np.searchsorted(starts, i + count)
+
+
 def _airy_mesh(field, atom, n_grid, theta_grid, w_theta):
     """The rate_airy integrand prefactor(N, theta) * Ai^2(y) * sin(theta)
     on the (N, theta) mesh, in one pass over row blocks.  The bound B of
     the skip rule (module docstring) takes trapezoid weights in N and
     w_theta in theta.  A tile whose bound from _tile_plan is at most the
-    cut is 0 and is not evaluated; each row block takes B on the theta
-    span of its other tiles and Ai where B is not at most the cut, so a
-    point whose y or B is NaN or infinite always gets its Ai.
+    cut is 0 and is not evaluated; the main pass runs in the blocks of
+    _row_blocks, each of at most SPECTRUM_BLOCK points, and each block
+    takes B on the theta span of its rows' other tiles and Ai (one
+    airy_ai call) where B is not at most the cut, so a point whose y or B
+    is NaN or infinite always gets its Ai.  Every value depends only on
+    its own (N, theta), so the blocks do not move a bit.
     """
     w_n = _trapezoid_weights(n_grid)
     sin_t = np.sin(theta_grid)
     w_row = w_theta * sin_t
     ends, bound, cut = _tile_plan(field, atom, n_grid, theta_grid, w_n, w_row)
-    evaluated = ~(bound <= cut)
-    rows = max(SPECTRUM_BLOCK // theta_grid.size, 1)
     out = np.zeros((n_grid.size, theta_grid.size))
-    for i in range(0, n_grid.size, rows):
-        blk = slice(i, i + rows)
-        tiles = np.flatnonzero(evaluated[blk].any(axis=0))
-        if tiles.size == 0:
-            continue
-        cols = slice(ends[tiles[0]], ends[tiles[-1] + 1] + 1)
+    for blk, cols in _row_blocks(~(bound <= cut), ends):
         y, pre, post, _ = _mesh_block(field, atom, n_grid[blk, None], theta_grid[cols])
         need = ~(_skip_bound(y, pre, post, w_n[blk, None] * w_row[cols]) <= cut)
         ai2 = np.zeros(y.shape)

@@ -598,7 +598,9 @@ def gen_bessel_quadrature(n: int, u: float, v: float, delta: float) -> complex:
 # Airy function and the large-order Bessel approximation
 
 # points per block of airy_ai: a block holds ~12 temporaries of its size
-_AIRY_BLOCK = 8192
+# (1.5 MB).  spectra.SPECTRUM_BLOCK is this size, so the Ai points of a
+# rate_airy row block are one block
+_AIRY_BLOCK = 16384
 # series boundaries of airy_ai: P on x >= 2, Q between, M and phi on x <= -3
 _AIRY_X_POS = 2.0
 _AIRY_X_NEG = -3.0
@@ -680,8 +682,9 @@ def airy_ai(x):
 
     Within 2e-15 relative of mpmath on (0, 104] (down to the double
     underflow there; 5e-16 from x = 2 on) and 7e-16 of the envelope
-    |x|^(-1/4)/sqrt(pi) on [-1e5, 0]; ~110 ns per point on the arguments
-    of the benchmark's Airy-form rate meshes (2-core Xeon VM).  +-inf and
+    |x|^(-1/4)/sqrt(pi) on [-1e5, 0]; 82-93 ns per point on the arguments
+    of the benchmark's Airy-form rate meshes, one _AIRY_BLOCK per call
+    (traced rate_circular runs, 2-core Xeon VM).  +-inf and
     NaN give NaN; Ai underflows to 0.0 from x ~ 107 on (1e300 included);
     x < -2e205, where zeta overflows, gives NaN.  A scalar call returns the
     bits of the same point in an array call.

@@ -75,8 +75,9 @@ TAG_NONREL_CIRCULAR = 56
 TAG_NONREL_LINEAR = 59
 
 # rows per kernel call of channel_spectrum, the one row bound (the README
-# lists the bytes per row of each tag)
-SPECTRUM_BLOCK = 16384
+# lists the bytes per row of each tag), and points per rate_airy row
+# block: one airy_ai block, so that a row block's Ai points are one call
+SPECTRUM_BLOCK = specfun._AIRY_BLOCK
 
 @dataclass(frozen=True)
 class SpectrumPoint:

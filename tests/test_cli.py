@@ -720,6 +720,14 @@ def _count_sweeps(monkeypatch):
 # zeta 0.5, bit for bit
 DESK_LINEAR_W_TOTAL = 9.459635899040433e-07
 DESK_ELLIPTIC_W_TOTAL = 7.343169220023215e-10
+# the airy_numeric rate of the benchmark pool's two Airy-mesh fields (the
+# desk config at n_m ~ 70 and ~ 110), bit for bit in CI
+AIRY_POOL_W_TOTAL = {
+    "pole": (["--photon-energy-ev", "7205.419", "--z-a", "2", "--xi", "0.99277"],
+             4.338334363420246e-07),
+    "nm110": (["--photon-energy-ev", "4678.7253", "--z-a", "2", "--xi", "1.016"],
+              2.4003419129136106e-09),
+}
 
 
 def _desk_linear_config(tmp_path, **changes):
@@ -773,8 +781,11 @@ def test_golden_outputs_hold_without_avx512_kernels(tmp_path):
     # outputs are byte-identical per host class: numpy's AVX-512 kernels
     # round exp, log, power, arccos and others differently from the rest of
     # x86-64.  One child process with those kernels switched off stands for
-    # the other class: its golden spectra and desk linear and elliptic rates
-    # hold to 64 ulp, and the rows whose bytes differ are counted
+    # the other class: its golden spectra, desk linear and elliptic rates and
+    # the pool fields' airy_numeric rates hold to 64 ulp, and the rows whose
+    # bytes differ are counted.  The rates' angular sums are BLAS products,
+    # whose kernel is chosen per CPU too, so the rates also run on OpenBLAS's
+    # generic Prescott kernels
     from numpy._core._multiarray_umath import __cpu_dispatch__
 
     targets = [t for t in __cpu_dispatch__ if t.startswith("AVX512") or t == "X86_V4"]
@@ -782,8 +793,9 @@ def test_golden_outputs_hold_without_avx512_kernels(tmp_path):
         pytest.skip("this numpy build dispatches no AVX-512 kernels")
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
 
-    def child(*args):
-        cp = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    def child(*args, blas=None):
+        cp = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                            env={**env, "OPENBLAS_CORETYPE": blas} if blas else env)
         assert cp.returncode == 0, cp.stderr
         return cp.stdout
 
@@ -804,12 +816,19 @@ def test_golden_outputs_hold_without_avx512_kernels(tmp_path):
             assert all(_within_64_ulp(float(a), float(b))
                        for a, b in zip(g.split(","), w.split(","), strict=True)), (g, w)
         print(f"{name} spectrum: {len(differ)} of {len(want) - 1} rows differ in bytes")
-    for name, config, pin in [("linear", _desk_linear_config, DESK_LINEAR_W_TOTAL),
-                              ("elliptic", _desk_elliptic_config, DESK_ELLIPTIC_W_TOTAL)]:
-        child("-m", "atispec", "rate", "-c", str(config(tmp_path)), "-o", str(tmp_path / name))
-        w = json.loads((tmp_path / name / "rate.json").read_text())["methods"]["direct"]["w_total"]
-        assert _within_64_ulp(w, pin)
-        print(f"desk {name} w_total: {w!r} against the pin {pin!r}")
+    rates = [(f"desk {name}", "direct", ["-c", str(config(tmp_path))], pin)
+             for name, config, pin in [("linear", _desk_linear_config, DESK_LINEAR_W_TOTAL),
+                                       ("elliptic", _desk_elliptic_config,
+                                        DESK_ELLIPTIC_W_TOTAL)]]
+    rates += [(name, "airy_numeric", ["-c", str(DESK_CONFIG), *args], pin)
+              for name, (args, pin) in AIRY_POOL_W_TOTAL.items()]
+    for blas in (None, "Prescott"):
+        for name, method, args, pin in rates:
+            out = tmp_path / "rate"
+            child("-m", "atispec", "rate", *args, "-o", str(out), blas=blas)
+            w = json.loads((out / "rate.json").read_text())["methods"][method]["w_total"]
+            assert _within_64_ulp(w, pin)
+            print(f"{name} {method}, BLAS {blas or 'default'}: {w!r} against the pin {pin!r}")
 
 
 # variant 0 of the benchmark's series slots: spectrum_scan's linear_55,

@@ -482,6 +482,31 @@ def _full_airy_mesh(field, atom, n_grid, theta_grid, w_theta):
     )
 
 
+def _fixed_block_airy_mesh(field, atom, n_grid, theta_grid, w_theta):
+    # the rate_airy integrand with its main pass in fixed blocks of
+    # SPECTRUM_BLOCK // 300 = 54 rows, each over the theta span of its
+    # rows' evaluated tiles
+    w_n = rates._trapezoid_weights(n_grid)
+    sin_t = np.sin(theta_grid)
+    w_row = w_theta * sin_t
+    ends, bound, cut = rates._tile_plan(field, atom, n_grid, theta_grid, w_n, w_row)
+    evaluated = ~(bound <= cut)
+    rows = max(spectra.SPECTRUM_BLOCK // theta_grid.size, 1)
+    out = np.zeros((n_grid.size, theta_grid.size))
+    for i in range(0, n_grid.size, rows):
+        blk = slice(i, i + rows)
+        tiles = np.flatnonzero(evaluated[blk].any(axis=0))
+        if tiles.size == 0:
+            continue
+        cols = slice(ends[tiles[0]], ends[tiles[-1] + 1] + 1)
+        y, pre, post, _ = rates._mesh_block(field, atom, n_grid[blk, None], theta_grid[cols])
+        need = ~(rates._skip_bound(y, pre, post, w_n[blk, None] * w_row[cols]) <= cut)
+        ai2 = np.zeros(y.shape)
+        ai2[need] = specfun.airy_ai(y[need]) ** 2
+        out[blk, cols] = pre * ai2 * post * sin_t[cols]
+    return out
+
+
 SKIP_FIELDS = [
     (DESK_FIELD, DESK_ATOM),
     (TUNNELING_FIELD, TUNNELING_ATOM),   # almost every point is left out
@@ -577,6 +602,68 @@ def test_airy_tiles_left_out_hold_only_points_below_the_cut(monkeypatch, field, 
         assert not np.any(rows & (straddles | reaches | ~np.isfinite(bound[:, k])))
 
 
+@pytest.mark.parametrize("field, atom", TILE_FIELDS)
+def test_airy_mesh_row_blocks_keep_the_fixed_block_integrand(monkeypatch, field, atom):
+    # the span-sized row blocks give the integrand of fixed 54-row blocks
+    # bit for bit, in blocks (the coarse pass's and the main pass's) and Ai
+    # calls of at most SPECTRUM_BLOCK points
+    n_grid, theta_grid, w_theta = _rate_airy_mesh_args(field, atom, monkeypatch)
+    want = _fixed_block_airy_mesh(field, atom, n_grid, theta_grid, w_theta)
+    mesh_points, ai_points = [], []
+    block, airy = rates._mesh_block, rates.airy_ai
+    monkeypatch.setattr(rates, "_mesh_block", lambda f, a, n, t: mesh_points.append(
+        np.broadcast(n, t).size) or block(f, a, n, t))
+    monkeypatch.setattr(rates, "airy_ai", lambda x: ai_points.append(x.size) or airy(x))
+    got = rates._airy_mesh(field, atom, n_grid, theta_grid, w_theta)
+    assert got.tobytes() == want.tobytes()
+    assert mesh_points and max(mesh_points) <= spectra.SPECTRUM_BLOCK
+    assert max(ai_points, default=0) <= spectra.SPECTRUM_BLOCK
+
+
+@pytest.mark.parametrize("field, atom", [POLE_FIELD, NM110_FIELD])
+def test_rate_airy_calls_ai_at_most_20_times(monkeypatch, field, atom):
+    # one Ai call per row block (38 calls of fixed 54-row blocks), each one
+    # airy_ai block
+    calls, airy = [], rates.airy_ai
+    monkeypatch.setattr(rates, "airy_ai", lambda x: calls.append(x.size) or airy(x))
+    rate_airy(field, atom)
+    assert 0 < len(calls) <= 20
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_blocks_cover_the_evaluated_rows_in_full_blocks(seed):
+    # random tile patterns, some rows with no evaluated tile: every row
+    # with one is in exactly one block, in order; a block's columns are the
+    # union of its rows' evaluated tiles, within SPECTRUM_BLOCK points, and
+    # the block stops only where its next row would pass that or has no tile
+    rng = np.random.default_rng(seed)
+    ends = np.r_[np.arange(0, 299, rates._TILE), 299]
+    rows, tiles = 700, ends.size - 1
+    # a band that drifts across the tiles, as the ridge does
+    centre = np.linspace(0, tiles - 1, rows).astype(int) + rng.integers(-1, 2, rows)
+    width = rng.integers(0, 2 + 6 * (seed % 2), rows)
+    k = np.arange(tiles)
+    evaluated = np.abs(k - centre[:, None]) <= width[:, None]
+    evaluated[rng.random(rows) < 0.05 * (seed % 3)] = False
+    if seed == 0:
+        evaluated[:] = False
+    blocks = list(rates._row_blocks(evaluated, ends))
+    covered = np.concatenate([np.arange(rows)[blk] for blk, _ in blocks] or [[]]).astype(int)
+    assert np.array_equal(covered, np.flatnonzero(evaluated.any(axis=1)))
+
+    def span(blk):
+        t = np.flatnonzero(evaluated[blk].any(axis=0))
+        return slice(ends[t[0]], ends[t[-1] + 1] + 1)
+
+    for blk, cols in blocks:
+        n = blk.stop - blk.start
+        assert cols == span(blk)
+        assert n == 1 or n * (cols.stop - cols.start) <= spectra.SPECTRUM_BLOCK
+        if blk.stop < rows and evaluated[blk.stop].any():
+            wider = span(slice(blk.start, blk.stop + 1))
+            assert (n + 1) * (wider.stop - wider.start) > spectra.SPECTRUM_BLOCK
+
+
 def test_rate_airy_theta_rule_is_the_mapped_gauss_legendre_rule(monkeypatch):
     # the [0, pi] window rule of rate_airy, bit for bit the
     # (x + 1) pi / 2, w pi / 2 of the Gauss-Legendre rule on [-1, 1]
@@ -594,9 +681,12 @@ def test_rate_airy_theta_rule_is_the_mapped_gauss_legendre_rule(monkeypatch):
     assert np.array_equal(w_theta, w * math.pi / 2.0)
 
 
-# rate_airy w_total of the mesh that took the kinematics at every point;
-# integrand @ w_theta is a BLAS product, whose last bit can differ between
-# CPUs, so the values are checked at 1e-12 rather than bit for bit
+# rate_airy w_total of the mesh that took the kinematics at every point.
+# integrand @ w_theta is a BLAS product, whose last bit depends on the
+# BLAS kernel of the CPU (OpenBLAS's Sandybridge and Prescott kernels give
+# ...114 for the n_m ~ 110 field), so the values are checked here at 1e-12.
+# The bytes of the two pool fields are pinned per host class, in CI and
+# at 64 ulp across classes in test_cli's host-class test
 AIRY_PINNED = [
     (DESK_FIELD, DESK_ATOM, 8.286872015458698e-11),
     (*POLE_FIELD, 4.338334363420246e-07),
