@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, FINE_STRUCTURE
+from .specfun import _integer
 
 __all__ = [
     "BelowThresholdError",
@@ -102,7 +103,7 @@ class Atom:
     hydrogenic: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "z_a", int(self.z_a))
+        object.__setattr__(self, "z_a", _integer(self.z_a, "z_a"))
         if self.z_a < 1:
             raise ValueError("z_a must be a positive integer")
         if not (0.0 < self.e_b < 1.0):

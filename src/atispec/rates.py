@@ -71,7 +71,7 @@ from .kinematics import (
     effective_mass,
     threshold_n,
 )
-from .specfun import airy_ai
+from .specfun import _integer, airy_ai
 from .spectra import SPECTRUM_BLOCK, _recoil, channel_spectrum
 
 __all__ = [
@@ -173,6 +173,9 @@ class GridSpec:
     channel_cap: int = DEFAULT_RATE_CHANNEL_CAP
 
     def __post_init__(self):
+        for name in ("theta_points", "phi_points", "n_lo", "n_cut", "channel_cap"):
+            if getattr(self, name) is not None:
+                _integer(getattr(self, name), name)
         for name in ("theta_points", "phi_points"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

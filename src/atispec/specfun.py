@@ -7,9 +7,10 @@ Ai(x), and the large-order Airy approximation of J_N(x), with numpy alone.
 The series route reads every ordinary-Bessel value of a chunk of rows from
 one backward recurrence (Miller's algorithm, _JTable), and ordinary_bessel
 reads the same kernel.  The batched single-order calls of tags 44 and 56
-(_jn) sum Olver's uniform expansion below the turning point, with a short
-backward recurrence where it does not reach and the leading power-series
-term at tiny arguments.  Ai and the kernel's tables come from _airy_tables.
+(_jn) have a kernel of their own, which never reads the table: Olver's
+uniform expansion below the turning point, with a short backward
+recurrence where it does not reach and the leading power-series term at
+tiny arguments.  Ai and the kernel's tables come from _airy_tables.
 
 Two independent evaluation routes are kept for the generalized function:
 a truncated bilinear series over ordinary Bessel factors, and a trapezoid
@@ -59,6 +60,15 @@ QUAD_POINTS = 256
 
 class BesselRangeError(ValueError):
     """Order or argument outside the supported evaluation box."""
+
+
+def _integer(value, name: str) -> int:
+    """value as an int (an integral float or numpy integer included);
+    ValueError naming the argument unless value is integral."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _reduce_angle(delta: float) -> float:
@@ -240,7 +250,7 @@ class _JTable:
     the 1-D offsets and each position's first order and column; the
     absolute order and the sign are worked out only where a sign can flip,
     that is where m is odd and exactly one of m and x is negative.
-    _jn_table and _jn read through it too, at every position.
+    _jn_table reads through it too, at every position.
     """
 
     def __init__(self, x, top: int):
@@ -265,10 +275,9 @@ class _JTable:
         and x is negative, a column-sign product on the odd orders (one
         sign per order, times one per position where the positions' x
         have both signs).  first a 1-D integer array of one order per
-        position (a J(u) lookup of _entry_sums, or _jn's one order per
-        point) reads |m| and applies the sign on the leading offsets whose
-        orders go negative at some position when no x is negative, and on
-        every offset otherwise.
+        position (a J(u) lookup of _entry_sums) reads |m| and applies
+        the sign on the leading offsets whose orders go negative at some
+        position when no x is negative, and on every offset otherwise.
         """
         x, col = self.x[at], self.col[at]
         ncols = self.values.shape[1]
@@ -324,7 +333,7 @@ def ordinary_bessel(n: int, x: float) -> float:
     """
     if not math.isfinite(x):
         raise BesselRangeError(f"argument must be finite, got {x}")
-    n = int(n)
+    n = _integer(n, "order n")
     if abs(n) > MAX_ORDER or abs(x) > MAX_ARGUMENT:
         raise BesselRangeError(
             f"J_{n}({x}) outside supported box |n|<={MAX_ORDER}, |x|<={MAX_ARGUMENT}"
@@ -545,7 +554,7 @@ def gen_bessel_orders(n_lo: int, n_hi: int, u, v, delta: float) -> np.ndarray:
     if not (np.all(np.isfinite(u_arr)) and np.all(np.isfinite(v_arr)) and math.isfinite(delta)):
         raise ValueError("generalized Bessel arguments must be finite")
     delta = _reduce_angle(float(delta))
-    n_lo, n_hi = int(n_lo), int(n_hi)
+    n_lo, n_hi = _integer(n_lo, "n_lo"), _integer(n_hi, "n_hi")
     if n_hi < n_lo:
         raise ValueError("empty order range")
     series = [(u_arr, np.full(u_arr.size, first), (n_hi - first) // 2 + 1, v_arr, delta)
@@ -562,7 +571,8 @@ def gen_bessel(n: int, u: float, v: float, delta: float) -> complex:
     Reduces exactly to J_n(u) at v = 0 and, at u = 0, to
     exp(-i n delta) J_{n/2}(v) for even n (zero for odd n).
     """
-    return complex(gen_bessel_orders(int(n), int(n), u, v, delta)[0])
+    n = _integer(n, "order n")
+    return complex(gen_bessel_orders(n, n, u, v, delta)[0])
 
 
 # --------------------------------------------------------------------------
@@ -587,7 +597,7 @@ def gen_bessel_quadrature(n: int, u: float, v: float, delta: float) -> complex:
     """
     if not all(math.isfinite(x) for x in (u, v, delta)):
         raise ValueError("generalized Bessel arguments must be finite")
-    n, delta = int(n), _reduce_angle(float(delta))
+    n, delta = _integer(n, "order n"), _reduce_angle(float(delta))
     m = quadrature_points(n, u, v)
     t = -np.pi + 2.0 * np.pi * np.arange(m) / m
     phase = u * np.sin(t + delta) + v * np.sin(2.0 * t) - n * (t + delta)
@@ -790,46 +800,25 @@ _LOG_LO = np.array(_tab.LOG_LO)
 
 
 def _jn(n, x):
-    """J_n(x) at integer orders n and arguments x, broadcast against each
-    other, injected fault included: the single-order calls of tags 44 and
-    56, which read J_N at one order per point.
+    """J_n(x) at 1-D integer orders n >= 1 and arguments x >= 0, injected
+    fault included: the single-order calls of tags 44 and 56, which read
+    J_N at one order per point.  A row's bits depend on its (n, x) alone.
 
-    A point with n >= 1 and 0 <= x < n takes the numpy kernel _jn_below;
-    any other point reads the Miller recurrence of _jn_table, so every
-    input within its box is served.  A point's bits depend on its (n, x)
-    alone.
-
-    On open channels N and theta in [0, pi] both tags keep x at least
-    E_B/omega below N, so they never reach the recurrence (public calls at
-    theta outside [0, pi] give x < 0 and do).  Tag 44: x = alpha <=
-    xi |Pi| / (omega m*), since Pi0 - |Pi| cos theta >= m* sin theta, so
-    N - x >= [(Pi0 - eps0) m* - xi |Pi|] / (omega m*) >= E_B/omega, with
-    equality at Pi0 = m*^2.  Tag 56: x = sqrt(8 z X) sin theta <= X + 2z =
-    N - E_B/omega by AM-GM.
-    """
-    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
-    shape, n, x = x.shape, n.ravel(), x.ravel()
-    below = (n >= 1) & (x >= 0.0) & (x < n)
-    if below.all():
-        return _faulted(n, x, _jn_below(n, x)).reshape(shape)
-    out = np.empty(x.size)
-    out[below] = _faulted(n[below], x[below], _jn_below(n[below], x[below]))
-    rest = ~below
-    n_rest, x_rest = n[rest], x[rest]
-    table = _JTable(x_rest, int(np.max(np.abs(n_rest))))
-    out[rest] = table(np.zeros(1, dtype=int), slice(None), n_rest)[0]
-    return out.reshape(shape)
-
-
-def _jn_below(n, x):
-    """J_n(x) at 1-D integer orders n >= 1 and arguments 0 <= x < n.
+    Both tags pass |x| (they square J_N, which is even in x), and on open
+    channels N and theta in [0, pi] they keep x at least E_B/omega below N.
+    Tag 44: x = alpha <= xi |Pi| / (omega m*), since Pi0 - |Pi| cos theta
+    >= m* sin theta, so N - x >= [(Pi0 - eps0) m* - xi |Pi|] / (omega m*)
+    >= E_B/omega, with equality at Pi0 = m*^2.  Tag 56: x = sqrt(8 z X)
+    sin theta <= X + 2z = N - E_B/omega by AM-GM.  Where rounding takes x
+    to N or just past it, the row recurs down from its start orders as any
+    other.
 
     Below x = _X_TINY the leading term of the power series; elsewhere
     Olver's uniform expansion (_uniform) in its far region, at the row's
     own order where that lies in it and otherwise at the two orders from
     start = max(_N_UNIFORM, ceil(x + _TURN_WIDTH x^(1/3))) on, from which
     the row recurs down (_recur_down).  Against mpmath, for 1 <= n <= 2000
-    and 0 < x < n wherever |J| >= 1e-280: see the README's tolerance table.
+    and 0 < x <= n wherever |J| >= 1e-280: see the README's tolerance table.
     """
     out = np.empty(x.size)
     tiny = x < _X_TINY
@@ -850,7 +839,7 @@ def _jn_below(n, x):
         out[rows[direct]] = vals[:k]
         if m:
             out[rows[back]] = _recur_down(nu[back], xb, sb, vals[k:k + m], vals[k + m:])
-    return out
+    return _faulted(n, x, out)
 
 
 def _recur_down(n, x, start, f_up, f_start):

@@ -301,7 +301,7 @@ def circular_channel_dwdo(
     def evaluate(n, th):
         ck = channel_kinematics(field, atom, n, th, 0.0)
         pref, r = _recoil(2.0**4 / (math.pi * atom.a**5), field, n, ck)
-        return pref * specfun._jn(n, ck.alpha_amp) ** 2, np.ones(n.size), r
+        return pref * specfun._jn(n, np.abs(ck.alpha_amp)) ** 2, np.ones(n.size), r
 
     return _on_open_rows(evaluate, field, atom, TAG_CIRCULAR, n, theta)
 
@@ -333,7 +333,7 @@ def nonrel_channel_dwdo(
         z, x_kin = _nonrel_channel(field, atom, n, tag)
         d = n - (2.0 * z if circular else z)
         if circular:
-            j = specfun._jn(n, xi / omega * np.sqrt(2.0 * omega * x_kin) * np.sin(th))
+            j = specfun._jn(n, xi / omega * np.sqrt(2.0 * omega * x_kin) * np.abs(np.sin(th)))
         else:
             u = math.sqrt(z) * (np.sqrt(8.0 * x_kin) * np.cos(th))
             j = specfun._series_rows([(u, n, 1, np.full(th.shape, -z / 2.0), 0.0)])[0][:, 0]
@@ -381,7 +381,7 @@ def spectrum_point(
 def _point(field, atom, n, theta, phi, tag):
     """SpectrumPoint of channel n at one emission direction by the closed
     form `tag`: the one row of _rows."""
-    n = int(n)
+    n = specfun._integer(n, "channel n")
     rows = _rows(field, atom, np.array([n]), np.array([float(theta)]), np.array([float(phi)]),
                  tag)
     dwdo, pref, kfr, resc, kfr_only, factor, below = (a[0] for a in rows)

@@ -379,13 +379,13 @@ def test_entry_sums_add_one_term_at_a_time_from_minus_k(delta, count, size, monk
 
 
 @pytest.mark.parametrize("fault", [0.0, 1e-6])
-def test_jtable_reads_apply_the_reflections_at_the_signed_order(fault, monkeypatch):
+def test_jtable_reads_apply_the_reflections_at_the_signed_order(fault):
     # a read of a column of orders, or of offsets plus one first order per
     # position, equals the table's value at (|m|, |x|), negated exactly
     # where m is odd and one of m and x is negative (x = -0.0 is not), the
     # fault applied at the signed order and argument; for positions whose
-    # x are all >= 0, all < 0 or mixed.  _jn_table and _jn's points outside
-    # its kernel read through the same method
+    # x are all >= 0, all < 0 or mixed.  _jn_table reads through the same
+    # method
     rng = np.random.default_rng(53)
     x = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3], rng.uniform(-30.0, 30.0, 10)])
     table = specfun._JTable(x, 60)
@@ -411,15 +411,6 @@ def test_jtable_reads_apply_the_reflections_at_the_signed_order(fault, monkeypat
                 first = rng.integers(-40, 41, size)
                 got = table(offsets, at, first)
                 assert got.tobytes() == want(offsets[:, None] + first, at).tobytes()
-        reads = []
-        call = specfun._JTable.__call__
-        monkeypatch.setattr(specfun._JTable, "__call__",
-                            lambda self, *args: (reads.append(args), call(self, *args))[1])
-        n = rng.integers(-40, 41, x.size)
-        n[(n >= 1) & (x >= 0) & (x < n)] *= -1  # no point in _jn's kernel
-        got = specfun._jn(n, x)
-        assert len(reads) == 1
-        assert got.tobytes() == want(n[None, :], slice(None))[0].tobytes()
     finally:
         specfun.set_bessel_fault(0.0)
 
@@ -740,24 +731,23 @@ def test_jn_row_bits_do_not_depend_on_the_rest_of_the_call(rows):
     assert np.array_equal(specfun._jn(n[::-1], x[::-1]), together[::-1])
 
 
-def test_jn_outside_the_kernel_reads_the_miller_table():
-    # x >= n, n <= 0 and negative x: the points _jn hands to _jn_table
-    n = np.array([0, 0, 1, 3, 5, 12, 40, -3, -7, 4, 2])
-    x = np.array([0.0, 2.5, 1.0, 3.0, 17.0, 250.0, 40.0, 1.5, 30.0, -2.0, -0.5])
-    want = np.array([specfun._jn_table(np.array([a]), np.array([b]))[0, 0] for a, b in zip(n, x)])
-    assert np.array_equal(specfun._jn(n, x), want)
-    # a mixed call gives every point the bits it gets on its own
-    n2, x2 = np.concatenate([n, [50, 3]]), np.concatenate([x, [20.0, 0.2]])
-    alone = np.array([specfun._jn(np.array([a]), np.array([b]))[0] for a, b in zip(n2, x2)])
-    assert np.array_equal(specfun._jn(n2, x2), alone)
+def test_jn_at_and_just_past_the_turning_point_against_mpmath():
+    # rounding may take a tag's argument to x = N or one double past it, where
+    # the kernel recurs down from its start orders; it holds its bound there
+    mpmath = pytest.importorskip("mpmath")
+    orders = [1, 5, 30, 100, 400, 2000]
+    n = np.repeat(orders, 2)
+    x = np.array([v for o in orders for v in (float(o), np.nextafter(float(o), math.inf))])
+    got = specfun._jn(n, x)
+    with mpmath.workdps(40):
+        for order, arg, value in zip(n.tolist(), x.tolist(), got.tolist()):
+            ref = mpmath.besselj(order, mpmath.mpf(arg))
+            assert abs(value / ref - 1) <= 2e-13, (order, arg)
 
 
 def test_jn_special_values_and_shapes():
     assert np.array_equal(specfun._jn(np.array([1, 7, 300]), np.zeros(3)), np.zeros(3))
-    n, x = np.array([[3, 90], [45, 2000]]), np.array([[2.9, 10.0], [44.0, 1999.0]])
-    got = specfun._jn(n, x)
-    assert got.shape == (2, 2)
-    assert np.array_equal(got.ravel(), specfun._jn(n.ravel(), x.ravel()))
+    assert specfun._jn(np.array([], dtype=int), np.array([])).shape == (0,)
     # far below the turning point J_N underflows to 0 without a warning
     with np.errstate(all="raise", under="ignore"):
         assert specfun._jn(np.array([400]), np.array([1.5]))[0] == 0.0
@@ -766,7 +756,7 @@ def test_jn_special_values_and_shapes():
 @pytest.mark.parametrize("fault", [1e-6, -3e-4])
 def test_jn_fault_applies_on_every_path(fault):
     n, x = _jn_points()
-    n, x = np.concatenate([n, [5, 0]]), np.concatenate([x, [9.0, 1.0]])
+    n, x = np.concatenate([n, [5]]), np.concatenate([x, [9.0]])
     clean = specfun._jn(n, x)
     specfun.set_bessel_fault(fault)
     try:

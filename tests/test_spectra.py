@@ -71,9 +71,9 @@ def test_circular_forms_read_j_n_below_the_turning_point(omega, xi, z_a, offset,
 @pytest.mark.parametrize("omega, xi, z_a", [(0.01, 1.0, 1), (0.0141, 0.99277, 2), (2e-4, 0.3, 6)])
 def test_circular_channel_spectrum_never_takes_the_miller_branch(formula, omega, xi, z_a,
                                                                  monkeypatch):
-    # over theta in [0, pi], ends included, tags 44 and 56 read J_N from
-    # _jn's kernel alone: no _JTable is built.  The branch stays for public
-    # calls at theta outside [0, pi], whose argument is negative
+    # tags 44 and 56 read J_N from _jn's kernel alone: no _JTable is built,
+    # over theta in [0, pi], ends included, nor at theta outside it, where
+    # they pass |x| (J_N^2 is even in x) and so give -theta the bytes of theta
     built = []
     jtable = specfun._JTable
     monkeypatch.setattr(specfun, "_JTable", lambda x, top: (built.append(top), jtable(x, top))[1])
@@ -82,9 +82,34 @@ def test_circular_channel_spectrum_never_takes_the_miller_branch(formula, omega,
     tag = channel_spectrum(field, atom, np.arange(n0, n0 + 40)[:, None, None],
                            np.linspace(0.0, math.pi, 33)[:, None], np.zeros(2), formula)[0]
     assert set(np.unique(tag)) == {TAG_CIRCULAR if formula == "relativistic" else TAG_NONREL_CIRCULAR}
-    assert built == []
     spectrum_point(field, atom, n0 + 5, -0.5, 0.0)
-    assert len(built) == 1
+    assert built == []
+    rows = circular_channel_dwdo if formula == "relativistic" else nonrel_channel_dwdo
+    n, theta = np.arange(n0, n0 + 40)[:, None], np.linspace(0.0, 2.0 * math.pi, 65)
+    for a, b in zip(rows(field, atom, n, theta), rows(field, atom, n, -theta)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: Atom.from_charge(v), "z_a"),
+    (lambda v: specfun.ordinary_bessel(v, 3.0), "order n"),
+    (lambda v: specfun.gen_bessel(v, 1.0, 0.5, 0.2), "order n"),
+    (lambda v: specfun.gen_bessel_quadrature(v, 1.0, 0.5, 0.2), "order n"),
+    (lambda v: tuple(specfun.gen_bessel_orders(v, 4, 1.0, 0.5, 0.2)), "n_lo"),
+    (lambda v: tuple(specfun.gen_bessel_orders(0, v + 2, 1.0, 0.5, 0.2)), "n_hi"),
+    (lambda v: spectrum_point(DESK_FIELD, DESK_ATOM, 98 + v, 0.5, 0.0), "channel n"),
+    (lambda v: dwdo_circular(DESK_FIELD, DESK_ATOM, 98 + v, 0.5), "channel n"),
+    *[(lambda v, key=key: rates.GridSpec(**{key: 10 + v}), key)
+      for key in ("theta_points", "phi_points", "n_lo", "n_cut", "channel_cap")],
+])
+def test_integer_arguments_are_checked_not_truncated(call, name):
+    # a non-integral value raises, naming the argument; an integral float
+    # or numpy integer gives what the int gives
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+        call(2.5)
+    want = call(2)
+    assert call(2.0) == want
+    assert call(np.int64(2)) == want
 
 
 def test_circular_forward_emission_vanishes():
